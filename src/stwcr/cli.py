@@ -5,14 +5,14 @@ Commands::
     stwcr estimate-stwcr    --input data.csv --a 1 --s 7 --h 0.1 ...
     stwcr estimate-stwcrve  --input data.csv --a1 1 --a0 0 --s1 8 --s0 7 ...
     stwcr simulate          --scenario I --n 1000 --reps 300 --query stwcr:1:7 ...
-    stwcr truth             --scenario I --query stwcr:1:7 --truth-cache cache.json
     stwcr emit-draws        --scenario I --n 10000 --out draws.csv
 
 Estimation commands emit a single JSON report embedding every parameter
 needed to reproduce it; ``simulate`` emits a metrics table (CSV by
-default); ``truth`` populates the ground-truth cache; ``emit-draws``
-writes raw (b, s, a, x1) draws for external plotting. Failures exit
-nonzero with a machine-readable error JSON on stderr.
+default, ``--format json``) against exact quadrature truths, over
+``--threads`` worker processes; ``emit-draws`` writes raw (b, s, a, x1)
+draws for external plotting. Failures exit nonzero with a
+machine-readable error JSON on stderr.
 
 Flags may also be supplied through ``--config file.json`` holding the
 same keys (dashes as underscores); explicit flags win.
@@ -40,7 +40,6 @@ from .nuisance import Dataset
 from .simulation import (
     ScenarioSpec,
     SimConfig,
-    compute_truths,
     gen_dataset,
     run_monte_carlo,
 )
@@ -120,6 +119,19 @@ def parse_query(text: str):
         f"cannot parse query {text!r}; expected stwcr:a:s or stwcrve:a1:a0:s1:s0")
 
 
+# command -> (help, query flags in query-field order (arms a* are ints, markers
+# s* floats), query type, estimator, report fields beyond the common ones)
+_ESTIMATE_COMMANDS = {
+    "estimate-stwcr": (
+        "risk estimate at one (arm, marker) query", ("a", "s"), StwcrQuery, estimate_stwcr,
+        ("tau_num_hat", "tau_den_hat", "tau_hat", "sigma1_sq_hat", "se", "ci")),
+    "estimate-stwcrve": (
+        "relative-efficacy estimate", ("a1", "a0", "s1", "s0"), StwcrveQuery, estimate_stwcrve,
+        ("tau_num_hat", "tau_den_hat", "rho_hat", "delta_hat", "sigma2log_sq_hat",
+         "sigma2_sq_hat", "ci_rho", "ci_delta", "log_scale")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="stwcr",
                                 description="Trimmed smoothed controlled-risk estimation")
@@ -140,9 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--known-propensity", type=float, default=None,
                         help="known treatment probability P(A=1|b,x) (default 0.5)")
-        sp.add_argument("--threads", type=int, default=None, help="worker processes for simulate")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("json", "csv"), default=None)
 
     def add_columns(sp):
         sp.add_argument("--input", required=True, help="CSV file with a header row")
@@ -153,32 +163,22 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--x-cols", default=None, help="comma-separated covariate columns")
         sp.add_argument("--outcome-kind", choices=("binary", "continuous"), default=None)
 
-    sp = sub.add_parser("estimate-stwcr", help="risk estimate at one (arm, marker) query")
-    add_columns(sp)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--s", type=float, required=True)
-    add_common(sp)
-
-    sp = sub.add_parser("estimate-stwcrve", help="relative-efficacy estimate")
-    add_columns(sp)
-    sp.add_argument("--a1", type=int, required=True)
-    sp.add_argument("--a0", type=int, required=True)
-    sp.add_argument("--s1", type=float, required=True)
-    sp.add_argument("--s0", type=float, required=True)
-    add_common(sp)
-
-    for name, help_text in (("simulate", "bias/coverage Monte Carlo"),
-                            ("truth", "populate the ground-truth cache")):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--scenario", required=True, choices=("I", "II", "III"))
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--reps", type=int, default=None)
-        sp.add_argument("--query", action="append", default=None,
-                        help="stwcr:a:s or stwcrve:a1:a0:s1:s0 (repeatable)")
-        sp.add_argument("--truth-cache", default=None, help="JSON cache path")
-        sp.add_argument("--truth-mc-size", type=int, default=None)
-        sp.add_argument("--truth-seed", type=int, default=None)
+    for command, (help_text, query_args, _, _, _) in _ESTIMATE_COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        add_columns(sp)
+        for name in query_args:
+            sp.add_argument(f"--{name}", type=int if name.startswith("a") else float, required=True)
         add_common(sp)
+
+    sp = sub.add_parser("simulate", help="bias/coverage Monte Carlo")
+    sp.add_argument("--scenario", required=True, choices=("I", "II", "III"))
+    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--reps", type=int, default=None)
+    sp.add_argument("--query", action="append", default=None,
+                    help="stwcr:a:s or stwcrve:a1:a0:s1:s0 (repeatable)")
+    sp.add_argument("--threads", type=int, default=None, help="worker processes")
+    sp.add_argument("--format", choices=("json", "csv"), default=None)
+    add_common(sp)
 
     sp = sub.add_parser("emit-draws", help="write raw (b, s, a, x1) draws")
     sp.add_argument("--scenario", required=True, choices=("I", "II", "III"))
@@ -263,44 +263,20 @@ def _report_json(command, params, query_dict, extra) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _cmd_estimate_stwcr(args) -> int:
+def _cmd_estimate(args) -> int:
+    _, query_args, query_type, estimate, fields = _ESTIMATE_COMMANDS[args.command]
+    query = {name: getattr(args, name) for name in query_args}
     data = _dataset_from_args(args)
-    params = _params_from(args, need=("h",))
+    params = _params_from(args, need=("h",) if query_type is StwcrQuery else ("h0", "h1"))
     seed = args.seed if args.seed is not None else 0
     k = args.folds if args.folds is not None else 5
     folds = make_folds(len(data), k, seed)
-    rep = estimate_stwcr(data, StwcrQuery(a=args.a, s=args.s), params, folds,
-                         model_specs=_model_specs_from(args))
-    out = _report_json("estimate-stwcr", params, {"a": args.a, "s": args.s}, {
-        "input": args.input, "n": rep.n, "k_folds": k, "fold_seed": seed,
-        "tau_num_hat": rep.tau_num_hat, "tau_den_hat": rep.tau_den_hat,
-        "tau_hat": rep.tau_hat, "sigma1_sq_hat": rep.sigma1_sq_hat, "se": rep.se,
-        "ci": list(rep.ci), "density_floor_hits": rep.density_floor_hits,
-        "degenerate_folds": rep.degenerate_folds, "warnings": list(rep.warnings),
-    })
-    _emit(out, args.out)
-    return 0
-
-
-def _cmd_estimate_stwcrve(args) -> int:
-    data = _dataset_from_args(args)
-    params = _params_from(args, need=("h0", "h1"))
-    seed = args.seed if args.seed is not None else 0
-    k = args.folds if args.folds is not None else 5
-    folds = make_folds(len(data), k, seed)
-    q = StwcrveQuery(a1=args.a1, a0=args.a0, s1=args.s1, s0=args.s0)
-    rep = estimate_stwcrve(data, q, params, folds, model_specs=_model_specs_from(args))
-    out = _report_json("estimate-stwcrve", params,
-                       {"a1": args.a1, "a0": args.a0, "s1": args.s1, "s0": args.s0}, {
-        "input": args.input, "n": rep.n, "k_folds": k, "fold_seed": seed,
-        "tau_num_hat": rep.tau_num_hat, "tau_den_hat": rep.tau_den_hat,
-        "rho_hat": rep.rho_hat, "delta_hat": rep.delta_hat,
-        "sigma2log_sq_hat": rep.sigma2log_sq_hat, "sigma2_sq_hat": rep.sigma2_sq_hat,
-        "ci_rho": list(rep.ci_rho), "ci_delta": list(rep.ci_delta),
-        "log_scale": rep.log_scale, "density_floor_hits": rep.density_floor_hits,
-        "degenerate_folds": rep.degenerate_folds, "warnings": list(rep.warnings),
-    })
-    _emit(out, args.out)
+    rep = estimate(data, query_type(**query), params, folds, model_specs=_model_specs_from(args))
+    extra = {"input": args.input, "n": rep.n, "k_folds": k, "fold_seed": seed}
+    for name in fields + ("density_floor_hits", "degenerate_folds", "warnings"):
+        value = getattr(rep, name)
+        extra[name] = list(value) if isinstance(value, tuple) else value
+    _emit(_report_json(args.command, params, query, extra), args.out)
     return 0
 
 
@@ -323,15 +299,13 @@ def _sim_config_from(args) -> SimConfig:
         queries=queries, params=params,
         k_folds=args.folds if args.folds is not None else 5,
         master_seed=args.seed if args.seed is not None else 1,
-        truth_mc_size=args.truth_mc_size if args.truth_mc_size is not None else 2_000_000,
-        truth_seed=args.truth_seed if args.truth_seed is not None else 20_260_809,
         model_specs=_model_specs_from(args),
         n_jobs=args.threads if args.threads is not None else 1)
 
 
 def _cmd_simulate(args) -> int:
     config = _sim_config_from(args)
-    rows = run_monte_carlo(config, truth_cache_path=args.truth_cache)
+    rows = run_monte_carlo(config)
     fmt = args.format or "csv"
     if fmt == "json":
         payload = [{"scenario": config.scenario, "n": config.n, "query": r.query,
@@ -355,21 +329,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_truth(args) -> int:
-    queries = _queries_from(args)
-    need = set()
-    for q in queries:
-        need.update(("h",) if isinstance(q, StwcrQuery) else ("h0", "h1"))
-    params = _params_from(args, need=sorted(need))
-    truths = compute_truths(
-        args.scenario, queries, params,
-        truth_mc_size=args.truth_mc_size if args.truth_mc_size is not None else 2_000_000,
-        truth_seed=args.truth_seed if args.truth_seed is not None else 20_260_809,
-        cache_path=args.truth_cache)
-    _emit(json.dumps(truths, indent=2, sort_keys=True) + "\n", args.out)
-    return 0
-
-
 def _cmd_emit_draws(args) -> int:
     n = args.n if args.n is not None else 10_000
     seed = args.seed if args.seed is not None else 1
@@ -387,10 +346,9 @@ def _cmd_emit_draws(args) -> int:
 
 
 _COMMANDS = {
-    "estimate-stwcr": _cmd_estimate_stwcr,
-    "estimate-stwcrve": _cmd_estimate_stwcrve,
+    "estimate-stwcr": _cmd_estimate,
+    "estimate-stwcrve": _cmd_estimate,
     "simulate": _cmd_simulate,
-    "truth": _cmd_truth,
     "emit-draws": _cmd_emit_draws,
 }
 

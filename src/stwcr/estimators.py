@@ -66,6 +66,8 @@ class FoldAssignment:
         object.__setattr__(self, "labels", labels)
         if self.k_folds < 2:
             raise InvalidParameterError("need at least 2 folds")
+        if labels.size and (labels.min() < 1 or labels.max() > self.k_folds):
+            raise InvalidParameterError(f"fold labels must lie in 1..{self.k_folds}")
         counts = np.bincount(labels, minlength=self.k_folds + 1)[1:]
         if counts.size != self.k_folds or np.any(counts == 0):
             raise InvalidParameterError("every fold must be nonempty")

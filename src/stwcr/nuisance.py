@@ -79,7 +79,7 @@ class Dataset:
 
     def __init__(self, y, a, s, b, x, covariate_names, outcome_kind=None):
         self.y = np.ascontiguousarray(y, dtype=float)
-        self.a = np.ascontiguousarray(a, dtype=int)
+        self.a = np.ascontiguousarray(a, dtype=float)  # cast to int once checked 0/1
         self.s = np.ascontiguousarray(s, dtype=float)
         self.b = np.ascontiguousarray(b, dtype=float)
         self.x = np.ascontiguousarray(x, dtype=float)
@@ -105,6 +105,7 @@ class Dataset:
                 raise InvalidParameterError(f"non-finite value in column {name}")
         if not np.all((self.a == 0) | (self.a == 1)):
             raise InvalidParameterError("treatment column must be 0/1")
+        self.a = self.a.astype(int)
         if outcome_kind is None:
             outcome_kind = "binary" if np.all((self.y == 0) | (self.y == 1)) else "continuous"
         if outcome_kind not in ("binary", "continuous"):

@@ -10,20 +10,19 @@ Because the generating equations are polynomial in the features, the true
 nuisances are exactly representable by the parametric model classes;
 ``true_nuisances`` returns them with the generating coefficients.
 
-``oracle_estimand`` is the independent ground truth: it averages the
-defining kernel-quadrature integrals under the true nuisances over a
-large Monte Carlo sample of baseline draws, never touching the influence
-machinery. ``direct_plain_smoothed_risk`` is a second, quadrature-free
-route (sampling marker values straight from the kernel) used to
-cross-check the oracle in the trim-off limit.
+``compute_truths`` gives the ground truth: the defining kernel-quadrature
+integrals under the true nuisances, averaged over the baseline law by
+deterministic quadrature (the (B, x1) cells or truncated-Gamma densities,
+crossed with Gauss-Legendre over x2 and x3). It needs no sample size or
+seed and never touches the influence machinery. ``oracle_estimand``
+averages the same integrands over Monte Carlo baseline draws instead, and
+``direct_plain_smoothed_risk`` is a quadrature-free route (sampling marker
+values straight from the kernel); both are independent cross-checks.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -57,12 +56,9 @@ __all__ = [
     "oracle_estimand",
     "direct_plain_smoothed_risk",
     "compute_truths",
-    "truth_cache_key",
     "run_monte_carlo",
     "query_label",
 ]
-
-logger = logging.getLogger("stwcr.simulation")
 
 COVARIATE_NAMES = ("x1", "x2", "x3")
 
@@ -73,26 +69,29 @@ MARKER_SD = 1.0
 OUTCOME_COEF = (1.5, 0.5, 2.0, -0.2, -1.0, -0.3)  # over {1, x2, x3, s, a, b}
 TREATED_PROB = 0.5
 
+# baseline law: x1 ~ Bernoulli(EXPOSED_PROB); B | x1 per scenario, indexed by x1
+# (0 = naive, 1 = exposed); x2, x3 ~ U[0, 1]
+EXPOSED_PROB = 0.3
 _CATEGORICAL = {
     "I": {"values": (1, 2, 3, 4, 5),
-          "p_naive": (0.2, 0.3, 0.4, 0.05, 0.05),
-          "p_exposed": (0.1, 0.15, 0.3, 0.3, 0.15)},
+          "p": ((0.2, 0.3, 0.4, 0.05, 0.05), (0.1, 0.15, 0.3, 0.3, 0.15))},
     "III": {"values": (0, 1, 2, 3, 4),
-            "p_naive": (0.6, 0.2, 0.1, 0.05, 0.05),
-            "p_exposed": (0.1, 0.15, 0.3, 0.3, 0.15)},
+            "p": ((0.6, 0.2, 0.1, 0.05, 0.05), (0.1, 0.15, 0.3, 0.3, 0.15))},
 }
-_GAMMA_NAIVE = {"shape": 2.5, "rate": 1.0}
-_GAMMA_EXPOSED = {"shape": 3.0, "rate": 0.7}
+_GAMMA = ({"shape": 2.5, "rate": 1.0}, {"shape": 3.0, "rate": 0.7})
 _GAMMA_TRUNC_Q = 0.995
+
+# Gauss-Legendre node counts of the quadrature truth. At t = epsilon = h = 0.1,
+# raising them to 64 and 256 moves every truth by < 1e-14, while halving them
+# moves Scenario II truths by up to 5e-9: the trimming weight turns sharply in b.
+_X_NODES = 24  # per uniform covariate x2, x3
+_B_NODES = 128  # per truncated-Gamma law, in u = sqrt(b)
 
 
 def gamma_truncation_points() -> tuple[float, float]:
     """Theoretical 99.5th percentiles of the two Gamma baseline laws."""
-    q_naive = float(gamma_dist.ppf(_GAMMA_TRUNC_Q, a=_GAMMA_NAIVE["shape"],
-                                   scale=1.0 / _GAMMA_NAIVE["rate"]))
-    q_exposed = float(gamma_dist.ppf(_GAMMA_TRUNC_Q, a=_GAMMA_EXPOSED["shape"],
-                                     scale=1.0 / _GAMMA_EXPOSED["rate"]))
-    return q_naive, q_exposed
+    return tuple(float(gamma_dist.ppf(_GAMMA_TRUNC_Q, a=g["shape"], scale=1.0 / g["rate"]))
+                 for g in _GAMMA)
 
 
 def baseline_marker_range(scenario: str) -> tuple[float, float]:
@@ -121,25 +120,56 @@ class ScenarioSpec:
 
 def _draw_baseline(rng: np.random.Generator, n: int, scenario: str):
     """Draw (b, x1, x2, x3) from the scenario's baseline population."""
-    x1 = (rng.random(n) < 0.3).astype(float)
+    x1 = (rng.random(n) < EXPOSED_PROB).astype(float)
     x2 = rng.random(n)
     x3 = rng.random(n)
-    naive = x1 == 0.0
     b = np.empty(n)
-    if scenario in _CATEGORICAL:
-        cfg = _CATEGORICAL[scenario]
-        vals = np.asarray(cfg["values"], dtype=float)
-        b[naive] = rng.choice(vals, size=int(naive.sum()), p=cfg["p_naive"])
-        b[~naive] = rng.choice(vals, size=int((~naive).sum()), p=cfg["p_exposed"])
-    else:
-        q_naive, q_exposed = gamma_truncation_points()
-        b[naive] = np.minimum(
-            rng.gamma(shape=_GAMMA_NAIVE["shape"], scale=1.0 / _GAMMA_NAIVE["rate"],
-                      size=int(naive.sum())), q_naive)
-        b[~naive] = np.minimum(
-            rng.gamma(shape=_GAMMA_EXPOSED["shape"], scale=1.0 / _GAMMA_EXPOSED["rate"],
-                      size=int((~naive).sum())), q_exposed)
+    cat = _CATEGORICAL.get(scenario)
+    caps = None if cat else gamma_truncation_points()
+    for e in (0, 1):
+        rows = x1 == e
+        m = int(rows.sum())
+        if cat:
+            b[rows] = rng.choice(np.asarray(cat["values"], dtype=float), size=m, p=cat["p"][e])
+        else:
+            g = _GAMMA[e]
+            b[rows] = np.minimum(rng.gamma(shape=g["shape"], scale=1.0 / g["rate"], size=m),
+                                 caps[e])
     return b, x1, x2, x3
+
+
+def _unit_gauss_legendre(n: int):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _baseline_grid(scenario: str):
+    """Quadrature rule for the baseline law: weights w and points (b, x).
+
+    Scenarios I and III enumerate the (B, x1) cells. Scenario II integrates
+    each truncated-Gamma density in u = sqrt(b), which removes the b^1.5
+    behaviour at 0, and adds the point mass that truncation puts at each cap.
+    Both cross the (B, x1) rule with Gauss-Legendre over x2 and x3.
+    """
+    cat = _CATEGORICAL.get(scenario)
+    caps = None if cat else gamma_truncation_points()
+    cells = []  # (weight, b, x1) per point of the (B, x1) rule
+    for e, p_e in ((0, 1.0 - EXPOSED_PROB), (1, EXPOSED_PROB)):
+        if cat:
+            b, wb = cat["values"], cat["p"][e]
+        else:
+            g = _GAMMA[e]
+            un, uw = _unit_gauss_legendre(_B_NODES)
+            u = math.sqrt(caps[e]) * un
+            dens = gamma_dist.pdf(u * u, a=g["shape"], scale=1.0 / g["rate"])
+            b = np.append(u * u, caps[e])
+            wb = np.append(math.sqrt(caps[e]) * uw * dens * 2.0 * u, 1.0 - _GAMMA_TRUNC_Q)
+        cells += [(p_e * w_i, float(b_i), float(e)) for w_i, b_i in zip(wb, b)]
+    wb, b, x1 = (np.array(col) for col in zip(*cells))
+    xn, xw = _unit_gauss_legendre(_X_NODES)
+    c, i2, i3 = (g.ravel() for g in np.meshgrid(np.arange(wb.size), np.arange(_X_NODES),
+                                                 np.arange(_X_NODES), indexing="ij"))
+    return wb[c] * xw[i2] * xw[i3], b[c], np.column_stack([x1[c], xn[i2], xn[i3]])
 
 
 def marker_mean(a, b, x1, x2):
@@ -204,56 +234,67 @@ class OracleResult:
 _ORACLE_BLOCK = 100_000
 
 
-def oracle_estimand(kind: str, scenario: str, query, params: SmoothingParams,
-                    mc_size: int = 2_000_000, seed: int = 20_260_809) -> OracleResult:
-    """Monte Carlo ground truth for a risk or relative-efficacy query.
+def _oracle_integrands(kind: str, scenario: str, query, params: SmoothingParams):
+    """The query's defining integrands under the true nuisances.
 
-    Averages the defining kernel-quadrature integrals under the true
-    nuisances over ``mc_size`` baseline draws. Independent of the
-    influence-value code path.
+    Returns ``terms(b, x) -> (u, v)``: per baseline point, the numerator and
+    denominator integrands, whose means over the baseline law are the
+    functional's numerator and denominator. Each is a kernel-quadrature
+    integral of the smoothed trimming weight, times the outcome risk in
+    the numerator. Independent of the influence-value code path.
     """
     if kind not in ("stwcr", "stwcrve_num_den"):
         raise InvalidParameterError(f"unknown oracle kind {kind!r}")
-    if mc_size < 100_000:
-        raise InvalidParameterError("oracle needs mc_size >= 100000")
     nuis = true_nuisances(scenario)
-    t, eps = params.t, params.epsilon
-    rng = np.random.default_rng(seed)
-
-    def arm_rules():
-        if kind == "stwcr":
-            h = params.require_h()
-            return ((query.a, query.s, h),)
+    if kind == "stwcr":
+        arms = ((query.a, query.s, params.require_h()),)
+    else:
         h0, h1 = params.require_h0_h1()
-        return ((query.a0, query.s0, h0), (query.a1, query.s1, h1))
-
+        arms = ((query.a0, query.s0, h0), (query.a1, query.s1, h1))
     rules = []
-    for arm, center, h in arm_rules():
+    for arm, center, h in arms:
         rule = quad_rule(center, h, nuis.support, params)
         if rule is None:
             raise InvalidParameterError("query window lies outside the marker support")
         nodes, weights = rule
         rules.append((arm, nodes, kernel_weight(nodes - center, h) * weights))
 
+    def terms(b, x):
+        per_arm = []
+        for arm, nodes, wk in rules:
+            pi = nuis.cond_density.density_grid(arm, nodes, b, x)
+            phi = smooth_indicator(pi, params.t, params.epsilon)
+            r = nuis.outcome.predict_grid(arm, nodes, b, x)
+            per_arm.append((phi @ wk, (phi * r) @ wk))
+        if kind == "stwcr":
+            plain, weighted = per_arm[0]
+            return weighted, plain
+        (plain0, weighted0), (plain1, weighted1) = per_arm
+        # comparator-side plain x investigational-side risk, and the reverse
+        return plain0 * weighted1, weighted0 * plain1
+
+    return terms
+
+
+def oracle_estimand(kind: str, scenario: str, query, params: SmoothingParams,
+                    mc_size: int = 2_000_000, seed: int = 20_260_809) -> OracleResult:
+    """Monte Carlo ground truth for a risk or relative-efficacy query.
+
+    Averages the defining kernel-quadrature integrals under the true
+    nuisances over ``mc_size`` baseline draws. Independent of the
+    influence-value code path, and of the baseline quadrature behind
+    :func:`compute_truths`, which it cross-checks.
+    """
+    terms = _oracle_integrands(kind, scenario, query, params)
+    if mc_size < 100_000:
+        raise InvalidParameterError("oracle needs mc_size >= 100000")
+    rng = np.random.default_rng(seed)
     sums = np.zeros(5)  # sum u, sum v, sum u^2, sum v^2, sum u*v
     done = 0
     while done < mc_size:
         m = min(_ORACLE_BLOCK, mc_size - done)
         b, x1, x2, x3 = _draw_baseline(rng, m, scenario)
-        x = np.column_stack([x1, x2, x3])
-        per_arm = []
-        for arm, nodes, wk in rules:
-            pi = nuis.cond_density.density_grid(arm, nodes, b, x)
-            phi = smooth_indicator(pi, t, eps)
-            r = nuis.outcome.predict_grid(arm, nodes, b, x)
-            per_arm.append((phi @ wk, (phi * r) @ wk))
-        if kind == "stwcr":
-            plain, weighted = per_arm[0]
-            u, v = weighted, plain
-        else:
-            (plain0, weighted0), (plain1, weighted1) = per_arm
-            u = plain0 * weighted1   # comparator-side plain x investigational-side risk
-            v = weighted0 * plain1
+        u, v = terms(b, np.column_stack([x1, x2, x3]))
         sums += (u.sum(), v.sum(), (u * u).sum(), (v * v).sum(), (u * v).sum())
         done += m
 
@@ -305,16 +346,12 @@ class SimConfig:
     params: SmoothingParams
     k_folds: int = 5
     master_seed: int = 1
-    truth_mc_size: int = 2_000_000
-    truth_seed: int = 20_260_809
     model_specs: ModelSpecs | None = None
     n_jobs: int = 1
 
     def __post_init__(self):
         if self.reps < 1:
             raise InvalidParameterError("need reps >= 1")
-        if self.truth_mc_size < 100_000:
-            raise InvalidParameterError("need truth_mc_size >= 100000")
         object.__setattr__(self, "queries", tuple(self.queries))
         if not self.queries:
             raise InvalidParameterError("need at least one query")
@@ -340,55 +377,27 @@ def query_label(q) -> str:
     return f"STWCRVE(a1={q.a1},a0={q.a0},s1={q.s1:g},s0={q.s0:g})"
 
 
-def truth_cache_key(scenario: str, q, params: SmoothingParams,
-                    mc_size: int, seed: int) -> str:
-    if isinstance(q, StwcrQuery):
-        qpart = f"stwcr|a={q.a}|s={q.s!r}|h={params.h!r}"
-    else:
-        qpart = (f"stwcrve|a1={q.a1}|a0={q.a0}|s1={q.s1!r}|s0={q.s0!r}"
-                 f"|h0={params.h0!r}|h1={params.h1!r}")
-    return (f"{scenario}|{qpart}|t={params.t!r}|eps={params.epsilon!r}"
-            f"|nodes={params.quad_nodes}|W={params.window_halfwidth_in_h!r}"
-            f"|mc={mc_size}|seed={seed}")
+def compute_truths(scenario: str, queries, params: SmoothingParams) -> list[dict]:
+    """Exact truth per query, in query order: ``{"truth", "num", "den"}``.
 
-
-def _load_cache(path):
-    if path and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return {}
-
-
-def _save_cache(path, cache):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(cache, fh, indent=1, sort_keys=True)
-
-
-def compute_truths(scenario: str, queries, params: SmoothingParams,
-                   truth_mc_size: int = 2_000_000, truth_seed: int = 20_260_809,
-                   cache_path=None) -> dict[str, dict]:
-    """Oracle truth per query, served from the JSON cache when available."""
-    cache = _load_cache(cache_path)
-    out = {}
-    updated = False
+    ``num`` and ``den`` are the means of the defining integrands under the
+    baseline law, by deterministic quadrature over that law (see
+    ``_baseline_grid``); ``truth`` is their ratio for a risk query and
+    1 - ratio for a relative-efficacy query.
+    """
+    w, b, x = _baseline_grid(scenario)
+    out = []
     for q in queries:
-        key = truth_cache_key(scenario, q, params, truth_mc_size, truth_seed)
-        if key in cache:
-            logger.info("truth cache hit: %s", key)
-            out[key] = cache[key]
-            continue
         kind = "stwcr" if isinstance(q, StwcrQuery) else "stwcrve_num_den"
-        res = oracle_estimand(kind, scenario, q, params,
-                              mc_size=truth_mc_size, seed=truth_seed)
-        truth = res.ratio if kind == "stwcr" else res.delta
-        entry = {"truth": truth, "num": res.num, "den": res.den,
-                 "mc_se": res.mc_se, "mc_size": res.mc_size, "seed": res.seed}
-        cache[key] = entry
-        out[key] = entry
-        updated = True
-    if updated:
-        _save_cache(cache_path, cache)
+        terms = _oracle_integrands(kind, scenario, q, params)
+        num = den = 0.0
+        for lo in range(0, w.size, _ORACLE_BLOCK):
+            blk = slice(lo, lo + _ORACLE_BLOCK)
+            u, v = terms(b[blk], x[blk])
+            num += float(w[blk] @ u)
+            den += float(w[blk] @ v)
+        ratio = num / den
+        out.append({"truth": ratio if kind == "stwcr" else 1.0 - ratio, "num": num, "den": den})
     return out
 
 
@@ -428,25 +437,22 @@ def _run_one_rep_default(args):
     return _run_one_rep(config, r, _default_estimate_fn)
 
 
-def run_monte_carlo(config: SimConfig, truth_cache_path=None,
-                    estimate_fn=None) -> list[MetricsRow]:
+def run_monte_carlo(config: SimConfig, estimate_fn=None) -> list[MetricsRow]:
     """Repeated-sampling bias and coverage for each configured query.
 
-    Truths are computed once per query (cached when a cache path is
-    given). Replication r draws its seeds from the master seed by
-    counter-based splitting, so results are independent of worker count
-    and each replication is reproducible in isolation. Raises
-    :class:`HarnessError` when more than 5% of replications fail for any
-    query.
+    Truths come from :func:`compute_truths`. Replication r draws its seeds
+    from the master seed by counter-based splitting, so results are
+    independent of worker count and each replication is reproducible in
+    isolation. A custom ``estimate_fn`` runs serially and needs
+    ``n_jobs == 1``. Raises :class:`HarnessError` when more than 5% of
+    replications fail for any query. ``pct_bias`` is NaN when the truth is 0.
     """
-    truths = compute_truths(config.scenario, config.queries, config.params,
-                            config.truth_mc_size, config.truth_seed, truth_cache_path)
-    keys = [truth_cache_key(config.scenario, q, config.params,
-                            config.truth_mc_size, config.truth_seed)
-            for q in config.queries]
+    if estimate_fn is not None and config.n_jobs > 1:
+        raise InvalidParameterError("a custom estimate_fn runs serially; set n_jobs=1")
+    truths = compute_truths(config.scenario, config.queries, config.params)
 
     results: list[list] = [None] * config.reps
-    if estimate_fn is None and config.n_jobs > 1:
+    if config.n_jobs > 1:
         with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
             for r, res in enumerate(pool.map(_run_one_rep_default,
                                              [(config, r) for r in range(config.reps)],
@@ -460,7 +466,7 @@ def run_monte_carlo(config: SimConfig, truth_cache_path=None,
     rows = []
     errors = []
     for j, q in enumerate(config.queries):
-        truth = truths[keys[j]]["truth"]
+        truth = truths[j]["truth"]
         estimates, ses, covered, failed = [], [], 0, 0
         for r in range(config.reps):
             res = results[r][j]
@@ -480,7 +486,7 @@ def run_monte_carlo(config: SimConfig, truth_cache_path=None,
         mean_est = float(np.mean(estimates)) if ok else float("nan")
         rows.append(MetricsRow(
             query=query_label(q), truth=float(truth), mean_estimate=mean_est,
-            pct_bias=float(100.0 * (mean_est - truth) / truth),
+            pct_bias=float(100.0 * (mean_est - truth) / truth) if truth != 0.0 else float("nan"),
             coverage=float(covered / ok) if ok else float("nan"),
             mean_se=float(np.mean(ses)) if ok else float("nan"),
             reps=ok, failed=failed))

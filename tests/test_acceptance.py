@@ -24,14 +24,12 @@ from stwcr.simulation import (
     oracle_estimand,
     run_monte_carlo,
     true_nuisances,
-    truth_cache_key,
 )
 
 RISK_PARAMS = SmoothingParams(t=0.1, epsilon=0.1, h=0.1)
 VE_PARAMS = SmoothingParams(t=0.1, epsilon=0.1, h0=0.1, h1=0.1)
 BOTH_PARAMS = SmoothingParams(t=0.1, epsilon=0.1, h=0.1, h0=0.1, h1=0.1)
-TRUTH_MC = 2_000_000
-TRUTH_SEED = 11
+ORACLE_MC = 2_000_000
 N_JOBS = 4
 
 
@@ -41,19 +39,14 @@ def check(criterion: str, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="module")
-def truth_cache(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("truths") / "cache.json")
-
-
-@pytest.fixture(scope="module")
-def scenario_I_risk_mc(truth_cache):
+def scenario_I_risk_mc():
     config = SimConfig(
         scenario="I", n=1000, reps=300,
         queries=(StwcrQuery(1, 7.0), StwcrQuery(1, 10.0)),
         params=RISK_PARAMS, k_folds=5, master_seed=20260809,
-        truth_mc_size=TRUTH_MC, truth_seed=TRUTH_SEED, n_jobs=N_JOBS)
+        n_jobs=N_JOBS)
     start = time.monotonic()
-    rows = run_monte_carlo(config, truth_cache_path=truth_cache)
+    rows = run_monte_carlo(config)
     return rows, time.monotonic() - start
 
 
@@ -76,13 +69,13 @@ def test_criterion_02_scenario_I_s10_boundary_degradation(scenario_I_risk_mc):
           f"< s=7 coverage {100*row7.coverage:.1f}%")
 
 
-def test_criterion_03_scenario_I_relative_efficacy(truth_cache):
+def test_criterion_03_scenario_I_relative_efficacy():
     config = SimConfig(
         scenario="I", n=2000, reps=200, queries=(StwcrveQuery(1, 0, 8.0, 7.0),),
         params=VE_PARAMS, k_folds=5, master_seed=20260811,
-        truth_mc_size=TRUTH_MC, truth_seed=TRUTH_SEED, n_jobs=N_JOBS)
+        n_jobs=N_JOBS)
     start = time.monotonic()
-    row = run_monte_carlo(config, truth_cache_path=truth_cache)[0]
+    row = run_monte_carlo(config)[0]
     elapsed = time.monotonic() - start
     ok = (abs(row.pct_bias) <= 5.0 and 0.91 <= row.coverage <= 0.985
           and elapsed <= 45 * 60)
@@ -91,18 +84,18 @@ def test_criterion_03_scenario_I_relative_efficacy(truth_cache):
           f"(in [91,98.5]), elapsed={elapsed:.0f}s (<=2700s)")
 
 
-def test_criterion_04_scenario_II_s9_coverage(truth_cache):
+def test_criterion_04_scenario_II_s9_coverage():
     config = SimConfig(
         scenario="II", n=1000, reps=300, queries=(StwcrQuery(1, 9.0),),
         params=RISK_PARAMS, k_folds=5, master_seed=202,
-        truth_mc_size=TRUTH_MC, truth_seed=TRUTH_SEED, n_jobs=N_JOBS)
-    row = run_monte_carlo(config, truth_cache_path=truth_cache)[0]
+        n_jobs=N_JOBS)
+    row = run_monte_carlo(config)[0]
     ok = 0.875 <= row.coverage <= 0.95
     check("criterion 4: Scenario II, n=1000, STWCR(1,9), 300 reps", ok,
           f"coverage={100*row.coverage:.1f}% (in [87.5,95]), pct_bias={row.pct_bias:+.2f}%")
 
 
-def test_criterion_05_mean_zero_identities(truth_cache):
+def test_criterion_05_mean_zero_identities():
     n = 200_000
     results = []
     for scenario in ("I", "II"):
@@ -110,10 +103,7 @@ def test_criterion_05_mean_zero_identities(truth_cache):
         nuis = true_nuisances(scenario)
         risk_q = StwcrQuery(1, 7.0)
         ve_q = StwcrveQuery(1, 0, 8.0, 7.0)
-        truths = compute_truths(scenario, (risk_q, ve_q), BOTH_PARAMS,
-                                TRUTH_MC, TRUTH_SEED, cache_path=truth_cache)
-        risk_truth = truths[truth_cache_key(scenario, risk_q, BOTH_PARAMS, TRUTH_MC, TRUTH_SEED)]
-        ve_truth = truths[truth_cache_key(scenario, ve_q, BOTH_PARAMS, TRUTH_MC, TRUTH_SEED)]
+        risk_truth, ve_truth = compute_truths(scenario, (risk_q, ve_q), BOTH_PARAMS)
         num, den, _ = eif_stwcr_batch(data.y, data.a, data.s, data.b, data.x,
                                       risk_q, nuis, BOTH_PARAMS)
         vnum, vden, _ = eif_stwcrve_batch(data.y, data.a, data.s, data.b, data.x,
@@ -199,9 +189,9 @@ def test_criterion_09_quadrature_stability():
 
 def test_criterion_10_oracle_self_consistency_and_trim_off():
     a = oracle_estimand("stwcr", "I", StwcrQuery(1, 7.0), RISK_PARAMS,
-                        mc_size=TRUTH_MC, seed=41)
+                        mc_size=ORACLE_MC, seed=41)
     b = oracle_estimand("stwcr", "I", StwcrQuery(1, 7.0), RISK_PARAMS,
-                        mc_size=TRUTH_MC, seed=42)
+                        mc_size=ORACLE_MC, seed=42)
     self_gap = abs(a.ratio - b.ratio)
     self_tol = 4 * math.hypot(a.mc_se, b.mc_se)
 

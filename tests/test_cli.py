@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -163,7 +164,6 @@ class TestMain:
         out = tmp_path / "metrics.csv"
         rc = main(["simulate", "--scenario", "I", "--n", "300", "--reps", "2",
                    "--query", "stwcr:1:7", "--h", "0.1",
-                   "--truth-mc-size", "100000", "--truth-seed", "5",
                    "--seed", "1", "--out", str(out)])
         assert rc == 0
         rows = list(csv.DictReader(out.open()))
@@ -172,20 +172,6 @@ class TestMain:
         assert rows[0]["reps"] == "2"
         assert set(rows[0]) == {"scenario", "n", "query", "truth", "mean_estimate",
                                 "pct_bias", "coverage", "mean_se", "reps", "failed"}
-
-    def test_truth_then_simulate_uses_cache(self, tmp_path, caplog):
-        cache = tmp_path / "cache.json"
-        rc = main(["truth", "--scenario", "I", "--query", "stwcr:1:7", "--h", "0.1",
-                   "--truth-mc-size", "100000", "--truth-seed", "5",
-                   "--truth-cache", str(cache), "--out", str(tmp_path / "t.json")])
-        assert rc == 0 and cache.exists()
-        with caplog.at_level("INFO", logger="stwcr.simulation"):
-            rc = main(["simulate", "--scenario", "I", "--n", "300", "--reps", "2",
-                       "--query", "stwcr:1:7", "--h", "0.1",
-                       "--truth-mc-size", "100000", "--truth-seed", "5",
-                       "--truth-cache", str(cache), "--out", str(tmp_path / "m.csv")])
-        assert rc == 0
-        assert "truth cache hit" in caplog.text
 
     def test_emit_draws(self, tmp_path):
         out = tmp_path / "draws.csv"
@@ -222,8 +208,32 @@ class TestMain:
     def test_simulate_json_format(self, tmp_path):
         out = tmp_path / "metrics.json"
         rc = main(["simulate", "--scenario", "I", "--n", "300", "--reps", "2",
-                   "--query", "stwcr:1:7", "--h", "0.1", "--truth-mc-size", "100000",
-                   "--truth-seed", "5", "--format", "json", "--out", str(out)])
+                   "--query", "stwcr:1:7", "--h", "0.1", "--format", "json",
+                   "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload[0]["query"] == "STWCR(a=1,s=7)"
+
+    def test_simulate_zero_truth_gives_nan_pct_bias(self, tmp_path):
+        out = tmp_path / "metrics.json"
+        rc = main(["simulate", "--scenario", "I", "--n", "300", "--reps", "2",
+                   "--query", "stwcrve:1:1:7:7", "--h0", "0.1", "--h1", "0.1",
+                   "--format", "json", "--out", str(out)])
+        assert rc == 0
+        row = json.loads(out.read_text())[0]
+        assert row["truth"] == 0.0
+        assert math.isnan(row["pct_bias"])
+
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--format", "json"]])
+    @pytest.mark.parametrize("command", ["estimate-stwcr", "emit-draws"])
+    def test_simulate_only_flags_rejected(self, trial_csv, command, flag):
+        args = (["--input", str(trial_csv), "--a", "1", "--s", "7", "--h", "0.1"]
+                if command == "estimate-stwcr" else ["--scenario", "I"])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, *flag])
+        assert exc.value.code == 2
+
+    def test_truth_command_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["truth", "--scenario", "I", "--query", "stwcr:1:7", "--h", "0.1"])
+        assert exc.value.code == 2

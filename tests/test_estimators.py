@@ -46,6 +46,17 @@ class TestMakeFolds:
         with pytest.raises(InvalidParameterError):
             FoldAssignment(k_folds=3, labels=np.array([1, 1, 2]))  # fold 3 empty
 
+    def test_label_zero_rejected(self):
+        # five rows labelled 0 would never be held out, so their influence
+        # values would stay unset
+        labels = np.concatenate([np.zeros(5, dtype=int), np.repeat(np.arange(1, 6), 5)])
+        with pytest.raises(InvalidParameterError, match="1..5"):
+            FoldAssignment(k_folds=5, labels=labels)
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(InvalidParameterError, match="1..3"):
+            FoldAssignment(k_folds=3, labels=np.array([-1, 1, 2, 3]))
+
 
 @pytest.fixture(scope="module")
 def scen1():

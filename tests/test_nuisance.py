@@ -46,6 +46,11 @@ class TestObservationAndDataset:
             Dataset(y=[0.5], a=[1], s=[1.0], b=[0.0], x=[[0.0]],
                     covariate_names=("x1",), outcome_kind="binary")
 
+    def test_fractional_treatment_rejected(self):
+        with pytest.raises(InvalidParameterError, match="treatment"):
+            Dataset(y=[0, 1, 0], a=[0.5, 1, 0], s=[1.0, 2.0, 3.0], b=[0.0, 0.0, 0.0],
+                    x=[[0.0], [1.0], [0.5]], covariate_names=("x1",))
+
     def test_outcome_kind_inferred(self):
         assert tiny_dataset([1.0, 2.0]).outcome_kind == "binary"
         ds = Dataset(y=[0.2, 1.4], a=[0, 1], s=[1.0, 2.0], b=[0.0, 0.0],

@@ -1,8 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stwcr.core import SmoothingParams
 from stwcr.eif import StwcrQuery, StwcrveQuery
@@ -19,7 +20,6 @@ from stwcr.simulation import (
     query_label,
     run_monte_carlo,
     true_nuisances,
-    truth_cache_key,
 )
 
 PARAMS = SmoothingParams(t=0.1, epsilon=0.1, h=0.1, h0=0.1, h1=0.1)
@@ -176,35 +176,43 @@ class TestOracle:
         assert abs(orc.num - num) < 4 * orc.num_se
         assert abs(orc.den - den) < 4 * orc.den_se
 
+        truth = compute_truths("I", (StwcrQuery(1, 7.0),), PARAMS)[0]
+        assert abs(truth["num"] - num) < 1e-9
+        assert abs(truth["den"] - den) < 1e-9
+        assert abs(truth["truth"] - num / den) < 1e-9
 
-class TestTruthCache:
-    def test_cache_roundtrip_and_hit(self, tmp_path, caplog):
-        path = tmp_path / "cache.json"
-        queries = (StwcrQuery(1, 7.0),)
-        first = compute_truths("I", queries, PARAMS, truth_mc_size=100_000,
-                               truth_seed=3, cache_path=str(path))
-        assert path.exists()
-        with caplog.at_level("INFO", logger="stwcr.simulation"):
-            second = compute_truths("I", queries, PARAMS, truth_mc_size=100_000,
-                                    truth_seed=3, cache_path=str(path))
-        assert "truth cache hit" in caplog.text
-        assert first == second
-        key = truth_cache_key("I", queries[0], PARAMS, 100_000, 3)
-        stored = json.loads(path.read_text())
-        assert stored[key]["truth"] == first[key]["truth"]
+    @pytest.mark.parametrize("scenario, query", [
+        ("I", StwcrveQuery(1, 0, 8.0, 7.0)),
+        ("II", StwcrQuery(1, 9.0)),
+        ("III", StwcrQuery(1, 7.0)),
+    ])
+    def test_quadrature_truth_matches_monte_carlo(self, scenario, query):
+        kind = "stwcr" if isinstance(query, StwcrQuery) else "stwcrve_num_den"
+        truth = compute_truths(scenario, (query,), PARAMS)[0]
+        orc = oracle_estimand(kind, scenario, query, PARAMS, mc_size=400_000, seed=23)
+        assert abs(orc.ratio - truth["num"] / truth["den"]) < 4 * orc.mc_se
+        assert abs(orc.num - truth["num"]) < 4 * orc.num_se
+        assert abs(orc.den - truth["den"]) < 4 * orc.den_se
 
-    def test_distinct_params_distinct_keys(self):
-        k1 = truth_cache_key("I", StwcrQuery(1, 7.0), PARAMS, 100_000, 3)
-        k2 = truth_cache_key("I", StwcrQuery(1, 7.0), PARAMS.with_(t=0.2), 100_000, 3)
-        assert k1 != k2
+
+class TestQuadratureTruth:
+    @settings(max_examples=10, deadline=None)
+    @given(scenario=st.sampled_from(("I", "II", "III")), arm=st.sampled_from((0, 1)),
+           s=st.floats(min_value=5.0, max_value=11.0))
+    def test_properties(self, scenario, arm, s):
+        risk = (StwcrQuery(arm, s),)
+        first = compute_truths(scenario, risk, PARAMS)[0]
+        assert 0.0 < first["truth"] < 1.0
+        assert compute_truths(scenario, risk, PARAMS)[0] == first
+        symmetric = compute_truths(scenario, (StwcrveQuery(arm, arm, s, s),), PARAMS)[0]
+        assert symmetric["truth"] == 0.0
 
 
 class TestRunMonteCarlo:
-    def test_forced_truth_stub(self, tmp_path):
+    def test_forced_truth_stub(self):
         cfg = SimConfig(scenario="I", n=100, reps=1, queries=(StwcrQuery(1, 7.0),),
-                        params=PARAMS, truth_mc_size=100_000, truth_seed=3)
-        truths = compute_truths("I", cfg.queries, PARAMS, 100_000, 3)
-        truth = next(iter(truths.values()))["truth"]
+                        params=PARAMS)
+        truth = compute_truths("I", cfg.queries, PARAMS)[0]["truth"]
 
         def forced(data, q, params, folds, model_specs):
             return truth, truth, truth, 0.0
@@ -215,21 +223,21 @@ class TestRunMonteCarlo:
 
     def test_deterministic_rows(self):
         cfg = SimConfig(scenario="I", n=200, reps=3, queries=(StwcrQuery(1, 7.0),),
-                        params=PARAMS, master_seed=5, truth_mc_size=100_000, truth_seed=3)
+                        params=PARAMS, master_seed=5)
         rows_a = run_monte_carlo(cfg)
         rows_b = run_monte_carlo(cfg)
         assert rows_a == rows_b
 
     def test_parallel_matches_serial(self):
         base = dict(scenario="I", n=200, reps=4, queries=(StwcrQuery(1, 7.0),),
-                    params=PARAMS, master_seed=6, truth_mc_size=100_000, truth_seed=3)
+                    params=PARAMS, master_seed=6)
         serial = run_monte_carlo(SimConfig(**base, n_jobs=1))
         parallel = run_monte_carlo(SimConfig(**base, n_jobs=2))
         assert serial == parallel
 
     def test_failures_counted_and_capped(self):
         cfg = SimConfig(scenario="I", n=100, reps=5, queries=(StwcrQuery(1, 7.0),),
-                        params=PARAMS, truth_mc_size=100_000, truth_seed=3)
+                        params=PARAMS)
 
         def failing(data, q, params, folds, model_specs):
             raise EstimationError("boom")
@@ -237,10 +245,20 @@ class TestRunMonteCarlo:
         with pytest.raises(HarnessError):
             run_monte_carlo(cfg, estimate_fn=failing)
 
+    def test_custom_estimate_fn_rejects_workers(self):
+        cfg = SimConfig(scenario="I", n=100, reps=2, queries=(StwcrQuery(1, 7.0),),
+                        params=PARAMS, n_jobs=2)
+
+        def forced(data, q, params, folds, model_specs):
+            return 0.5, 0.4, 0.6, 0.05
+
+        with pytest.raises(InvalidParameterError, match="n_jobs"):
+            run_monte_carlo(cfg, estimate_fn=forced)
+
     def test_mixed_queries(self):
         cfg = SimConfig(scenario="I", n=300, reps=2,
                         queries=(StwcrQuery(1, 7.0), StwcrveQuery(1, 0, 8.0, 7.0)),
-                        params=PARAMS, master_seed=7, truth_mc_size=100_000, truth_seed=3)
+                        params=PARAMS, master_seed=7)
         rows = run_monte_carlo(cfg)
         assert [r.query for r in rows] == ["STWCR(a=1,s=7)", "STWCRVE(a1=1,a0=0,s1=8,s0=7)"]
         assert all(isinstance(r, MetricsRow) for r in rows)
