@@ -28,6 +28,7 @@ import logging
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -57,29 +58,87 @@ def load_dataset(path, column_map=None, outcome_kind=None) -> Dataset:
     ``column_map`` may override the default column names
     {"y": "y", "a": "a", "s": "s", "b": "b", "x": ["x1", ..., "xp"]};
     by default every header matching x<digits> becomes a covariate, in
-    numeric order. Parse failures name the offending row and column.
+    numeric order. Cells may be quoted, and columns that are not selected
+    may hold text. Parse failures name the offending row and column.
     """
-    column_map = dict(column_map or {})
+    try:
+        return _load_dataset(path, dict(column_map or {}), outcome_kind)
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _load_dataset(path, column_map, outcome_kind) -> Dataset:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DatasetParseError(f"{path}: empty file (header row required)") from None
-        header = [c.strip() for c in header]
-        names = {"y": column_map.get("y", "y"), "a": column_map.get("a", "a"),
-                 "s": column_map.get("s", "s"), "b": column_map.get("b", "b")}
-        x_cols = column_map.get("x")
-        if x_cols is None:
-            matches = sorted(((int(m.group(1)), c) for c in header if (m := _X_COL.match(c))))
-            x_cols = [c for _, c in matches]
-        idx = {}
-        for role, col in list(names.items()) + [(f"x:{c}", c) for c in x_cols]:
-            if col not in header:
-                raise DatasetParseError(f"{path}: missing column {col!r}")
-            idx[role] = header.index(col)
+    header = [c.strip() for c in header]
+    names = {"y": column_map.get("y", "y"), "a": column_map.get("a", "a"),
+             "s": column_map.get("s", "s"), "b": column_map.get("b", "b")}
+    x_cols = column_map.get("x")
+    if x_cols is None:
+        matches = sorted(((int(m.group(1)), c) for c in header if (m := _X_COL.match(c))))
+        x_cols = [c for _, c in matches]
+    idx = {}
+    for role, col in list(names.items()) + [(f"x:{c}", c) for c in x_cols]:
+        if col not in header:
+            raise DatasetParseError(f"{path}: missing column {col!r}")
+        idx[role] = header.index(col)
 
-        rows = {role: [] for role in idx}
+    # Unselected columns still pass through the parser, as 0.0, so that a
+    # ragged row raises; `usecols` would accept it.
+    skip = {j: _unparsed_cell for j in range(len(header)) if j not in idx.values()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # header-only file, reported below
+        try:
+            table = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2,
+                               comments=None, quotechar='"', encoding="utf-8",
+                               converters=skip)
+        except ValueError as exc:
+            _scan_rows(path, header, idx)
+            # float() accepts a few cells loadtxt rejects, e.g. "1_000"
+            raise DatasetParseError(f"{path}: {exc}") from None
+    clean = table.shape == (_count_lines(path) - 1, len(header))
+    if clean:
+        a = table[:, idx["a"]]
+        clean = bool(np.isfinite(table).all() and np.all((a == 0.0) | (a == 1.0)))
+    if not clean:
+        # loadtxt skips blank lines and takes a lone ragged row's width as
+        # the table's; the row pass names those, and any non-finite or
+        # non-binary-treatment cell. A quoted cell spanning lines lands here
+        # too, and passes.
+        _scan_rows(path, header, idx)
+    if table.shape[0] == 0:
+        raise DatasetParseError(f"{path}: no data rows")
+    return Dataset(y=table[:, idx["y"]], a=table[:, idx["a"]], s=table[:, idx["s"]],
+                   b=table[:, idx["b"]], x=table[:, [idx[f"x:{c}"] for c in x_cols]],
+                   covariate_names=tuple(x_cols), outcome_kind=outcome_kind)
+
+
+def _unparsed_cell(cell):
+    return 0.0
+
+
+def _count_lines(path) -> int:
+    """Lines in a file, an unterminated last line included."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            lines += chunk.count(b"\n")
+            last = chunk[-1:]
+    return lines + (last != b"\n")
+
+
+def _scan_rows(path, header, idx):
+    """Raise DatasetParseError at the first ragged row or bad selected cell.
+
+    A per-cell pass, run only on a file the vectorized parse rejected or
+    flagged; it returns when it finds nothing wrong.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for i, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise DatasetParseError(f"{path}: row {i}: expected {len(header)} cells, got {len(row)}")
@@ -96,12 +155,6 @@ def load_dataset(path, column_map=None, outcome_kind=None) -> Dataset:
                 if role == "a" and val not in (0.0, 1.0):
                     raise DatasetParseError(
                         f"{path}: row {i}, column {header[j]!r}: treatment must be 0 or 1, got {cell!r}")
-                rows[role].append(val)
-    if not rows["y"]:
-        raise DatasetParseError(f"{path}: no data rows")
-    x = np.column_stack([rows[f"x:{c}"] for c in x_cols]) if x_cols else np.empty((len(rows["y"]), 0))
-    return Dataset(y=rows["y"], a=rows["a"], s=rows["s"], b=rows["b"], x=x,
-                   covariate_names=tuple(x_cols), outcome_kind=outcome_kind)
 
 
 def parse_query(text: str):

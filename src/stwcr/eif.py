@@ -252,23 +252,47 @@ def eif_stwcrve(obs: Observation, q: StwcrveQuery, nuis: NuisanceTriple,
 
 # --- vectorized paths used by the estimators --------------------------------
 
+_INTEGRALS = ("phi", "phi_r", "g", "g_r")
+
+# Observations per block of the m x quad_nodes grid: 1024 x 64 nodes is
+# 512 KB per array, which stays in cache. A multiple of 4, because
+# OpenBLAS's gemv kernel sums rows in groups of four and rounds a row in a
+# group differently from one in a tail; blocks that start on a multiple of
+# 4 keep every row's sum as in one call over all m rows.
+_GRID_ROWS = 1024
+
+
 def _kernel_integrals_1d(center, h, arm, nuis, params, b, x, t, eps):
     """Per-observation integrals of phi, phi*r, dphi*pi, dphi*pi*r on one arm.
 
     Returns dict of (m,) arrays; zeros when the window misses the support.
+    The grid is evaluated over blocks of ``_GRID_ROWS`` observations, which
+    bounds its memory and leaves every value as in one unblocked pass.
     """
     m = b.shape[0]
     rule = quad_rule(center, h, nuis.support, params)
     if rule is None:
-        zeros = np.zeros(m)
-        return {"phi": zeros, "phi_r": zeros.copy(), "g": zeros.copy(), "g_r": zeros.copy()}
+        return {key: np.zeros(m) for key in _INTEGRALS}
     nodes, weights = rule
     wk = kernel_weight(nodes - center, h) * weights
-    pi = nuis.cond_density.density_grid(arm, nodes, b, x)
-    r = nuis.outcome.predict_grid(arm, nodes, b, x)
-    phi = smooth_indicator(pi, t, eps)
-    g = smooth_indicator_deriv(pi, t, eps) * pi
-    return {"phi": phi @ wk, "phi_r": (phi * r) @ wk, "g": g @ wk, "g_r": (g * r) @ wk}
+
+    def block(b, x):
+        pi = nuis.cond_density.density_grid(arm, nodes, b, x)
+        r = nuis.outcome.predict_grid(arm, nodes, b, x)
+        phi = smooth_indicator(pi, t, eps)
+        g = smooth_indicator_deriv(pi, t, eps) * pi
+        return phi @ wk, (phi * r) @ wk, g @ wk, (g * r) @ wk
+
+    if m <= _GRID_ROWS:
+        return dict(zip(_INTEGRALS, block(b, x)))
+    # NaN until written, so a row no block reaches fails the finite check on
+    # the influence values. A one-row block would go through numpy's vector
+    # dot, which rounds differently from gemv, so the last block absorbs it.
+    out = np.full((len(_INTEGRALS), m), np.nan)
+    edges = [*range(0, m - 1, _GRID_ROWS), m]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        out[:, lo:hi] = block(b[lo:hi], x[lo:hi])
+    return dict(zip(_INTEGRALS, out))
 
 
 def eif_stwcr_batch(y, a, s, b, x, q: StwcrQuery, nuis: NuisanceTriple,

@@ -62,12 +62,16 @@ class FoldAssignment:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
-        object.__setattr__(self, "labels", labels)
         if self.k_folds < 2:
             raise InvalidParameterError("need at least 2 folds")
-        if labels.size and (labels.min() < 1 or labels.max() > self.k_folds):
+        # checked as floats: the int cast would truncate 1.7 to fold 1
+        raw = np.asarray(self.labels, dtype=float)
+        if not np.all(raw == np.trunc(raw)):
+            raise InvalidParameterError("fold labels must be integers")
+        if raw.size and (raw.min() < 1 or raw.max() > self.k_folds):
             raise InvalidParameterError(f"fold labels must lie in 1..{self.k_folds}")
+        labels = raw.astype(int)
+        object.__setattr__(self, "labels", labels)
         counts = np.bincount(labels, minlength=self.k_folds + 1)[1:]
         if counts.size != self.k_folds or np.any(counts == 0):
             raise InvalidParameterError("every fold must be nonempty")
@@ -185,8 +189,9 @@ def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
     if nuisances is not None:
         num, den, hits = batch_fn(data.y, data.a, data.s, data.b, data.x, query, nuisances, params)
         return num, den, hits, 0
-    num = np.empty(n)
-    den = np.empty(n)
+    # NaN until a fold writes it, so an unfilled slot cannot pass silently
+    num = np.full(n, np.nan)
+    den = np.full(n, np.nan)
     hits = 0
     degenerate = 0
     for k in range(1, folds.k_folds + 1):
@@ -206,6 +211,8 @@ def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
         num[held] = f_num
         den[held] = f_den
         hits += f_hits
+    if np.isnan(num).any() or np.isnan(den).any():
+        raise EstimationError("influence values left unset: a row was in no held-out fold")
     return num, den, hits, degenerate
 
 

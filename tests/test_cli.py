@@ -51,6 +51,54 @@ class TestLoadDataset:
         with pytest.raises(DatasetParseError, match="row 1, column 's'"):
             load_dataset(p)
 
+    @pytest.mark.parametrize("rows,message", [
+        ([[1, 0, 5.0, 2.0, 0.3], [0, 1, 6.5, 1.0, 0.7, 9]], "row 2: expected 5 cells, got 6"),
+        ([[1, 0, 5.0, 2.0, 0.3], [0, 1, 6.5, 1.0]], "row 2: expected 5 cells, got 4"),
+        ([[1, 0, 5.0, 2.0]], "row 1: expected 5 cells, got 4"),
+        ([[1, 0, 5.0, 2.0, 0.3], [], [0, 1, 6.5, 1.0, 0.7]], "row 2: expected 5 cells, got 0"),
+    ])
+    def test_ragged_row_named(self, tmp_path, rows, message):
+        p = tmp_path / "d.csv"
+        write_csv(p, ["y", "a", "s", "b", "x1"], rows)
+        with pytest.raises(DatasetParseError, match=message):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("cell,column", [("nan", "s"), ("-inf", "x1"), ("inf", "a")])
+    def test_non_finite_names_cell(self, tmp_path, cell, column):
+        row = {"y": 1, "a": 0, "s": 5.0, "b": 2.0, "x1": 0.3}
+        row[column] = cell
+        p = tmp_path / "d.csv"
+        write_csv(p, list(row), [[0, 1, 6.5, 1.0, 0.7], list(row.values())])
+        with pytest.raises(DatasetParseError,
+                           match=f"row 2, column '{column}': non-finite value '{cell}'"):
+            load_dataset(p)
+
+    def test_quoted_numeric_cells(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text('y,a,s,b,x1\n"1","0","5.5",2.0,"0.25"\n0,1,6.5,1.0,0.7\n')
+        ds = load_dataset(p)
+        assert ds.s.tolist() == [5.5, 6.5]
+        assert ds.x[:, 0].tolist() == [0.25, 0.7]
+
+    def test_unselected_text_column_ignored(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text('id,y,a,s,b,x1\nP-01,1,0,5.0,2.0,0.3\n"Smith, J",0,1,6.5,1.0,0.7\n,1,1,7.0,1.0,0.1\n')
+        ds = load_dataset(p)
+        assert len(ds) == 3
+        assert ds.a.tolist() == [0, 1, 1]
+
+    def test_cell_float_accepts_but_parser_rejects(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, ["y", "a", "s", "b", "x1"], [[1, 0, "1_000", 2.0, 0.3]])
+        with pytest.raises(DatasetParseError, match="1_000"):
+            load_dataset(p)
+
+    def test_not_utf8_rejected(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes("id,y,a,s,b,x1\ncaf\u00e9,1,0,5.0,2.0,0.3\n".encode("latin-1"))
+        with pytest.raises(DatasetParseError, match="not UTF-8"):
+            load_dataset(p)
+
     def test_missing_column(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, ["y", "a", "s", "x1"], [[1, 0, 5.0, 0.3]])

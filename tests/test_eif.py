@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stwcr import eif
 from stwcr.core import Interval, SmoothingParams, kernel_weight
 from stwcr.core import integrate_kernel_weighted, smooth_indicator, smooth_indicator_deriv
 from stwcr.eif import (
@@ -273,3 +274,24 @@ class TestRelativeEfficacyEif:
         for vals, target in ((num, tau_num0), (den, tau_den0)):
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert abs(vals.mean() - target) < 6 * se
+
+
+class TestGridBlocking:
+    # Block sizes stay multiples of 4 (see eif._GRID_ROWS). m = 203 ends in
+    # an 11-row block; m = 209 = 13 * 16 + 1 would end in a one-row block,
+    # which the last full block absorbs.
+    @pytest.mark.parametrize("m", [203, 209])
+    def test_blocked_equals_one_block(self, monkeypatch, m):
+        ds = gen_dataset(ScenarioSpec("I", m, 44))
+        nuis = true_nuisances("I")
+
+        def both():
+            cols = (ds.y, ds.a, ds.s, ds.b, ds.x)
+            return (eif_stwcr_batch(*cols, StwcrQuery(1, 7.0), nuis, PARAMS),
+                    eif_stwcrve_batch(*cols, StwcrveQuery(1, 0, 8.0, 7.0), nuis, PARAMS))
+
+        one_block = both()
+        monkeypatch.setattr(eif, "_GRID_ROWS", 16)
+        for (num, den, hits), (b_num, b_den, b_hits) in zip(one_block, both()):
+            assert np.array_equal(num, b_num) and np.array_equal(den, b_den)
+            assert hits == b_hits

@@ -11,13 +11,15 @@ from stwcr.estimators import (
     make_folds,
 )
 from stwcr.nuisance import Dataset, NuisanceTriple, PropensityModel
-from stwcr.simulation import ScenarioSpec, gen_dataset, true_nuisances
+from stwcr.simulation import ScenarioSpec, compute_truths, gen_dataset, true_nuisances
 
 PARAMS = SmoothingParams(t=0.1, epsilon=0.1, h=0.1, h0=0.1, h1=0.1)
 
-# ground truth for scenario I STWCR(1, 7), frozen from the 2e6-draw oracle
-# (cross-checked against a deterministic enumeration+quadrature route)
-TRUTH_I_S7 = 0.4175279
+
+@pytest.fixture(scope="module")
+def truth_i_s7():
+    """Exact quadrature truth of scenario I STWCR(1, 7)."""
+    return compute_truths("I", (StwcrQuery(1, 7.0),), PARAMS)[0]["truth"]
 
 
 class TestMakeFolds:
@@ -57,6 +59,16 @@ class TestMakeFolds:
         with pytest.raises(InvalidParameterError, match="1..3"):
             FoldAssignment(k_folds=3, labels=np.array([-1, 1, 2, 3]))
 
+    @pytest.mark.parametrize("labels", [[1.7, 2.2, 1.0, 2.9], [1.0, 2.0, 1.0, np.nan]])
+    def test_fractional_label_rejected(self, labels):
+        # an int cast would read [1.7, 2.2, 1.0, 2.9] as folds [1, 2, 1, 2]
+        with pytest.raises(InvalidParameterError, match="integers"):
+            FoldAssignment(k_folds=2, labels=labels)
+
+    def test_integral_float_labels_accepted(self):
+        folds = FoldAssignment(k_folds=2, labels=[1.0, 2.0, 2.0, 1.0])
+        assert folds.labels.tolist() == [1, 2, 2, 1]
+
 
 @pytest.fixture(scope="module")
 def scen1():
@@ -64,10 +76,10 @@ def scen1():
 
 
 class TestEstimateStwcr:
-    def test_single_run_near_truth(self, scen1):
+    def test_single_run_near_truth(self, scen1, truth_i_s7):
         ds, _ = scen1
         rep = estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, make_folds(1000, 5, 99))
-        assert abs(rep.tau_hat - TRUTH_I_S7) < 4 * rep.se
+        assert abs(rep.tau_hat - truth_i_s7) < 4 * rep.se
         assert rep.ci[0] <= rep.tau_hat <= rep.ci[1]
         assert rep.se == pytest.approx(np.sqrt(rep.sigma1_sq_hat / rep.n))
         assert rep.n == 1000
@@ -111,6 +123,13 @@ class TestEstimateStwcr:
         ds, _ = scen1
         with pytest.raises(InvalidParameterError):
             estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, make_folds(999, 5, 0))
+
+    def test_unfilled_influence_slot_raises(self, scen1):
+        ds, _ = scen1
+        folds = make_folds(1000, 5, 0)
+        folds.labels[0] = 6  # relabelled after validation: row 0 is never held out
+        with pytest.raises(EstimationError, match="left unset"):
+            estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, folds)
 
     def test_nonpositive_denominator_reported(self):
         # constant density just below the threshold with a sharp indicator
@@ -233,7 +252,7 @@ class TestEstimateStwcrve:
 
 
 class TestConsistencySweep:
-    def test_error_decreases_with_n(self):
+    def test_error_decreases_with_n(self, truth_i_s7):
         sizes = (1000, 2000, 5000)
         medians = []
         for n in sizes:
@@ -243,6 +262,6 @@ class TestConsistencySweep:
                 ds = gen_dataset(ScenarioSpec("I", n, ss))
                 folds = make_folds(n, 5, r)
                 rep = estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, folds)
-                errs.append(abs(rep.tau_hat - TRUTH_I_S7))
+                errs.append(abs(rep.tau_hat - truth_i_s7))
             medians.append(float(np.median(errs)))
         assert medians[0] > medians[1] > medians[2]
