@@ -97,7 +97,7 @@ def _load_dataset(path, column_map, outcome_kind) -> Dataset:
                                converters=skip)
         except ValueError as exc:
             _scan_rows(path, header, idx)
-            # float() accepts a few cells loadtxt rejects, e.g. "1_000"
+            # a cell the row pass accepts but loadtxt does not
             raise DatasetParseError(f"{path}: {exc}") from None
     clean = table.shape == (_count_lines(path) - 1, len(header))
     if clean:
@@ -147,8 +147,12 @@ def _scan_rows(path, header, idx):
                 try:
                     val = float(cell)
                 except ValueError:
+                    val = None
+                # float() also reads "1_000" and non-ASCII digits, which
+                # the vectorized parse rejects
+                if val is None or "_" in cell or not cell.isascii():
                     raise DatasetParseError(
-                        f"{path}: row {i}, column {header[j]!r}: non-numeric value {cell!r}") from None
+                        f"{path}: row {i}, column {header[j]!r}: non-numeric value {cell!r}")
                 if not math.isfinite(val):
                     raise DatasetParseError(
                         f"{path}: row {i}, column {header[j]!r}: non-finite value {cell!r}")
@@ -173,13 +177,13 @@ def parse_query(text: str):
 
 
 # command -> (help, query flags in query-field order (arms a* are ints, markers
-# s* floats), query type, estimator, report fields beyond the common ones)
+# s* floats), query type, report fields beyond the common ones)
 _ESTIMATE_COMMANDS = {
     "estimate-stwcr": (
-        "risk estimate at one (arm, marker) query", ("a", "s"), StwcrQuery, estimate_stwcr,
+        "risk estimate at one (arm, marker) query", ("a", "s"), StwcrQuery,
         ("tau_num_hat", "tau_den_hat", "tau_hat", "sigma1_sq_hat", "se", "ci")),
     "estimate-stwcrve": (
-        "relative-efficacy estimate", ("a1", "a0", "s1", "s0"), StwcrveQuery, estimate_stwcrve,
+        "relative-efficacy estimate", ("a1", "a0", "s1", "s0"), StwcrveQuery,
         ("tau_num_hat", "tau_den_hat", "rho_hat", "delta_hat", "sigma2log_sq_hat",
          "sigma2_sq_hat", "ci_rho", "ci_delta", "log_scale")),
 }
@@ -216,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--x-cols", default=None, help="comma-separated covariate columns")
         sp.add_argument("--outcome-kind", choices=("binary", "continuous"), default=None)
 
-    for command, (help_text, query_args, _, _, _) in _ESTIMATE_COMMANDS.items():
+    for command, (help_text, query_args, _, _) in _ESTIMATE_COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
         add_columns(sp)
         for name in query_args:
@@ -317,7 +321,9 @@ def _report_json(command, params, query_dict, extra) -> str:
 
 
 def _cmd_estimate(args) -> int:
-    _, query_args, query_type, estimate, fields = _ESTIMATE_COMMANDS[args.command]
+    _, query_args, query_type, fields = _ESTIMATE_COMMANDS[args.command]
+    # resolved by name per call, so a wrapper set on this module's name sees it
+    estimate = estimate_stwcr if query_type is StwcrQuery else estimate_stwcrve
     query = {name: getattr(args, name) for name in query_args}
     data = _dataset_from_args(args)
     params = _params_from(args, need=("h",) if query_type is StwcrQuery else ("h0", "h1"))

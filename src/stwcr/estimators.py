@@ -9,6 +9,13 @@ original observation order before averaging, so results do not depend on
 fold order and injected (oracle) nuisances give fold-seed-invariant
 estimates bit for bit.
 
+No nuisance depends on the query, so repeated ``estimate_stwcr`` and
+``estimate_stwcrve`` calls on the same ``Dataset`` with the same folds and
+model specs reuse the fold fits of the previous call: a marker sweep costs
+one fit per fold. Reuse is checked against a fingerprint of the data's
+contents, so editing the arrays in place, or passing other folds or specs,
+refits.
+
 Risk queries report tau = num/den with variance
 Var((num_i - tau*den_i)/tau_den)/n. Relative-efficacy queries report
 delta = 1 - rho with the log-scale interval
@@ -18,6 +25,8 @@ den_i/tau_den); the direct-scale variance is also reported.
 
 from __future__ import annotations
 
+import hashlib
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +188,40 @@ def _fit_fold(train: Dataset, specs: ModelSpecs) -> tuple[NuisanceTriple, bool]:
                           support=support_bounds(train)), degenerate
 
 
+# Per live dataset: (fit key, fold fits) of its last fitted (folds, specs).
+# Values hold fitted models only, never the dataset, so an entry dies with it.
+_FOLD_FITS: "weakref.WeakKeyDictionary[Dataset, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _fit_key(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> tuple:
+    """Everything the fold fits depend on, with the arrays as one content hash."""
+    h = hashlib.blake2b(digest_size=16)
+    for arr in (data.y, data.a, data.s, data.b, data.x, folds.labels):
+        h.update(np.ascontiguousarray(arr))  # hashes the buffer, no copy
+    return h.digest(), data.covariate_names, data.outcome_kind, folds.k_folds, specs
+
+
+def _fit_folds(data: Dataset, folds: FoldAssignment,
+               specs: ModelSpecs) -> tuple[tuple[NuisanceTriple, bool], ...]:
+    """Each fold's ``(NuisanceTriple, degenerate)``, fit on its complement.
+
+    Returns the previous call's fits when ``data``'s contents, the folds
+    and the specs are unchanged. A failed fit is not stored.
+    """
+    key = _fit_key(data, folds, specs)
+    entry = _FOLD_FITS.get(data)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    fits = []
+    for k in range(1, folds.k_folds + 1):
+        try:
+            fits.append(_fit_fold(data.subset(folds.labels != k), specs))
+        except SolverError as exc:
+            raise EstimationError(f"nuisance fit failed in fold {k}: {exc}") from exc
+    _FOLD_FITS[data] = (key, tuple(fits))
+    return _FOLD_FITS[data][1]
+
+
 def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
                      nuisances: NuisanceTriple | None, batch_fn, query,
                      params: SmoothingParams, required_arms):
@@ -189,22 +232,19 @@ def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
     if nuisances is not None:
         num, den, hits = batch_fn(data.y, data.a, data.s, data.b, data.x, query, nuisances, params)
         return num, den, hits, 0
+    held_masks = [folds.labels == k for k in range(1, folds.k_folds + 1)]
+    # ahead of any fit: a fold without the arm would fail as a singular design
+    for held in held_masks:
+        for arm in required_arms:
+            if not np.any(data.a[~held] == arm):
+                raise EstimationError("arm not present in training folds")
+    fits = _fit_folds(data, folds, specs)
     # NaN until a fold writes it, so an unfilled slot cannot pass silently
     num = np.full(n, np.nan)
     den = np.full(n, np.nan)
     hits = 0
     degenerate = 0
-    for k in range(1, folds.k_folds + 1):
-        held = folds.labels == k
-        train_idx = ~held
-        train = data.subset(train_idx)
-        for arm in required_arms:
-            if not np.any(train.a == arm):
-                raise EstimationError("arm not present in training folds")
-        try:
-            nuis, degen = _fit_fold(train, specs)
-        except SolverError as exc:
-            raise EstimationError(f"nuisance fit failed in fold {k}: {exc}") from exc
+    for held, (nuis, degen) in zip(held_masks, fits):
         degenerate += int(degen)
         f_num, f_den, f_hits = batch_fn(data.y[held], data.a[held], data.s[held],
                                         data.b[held], data.x[held], query, nuis, params)

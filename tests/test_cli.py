@@ -14,7 +14,7 @@ from stwcr.simulation import ScenarioSpec, gen_dataset
 
 
 def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
@@ -90,7 +90,17 @@ class TestLoadDataset:
     def test_cell_float_accepts_but_parser_rejects(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, ["y", "a", "s", "b", "x1"], [[1, 0, "1_000", 2.0, 0.3]])
-        with pytest.raises(DatasetParseError, match="1_000"):
+        with pytest.raises(DatasetParseError,
+                           match="row 1, column 's': non-numeric value '1_000'"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("cell", ["\u0663", "\uff13.5"])
+    def test_non_ascii_digit_named(self, tmp_path, cell):
+        # float() reads Arabic-Indic and fullwidth digits; loadtxt does not
+        p = tmp_path / "d.csv"
+        write_csv(p, ["y", "a", "s", "b", "x1"], [[1, 0, cell, 2.0, 0.3]])
+        with pytest.raises(DatasetParseError,
+                           match=f"row 1, column 's': non-numeric value '{cell}'"):
             load_dataset(p)
 
     def test_not_utf8_rejected(self, tmp_path):
@@ -190,6 +200,24 @@ class TestMain:
         assert rc == 0
         report = json.loads(out.read_text())
         assert "delta_hat" in report and "ci_delta" in report and "ci_rho" in report
+
+    @pytest.mark.parametrize("command,flags", [
+        ("estimate-stwcr", ["--a", "1", "--s", "7", "--h", "0.1"]),
+        ("estimate-stwcrve", ["--a1", "1", "--a0", "0", "--s1", "8", "--s0", "7",
+                              "--h0", "0.1", "--h1", "0.1"]),
+    ])
+    def test_estimator_resolved_per_call(self, trial_csv, tmp_path, monkeypatch,
+                                         command, flags):
+        # a wrapper set on the module's name (as a tracer does) sees the call
+        from stwcr import cli
+
+        name = command.replace("-", "_")
+        calls = []
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+        rc = main([command, "--input", str(trial_csv), *flags,
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 0 and calls == [1]
 
     def test_missing_bandwidth_fails(self, trial_csv, capsys):
         rc = main(["estimate-stwcr", "--input", str(trial_csv), "--a", "1", "--s", "7"])

@@ -17,7 +17,7 @@ from stwcr.eif import (
 )
 from stwcr.errors import EvaluationError, InvalidParameterError
 from stwcr.nuisance import NuisanceTriple, Observation, PropensityModel
-from stwcr.simulation import ScenarioSpec, gen_dataset, true_nuisances
+from stwcr.simulation import ScenarioSpec, compute_truths, gen_dataset, true_nuisances
 
 PARAMS = SmoothingParams(t=0.1, epsilon=0.1, h=0.1, h0=0.1, h1=0.1)
 
@@ -187,10 +187,8 @@ class TestRiskEifProperties:
         ds = gen_dataset(ScenarioSpec("I", 30_000, 2025))
         q = StwcrQuery(1, 7.0)
         num, den, _ = eif_stwcr_batch(ds.y, ds.a, ds.s, ds.b, ds.x, q, nuis, PARAMS)
-        # deterministic ground truth for scenario I at (1, 7), frozen from the
-        # discrete-enumeration-plus-quadrature computation
-        tau_num0, tau_den0 = 0.3170874, 0.7594068
-        for vals, target in ((num, tau_num0), (den, tau_den0)):
+        truth = compute_truths("I", (q,), PARAMS)[0]
+        for vals, target in ((num, truth["num"]), (den, truth["den"])):
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert abs(vals.mean() - target) < 6 * se
 
@@ -268,10 +266,8 @@ class TestRelativeEfficacyEif:
         ds = gen_dataset(ScenarioSpec("I", 30_000, 2025))
         q = StwcrveQuery(1, 0, 8.0, 7.0)
         num, den, _ = eif_stwcrve_batch(ds.y, ds.a, ds.s, ds.b, ds.x, q, nuis, PARAMS)
-        # frozen oracle values (Monte Carlo size 2e6, seed 11); oracle error is
-        # an order of magnitude below the tolerance used here
-        tau_num0, tau_den0 = 0.262270, 0.460131
-        for vals, target in ((num, tau_num0), (den, tau_den0)):
+        truth = compute_truths("I", (q,), PARAMS)[0]
+        for vals, target in ((num, truth["num"]), (den, truth["den"])):
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert abs(vals.mean() - target) < 6 * se
 

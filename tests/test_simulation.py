@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stwcr import estimators
 from stwcr.core import SmoothingParams
 from stwcr.eif import StwcrQuery, StwcrveQuery
 from stwcr.errors import EstimationError, HarnessError, InvalidParameterError
+from stwcr.nuisance import Dataset
 from stwcr.simulation import (
     MetricsRow,
     ScenarioSpec,
     SimConfig,
+    _default_estimate_fn,
     compute_truths,
     direct_plain_smoothed_risk,
     gamma_truncation_points,
@@ -234,6 +237,32 @@ class TestRunMonteCarlo:
         serial = run_monte_carlo(SimConfig(**base, n_jobs=1))
         parallel = run_monte_carlo(SimConfig(**base, n_jobs=2))
         assert serial == parallel
+
+    def test_fold_fits_shared_across_queries(self, monkeypatch):
+        cfg = SimConfig(scenario="I", n=300, reps=2, params=PARAMS, master_seed=8,
+                        queries=(StwcrQuery(1, 7.0), StwcrQuery(1, 8.0),
+                                 StwcrveQuery(1, 0, 8.0, 7.0)))
+        calls = [0]
+        real = estimators.fit_outcome
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        def cold(data, q, params, folds, model_specs):
+            # a fresh copy per query, so no query reuses another's fold fits
+            copy = Dataset(y=data.y.copy(), a=data.a.copy(), s=data.s.copy(),
+                           b=data.b.copy(), x=data.x.copy(),
+                           covariate_names=data.covariate_names,
+                           outcome_kind=data.outcome_kind)
+            return _default_estimate_fn(copy, q, params, folds, model_specs)
+
+        monkeypatch.setattr(estimators, "fit_outcome", counting)
+        shared = run_monte_carlo(cfg)
+        assert calls[0] == cfg.reps * cfg.k_folds
+        calls[0] = 0
+        assert run_monte_carlo(cfg, estimate_fn=cold) == shared
+        assert calls[0] == cfg.reps * cfg.k_folds * len(cfg.queries)
 
     def test_failures_counted_and_capped(self):
         cfg = SimConfig(scenario="I", n=100, reps=5, queries=(StwcrQuery(1, 7.0),),
