@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import json
 import logging
@@ -190,26 +191,39 @@ _ESTIMATE_COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="stwcr",
+    # no prefix matching: `emit-draws --h` would otherwise read as --help
+    p = argparse.ArgumentParser(prog="stwcr", allow_abbrev=False,
                                 description="Trimmed smoothed controlled-risk estimation")
     p.add_argument("--version", action="version", version=f"stwcr {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
         sp.add_argument("--config", help="JSON file with default values for any flag")
-        sp.add_argument("--t", type=float, default=None, help="trim threshold (default 0.1)")
-        sp.add_argument("--epsilon", type=float, default=None, help="indicator smoothing scale (default 0.1)")
+        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--out", default=None, help="output path (default stdout)")
+
+    # unset flags stay None: the defaults live in SmoothingParams, ModelSpecs and SimConfig
+    def add_estimation(sp):
+        add_common(sp)
+        sp.add_argument("--t", type=float, default=None,
+                        help=f"trim threshold (default {SmoothingParams.t})")
+        sp.add_argument("--epsilon", type=float, default=None,
+                        help=f"indicator smoothing scale (default {SmoothingParams.epsilon})")
         sp.add_argument("--h", type=float, default=None)
         sp.add_argument("--h0", type=float, default=None)
         sp.add_argument("--h1", type=float, default=None)
-        sp.add_argument("--alpha", type=float, default=None, help="CI miscoverage (default 0.05)")
-        sp.add_argument("--quad-nodes", type=int, default=None)
-        sp.add_argument("--window", type=float, default=None, help="kernel truncation radius in bandwidths")
-        sp.add_argument("--folds", type=int, default=None, help="number of cross-fitting folds (default 5)")
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--alpha", type=float, default=None,
+                        help=f"CI miscoverage (default {SmoothingParams.alpha})")
+        sp.add_argument("--quad-nodes", type=int, default=None,
+                        help=f"quadrature nodes (default {SmoothingParams.quad_nodes})")
+        sp.add_argument("--window", type=float, default=None,
+                        help="kernel truncation radius in bandwidths "
+                             f"(default {SmoothingParams.window_halfwidth_in_h})")
+        sp.add_argument("--folds", type=int, default=None,
+                        help=f"number of cross-fitting folds (default {SimConfig.k_folds})")
         sp.add_argument("--known-propensity", type=float, default=None,
-                        help="known treatment probability P(A=1|b,x) (default 0.5)")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
+                        help="known treatment probability P(A=1|b,x) "
+                             f"(default {ModelSpecs.known_propensity})")
 
     def add_columns(sp):
         sp.add_argument("--input", required=True, help="CSV file with a header row")
@@ -221,13 +235,13 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--outcome-kind", choices=("binary", "continuous"), default=None)
 
     for command, (help_text, query_args, _, _) in _ESTIMATE_COMMANDS.items():
-        sp = sub.add_parser(command, help=help_text)
+        sp = sub.add_parser(command, help=help_text, allow_abbrev=False)
         add_columns(sp)
         for name in query_args:
             sp.add_argument(f"--{name}", type=int if name.startswith("a") else float, required=True)
-        add_common(sp)
+        add_estimation(sp)
 
-    sp = sub.add_parser("simulate", help="bias/coverage Monte Carlo")
+    sp = sub.add_parser("simulate", help="bias/coverage Monte Carlo", allow_abbrev=False)
     sp.add_argument("--scenario", required=True, choices=("I", "II", "III"))
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--reps", type=int, default=None)
@@ -235,9 +249,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="stwcr:a:s or stwcrve:a1:a0:s1:s0 (repeatable)")
     sp.add_argument("--threads", type=int, default=None, help="worker processes")
     sp.add_argument("--format", choices=("json", "csv"), default=None)
-    add_common(sp)
+    add_estimation(sp)
 
-    sp = sub.add_parser("emit-draws", help="write raw (b, s, a, x1) draws")
+    sp = sub.add_parser("emit-draws", help="write raw (b, s, a, x1) draws", allow_abbrev=False)
     sp.add_argument("--scenario", required=True, choices=("I", "II", "III"))
     sp.add_argument("--n", type=int, default=None)
     add_common(sp)
@@ -260,33 +274,28 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _params_from(args, need=()) -> SmoothingParams:
-    def got(name, default):
-        v = getattr(args, name, None)
-        return default if v is None else v
+def _given(args, **fields) -> dict:
+    """``{field: value}`` for each ``flag=field`` pair whose flag was set."""
+    return {field: getattr(args, flag) for flag, field in fields.items()
+            if getattr(args, flag) is not None}
 
-    params = SmoothingParams(
-        t=got("t", 0.1), epsilon=got("epsilon", 0.1),
-        h=getattr(args, "h", None), h0=getattr(args, "h0", None), h1=getattr(args, "h1", None),
-        alpha=got("alpha", 0.05), quad_nodes=int(got("quad_nodes", 64)),
-        window_halfwidth_in_h=got("window", 8.0))
+
+def _params_from(args, need=()) -> SmoothingParams:
+    given = _given(args, t="t", epsilon="epsilon", h="h", h0="h0", h1="h1", alpha="alpha",
+                   quad_nodes="quad_nodes", window="window_halfwidth_in_h")
+    if "quad_nodes" in given:
+        given["quad_nodes"] = int(given["quad_nodes"])  # a --config value may read 64.0
+    params = SmoothingParams(**given)
     for name in need:
         if getattr(params, name) is None:
             raise InvalidParameterError(f"--{name} is required for this command")
     return params
 
 
-def _model_specs_from(args) -> ModelSpecs:
-    kp = getattr(args, "known_propensity", None)
-    if kp is None:
-        return ModelSpecs()  # default: known 1:1 randomization
-    return ModelSpecs(known_propensity=float(kp))
-
-
-def _params_dict(params: SmoothingParams) -> dict:
-    return {"t": params.t, "epsilon": params.epsilon, "h": params.h, "h0": params.h0,
-            "h1": params.h1, "alpha": params.alpha, "quad_nodes": params.quad_nodes,
-            "window_halfwidth_in_h": params.window_halfwidth_in_h}
+def _model_specs_from(args) -> ModelSpecs | None:
+    """None, the estimators' default specs, unless --known-propensity is set."""
+    kp = args.known_propensity
+    return None if kp is None else ModelSpecs(known_propensity=float(kp))
 
 
 def _emit(text: str, out_path):
@@ -313,7 +322,7 @@ def _report_json(command, params, query_dict, extra) -> str:
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "timestamp": datetime.datetime.now().isoformat(),
-        "params": _params_dict(params),
+        "params": dataclasses.asdict(params),
         "query": query_dict,
     }
     report.update(extra)
@@ -328,7 +337,7 @@ def _cmd_estimate(args) -> int:
     data = _dataset_from_args(args)
     params = _params_from(args, need=("h",) if query_type is StwcrQuery else ("h0", "h1"))
     seed = args.seed if args.seed is not None else 0
-    k = args.folds if args.folds is not None else 5
+    k = args.folds if args.folds is not None else SimConfig.k_folds
     folds = make_folds(len(data), k, seed)
     rep = estimate(data, query_type(**query), params, folds, model_specs=_model_specs_from(args))
     extra = {"input": args.input, "n": rep.n, "k_folds": k, "fold_seed": seed}
@@ -355,11 +364,8 @@ def _sim_config_from(args) -> SimConfig:
         scenario=args.scenario,
         n=args.n if args.n is not None else 1000,
         reps=args.reps if args.reps is not None else 1,
-        queries=queries, params=params,
-        k_folds=args.folds if args.folds is not None else 5,
-        master_seed=args.seed if args.seed is not None else 1,
-        model_specs=_model_specs_from(args),
-        n_jobs=args.threads if args.threads is not None else 1)
+        queries=queries, params=params, model_specs=_model_specs_from(args),
+        **_given(args, folds="k_folds", seed="master_seed", threads="n_jobs"))
 
 
 def _cmd_simulate(args) -> int:

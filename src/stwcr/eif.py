@@ -22,7 +22,9 @@ term maps to one code block.
 ``eif_stwcr`` / ``eif_stwcrve`` are single-observation reference
 implementations. The ``*_batch`` variants vectorize over observations and
 are what the cross-fitting estimators call; tests pin them to the
-reference path.
+reference path. Both take each arm's terms from one per-arm builder,
+``_arm_terms``: a risk query calls it for its arm, a relative-efficacy
+query once per arm.
 """
 
 from __future__ import annotations
@@ -295,6 +297,34 @@ def _kernel_integrals_1d(center, h, arm, nuis, params, b, x, t, eps):
     return dict(zip(_INTEGRALS, out))
 
 
+def _arm_terms(y, a, s, b, x, arm, center, h, nuis: NuisanceTriple,
+               params: SmoothingParams):
+    """One arm's ``(ind, plain, weighted, ints, floor_hits)``.
+
+    ``ind`` is 1{A = arm}/P(A = arm | b, x); ``plain = k*dphi - int g`` and
+    ``weighted = k*(dphi*r + phi/floor(pi)*(y - r)) - int g*r`` pair the
+    observation-local terms with their correction integrals; ``ints`` is
+    the arm's ``_kernel_integrals_1d`` dict.
+    """
+    t, eps = params.t, params.epsilon
+    y, s, b, x = (np.asarray(v, dtype=float) for v in (y, s, b, x))
+    a = np.asarray(a)
+    ints = _kernel_integrals_1d(center, h, arm, nuis, params, b, x, t, eps)
+    on_arm = a == arm
+    ind = _check_finite(f"propensity weight (arm {arm})",
+                        on_arm / nuis.propensity.prob(arm, b, x))
+    pi_S = _check_finite(f"marker density (arm {arm})", nuis.cond_density.density_at(arm, s, b, x))
+    r_S = _check_finite(f"outcome regression (arm {arm})", nuis.outcome.predict_at(arm, s, b, x))
+    k_S = kernel_weight(s - center, h)
+    dphi_S = smooth_indicator_deriv(pi_S, t, eps)
+    phi_S = smooth_indicator(pi_S, t, eps)
+    floored = np.maximum(pi_S, DENSITY_FLOOR)
+    floor_hits = int(np.sum((pi_S < DENSITY_FLOOR) & on_arm))
+    plain = k_S * dphi_S - ints["g"]
+    weighted = k_S * (dphi_S * r_S + (phi_S / floored) * (y - r_S)) - ints["g_r"]
+    return ind, plain, weighted, ints, floor_hits
+
+
 def eif_stwcr_batch(y, a, s, b, x, q: StwcrQuery, nuis: NuisanceTriple,
                     params: SmoothingParams):
     """Vectorized influence values for a risk query.
@@ -303,28 +333,9 @@ def eif_stwcr_batch(y, a, s, b, x, q: StwcrQuery, nuis: NuisanceTriple,
     floor_hits counts residual-term density-floor activations.
     """
     h = params.require_h()
-    t, eps = params.t, params.epsilon
-    y = np.asarray(y, dtype=float)
-    a = np.asarray(a)
-    s = np.asarray(s, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-
-    ints = _kernel_integrals_1d(q.s, h, q.a, nuis, params, b, x, t, eps)
-
-    ind = _check_finite("propensity weight", (a == q.a) / nuis.propensity.prob(q.a, b, x))
-    pi_S = _check_finite("marker density at observation", nuis.cond_density.density_at(q.a, s, b, x))
-    r_S = _check_finite("outcome regression at observation", nuis.outcome.predict_at(q.a, s, b, x))
-    k_S = kernel_weight(s - q.s, h)
-    dphi_S = smooth_indicator_deriv(pi_S, t, eps)
-    phi_S = smooth_indicator(pi_S, t, eps)
-
-    floored = np.maximum(pi_S, DENSITY_FLOOR)
-    floor_hits = int(np.sum((pi_S < DENSITY_FLOOR) & (a == q.a)))
-
-    den = ind * (k_S * dphi_S - ints["g"]) + ints["phi"]
-    num = (ind * (k_S * (dphi_S * r_S + (phi_S / floored) * (y - r_S)) - ints["g_r"])
-           + ints["phi_r"])
+    ind, plain, weighted, ints, floor_hits = _arm_terms(y, a, s, b, x, q.a, q.s, h, nuis, params)
+    den = ind * plain + ints["phi"]
+    num = ind * weighted + ints["phi_r"]
     _check_finite("risk influence values", np.concatenate([num, den]))
     return num, den, floor_hits
 
@@ -338,41 +349,10 @@ def eif_stwcrve_batch(y, a, s, b, x, q: StwcrveQuery, nuis: NuisanceTriple,
     num == den exactly.
     """
     h0, h1 = params.require_h0_h1()
-    t, eps = params.t, params.epsilon
-    y = np.asarray(y, dtype=float)
-    a = np.asarray(a)
-    s = np.asarray(s, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-
-    i0 = _kernel_integrals_1d(q.s0, h0, q.a0, nuis, params, b, x, t, eps)
-    i1 = _kernel_integrals_1d(q.s1, h1, q.a1, nuis, params, b, x, t, eps)
-
-    ind1 = _check_finite("propensity weight (a1)", (a == q.a1) / nuis.propensity.prob(q.a1, b, x))
-    ind0 = _check_finite("propensity weight (a0)", (a == q.a0) / nuis.propensity.prob(q.a0, b, x))
-    pi_S1 = _check_finite("marker density (a1)", nuis.cond_density.density_at(q.a1, s, b, x))
-    pi_S0 = _check_finite("marker density (a0)", nuis.cond_density.density_at(q.a0, s, b, x))
-    r_S1 = _check_finite("outcome regression (a1)", nuis.outcome.predict_at(q.a1, s, b, x))
-    r_S0 = _check_finite("outcome regression (a0)", nuis.outcome.predict_at(q.a0, s, b, x))
-    phi_S1 = smooth_indicator(pi_S1, t, eps)
-    phi_S0 = smooth_indicator(pi_S0, t, eps)
-    dphi_S1 = smooth_indicator_deriv(pi_S1, t, eps)
-    dphi_S0 = smooth_indicator_deriv(pi_S0, t, eps)
-    k1_S = kernel_weight(s - q.s1, h1)
-    k0_S = kernel_weight(s - q.s0, h0)
-
-    fl1 = np.maximum(pi_S1, DENSITY_FLOOR)
-    fl0 = np.maximum(pi_S0, DENSITY_FLOOR)
-    floor_hits = int(np.sum((pi_S1 < DENSITY_FLOOR) & (a == q.a1))
-                     + np.sum((pi_S0 < DENSITY_FLOOR) & (a == q.a0)))
-
-    # numerator: r at a1; observation terms paired with their corrections
-    num = (ind0 * i1["phi_r"] * (k0_S * dphi_S0 - i0["g"])
-           + ind1 * i0["phi"] * (k1_S * (dphi_S1 * r_S1 + (phi_S1 / fl1) * (y - r_S1)) - i1["g_r"])
-           + i0["phi"] * i1["phi_r"])
-    # denominator: r at a0
-    den = (ind1 * i0["phi_r"] * (k1_S * dphi_S1 - i1["g"])
-           + ind0 * i1["phi"] * (k0_S * (dphi_S0 * r_S0 + (phi_S0 / fl0) * (y - r_S0)) - i0["g_r"])
-           + i1["phi"] * i0["phi_r"])
+    ind0, plain0, weighted0, i0, hits0 = _arm_terms(y, a, s, b, x, q.a0, q.s0, h0, nuis, params)
+    ind1, plain1, weighted1, i1, hits1 = _arm_terms(y, a, s, b, x, q.a1, q.s1, h1, nuis, params)
+    # numerator: r at a1; denominator: r at a0
+    num = ind0 * i1["phi_r"] * plain0 + ind1 * i0["phi"] * weighted1 + i0["phi"] * i1["phi_r"]
+    den = ind1 * i0["phi_r"] * plain1 + ind0 * i1["phi"] * weighted0 + i1["phi"] * i0["phi_r"]
     _check_finite("relative-efficacy influence values", np.concatenate([num, den]))
-    return num, den, floor_hits
+    return num, den, hits0 + hits1

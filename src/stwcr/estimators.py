@@ -105,15 +105,22 @@ class ModelSpecs:
 
     ``known_propensity`` short-circuits propensity fitting (the default
     0.5 matches 1:1 randomization); set it to None and give
-    ``propensity_spec`` to fit a logistic model instead. Unset density and
-    outcome specs resolve against the dataset's covariate names, with the
-    simulated-trial feature sets used when those names are x1..x3.
+    ``propensity_spec`` to fit a logistic model instead. Exactly one of the
+    two must be set. Unset density and outcome specs resolve against the
+    dataset's covariate names, with the simulated-trial feature sets used
+    when those names are x1..x3.
     """
 
     known_propensity: float | None = 0.5
     propensity_spec: FeatureSpec | None = None
     cond_density_spec: FeatureSpec | None = None
     outcome_spec: FeatureSpec | None = None
+
+    def __post_init__(self):
+        if (self.known_propensity is None) == (self.propensity_spec is None):
+            raise InvalidParameterError(
+                "set exactly one of known_propensity and propensity_spec "
+                "(known_propensity=None to fit propensity_spec)")
 
     def resolve_cond_spec(self, data: Dataset) -> FeatureSpec:
         if self.cond_density_spec is not None:

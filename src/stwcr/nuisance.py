@@ -143,10 +143,18 @@ class Dataset:
                        self.covariate_names, self.outcome_kind)
 
     def columns(self) -> dict[str, np.ndarray]:
-        cols = {"y": self.y, "a": self.a.astype(float), "s": self.s, "b": self.b}
-        for j, name in enumerate(self.covariate_names):
-            cols[name] = self.x[:, j]
-        return cols
+        return _named_columns(self.covariate_names, self.x, y=self.y, a=self.a.astype(float),
+                              s=self.s, b=self.b)
+
+
+def _named_columns(covariate_names, x, **roles) -> dict:
+    """Role columns plus each named covariate off x's last axis: the one name
+    binding that ``design_matrix`` (fitting) and ``linear_predictor`` read."""
+    x = np.asarray(x, dtype=float)
+    cols = dict(roles)
+    for j, name in enumerate(covariate_names):
+        cols[name] = x[..., j]
+    return cols
 
 
 # --- feature language ------------------------------------------------------
@@ -247,19 +255,14 @@ class PropensityModel:
         else:
             raise InvalidParameterError(f"unknown propensity kind {self.kind!r}")
 
-    def _columns(self, b, x):
-        cols = {"b": b}
-        for j, name in enumerate(self.covariate_names):
-            cols[name] = x[..., j]
-        return cols
-
     def prob(self, a: int, b, x):
         """P(A = a | b, x), floored into [1e-12, 1 - 1e-12]. Returns an array matching b."""
         b = np.asarray(b, dtype=float)
         if self.kind == "known":
             p1 = np.full_like(b, self.prob_treated)
         else:
-            p1 = expit(np.asarray(linear_predictor(self.spec, self.coef, self._columns(b, np.asarray(x, dtype=float)))))
+            cols = _named_columns(self.covariate_names, x, b=b)
+            p1 = expit(np.asarray(linear_predictor(self.spec, self.coef, cols)))
             p1 = np.broadcast_to(p1, b.shape).astype(float)
         p = p1 if a == 1 else 1.0 - p1
         return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
@@ -280,16 +283,10 @@ class CondDensityModel:
         if not np.all(np.isfinite(self.coef)):
             raise InvalidParameterError("conditional-density coefficients must be finite")
 
-    def _columns(self, a, b, x):
-        cols = {"a": a, "b": b}
-        for j, name in enumerate(self.covariate_names):
-            cols[name] = x[..., j]
-        return cols
-
     def mean(self, a, b, x):
         b = np.asarray(b, dtype=float)
-        x = np.asarray(x, dtype=float)
-        mu = linear_predictor(self.spec, self.coef, self._columns(float(a), b, x))
+        mu = linear_predictor(self.spec, self.coef,
+                              _named_columns(self.covariate_names, x, a=float(a), b=b))
         return np.broadcast_to(np.asarray(mu, dtype=float), b.shape)
 
     def density_at(self, a, s, b, x):
@@ -319,12 +316,6 @@ class OutcomeModel:
         if not np.all(np.isfinite(self.coef)):
             raise InvalidParameterError("outcome coefficients must be finite")
 
-    def _columns(self, a, s, b, x):
-        cols = {"a": a, "s": s, "b": b}
-        for j, name in enumerate(self.covariate_names):
-            cols[name] = x[..., j]
-        return cols
-
     def _mean(self, eta):
         if self.kind == "logistic":
             return np.clip(expit(eta), PROB_FLOOR, 1.0 - PROB_FLOOR)
@@ -332,15 +323,15 @@ class OutcomeModel:
 
     def predict_at(self, a, s, b, x):
         b = np.asarray(b, dtype=float)
-        eta = linear_predictor(self.spec, self.coef,
-                               self._columns(float(a), np.asarray(s, dtype=float), b, np.asarray(x, dtype=float)))
+        cols = _named_columns(self.covariate_names, x, a=float(a), s=np.asarray(s, dtype=float), b=b)
+        eta = linear_predictor(self.spec, self.coef, cols)
         return self._mean(np.broadcast_to(np.asarray(eta, dtype=float), b.shape))
 
     def predict_grid(self, a, s_nodes, b, x):
         b = np.asarray(b, dtype=float)
         x = np.asarray(x, dtype=float)
-        cols = self._columns(float(a), np.asarray(s_nodes, dtype=float)[None, :], b[:, None],
-                             x[:, None, :])
+        cols = _named_columns(self.covariate_names, x[:, None, :], a=float(a),
+                              s=np.asarray(s_nodes, dtype=float)[None, :], b=b[:, None])
         eta = linear_predictor(self.spec, self.coef, cols)
         eta = np.broadcast_to(np.asarray(eta, dtype=float), (b.shape[0], np.asarray(s_nodes).shape[0]))
         return self._mean(eta)

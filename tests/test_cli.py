@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,7 @@ from stwcr.core import SmoothingParams
 from stwcr.eif import StwcrQuery, StwcrveQuery
 from stwcr.errors import DatasetParseError, InvalidParameterError
 from stwcr.estimators import estimate_stwcr, make_folds
-from stwcr.simulation import ScenarioSpec, gen_dataset
+from stwcr.simulation import ScenarioSpec, SimConfig, gen_dataset
 
 
 def write_csv(path, header, rows):
@@ -308,6 +309,31 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main([command, *args, *flag])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [["--h", "0.1"], ["--quad-nodes", "3"], ["--t", "0.9"],
+                                      ["--folds", "3"], ["--known-propensity", "0.4"]])
+    def test_emit_draws_rejects_estimation_flags(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["emit-draws", "--scenario", "I", *flag])
+        assert exc.value.code == 2
+
+    def test_unset_flags_take_dataclass_defaults(self, trial_csv, tmp_path):
+        out = tmp_path / "r.json"
+        rc = main(["estimate-stwcr", "--input", str(trial_csv), "--a", "1", "--s", "7",
+                   "--h", "0.1", "--out", str(out)])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["params"] == dataclasses.asdict(SmoothingParams(h=0.1))
+        assert report["k_folds"] == SimConfig.k_folds
+
+    def test_config_quad_nodes_cast_to_int(self, trial_csv, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"h": 0.1, "quad_nodes": 32.0}))
+        out = tmp_path / "r.json"
+        rc = main(["estimate-stwcr", "--input", str(trial_csv), "--a", "1", "--s", "7",
+                   "--config", str(conf), "--out", str(out)])
+        assert rc == 0
+        assert json.dumps(json.loads(out.read_text())["params"]["quad_nodes"]) == "32"
 
     def test_truth_command_removed(self):
         with pytest.raises(SystemExit) as exc:

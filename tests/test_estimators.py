@@ -77,6 +77,31 @@ class TestMakeFolds:
         assert folds.labels.tolist() == [1, 2, 2, 1]
 
 
+class TestModelSpecs:
+    @pytest.mark.parametrize("kwargs", [
+        {"propensity_spec": FeatureSpec([intercept(), raw("b")])},  # known 0.5 still set
+        {"known_propensity": None},
+    ])
+    def test_exactly_one_propensity_source(self, kwargs):
+        with pytest.raises(InvalidParameterError, match="exactly one"):
+            ModelSpecs(**kwargs)
+
+    def test_propensity_spec_fitted_in_every_fold(self, monkeypatch):
+        ds = gen_dataset(ScenarioSpec("I", 400, 27))
+        spec = FeatureSpec([intercept(), raw("b")])
+        calls = []
+        real = estimators.fit_propensity
+
+        def recording(data, **kwargs):
+            calls.append(kwargs)
+            return real(data, **kwargs)
+
+        monkeypatch.setattr(estimators, "fit_propensity", recording)
+        estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, make_folds(400, 5, 0),
+                       model_specs=ModelSpecs(known_propensity=None, propensity_spec=spec))
+        assert calls == [{"spec": spec}] * 5
+
+
 @pytest.fixture(scope="module")
 def scen1():
     return gen_dataset(ScenarioSpec("I", 1000, 7)), true_nuisances("I")
@@ -400,3 +425,52 @@ class TestFoldFitReuse:
         if isinstance(sym, estimators.StwcrveReport):
             assert sym.delta_hat == 0.0
         assert repr(answer(estimate_stwcr, StwcrQuery(1, 7.0))) == first
+
+
+def _oracle_report(fn, ds, q, params, folds):
+    """The oracle-nuisance report, or the typed error's text."""
+    try:
+        return fn(ds, q, params, folds, nuisances=true_nuisances("I"))
+    except EstimationError as exc:
+        assert "denominator nonpositive" in str(exc)
+        return repr(exc)
+
+
+def _assert_close(left, right, fields, scale=0.0):
+    """Fields equal to within a relative 1e-12 of max(|value|, scale)."""
+    for name in fields:
+        u, v = np.ravel(getattr(left, name)), np.ravel(getattr(right, name))
+        assert np.all(np.abs(u - v) <= 1e-12 * np.maximum(np.abs(u), scale)), name
+
+
+class TestOracleInvariance:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(200, 600), h=st.floats(0.05, 0.3),
+           fold_seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+    def test_row_order_and_fold_seed(self, seed, n, h, fold_seeds):
+        ds = gen_dataset(ScenarioSpec("I", n, seed))
+        shuffled = ds.subset(np.random.default_rng(seed).permutation(n))
+        params = PARAMS.with_(h=h, h0=h, h1=h)
+        f1, f2 = (make_folds(n, 5, fs) for fs in fold_seeds)
+        for fn, q in ((estimate_stwcr, StwcrQuery(1, 7.0)),
+                      (estimate_stwcrve, StwcrveQuery(1, 0, 8.0, 7.0))):
+            rep = _oracle_report(fn, ds, q, params, f1)
+            # with the nuisances given, nothing is fit on the folds
+            assert repr(_oracle_report(fn, ds, q, params, f2)) == repr(rep)
+            moved = _oracle_report(fn, shuffled, q, params, f1)
+            assert type(moved) is type(rep)
+            if isinstance(rep, str):
+                continue
+            # row order changes only the summation order of the means and
+            # variances. Risks and ratios are compared on their unit scale:
+            # an estimate or CI endpoint near 0 is a difference of O(1) terms.
+            if fn is estimate_stwcr:
+                _assert_close(rep, moved, ("tau_hat", "ci"), scale=1.0)
+                _assert_close(rep, moved, ("se",))
+            else:
+                assert moved.log_scale == rep.log_scale
+                _assert_close(rep, moved, ("rho_hat", "delta_hat", "ci_delta"), scale=1.0)
+                # the log-scale variance is NaN when rho_hat <= 0
+                _assert_close(rep, moved, ("sigma2_sq_hat",)
+                              + (("sigma2log_sq_hat",) if rep.log_scale else ()))
+            assert moved.density_floor_hits == rep.density_floor_hits
