@@ -15,7 +15,8 @@ draws for external plotting. Failures exit nonzero with a
 machine-readable error JSON on stderr.
 
 Flags may also be supplied through ``--config file.json`` holding the
-same keys (dashes as underscores); explicit flags win.
+same keys (dashes as underscores), each value of its flag's type;
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -190,7 +191,8 @@ _ESTIMATE_COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and each command's subparser by name."""
     # no prefix matching: `emit-draws --h` would otherwise read as --help
     p = argparse.ArgumentParser(prog="stwcr", allow_abbrev=False,
                                 description="Trimmed smoothed controlled-risk estimation")
@@ -255,23 +257,52 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scenario", required=True, choices=("I", "II", "III"))
     sp.add_argument("--n", type=int, default=None)
     add_common(sp)
-    return p
+    return p, sub.choices
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the optional JSON config file."""
+def _merge_config(args: argparse.Namespace, command: argparse.ArgumentParser) -> argparse.Namespace:
+    """Fill unset flags from the optional JSON config file.
+
+    Each value is checked against the type of ``command``'s flag of the same
+    name and converted as that flag would convert it.
+    """
     path = getattr(args, "config", None)
     if not path:
         return args
     with open(path, "r", encoding="utf-8") as fh:
         conf = json.load(fh)
+    if not isinstance(conf, dict):
+        raise InvalidParameterError(f"{path}: config must be a JSON object")
+    actions = {action.dest: action for action in command._actions}
     for key, val in conf.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if not hasattr(args, attr) or attr not in actions:
             raise InvalidParameterError(f"unknown config key {key!r}")
+        val = _config_value(actions[attr], key, val)
         if getattr(args, attr) is None:
             setattr(args, attr, val)
     return args
+
+
+def _config_value(action: argparse.Action, key: str, val):
+    """``val`` as ``action``'s flag gives it, or InvalidParameterError."""
+    if isinstance(action, argparse._AppendAction):
+        if isinstance(val, list) and all(isinstance(v, str) for v in val):
+            return val
+        expected = "a list of strings"
+    elif action.type in (int, float):
+        # JSON true/false load as bool, a subclass of int
+        number = isinstance(val, (int, float)) and not isinstance(val, bool)
+        if number and action.type is float:
+            return float(val)
+        if number and float(val).is_integer():
+            return int(val)  # 64.0 from a JSON writer that types every number as float
+        expected = "an integer" if action.type is int else "a number"
+    elif isinstance(val, str) and (action.choices is None or val in action.choices):
+        return val
+    else:
+        expected = ("one of " + ", ".join(action.choices)) if action.choices else "a string"
+    raise InvalidParameterError(f"config key {key!r} must be {expected}, got {json.dumps(val)}")
 
 
 def _given(args, **fields) -> dict:
@@ -283,8 +314,6 @@ def _given(args, **fields) -> dict:
 def _params_from(args, need=()) -> SmoothingParams:
     given = _given(args, t="t", epsilon="epsilon", h="h", h0="h0", h1="h1", alpha="alpha",
                    quad_nodes="quad_nodes", window="window_halfwidth_in_h")
-    if "quad_nodes" in given:
-        given["quad_nodes"] = int(given["quad_nodes"])  # a --config value may read 64.0
     params = SmoothingParams(**given)
     for name in need:
         if getattr(params, name) is None:
@@ -295,7 +324,7 @@ def _params_from(args, need=()) -> SmoothingParams:
 def _model_specs_from(args) -> ModelSpecs | None:
     """None, the estimators' default specs, unless --known-propensity is set."""
     kp = args.known_propensity
-    return None if kp is None else ModelSpecs(known_propensity=float(kp))
+    return None if kp is None else ModelSpecs(known_propensity=kp)
 
 
 def _emit(text: str, out_path):
@@ -420,10 +449,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, commands[args.command])
         return _COMMANDS[args.command](args)
     except (StwcrError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps(

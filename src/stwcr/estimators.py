@@ -47,6 +47,7 @@ from .nuisance import (
     square,
     support_bounds,
 )
+from .parallel import map_threaded
 
 __all__ = [
     "FoldAssignment",
@@ -59,6 +60,11 @@ __all__ = [
 ]
 
 DEGENERATE_RIDGE = 1e-2
+
+# Datasets of at least this many rows fit their folds on threads. Below it
+# the pool's start-up and the interpreter lock held between small numpy
+# calls cost more than the second core saves.
+_THREADED_FIT_ROWS = 20_000
 
 _SIM_COVARIATES = ("x1", "x2", "x3")
 
@@ -213,18 +219,23 @@ def _fit_folds(data: Dataset, folds: FoldAssignment,
     """Each fold's ``(NuisanceTriple, degenerate)``, fit on its complement.
 
     Returns the previous call's fits when ``data``'s contents, the folds
-    and the specs are unchanged. A failed fit is not stored.
+    and the specs are unchanged. From ``_THREADED_FIT_ROWS`` rows the folds
+    are fit on threads; either way a failure names the lowest failing
+    fold, and a failed fit is not stored.
     """
     key = _fit_key(data, folds, specs)
     entry = _FOLD_FITS.get(data)
     if entry is not None and entry[0] == key:
         return entry[1]
-    fits = []
-    for k in range(1, folds.k_folds + 1):
+
+    def fit(k):
         try:
-            fits.append(_fit_fold(data.subset(folds.labels != k), specs))
+            return _fit_fold(data.subset(folds.labels != k), specs)
         except SolverError as exc:
             raise EstimationError(f"nuisance fit failed in fold {k}: {exc}") from exc
+
+    threaded = len(data) >= _THREADED_FIT_ROWS
+    fits = map_threaded(fit, range(1, folds.k_folds + 1), tasks=folds.k_folds if threaded else 1)
     _FOLD_FITS[data] = (key, tuple(fits))
     return _FOLD_FITS[data][1]
 

@@ -45,6 +45,7 @@ from .nuisance import (
     raw,
     square,
 )
+from .parallel import single_threaded
 
 __all__ = [
     "ScenarioSpec",
@@ -437,6 +438,15 @@ def _run_one_rep_default(args):
     return _run_one_rep(config, r, _default_estimate_fn)
 
 
+def _replication_pool(n_jobs: int) -> ProcessPoolExecutor:
+    """``n_jobs`` worker processes whose thread pools run on one thread each.
+
+    The processes already share the CPUs; threads on top would oversubscribe
+    them on large-n replications.
+    """
+    return ProcessPoolExecutor(max_workers=n_jobs, initializer=single_threaded)
+
+
 def run_monte_carlo(config: SimConfig, estimate_fn=None) -> list[MetricsRow]:
     """Repeated-sampling bias and coverage for each configured query.
 
@@ -453,7 +463,7 @@ def run_monte_carlo(config: SimConfig, estimate_fn=None) -> list[MetricsRow]:
 
     results: list[list] = [None] * config.reps
     if config.n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
+        with _replication_pool(config.n_jobs) as pool:
             for r, res in enumerate(pool.map(_run_one_rep_default,
                                              [(config, r) for r in range(config.reps)],
                                              chunksize=max(1, config.reps // (8 * config.n_jobs)))):

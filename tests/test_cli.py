@@ -335,6 +335,39 @@ class TestMain:
         assert rc == 0
         assert json.dumps(json.loads(out.read_text())["params"]["quad_nodes"]) == "32"
 
+    @pytest.mark.parametrize("argv, conf, message", [
+        (["simulate", "--scenario", "I", "--n", "200", "--query", "stwcr:1:7", "--h", "0.1"],
+         {"t": "0.2"}, "config key 't' must be a number, got \"0.2\""),
+        (None, {"quad_nodes": 64.7}, "config key 'quad_nodes' must be an integer, got 64.7"),
+        (None, {"quad_nodes": True}, "must be an integer, got true"),
+        (None, {"t": False}, "must be a number, got false"),
+        (None, {"out": 5}, "must be a string, got 5"),
+        (["simulate", "--scenario", "I", "--h", "0.1"], {"query": "stwcr:1:7"},
+         "must be a list of strings"),
+        (["simulate", "--scenario", "I", "--query", "stwcr:1:7", "--h", "0.1"],
+         {"format": "xml"}, "must be one of json, csv"),
+        (None, [0.1], "config must be a JSON object"),
+    ])
+    def test_config_value_type_checked(self, trial_csv, tmp_path, capsys, argv, conf, message):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        argv = argv or ["estimate-stwcr", "--input", str(trial_csv), "--a", "1", "--s", "7",
+                        "--h", "0.1"]
+        assert main(argv + ["--config", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "InvalidParameterError" and message in err["error"]
+
+    def test_config_numbers_take_flag_type(self, trial_csv, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"h": 1, "folds": 4.0, "seed": 2.0}))
+        out = tmp_path / "r.json"
+        rc = main(["estimate-stwcr", "--input", str(trial_csv), "--a", "1", "--s", "7",
+                   "--config", str(conf), "--out", str(out)])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert json.dumps([report["params"]["h"], report["k_folds"], report["fold_seed"]]) == \
+            "[1.0, 4, 2]"
+
     def test_truth_command_removed(self):
         with pytest.raises(SystemExit) as exc:
             main(["truth", "--scenario", "I", "--query", "stwcr:1:7", "--h", "0.1"])

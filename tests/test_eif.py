@@ -272,6 +272,20 @@ class TestRelativeEfficacyEif:
             assert abs(vals.mean() - target) < 6 * se
 
 
+def both_batches(ds):
+    """Oracle-nuisance risk and relative-efficacy batch outputs on ``ds``."""
+    nuis = true_nuisances("I")
+    cols = (ds.y, ds.a, ds.s, ds.b, ds.x)
+    return (eif_stwcr_batch(*cols, StwcrQuery(1, 7.0), nuis, PARAMS),
+            eif_stwcrve_batch(*cols, StwcrveQuery(1, 0, 8.0, 7.0), nuis, PARAMS))
+
+
+def assert_batches_equal(left, right):
+    for (num, den, hits), (r_num, r_den, r_hits) in zip(left, right, strict=True):
+        assert np.array_equal(num, r_num) and np.array_equal(den, r_den)
+        assert hits == r_hits
+
+
 class TestGridBlocking:
     # Block sizes stay multiples of 4 (see eif._GRID_ROWS). m = 203 ends in
     # an 11-row block; m = 209 = 13 * 16 + 1 would end in a one-row block,
@@ -279,15 +293,19 @@ class TestGridBlocking:
     @pytest.mark.parametrize("m", [203, 209])
     def test_blocked_equals_one_block(self, monkeypatch, m):
         ds = gen_dataset(ScenarioSpec("I", m, 44))
-        nuis = true_nuisances("I")
-
-        def both():
-            cols = (ds.y, ds.a, ds.s, ds.b, ds.x)
-            return (eif_stwcr_batch(*cols, StwcrQuery(1, 7.0), nuis, PARAMS),
-                    eif_stwcrve_batch(*cols, StwcrveQuery(1, 0, 8.0, 7.0), nuis, PARAMS))
-
-        one_block = both()
+        one_block = both_batches(ds)
         monkeypatch.setattr(eif, "_GRID_ROWS", 16)
-        for (num, den, hits), (b_num, b_den, b_hits) in zip(one_block, both()):
-            assert np.array_equal(num, b_num) and np.array_equal(den, b_den)
-            assert hits == b_hits
+        assert_batches_equal(one_block, both_batches(ds))
+
+    @pytest.mark.parametrize("m", [203, 209])
+    def test_threaded_blocks_equal_serial(self, monkeypatch, thread_pools, m):
+        ds = gen_dataset(ScenarioSpec("I", m, 45))
+        monkeypatch.setattr(eif, "_GRID_ROWS", 16)
+        thread_pools.use(1)
+        serial = both_batches(ds)
+        assert thread_pools.made == []
+        thread_pools.use(2)
+        threaded = both_batches(ds)
+        # one pool per arm integral: one for the risk query, two for the VE query
+        assert thread_pools.made == [2, 2, 2]
+        assert_batches_equal(serial, threaded)

@@ -1,4 +1,5 @@
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -210,6 +211,16 @@ class TestEstimateStwcr:
         assert any("outside [0, 1]" in w for w in rep.warnings)
 
 
+class ArmSignedOutcome:
+    """Outcome regression +1 under arm 0 and -1 under arm 1, so rho < 0."""
+
+    def predict_at(self, a, s, b, x):
+        return np.full(np.shape(b)[0], 1.0 if a == 0 else -1.0)
+
+    def predict_grid(self, a, s_nodes, b, x):
+        return np.full((np.shape(b)[0], np.shape(s_nodes)[0]), 1.0 if a == 0 else -1.0)
+
+
 class TestEstimateStwcrve:
     def test_single_run_near_truth(self):
         ds = gen_dataset(ScenarioSpec("I", 2000, 8))
@@ -253,15 +264,6 @@ class TestEstimateStwcrve:
 
     def test_direct_scale_fallback_when_rho_negative(self):
         from test_eif import ConstantDensity
-
-        class ArmSignedOutcome:
-            # +1 risk under the comparator arm, -1 under the investigational
-            def predict_at(self, a, s, b, x):
-                return np.full(np.shape(b)[0], 1.0 if a == 0 else -1.0)
-
-            def predict_grid(self, a, s_nodes, b, x):
-                return np.full((np.shape(b)[0], np.shape(s_nodes)[0]),
-                               1.0 if a == 0 else -1.0)
 
         n = 80
         rng = np.random.default_rng(0)
@@ -425,6 +427,126 @@ class TestFoldFitReuse:
         if isinstance(sym, estimators.StwcrveReport):
             assert sym.delta_hat == 0.0
         assert repr(answer(estimate_stwcr, StwcrQuery(1, 7.0))) == first
+
+
+def fitted_values(fits):
+    """Every fitted number of ``_fit_folds``'s output, fold by fold."""
+    return [(degen, nuis.propensity.coef, nuis.cond_density.coef, nuis.cond_density.residual_sd,
+             nuis.outcome.coef, nuis.support) for nuis, degen in fits]
+
+
+class TestThreadedFoldFits:
+    SPECS = ModelSpecs(known_propensity=None,
+                       propensity_spec=FeatureSpec([intercept(), raw("b"), raw("x1")]))
+
+    def test_coefficients_equal_serial(self, monkeypatch, thread_pools):
+        ds = gen_dataset(ScenarioSpec("I", 600, 31))
+        folds = make_folds(600, 5, 3)
+        monkeypatch.setattr(estimators, "_THREADED_FIT_ROWS", 0)
+        thread_pools.use(1)
+        serial = fitted_values(estimators._fit_folds(fresh_copy(ds), folds, self.SPECS))
+        thread_pools.use(2)
+        threaded = fitted_values(estimators._fit_folds(fresh_copy(ds), folds, self.SPECS))
+        assert thread_pools.made == [2]
+        for left, right in zip(serial, threaded, strict=True):
+            for u, v in zip(left, right, strict=True):
+                assert np.array_equal(u, v)
+
+    def test_threshold(self, thread_pools):
+        thread_pools.use(2)
+        small = gen_dataset(ScenarioSpec("I", 1000, 32))
+        estimators._fit_folds(small, make_folds(1000, 5, 0), ModelSpecs())
+        assert thread_pools.made == []
+        n = estimators._THREADED_FIT_ROWS
+        large = gen_dataset(ScenarioSpec("I", n, 33))
+        estimators._fit_folds(large, make_folds(n, 5, 0), ModelSpecs())
+        assert thread_pools.made == [2]
+
+    def test_lowest_failing_fold_named(self, monkeypatch, thread_pools):
+        ds = gen_dataset(ScenarioSpec("I", 400, 34))
+        folds = make_folds(400, 5, 5)
+        # a marker value of each failing fold, absent from that fold's training rows
+        marker = {k: ds.s[folds.labels == k][0] for k in (2, 4)}
+        fold4_failed = threading.Event()
+        real = estimators.fit_outcome
+
+        def failing(train, spec, **kwargs):
+            if marker[2] not in train.s:
+                # fold 2 fails only after fold 4 has, so fold order, not
+                # completion order, must pick the error
+                assert fold4_failed.wait(timeout=30)
+                raise SolverError("singular design")
+            if marker[4] not in train.s:
+                fold4_failed.set()
+                raise SolverError("singular design")
+            return real(train, spec, **kwargs)
+
+        monkeypatch.setattr(estimators, "fit_outcome", failing)
+        monkeypatch.setattr(estimators, "_THREADED_FIT_ROWS", 0)
+        thread_pools.use(2)
+        with pytest.raises(EstimationError, match="nuisance fit failed in fold 2:"):
+            estimators._fit_folds(ds, folds, ModelSpecs())
+        assert thread_pools.made == [2]
+        assert fold4_failed.is_set()
+        assert ds not in estimators._FOLD_FITS
+
+
+def reflected(ci):
+    return (1.0 - ci[1], 1.0 - ci[0])
+
+
+class TestIntervalDuality:
+    # Each branch computes one interval and reflects it into the other, so
+    # that direction is exact. Reflecting back rounds 1 - x twice, which is
+    # exact only where Sterbenz's lemma holds, so it is held to 4 eps.
+    @staticmethod
+    def assert_dual(rep):
+        assert rep.log_scale == (rep.rho_hat > 0)
+        if rep.log_scale:
+            assert rep.ci_delta == reflected(rep.ci_rho)
+            assert rep.ci_rho[0] > 0
+            assert rep.warnings == ()
+        else:
+            assert rep.ci_rho == reflected(rep.ci_delta)
+            assert np.isnan(rep.sigma2log_sq_hat) and rep.warnings
+        assert rep.ci_delta[0] <= rep.delta_hat <= rep.ci_delta[1]
+        back = np.array(reflected(reflected(rep.ci_delta)))
+        assert np.all(np.abs(back - rep.ci_delta) <= 4 * np.finfo(float).eps
+                      * np.maximum(1.0, np.abs(rep.ci_delta)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(200, 600),
+           h0=st.floats(0.05, 0.3), h1=st.floats(0.05, 0.3))
+    def test_log_scale_branch(self, seed, n, h0, h1):
+        ds = gen_dataset(ScenarioSpec("I", n, seed))
+        params = PARAMS.with_(h0=h0, h1=h1)
+        try:
+            rep = estimate_stwcrve(ds, StwcrveQuery(1, 0, 8.0, 7.0), params,
+                                   make_folds(n, 5, seed), nuisances=true_nuisances("I"))
+        except EstimationError as exc:
+            assert "denominator nonpositive" in str(exc)
+            return
+        self.assert_dual(rep)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 400),
+           h0=st.floats(0.05, 0.3), h1=st.floats(0.05, 0.3))
+    def test_direct_scale_branch(self, seed, n, h0, h1):
+        from test_eif import ConstantDensity
+
+        rng = np.random.default_rng(seed)
+        a = rng.permutation(np.arange(n) % 2)
+        ds = Dataset(y=np.where(a == 0, 1.0, -1.0), a=a, s=rng.normal(7.5, 1.0, n),
+                     b=np.zeros(n), x=np.zeros((n, 1)), covariate_names=("x1",),
+                     outcome_kind="continuous")
+        nuis = NuisanceTriple(
+            propensity=PropensityModel(kind="known", prob_treated=0.5),
+            cond_density=ConstantDensity(0.3), outcome=ArmSignedOutcome(),
+            support=Interval.wide())
+        rep = estimate_stwcrve(ds, StwcrveQuery(1, 0, 8.0, 7.0), PARAMS.with_(h0=h0, h1=h1),
+                               make_folds(n, 2, seed), nuisances=nuis)
+        assert rep.rho_hat < 0
+        self.assert_dual(rep)
 
 
 def _oracle_report(fn, ds, q, params, folds):

@@ -1,0 +1,74 @@
+import os
+import sys
+import threading
+
+import pytest
+
+from stwcr import eif, parallel, simulation
+from stwcr.simulation import ScenarioSpec, gen_dataset
+from test_eif import assert_batches_equal, both_batches
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+def test_thread_count_is_affinity():
+    assert parallel.thread_count() == len(os.sched_getaffinity(0))
+
+
+def test_replication_workers_single_threaded():
+    with simulation._replication_pool(2) as pool:
+        futures = [pool.submit(parallel.thread_count) for _ in range(4)]
+        assert [f.result(timeout=60) for f in futures] == [1, 1, 1, 1]
+    # the initializer ran in the workers only
+    assert parallel._thread_limit is None
+
+
+def test_map_threaded_keeps_order(thread_pools):
+    thread_pools.use(3)
+    assert parallel.map_threaded(lambda i, j: i * j, range(20), range(20), tasks=20) == [
+        i * i for i in range(20)]
+    assert thread_pools.made == [3]
+
+
+def test_map_threaded_raises_first_failure_in_input_order(thread_pools):
+    thread_pools.use(2)
+    late_failed = threading.Event()
+
+    def task(i):
+        if i == 1:
+            assert late_failed.wait(timeout=30)  # fails after task 3 has
+            raise ValueError("task 1")
+        if i == 3:
+            late_failed.set()
+            raise ValueError("task 3")
+        return i
+
+    with pytest.raises(ValueError, match="task 1"):
+        parallel.map_threaded(task, range(5), tasks=5)
+    assert late_failed.is_set()
+
+
+def test_serial_when_one_thread(thread_pools):
+    thread_pools.use(1)
+    assert parallel.map_threaded(str, range(3), tasks=3) == ["0", "1", "2"]
+    thread_pools.use(4)
+    assert parallel.map_threaded(str, range(1), tasks=1) == ["0"]
+    assert thread_pools.made == []
+
+
+def test_grid_blocks_under_thread_switching(monkeypatch, thread_pools):
+    # more threads than cores and a short switch interval: a block written
+    # to the wrong columns, or not at all, breaks equality with the serial
+    # pass (an unwritten row stays NaN and fails the finite check)
+    ds = gen_dataset(ScenarioSpec("I", 203, 46))
+    monkeypatch.setattr(eif, "_GRID_ROWS", 4)
+    thread_pools.use(1)
+    serial = both_batches(ds)
+    thread_pools.use(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert_batches_equal(serial, both_batches(ds))
+    finally:
+        sys.setswitchinterval(interval)
+    assert thread_pools.made == [4] * 9
