@@ -35,7 +35,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .core import SmoothingParams
+from .core import MAX_QUAD_NODES, SmoothingParams
 from .eif import StwcrQuery, StwcrveQuery
 from .errors import DatasetParseError, InvalidParameterError, StwcrError
 from .estimators import ModelSpecs, estimate_stwcr, estimate_stwcrve, make_folds
@@ -217,7 +217,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         sp.add_argument("--alpha", type=float, default=None,
                         help=f"CI miscoverage (default {SmoothingParams.alpha})")
         sp.add_argument("--quad-nodes", type=int, default=None,
-                        help=f"quadrature nodes (default {SmoothingParams.quad_nodes})")
+                        help=f"quadrature nodes, at most {MAX_QUAD_NODES} "
+                             f"(default {SmoothingParams.quad_nodes})")
         sp.add_argument("--window", type=float, default=None,
                         help="kernel truncation radius in bandwidths "
                              f"(default {SmoothingParams.window_halfwidth_in_h})")
@@ -269,8 +270,11 @@ def _merge_config(args: argparse.Namespace, command: argparse.ArgumentParser) ->
     path = getattr(args, "config", None)
     if not path:
         return args
-    with open(path, "r", encoding="utf-8") as fh:
-        conf = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            conf = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"{path}: config is not UTF-8 text: {exc}") from None
     if not isinstance(conf, dict):
         raise InvalidParameterError(f"{path}: config must be a JSON object")
     actions = {action.dest: action for action in command._actions}

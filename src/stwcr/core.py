@@ -27,6 +27,7 @@ from .errors import EvaluationError, InvalidParameterError
 
 __all__ = [
     "DENSITY_FLOOR",
+    "MAX_QUAD_NODES",
     "SmoothingParams",
     "Interval",
     "kernel_weight",
@@ -39,6 +40,11 @@ __all__ = [
 # Densities below this are floored before any division by them.
 DENSITY_FLOOR = 1e-12
 
+# Most Gauss-Legendre nodes a SmoothingParams takes. The rule's setup
+# solves an eigenproblem of this order (about 1 s at 1024, 8 s at 2048),
+# and each grid block holds arrays of 1024 rows by this many nodes.
+MAX_QUAD_NODES = 1024
+
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -49,7 +55,7 @@ class SmoothingParams:
     ``h`` is the bandwidth for single-marker risk queries; ``h0``/``h1``
     are the comparator-side and investigational-side bandwidths for
     relative-efficacy queries. Bandwidths not needed by a given query may
-    be left unset.
+    be left unset. ``quad_nodes`` lies in 8..``MAX_QUAD_NODES``.
     """
 
     t: float = 0.1
@@ -72,8 +78,10 @@ class SmoothingParams:
                 raise InvalidParameterError(f"{name} must be a positive finite bandwidth, got {val}")
         if not (0.0 < self.alpha < 1.0):
             raise InvalidParameterError(f"alpha must be in (0,1), got {self.alpha}")
-        if int(self.quad_nodes) != self.quad_nodes or self.quad_nodes < 8:
-            raise InvalidParameterError(f"quad_nodes must be an integer >= 8, got {self.quad_nodes}")
+        if (int(self.quad_nodes) != self.quad_nodes
+                or not 8 <= self.quad_nodes <= MAX_QUAD_NODES):
+            raise InvalidParameterError(
+                f"quad_nodes must be an integer in 8..{MAX_QUAD_NODES}, got {self.quad_nodes}")
         if not (self.window_halfwidth_in_h >= 4.0):
             raise InvalidParameterError(
                 f"window_halfwidth_in_h must be >= 4, got {self.window_halfwidth_in_h}"
@@ -118,9 +126,23 @@ def kernel_weight(u, h):
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise InvalidParameterError("kernel displacement u must be finite")
-    z = u / h
-    out = (_INV_SQRT_2PI / h) * np.exp(-0.5 * z * z)
+    with np.errstate(over="ignore"):  # see _scaled_pdf
+        out = _scaled_pdf(np.divide(u, h, out=np.empty(u.shape)), h)
     return out if out.ndim else float(out)
+
+
+def _scaled_pdf(z, scale):
+    """``pdf_std(z)/scale`` as ``(1/sqrt(2 pi)/scale) * exp(-0.5*z*z)``, in one new array.
+
+    Callers ignore overflow while they form z and call this: a z or z*z
+    that overflows to inf lies far past the normal's reach, and its value
+    rounds to 0 as it should.
+    """
+    out = np.multiply(z, -0.5, out=np.empty(np.shape(z)))
+    out *= z
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI / scale
+    return out
 
 
 def _check_epsilon(epsilon):
@@ -138,19 +160,34 @@ def smooth_indicator(p, t, epsilon):
     Clipped into the open unit interval so saturated normal-CDF values
     never round to exactly 0 or 1.
     """
-    _check_epsilon(epsilon)
-    p = np.asarray(p, dtype=float)
-    out = np.clip(ndtr((p - t) / epsilon), _OPEN_UNIT_LO, _OPEN_UNIT_HI)
+    out, _ = softened_indicator(p, t, epsilon, deriv=False)
     return out if out.ndim else float(out)
 
 
 def smooth_indicator_deriv(p, t, epsilon):
     """Derivative of :func:`smooth_indicator` in p: ``pdf_std((p - t)/epsilon)/epsilon``."""
+    _, out = softened_indicator(p, t, epsilon, value=False)
+    return out if out.ndim else float(out)
+
+
+def softened_indicator(p, t, epsilon, value=True, deriv=True):
+    """``(smooth_indicator, smooth_indicator_deriv)`` at array p, from one
+    ``z = (p - t)/epsilon``.
+
+    Each result is a new array, so a caller may update it in place; one not
+    asked for is None. ``p`` itself is never written.
+    """
     _check_epsilon(epsilon)
     p = np.asarray(p, dtype=float)
-    z = (p - t) / epsilon
-    out = (_INV_SQRT_2PI / epsilon) * np.exp(-0.5 * z * z)
-    return out if out.ndim else float(out)
+    with np.errstate(over="ignore"):  # see _scaled_pdf; ndtr(+-inf) is 1 or 0
+        z = np.subtract(p, t, out=np.empty(p.shape))
+        z /= epsilon
+        dphi = _scaled_pdf(z, epsilon) if deriv else None
+    if not value:
+        return None, dphi
+    # z is spent: the weight overwrites it
+    ndtr(z, out=z)
+    return np.clip(z, _OPEN_UNIT_LO, _OPEN_UNIT_HI, out=z), dphi
 
 
 @lru_cache(maxsize=32)

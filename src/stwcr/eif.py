@@ -22,15 +22,18 @@ term maps to one code block.
 ``eif_stwcr`` / ``eif_stwcrve`` are single-observation reference
 implementations. The ``*_batch`` variants vectorize over observations and
 are what the cross-fitting estimators call; tests pin them to the
-reference path. Both take each arm's terms from one per-arm builder,
-``_arm_terms``: a risk query calls it for its arm, a relative-efficacy
-query once per arm.
+reference path. Both build each arm's terms in two steps: ``local_terms``
+gives the query-independent observation-local terms, which a caller
+answering many queries may keep and pass back in, and ``_arm_terms``
+adds the kernel weights and grid integrals of the query's marker. A risk
+query takes one arm, a relative-efficacy query two.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .core import (
     quad_rule,
     smooth_indicator,
     smooth_indicator_deriv,
+    softened_indicator,
 )
 from .errors import EvaluationError, InvalidParameterError
 from .nuisance import NuisanceTriple, Observation
@@ -281,11 +285,17 @@ def _kernel_integrals_1d(center, h, arm, nuis, params, b, x, t, eps):
     wk = kernel_weight(nodes - center, h) * weights
 
     def block(b, x):
+        # pi and r belong to the models and are only read; phi and g are
+        # this block's own arrays, so the products are formed in them
         pi = nuis.cond_density.density_grid(arm, nodes, b, x)
         r = nuis.outcome.predict_grid(arm, nodes, b, x)
-        phi = smooth_indicator(pi, t, eps)
-        g = smooth_indicator_deriv(pi, t, eps) * pi
-        return phi @ wk, (phi * r) @ wk, g @ wk, (g * r) @ wk
+        phi, g = softened_indicator(pi, t, eps)
+        g *= pi
+        int_phi = phi @ wk
+        phi *= r
+        int_g = g @ wk
+        g *= r
+        return int_phi, phi @ wk, int_g, g @ wk
 
     if m <= _GRID_ROWS:
         return dict(zip(_INTEGRALS, block(b, x)))
@@ -305,62 +315,105 @@ def _kernel_integrals_1d(center, h, arm, nuis, params, b, x, t, eps):
     return dict(zip(_INTEGRALS, out))
 
 
-def _arm_terms(y, a, s, b, x, arm, center, h, nuis: NuisanceTriple,
-               params: SmoothingParams):
-    """One arm's ``(ind, plain, weighted, ints, floor_hits)``.
+class LocalTerms(NamedTuple):
+    """One arm's query-independent observation-local terms on a set of rows.
 
-    ``ind`` is 1{A = arm}/P(A = arm | b, x); ``plain = k*dphi - int g`` and
-    ``weighted = k*(dphi*r + phi/floor(pi)*(y - r)) - int g*r`` pair the
-    observation-local terms with their correction integrals; ``ints`` is
-    the arm's ``_kernel_integrals_1d`` dict.
+    ``ind`` is 1{A = arm}/P(A = arm | b, x), ``dphi`` is dphi(pi(S)), and
+    ``local = dphi*r + phi/floor(pi)*(y - r)`` at (arm, S); ``floor_hits``
+    counts the arm's rows whose density was floored. They depend on the
+    nuisances, t and epsilon, and not on the query's marker or bandwidth.
     """
-    t, eps = params.t, params.epsilon
-    y, s, b, x = (np.asarray(v, dtype=float) for v in (y, s, b, x))
-    a = np.asarray(a)
-    ints = _kernel_integrals_1d(center, h, arm, nuis, params, b, x, t, eps)
-    on_arm = a == arm
+
+    ind: np.ndarray
+    dphi: np.ndarray
+    local: np.ndarray
+    floor_hits: int
+
+
+def local_terms(y, a, s, b, x, arm, nuis: NuisanceTriple, t, eps) -> LocalTerms:
+    """The ``LocalTerms`` on ``arm`` of rows given as arrays y, a, s, b, x."""
+    on_arm = np.asarray(a) == arm
     ind = _check_finite(f"propensity weight (arm {arm})",
                         on_arm / nuis.propensity.prob(arm, b, x))
     pi_S = _check_finite(f"marker density (arm {arm})", nuis.cond_density.density_at(arm, s, b, x))
     r_S = _check_finite(f"outcome regression (arm {arm})", nuis.outcome.predict_at(arm, s, b, x))
-    k_S = kernel_weight(s - center, h)
     dphi_S = smooth_indicator_deriv(pi_S, t, eps)
     phi_S = smooth_indicator(pi_S, t, eps)
     floored = np.maximum(pi_S, DENSITY_FLOOR)
     floor_hits = int(np.sum((pi_S < DENSITY_FLOOR) & on_arm))
-    plain = k_S * dphi_S - ints["g"]
-    weighted = k_S * (dphi_S * r_S + (phi_S / floored) * (y - r_S)) - ints["g_r"]
-    return ind, plain, weighted, ints, floor_hits
+    return LocalTerms(ind, dphi_S, dphi_S * r_S + (phi_S / floored) * (y - r_S), floor_hits)
+
+
+def _arm_terms(s, b, x, arm, center, h, nuis: NuisanceTriple, params: SmoothingParams,
+               local: LocalTerms):
+    """One arm's ``(plain, weighted, ints)`` for a query at ``center``, ``h``.
+
+    ``plain = k*dphi - int g`` and ``weighted = k*local - int g*r`` pair the
+    observation-local terms, weighted by the kernel k at S, with their
+    correction integrals; ``ints`` is the arm's ``_kernel_integrals_1d`` dict.
+    """
+    ints = _kernel_integrals_1d(center, h, arm, nuis, params, b, x, params.t, params.epsilon)
+    k_S = kernel_weight(s - center, h)
+    plain = k_S * local.dphi - ints["g"]
+    weighted = k_S * local.local - ints["g_r"]
+    return plain, weighted, ints
+
+
+def _float_rows(y, a, s, b, x):
+    y, s, b, x = (np.asarray(v, dtype=float) for v in (y, s, b, x))
+    return y, np.asarray(a), s, b, x
+
+
+def _arm_local(rows, arm, nuis, params, cached) -> LocalTerms:
+    """``arm``'s terms from ``cached`` (a batch's ``_local``) or made now."""
+    if cached is not None and arm in cached:
+        return cached[arm]
+    return local_terms(*rows, arm, nuis, params.t, params.epsilon)
 
 
 def eif_stwcr_batch(y, a, s, b, x, q: StwcrQuery, nuis: NuisanceTriple,
-                    params: SmoothingParams):
+                    params: SmoothingParams, *, _local=None):
     """Vectorized influence values for a risk query.
 
     Returns ``(num, den, floor_hits)`` where num/den are (m,) arrays and
-    floor_hits counts residual-term density-floor activations.
+    floor_hits counts residual-term density-floor activations. ``_local``
+    maps an arm to its ``local_terms`` on these rows at params' t and
+    epsilon, for a caller that keeps them across queries; arms it lacks are
+    computed here.
     """
     h = params.require_h()
-    ind, plain, weighted, ints, floor_hits = _arm_terms(y, a, s, b, x, q.a, q.s, h, nuis, params)
-    den = ind * plain + ints["phi"]
-    num = ind * weighted + ints["phi_r"]
-    _check_finite("risk influence values", np.concatenate([num, den]))
-    return num, den, floor_hits
+    y, a, s, b, x = rows = _float_rows(y, a, s, b, x)
+    loc = _arm_local(rows, q.a, nuis, params, _local)
+    plain, weighted, ints = _arm_terms(s, b, x, q.a, q.s, h, nuis, params, loc)
+    den = loc.ind * plain + ints["phi"]
+    num = loc.ind * weighted + ints["phi_r"]
+    _check_finite("risk influence values", num)
+    _check_finite("risk influence values", den)
+    return num, den, loc.floor_hits
 
 
 def eif_stwcrve_batch(y, a, s, b, x, q: StwcrveQuery, nuis: NuisanceTriple,
-                      params: SmoothingParams):
+                      params: SmoothingParams, *, _local=None):
     """Vectorized influence values for a relative-efficacy query.
 
     Term grouping pairs each observation-local term with its correction
     integral, so a symmetric query (a1 == a0, s1 == s0, h1 == h0) yields
-    num == den exactly.
+    num == den exactly; its one arm's terms are built once and serve both
+    sides. ``_local`` is as for ``eif_stwcr_batch``.
     """
     h0, h1 = params.require_h0_h1()
-    ind0, plain0, weighted0, i0, hits0 = _arm_terms(y, a, s, b, x, q.a0, q.s0, h0, nuis, params)
-    ind1, plain1, weighted1, i1, hits1 = _arm_terms(y, a, s, b, x, q.a1, q.s1, h1, nuis, params)
+    y, a, s, b, x = rows = _float_rows(y, a, s, b, x)
+    loc0 = _arm_local(rows, q.a0, nuis, params, _local)
+    loc1 = loc0 if q.a1 == q.a0 else _arm_local(rows, q.a1, nuis, params, _local)
+    plain0, weighted0, i0 = _arm_terms(s, b, x, q.a0, q.s0, h0, nuis, params, loc0)
+    if (q.a1, q.s1, h1) == (q.a0, q.s0, h0):
+        plain1, weighted1, i1 = plain0, weighted0, i0
+    else:
+        plain1, weighted1, i1 = _arm_terms(s, b, x, q.a1, q.s1, h1, nuis, params, loc1)
+    ind0, ind1 = loc0.ind, loc1.ind
     # numerator: r at a1; denominator: r at a0
     num = ind0 * i1["phi_r"] * plain0 + ind1 * i0["phi"] * weighted1 + i0["phi"] * i1["phi_r"]
     den = ind1 * i0["phi_r"] * plain1 + ind0 * i1["phi"] * weighted0 + i1["phi"] * i0["phi_r"]
-    _check_finite("relative-efficacy influence values", np.concatenate([num, den]))
-    return num, den, hits0 + hits1
+    _check_finite("relative-efficacy influence values", num)
+    _check_finite("relative-efficacy influence values", den)
+    return num, den, loc0.floor_hits + loc1.floor_hits

@@ -11,10 +11,12 @@ estimates bit for bit.
 
 No nuisance depends on the query, so repeated ``estimate_stwcr`` and
 ``estimate_stwcrve`` calls on the same ``Dataset`` with the same folds and
-model specs reuse the fold fits of the previous call: a marker sweep costs
-one fit per fold. Reuse is checked against a fingerprint of the data's
-contents, so editing the arrays in place, or passing other folds or specs,
-refits.
+model specs reuse a fold plan built by the first: the fold fits, each
+held-out fold's rows, and each arm's observation-local influence terms at
+the last (t, epsilon) asked. A marker sweep costs one fit per fold, and a
+repeated query only its kernel weights and grid integrals. Reuse is
+checked against a fingerprint of the data's contents, so editing the
+arrays in place, or passing other folds or specs, rebuilds the plan.
 
 Risk queries report tau = num/den with variance
 Var((num_i - tau*den_i)/tau_den)/n. Relative-efficacy queries report
@@ -33,7 +35,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .core import SmoothingParams
-from .eif import StwcrQuery, StwcrveQuery, eif_stwcr_batch, eif_stwcrve_batch
+from .eif import StwcrQuery, StwcrveQuery, eif_stwcr_batch, eif_stwcrve_batch, local_terms
 from .errors import EstimationError, InvalidParameterError, SolverError
 from .nuisance import (
     Dataset,
@@ -98,6 +100,8 @@ def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
     """Uniformly random balanced K-fold partition, deterministic given seed."""
     if k < 2 or k > n:
         raise InvalidParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
+    if seed < 0:
+        raise InvalidParameterError(f"fold seed must be nonnegative, got {seed}")
     sizes = np.full(k, n // k)
     sizes[: n % k] += 1
     labels = np.repeat(np.arange(1, k + 1), sizes)
@@ -201,9 +205,40 @@ def _fit_fold(train: Dataset, specs: ModelSpecs) -> tuple[NuisanceTriple, bool]:
                           support=support_bounds(train)), degenerate
 
 
-# Per live dataset: (fit key, fold fits) of its last fitted (folds, specs).
-# Values hold fitted models only, never the dataset, so an entry dies with it.
-_FOLD_FITS: "weakref.WeakKeyDictionary[Dataset, tuple]" = weakref.WeakKeyDictionary()
+class _FoldPlan:
+    """What every query on one (data contents, folds, specs) shares.
+
+    Holds each fold's ``(NuisanceTriple, degenerate)`` fit, each held-out
+    fold's rows gathered once, and per arm the ``LocalTerms`` of every
+    held-out fold at one (t, epsilon), made on first use and replaced when
+    a query brings another pair. It holds copies, never the dataset.
+    """
+
+    def __init__(self, key, data: Dataset, folds: FoldAssignment, fits):
+        self.key = key
+        self.fits = fits
+        # a stable sort keeps each fold's rows in their original order
+        order = np.argsort(folds.labels, kind="stable")
+        edges = np.searchsorted(folds.labels[order], np.arange(1, folds.k_folds + 2))
+        cols = [col[order] for col in (data.y, data.a, data.s, data.b, data.x)]
+        self.index = [order[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+        self.held = [tuple(col[lo:hi] for col in cols) for lo, hi in zip(edges[:-1], edges[1:])]
+        self._local = {}  # arm -> ((t, epsilon), one LocalTerms per fold)
+
+    def local_terms(self, arm: int, params: SmoothingParams):
+        """Each held-out fold's ``LocalTerms`` on ``arm`` at params' t and epsilon."""
+        key = (params.t, params.epsilon)
+        entry = self._local.get(arm)
+        if entry is None or entry[0] != key:
+            entry = (key, tuple(local_terms(*held, arm, nuis, *key)
+                                for held, (nuis, _) in zip(self.held, self.fits)))
+            self._local[arm] = entry
+        return entry[1]
+
+
+# Per live dataset: the _FoldPlan of its last fitted (folds, specs). A plan
+# holds no reference to its dataset, so an entry dies with it.
+_FOLD_FITS: "weakref.WeakKeyDictionary[Dataset, _FoldPlan]" = weakref.WeakKeyDictionary()
 
 
 def _fit_key(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> tuple:
@@ -214,19 +249,18 @@ def _fit_key(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> tuple:
     return h.digest(), data.covariate_names, data.outcome_kind, folds.k_folds, specs
 
 
-def _fit_folds(data: Dataset, folds: FoldAssignment,
-               specs: ModelSpecs) -> tuple[tuple[NuisanceTriple, bool], ...]:
-    """Each fold's ``(NuisanceTriple, degenerate)``, fit on its complement.
+def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _FoldPlan:
+    """The plan of ``data``'s folds, with each fold fit on its complement.
 
-    Returns the previous call's fits when ``data``'s contents, the folds
+    Returns the previous call's plan when ``data``'s contents, the folds
     and the specs are unchanged. From ``_THREADED_FIT_ROWS`` rows the folds
     are fit on threads; either way a failure names the lowest failing
-    fold, and a failed fit is not stored.
+    fold, and nothing is stored.
     """
     key = _fit_key(data, folds, specs)
-    entry = _FOLD_FITS.get(data)
-    if entry is not None and entry[0] == key:
-        return entry[1]
+    plan = _FOLD_FITS.get(data)
+    if plan is not None and plan.key == key:
+        return plan
 
     def fit(k):
         try:
@@ -236,8 +270,19 @@ def _fit_folds(data: Dataset, folds: FoldAssignment,
 
     threaded = len(data) >= _THREADED_FIT_ROWS
     fits = map_threaded(fit, range(1, folds.k_folds + 1), tasks=folds.k_folds if threaded else 1)
-    _FOLD_FITS[data] = (key, tuple(fits))
-    return _FOLD_FITS[data][1]
+    _FOLD_FITS[data] = _FoldPlan(key, data, folds, tuple(fits))
+    return _FOLD_FITS[data]
+
+
+def _check_arms(data: Dataset, folds: FoldAssignment, arms):
+    """EstimationError when some fold's training rows lack one of ``arms``."""
+    k = folds.k_folds
+    treated = np.bincount(folds.labels, weights=data.a, minlength=k + 1)[1:]
+    held = np.bincount(folds.labels, minlength=k + 1)[1:]
+    train_treated = treated.sum() - treated
+    on_arm = {1: train_treated, 0: (len(data) - held) - train_treated}
+    if any(np.any(on_arm[arm] == 0) for arm in arms):
+        raise EstimationError("arm not present in training folds")
 
 
 def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
@@ -250,24 +295,22 @@ def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
     if nuisances is not None:
         num, den, hits = batch_fn(data.y, data.a, data.s, data.b, data.x, query, nuisances, params)
         return num, den, hits, 0
-    held_masks = [folds.labels == k for k in range(1, folds.k_folds + 1)]
     # ahead of any fit: a fold without the arm would fail as a singular design
-    for held in held_masks:
-        for arm in required_arms:
-            if not np.any(data.a[~held] == arm):
-                raise EstimationError("arm not present in training folds")
-    fits = _fit_folds(data, folds, specs)
+    _check_arms(data, folds, required_arms)
+    plan = _fold_plan(data, folds, specs)
+    # made here, in the calling thread, before any grid block goes to a pool
+    local = {arm: plan.local_terms(arm, params) for arm in required_arms}
     # NaN until a fold writes it, so an unfilled slot cannot pass silently
     num = np.full(n, np.nan)
     den = np.full(n, np.nan)
     hits = 0
     degenerate = 0
-    for held, (nuis, degen) in zip(held_masks, fits):
+    for j, (index, held, (nuis, degen)) in enumerate(zip(plan.index, plan.held, plan.fits)):
         degenerate += int(degen)
-        f_num, f_den, f_hits = batch_fn(data.y[held], data.a[held], data.s[held],
-                                        data.b[held], data.x[held], query, nuis, params)
-        num[held] = f_num
-        den[held] = f_den
+        f_num, f_den, f_hits = batch_fn(*held, query, nuis, params,
+                                        _local={arm: terms[j] for arm, terms in local.items()})
+        num[index] = f_num
+        den[index] = f_den
         hits += f_hits
     if np.isnan(num).any() or np.isnan(den).any():
         raise EstimationError("influence values left unset: a row was in no held-out fold")

@@ -226,11 +226,36 @@ def design_matrix(spec: FeatureSpec, columns: dict, n: int) -> np.ndarray:
 
 
 def linear_predictor(spec: FeatureSpec, coef: np.ndarray, columns: dict):
-    """Sum of coef * term over broadcastable column arrays."""
+    """Sum of coef * term over broadcastable column arrays, left to right.
+
+    The sum is a new array, never one of ``columns``, and is updated in
+    place once it has its full broadcast shape.
+    """
     eta = 0.0
     for c, t in zip(coef, spec.terms):
-        eta = eta + c * _term_value(t, columns)
+        term = c * _term_value(t, columns)
+        try:
+            eta += term
+        except ValueError:  # an array that must grow to the broadcast shape
+            eta = eta + term
     return eta
+
+
+def _own_full(eta, shape) -> np.ndarray:
+    """A linear predictor as a float array of ``shape`` that the caller may overwrite."""
+    eta = np.asarray(eta, dtype=float)
+    return eta if eta.shape == shape else np.broadcast_to(eta, shape).copy()
+
+
+def _normal_density(s, mu, sd):
+    """N(mu, sd^2) density at s, broadcast, in new arrays updated in place."""
+    z = np.subtract(s, mu, out=np.empty(np.broadcast_shapes(np.shape(s), np.shape(mu))))
+    z /= sd
+    dens = np.multiply(z, -0.5, out=np.empty(z.shape))
+    dens *= z
+    np.exp(dens, out=dens)
+    dens /= sd * _SQRT_2PI
+    return dens
 
 
 # --- models ----------------------------------------------------------------
@@ -287,18 +312,17 @@ class CondDensityModel:
         b = np.asarray(b, dtype=float)
         mu = linear_predictor(self.spec, self.coef,
                               _named_columns(self.covariate_names, x, a=float(a), b=b))
-        return np.broadcast_to(np.asarray(mu, dtype=float), b.shape)
+        return _own_full(mu, b.shape)
 
     def density_at(self, a, s, b, x):
         """Density at aligned arrays: s, b of shape (m,), x of shape (m, p)."""
-        z = (np.asarray(s, dtype=float) - self.mean(a, b, x)) / self.residual_sd
-        return np.exp(-0.5 * z * z) / (self.residual_sd * _SQRT_2PI)
+        return _normal_density(np.asarray(s, dtype=float), self.mean(a, b, x), self.residual_sd)
 
     def density_grid(self, a, s_nodes, b, x):
         """Density on a marker grid: returns shape (m, len(s_nodes))."""
         mu = self.mean(a, b, x)
-        z = (np.asarray(s_nodes, dtype=float)[None, :] - mu[:, None]) / self.residual_sd
-        return np.exp(-0.5 * z * z) / (self.residual_sd * _SQRT_2PI)
+        return _normal_density(np.asarray(s_nodes, dtype=float)[None, :], mu[:, None],
+                               self.residual_sd)
 
 
 @dataclass(frozen=True)
@@ -317,24 +341,25 @@ class OutcomeModel:
             raise InvalidParameterError("outcome coefficients must be finite")
 
     def _mean(self, eta):
+        """The mean at linear predictor ``eta``, written over it."""
         if self.kind == "logistic":
-            return np.clip(expit(eta), PROB_FLOOR, 1.0 - PROB_FLOOR)
+            expit(eta, out=eta)
+            np.clip(eta, PROB_FLOOR, 1.0 - PROB_FLOOR, out=eta)
         return eta
 
     def predict_at(self, a, s, b, x):
         b = np.asarray(b, dtype=float)
         cols = _named_columns(self.covariate_names, x, a=float(a), s=np.asarray(s, dtype=float), b=b)
-        eta = linear_predictor(self.spec, self.coef, cols)
-        return self._mean(np.broadcast_to(np.asarray(eta, dtype=float), b.shape))
+        return self._mean(_own_full(linear_predictor(self.spec, self.coef, cols), b.shape))
 
     def predict_grid(self, a, s_nodes, b, x):
         b = np.asarray(b, dtype=float)
         x = np.asarray(x, dtype=float)
+        s_nodes = np.asarray(s_nodes, dtype=float)
         cols = _named_columns(self.covariate_names, x[:, None, :], a=float(a),
-                              s=np.asarray(s_nodes, dtype=float)[None, :], b=b[:, None])
+                              s=s_nodes[None, :], b=b[:, None])
         eta = linear_predictor(self.spec, self.coef, cols)
-        eta = np.broadcast_to(np.asarray(eta, dtype=float), (b.shape[0], np.asarray(s_nodes).shape[0]))
-        return self._mean(eta)
+        return self._mean(_own_full(eta, (b.shape[0], s_nodes.shape[0])))
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,8 @@ class ScenarioSpec:
             raise InvalidParameterError(f"scenario must be I, II, or III, got {self.scenario!r}")
         if self.n < 50:
             raise InvalidParameterError(f"need n >= 50, got {self.n}")
+        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+            raise InvalidParameterError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _draw_baseline(rng: np.random.Generator, n: int, scenario: str):
@@ -353,6 +355,10 @@ class SimConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise InvalidParameterError("need reps >= 1")
+        if self.n_jobs < 1:
+            raise InvalidParameterError(f"need n_jobs >= 1, got {self.n_jobs}")
+        if self.master_seed < 0:
+            raise InvalidParameterError(f"master_seed must be nonnegative, got {self.master_seed}")
         object.__setattr__(self, "queries", tuple(self.queries))
         if not self.queries:
             raise InvalidParameterError("need at least one query")

@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stwcr.cli import load_dataset, main, parse_query
+from stwcr.cli import _build_parser, load_dataset, main, parse_query
 from stwcr.core import SmoothingParams
 from stwcr.eif import StwcrQuery, StwcrveQuery
 from stwcr.errors import DatasetParseError, InvalidParameterError
@@ -368,7 +373,146 @@ class TestMain:
         assert json.dumps([report["params"]["h"], report["k_folds"], report["fold_seed"]]) == \
             "[1.0, 4, 2]"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--scenario", "I", "--n", "60", "--query", "stwcr:1:7", "--h", "0.1",
+          "--threads", "0"], "need n_jobs >= 1, got 0"),
+        (["simulate", "--scenario", "I", "--n", "60", "--query", "stwcr:1:7", "--h", "0.1",
+          "--threads", "-1"], "need n_jobs >= 1, got -1"),
+        (["simulate", "--scenario", "I", "--n", "60", "--query", "stwcr:1:7", "--h", "0.1",
+          "--seed", "-1"], "master_seed must be nonnegative"),
+        (["emit-draws", "--scenario", "I", "--n", "60", "--seed", "-1"], "seed must be nonnegative"),
+        (["--quad-nodes", "100000000"], "quad_nodes must be an integer in 8..1024"),
+        (["--seed", "-1"], "fold seed must be nonnegative"),
+    ])
+    def test_out_of_range_flag_gives_error_json(self, trial_csv, capsys, argv, message):
+        if argv[0].startswith("--"):
+            argv = ["estimate-stwcr", "--input", str(trial_csv), "--a", "1", "--s", "7",
+                    "--h", "0.1", *argv]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "InvalidParameterError" and message in err["error"]
+
+    def test_config_not_utf8_gives_error_json(self, trial_csv, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_bytes('{"h": 0.1, "note": "café"}'.encode("latin-1"))
+        assert main(["estimate-stwcr", "--input", str(trial_csv), "--a", "1", "--s", "7",
+                     "--config", str(conf)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "InvalidParameterError" and "not UTF-8" in err["error"]
+
     def test_truth_command_removed(self):
         with pytest.raises(SystemExit) as exc:
             main(["truth", "--scenario", "I", "--query", "stwcr:1:7", "--h", "0.1"])
         assert exc.value.code == 2
+
+
+# Every flag of every command, with values a user might pass: good ones,
+# out-of-range ones and ones of the wrong type. {name} is a file of the
+# cli_files fixture. Sizes stay small: --n at most 60, --reps at most 2.
+_FLAG_VALUES = {
+    "--input": ["{csv}", "{missing}", "{latin1}", "{empty}"],
+    "--y-col": ["y", "nope"], "--a-col": ["a", "b"], "--s-col": ["s"], "--b-col": ["b", "s"],
+    "--x-cols": ["x1", "x1,x2", "nope", ","],
+    "--outcome-kind": ["binary", "continuous", "ordinal"],
+    "--a": ["1", "0", "2", "x"], "--a1": ["1", "0", "-1"], "--a0": ["0", "1", "2"],
+    "--s": ["7", "8.5", "-1e3", "nan", "inf"], "--s1": ["8", "nan"], "--s0": ["7", "1e308"],
+    "--h0": ["0.1", "0", "nan"], "--h1": ["0.2", "-1", "1e-300", "inf"],
+    "--h": ["0.1", "0.3", "0", "-0.1", "1e-9", "1e-300", "nan", "inf", "x"],
+    "--t": ["0.1", "0.5", "0", "1", "nan"], "--epsilon": ["0.1", "0", "-1", "1e-300", "inf"],
+    "--alpha": ["0.05", "0", "1", "nan"],
+    "--quad-nodes": ["8", "64", "4", "1025", "100000000", "64.5", "x"],
+    "--window": ["8", "4", "3", "1e6", "inf", "nan"],
+    "--folds": ["2", "5", "1", "0", "-3", "500"],
+    "--known-propensity": ["0.5", "0", "1", "nan"],
+    "--seed": ["0", "7", "-1", "x"], "--scenario": ["I", "II", "III", "IV"],
+    "--n": ["-5", "0", "49", "50", "60", "x"], "--reps": ["-1", "0", "1", "2"],
+    "--threads": ["-1", "0", "1", "2", "x"],
+    "--query": ["stwcr:1:7", "stwcrve:1:0:8:7", "stwcr:2:7", "stwcr:1:nan", "junk"],
+    "--format": ["json", "csv", "xml"],
+    "--out": ["{out}", "{dir}"], "--config": ["{missing}", "{latin1}", "{empty}"],
+    "--bogus": ["1"],
+}
+
+# A complete command line per command, which the drawn flags extend and override.
+_BASES = {
+    "estimate-stwcr": ["--input", "{csv}", "--a", "1", "--s", "7", "--h", "0.1"],
+    "estimate-stwcrve": ["--input", "{csv}", "--a1", "1", "--a0", "0", "--s1", "8",
+                         "--s0", "7", "--h0", "0.1", "--h1", "0.1"],
+    "simulate": ["--scenario", "I", "--n", "60", "--reps", "1", "--query", "stwcr:1:7",
+                 "--h", "0.1"],
+    "emit-draws": ["--scenario", "II", "--n", "50"],
+}
+
+_CONFIG_KEYS = sorted({flag[2:].replace("-", "_") for flag in _FLAG_VALUES} - {"n", "reps"})
+_JSON_VALUES = (st.none() | st.booleans() | st.integers(-3, 100) | st.sampled_from([0.1, 0.5, -1.0, 8.0])
+                | st.sampled_from(["0.2", "I", "json", "stwcr:1:7", ""])
+                | st.lists(st.sampled_from(["stwcr:1:7", "junk"]), max_size=2))
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_runs")
+    export_dataset(gen_dataset(ScenarioSpec("I", 60, 16)), root / "trial.csv")
+    (root / "latin1.json").write_bytes('{"t": 0.2, "name": "café"}'.encode("latin-1"))
+    (root / "empty.csv").write_text("")
+    return {"csv": root / "trial.csv", "missing": root / "missing.csv",
+            "latin1": root / "latin1.json", "empty": root / "empty.csv",
+            "out": root / "out.txt", "dir": root, "conf": root / "conf.json"}
+
+
+def _command_flags():
+    """Each command's own flags, from the parser."""
+    _, commands = _build_parser()
+    return {name: sorted(flag for action in sub._actions for flag in action.option_strings
+                         if flag in _FLAG_VALUES)
+            for name, sub in commands.items()}
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv with {file} placeholders, --config dict or None). Most flags are
+    the command's own; one in ten is any flag, usually a usage error."""
+    command = draw(st.sampled_from([*_BASES, "bogus"]))
+    own = _command_flags().get(command, [])
+    argv = [command] + (_BASES.get(command, []) if draw(st.integers(0, 3)) else [])
+    for _ in range(draw(st.integers(0, 4))):
+        anywhere = not own or draw(st.integers(0, 9)) == 0
+        flag = draw(st.sampled_from(sorted(_FLAG_VALUES) if anywhere else own))
+        argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    keys = [key for key in _CONFIG_KEYS if f"--{key.replace('_', '-')}" in own] or _CONFIG_KEYS
+    conf = draw(st.none() | st.dictionaries(st.sampled_from(keys), _JSON_VALUES, max_size=3))
+    return argv, conf
+
+
+class TestNoTraceback:
+    @settings(max_examples=150, deadline=None)
+    @given(run=cli_runs())
+    def test_any_argv_ends_in_report_error_or_usage(self, cli_files, run):
+        argv, conf = run
+        argv = [token.format(**cli_files) for token in argv]
+        if conf is not None:
+            cli_files["conf"].write_text(json.dumps(conf))
+            argv += ["--config", str(cli_files["conf"])]
+        cli_files["out"].unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(cli_files["dir"])  # an --out from the config is a relative path
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            if code == 2:
+                assert "usage:" in err.getvalue()
+            elif code == 1:
+                error = json.loads(err.getvalue().strip().splitlines()[-1])
+                assert set(error) == {"error", "type"}
+            else:
+                assert code == 0
+                flags = [v for f, v in zip(argv, argv[1:]) if f == "--out"]
+                target = flags[-1] if flags else (conf or {}).get("out")
+                report = open(target, encoding="utf-8").read() if target else out.getvalue()
+                assert report.strip()
+        finally:
+            os.chdir(cwd)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from stwcr.core import (
+    MAX_QUAD_NODES,
     Interval,
     SmoothingParams,
     integrate_kernel_weighted,
@@ -11,6 +13,7 @@ from stwcr.core import (
     kernel_weight,
     smooth_indicator,
     smooth_indicator_deriv,
+    softened_indicator,
 )
 from stwcr.errors import EvaluationError, InvalidParameterError
 
@@ -26,6 +29,7 @@ class TestSmoothingParams:
     @pytest.mark.parametrize("kwargs", [
         {"t": 0.0}, {"t": 1.0}, {"epsilon": 0.0}, {"h": -0.1}, {"h0": 0.0},
         {"alpha": 0.0}, {"alpha": 1.0}, {"quad_nodes": 4}, {"window_halfwidth_in_h": 2.0},
+        {"quad_nodes": MAX_QUAD_NODES + 1}, {"quad_nodes": 100_000_000},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(InvalidParameterError):
@@ -65,6 +69,12 @@ class TestKernelWeight:
             h = float(rng.uniform(0.01, 2.0))
             assert kernel_weight(u, h) == kernel_weight(-u, h)
             assert kernel_weight(u, h) >= 0.0
+
+    def test_far_displacement_weighs_zero(self):
+        # u/h overflows to inf: no warning (warnings fail the tests), weight 0
+        assert kernel_weight(-1e308, 0.1) == 0.0
+        assert np.array_equal(kernel_weight(np.array([1e308, 0.0]), 1e-300),
+                              [0.0, kernel_weight(0.0, 1e-300)])
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidParameterError):
@@ -137,6 +147,28 @@ class TestSmoothIndicatorDeriv:
                   - smooth_indicator(p - step, t, eps)) / (2 * step)
             an = smooth_indicator_deriv(p, t, eps)
             assert abs(fd - an) / an < 1e-5
+
+
+class TestSoftenedIndicator:
+    def test_bitwise_equal_to_the_formulas(self):
+        # the expressions as written before the grid shared one z; pi*dphi
+        # as the grid forms it
+        rng = np.random.default_rng(3)
+        p = np.broadcast_to(rng.uniform(0.0, 1.5, (37, 64)), (37, 64))  # read-only
+        t, eps = 0.13, 0.07
+        z = (p - t) / eps
+        phi, dphi = softened_indicator(p, t, eps)
+        assert np.array_equal(phi, np.clip(ndtr(z), np.finfo(float).tiny, np.nextafter(1.0, 0.0)))
+        assert np.array_equal(dphi, (1.0 / math.sqrt(2.0 * math.pi) / eps) * np.exp(-0.5 * z * z))
+        assert np.array_equal(smooth_indicator(p, t, eps), phi)
+        assert np.array_equal(smooth_indicator_deriv(p, t, eps), dphi)
+        assert softened_indicator(p, t, eps, value=False)[0] is None
+        assert softened_indicator(p, t, eps, deriv=False)[1] is None
+
+    def test_far_from_threshold_saturates_without_warning(self):
+        phi, dphi = softened_indicator(np.array([0.0, 1.0]), 0.5, 1e-300)
+        assert np.array_equal(dphi, [0.0, 0.0])
+        assert 0.0 < phi[0] < phi[1] < 1.0
 
 
 class TestIntegrate1D:

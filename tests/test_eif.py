@@ -309,3 +309,89 @@ class TestGridBlocking:
         # one pool per arm integral: one for the risk query, two for the VE query
         assert thread_pools.made == [2, 2, 2]
         assert_batches_equal(serial, threaded)
+
+
+class ReadOnly:
+    """Wraps a duck-typed model so that every array it returns is a read-only
+    ``np.broadcast_to`` view."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def __getattr__(self, name):
+        method = getattr(self.model, name)
+
+        def read_only(*args):
+            value = method(*args)
+            return np.broadcast_to(value, np.shape(value))
+
+        return read_only
+
+
+class TestModelArraysAreOnlyRead:
+    QUERIES = (StwcrQuery(1, 7.0), StwcrveQuery(1, 0, 7.2, 7.0), StwcrveQuery(1, 1, 7.0, 7.0))
+
+    @pytest.mark.parametrize("q", QUERIES)
+    def test_read_only_models(self, q, scen1_ve):
+        ds, _ = scen1_ve
+        plain = constant_triple(density=0.35, risk=0.3)
+        frozen = NuisanceTriple(propensity=ReadOnly(plain.propensity),
+                                cond_density=ReadOnly(plain.cond_density),
+                                outcome=ReadOnly(plain.outcome), support=plain.support)
+        batch = eif_stwcr_batch if isinstance(q, StwcrQuery) else eif_stwcrve_batch
+        cols = (ds.y, ds.a, ds.s, ds.b, ds.x)
+        assert_batches_equal([batch(*cols, q, plain, PARAMS)], [batch(*cols, q, frozen, PARAMS)])
+
+    def test_fitted_model_grids_are_not_written(self, scen1_ve):
+        ds, nuis = scen1_ve
+        q = StwcrveQuery(1, 0, 8.0, 7.0)
+        returned = []
+
+        class Recording:
+            def __init__(self, model):
+                self.model = model
+
+            def __getattr__(self, name):
+                method = getattr(self.model, name)
+
+                def keep(*args):
+                    value = method(*args)
+                    returned.append((value, value.copy()))
+                    return value
+
+                return keep
+
+        spy = NuisanceTriple(propensity=Recording(nuis.propensity),
+                             cond_density=Recording(nuis.cond_density),
+                             outcome=Recording(nuis.outcome), support=nuis.support)
+        assert_batches_equal([eif_stwcrve_batch(ds.y, ds.a, ds.s, ds.b, ds.x, q, nuis, PARAMS)],
+                             [eif_stwcrve_batch(ds.y, ds.a, ds.s, ds.b, ds.x, q, spy, PARAMS)])
+        assert len(returned) == 10  # per arm: prob, density_at, predict_at and two grids
+        for value, copy in returned:
+            assert np.array_equal(value, copy)
+
+
+class TestLocalTerms:
+    def test_symmetric_query_builds_one_arm(self, monkeypatch, scen1_ve):
+        ds, nuis = scen1_ve
+        calls = []
+        real = eif._kernel_integrals_1d
+        monkeypatch.setattr(eif, "_kernel_integrals_1d",
+                            lambda *args: calls.append(args[2]) or real(*args))
+        for q, arms in ((StwcrveQuery(1, 1, 7.5, 7.5), [1]), (StwcrveQuery(1, 1, 7.5, 8.0), [1, 1]),
+                        (StwcrveQuery(1, 0, 7.5, 7.5), [0, 1])):
+            calls.clear()
+            num, den, _ = eif_stwcrve_batch(ds.y, ds.a, ds.s, ds.b, ds.x, q, nuis, PARAMS)
+            assert calls == arms
+        num, den, _ = eif_stwcrve_batch(ds.y, ds.a, ds.s, ds.b, ds.x, StwcrveQuery(1, 1, 7.5, 7.5),
+                                        nuis, PARAMS)
+        assert np.array_equal(num, den)
+
+    @pytest.mark.parametrize("q", [StwcrQuery(0, 7.0), StwcrveQuery(1, 0, 8.0, 7.0)])
+    def test_passed_terms_equal_computed(self, q, scen1_ve):
+        ds, nuis = scen1_ve
+        cols = (ds.y, ds.a, ds.s, ds.b, ds.x)
+        terms = {arm: eif.local_terms(*cols, arm, nuis, PARAMS.t, PARAMS.epsilon) for arm in (0, 1)}
+        batch = eif_stwcr_batch if isinstance(q, StwcrQuery) else eif_stwcrve_batch
+        assert_batches_equal([batch(*cols, q, nuis, PARAMS)],
+                             [batch(*cols, q, nuis, PARAMS, _local=terms)])

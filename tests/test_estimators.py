@@ -4,8 +4,9 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from stwcr import estimators
 from stwcr.core import Interval, SmoothingParams
@@ -429,8 +430,82 @@ class TestFoldFitReuse:
         assert repr(answer(estimate_stwcr, StwcrQuery(1, 7.0))) == first
 
 
+# the perfbench sweep-1k queries
+SWEEP_1K = ([StwcrQuery(1, 5.0 + 0.35 * k) for k in range(20)]
+            + [StwcrveQuery(1, 0, s1, 7.0) for s1 in (6.0, 8.0, 9.0, 10.0)]
+            + [StwcrveQuery(1, 1, 7.0, 7.0)])
+
+
+@pytest.fixture()
+def count_local_terms(monkeypatch):
+    """Counts calls of ``stwcr.estimators.local_terms`` by arm."""
+    calls = {0: 0, 1: 0}
+    real = estimators.local_terms
+
+    def counting(*args):
+        calls[args[5]] += 1
+        return real(*args)
+
+    monkeypatch.setattr(estimators, "local_terms", counting)
+    return calls
+
+
+class TestFoldPlan:
+    def test_sweep_equals_fresh_copies(self, count_local_terms):
+        ds = gen_dataset(ScenarioSpec("I", 1000, 27))
+        folds = make_folds(1000, 5, 7)
+        warm = [repr(estimate(ds, q, folds)) for q in SWEEP_1K]
+        # each arm's local terms once per fold, for the whole sweep
+        assert count_local_terms == {0: 5, 1: 5}
+        assert warm == [repr(estimate(fresh_copy(ds), q, folds)) for q in SWEEP_1K]
+        assert "delta_hat=0.0," in warm[-1]
+
+    def test_new_t_or_epsilon_replaces_the_terms(self, count_local_terms):
+        ds = gen_dataset(ScenarioSpec("I", 400, 28))
+        folds = make_folds(400, 5, 8)
+        q = StwcrQuery(1, 7.5)
+        for params in (PARAMS, PARAMS.with_(t=0.2), PARAMS.with_(epsilon=0.05), PARAMS):
+            warm = estimate_stwcr(ds, q, params, folds)
+            assert repr(warm) == repr(estimate_stwcr(fresh_copy(ds), q, params, folds))
+            # one (t, epsilon) per arm is kept
+            assert estimators._FOLD_FITS[ds]._local[1][0] == (params.t, params.epsilon)
+        assert count_local_terms[1] == 4 * 5 + 4 * 5  # the copies are cold too
+        assert set(estimators._FOLD_FITS[ds]._local) == {1}
+
+    @pytest.mark.parametrize("column", ["s", "x", "a"])
+    def test_edit_in_place_rebuilds(self, column):
+        ds = gen_dataset(ScenarioSpec("I", 400, 29))
+        folds = make_folds(400, 5, 9)
+        q = StwcrveQuery(1, 0, 8.0, 7.0)
+        before = repr(estimate(ds, q, folds))
+        arr = getattr(ds, column)
+        if column == "a":
+            arr[:6] = 1 - arr[:6]
+        else:
+            arr[:6] += 0.05
+        after = repr(estimate(ds, q, folds))
+        assert after != before
+        assert after == repr(estimate(fresh_copy(ds), q, folds))
+
+    def test_swapped_folds(self):
+        ds = gen_dataset(ScenarioSpec("I", 400, 30))
+        one, other = make_folds(400, 5, 10), make_folds(400, 4, 11)
+        for folds in (one, other, one):
+            for q in (StwcrQuery(0, 6.5), StwcrveQuery(0, 1, 7.0, 8.0)):
+                assert repr(estimate(ds, q, folds)) == repr(estimate(fresh_copy(ds), q, folds))
+
+    def test_held_out_rows_keep_their_order(self):
+        ds = gen_dataset(ScenarioSpec("I", 300, 31))
+        folds = make_folds(300, 5, 12)
+        plan = estimators._fold_plan(ds, folds, ModelSpecs())
+        for k, (index, held) in enumerate(zip(plan.index, plan.held), start=1):
+            assert np.array_equal(index, np.flatnonzero(folds.labels == k))
+            for col, name in zip(held, ("y", "a", "s", "b", "x")):
+                assert np.array_equal(col, getattr(ds, name)[folds.labels == k])
+
+
 def fitted_values(fits):
-    """Every fitted number of ``_fit_folds``'s output, fold by fold."""
+    """Every fitted number of a ``_FoldPlan``'s fits, fold by fold."""
     return [(degen, nuis.propensity.coef, nuis.cond_density.coef, nuis.cond_density.residual_sd,
              nuis.outcome.coef, nuis.support) for nuis, degen in fits]
 
@@ -444,9 +519,9 @@ class TestThreadedFoldFits:
         folds = make_folds(600, 5, 3)
         monkeypatch.setattr(estimators, "_THREADED_FIT_ROWS", 0)
         thread_pools.use(1)
-        serial = fitted_values(estimators._fit_folds(fresh_copy(ds), folds, self.SPECS))
+        serial = fitted_values(estimators._fold_plan(fresh_copy(ds), folds, self.SPECS).fits)
         thread_pools.use(2)
-        threaded = fitted_values(estimators._fit_folds(fresh_copy(ds), folds, self.SPECS))
+        threaded = fitted_values(estimators._fold_plan(fresh_copy(ds), folds, self.SPECS).fits)
         assert thread_pools.made == [2]
         for left, right in zip(serial, threaded, strict=True):
             for u, v in zip(left, right, strict=True):
@@ -455,11 +530,11 @@ class TestThreadedFoldFits:
     def test_threshold(self, thread_pools):
         thread_pools.use(2)
         small = gen_dataset(ScenarioSpec("I", 1000, 32))
-        estimators._fit_folds(small, make_folds(1000, 5, 0), ModelSpecs())
+        estimators._fold_plan(small, make_folds(1000, 5, 0), ModelSpecs())
         assert thread_pools.made == []
         n = estimators._THREADED_FIT_ROWS
         large = gen_dataset(ScenarioSpec("I", n, 33))
-        estimators._fit_folds(large, make_folds(n, 5, 0), ModelSpecs())
+        estimators._fold_plan(large, make_folds(n, 5, 0), ModelSpecs())
         assert thread_pools.made == [2]
 
     def test_lowest_failing_fold_named(self, monkeypatch, thread_pools):
@@ -485,7 +560,7 @@ class TestThreadedFoldFits:
         monkeypatch.setattr(estimators, "_THREADED_FIT_ROWS", 0)
         thread_pools.use(2)
         with pytest.raises(EstimationError, match="nuisance fit failed in fold 2:"):
-            estimators._fit_folds(ds, folds, ModelSpecs())
+            estimators._fold_plan(ds, folds, ModelSpecs())
         assert thread_pools.made == [2]
         assert fold4_failed.is_set()
         assert ds not in estimators._FOLD_FITS
@@ -558,17 +633,19 @@ def _oracle_report(fn, ds, q, params, folds):
         return repr(exc)
 
 
-def _assert_close(left, right, fields, scale=0.0):
-    """Fields equal to within a relative 1e-12 of max(|value|, scale)."""
+def _assert_close(left, right, fields, scale=0.0, rel=1e-12):
+    """Fields equal to within ``rel`` of max(|value|, scale)."""
     for name in fields:
         u, v = np.ravel(getattr(left, name)), np.ravel(getattr(right, name))
-        assert np.all(np.abs(u - v) <= 1e-12 * np.maximum(np.abs(u), scale)), name
+        assert np.all(np.abs(u - v) <= rel * np.maximum(np.abs(u), scale)), name
 
 
 class TestOracleInvariance:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(200, 600), h=st.floats(0.05, 0.3),
            fold_seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+    # half = 193: ci_delta's lower endpoint, -1.34e81, moves by 5e-12 relative
+    @example(seed=166, n=200, h=0.15625, fold_seeds=(0, 0))
     def test_row_order_and_fold_seed(self, seed, n, h, fold_seeds):
         ds = gen_dataset(ScenarioSpec("I", n, seed))
         shuffled = ds.subset(np.random.default_rng(seed).permutation(n))
@@ -591,8 +668,20 @@ class TestOracleInvariance:
                 _assert_close(rep, moved, ("se",))
             else:
                 assert moved.log_scale == rep.log_scale
-                _assert_close(rep, moved, ("rho_hat", "delta_hat", "ci_delta"), scale=1.0)
+                _assert_close(rep, moved, ("rho_hat", "delta_hat"), scale=1.0)
                 # the log-scale variance is NaN when rho_hat <= 0
                 _assert_close(rep, moved, ("sigma2_sq_hat",)
                               + (("sigma2log_sq_hat",) if rep.log_scale else ()))
+                if rep.log_scale:
+                    # ci_rho = rho*exp(-+half) with half = z*sqrt(sigma2log_sq_hat/n):
+                    # a relative error e in the variance moves half by |half|*e/2,
+                    # and exp turns that into a relative error of the endpoint
+                    half = ndtri(1.0 - params.alpha / 2.0) * np.sqrt(rep.sigma2log_sq_hat / n)
+                    tol = 1e-12 * (1.0 + abs(half))
+                    _assert_close(rep, moved, ("ci_rho",), rel=tol)
+                    # ci_delta = 1 - ci_rho: the same absolute error
+                    assert np.all(np.abs(np.subtract(rep.ci_delta, moved.ci_delta))
+                                  <= tol * np.abs(rep.ci_rho)[::-1])
+                else:
+                    _assert_close(rep, moved, ("ci_delta",), scale=1.0)
             assert moved.density_floor_hits == rep.density_floor_hits
