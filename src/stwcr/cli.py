@@ -25,6 +25,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import io
 import json
 import logging
 import math
@@ -340,11 +341,8 @@ def _emit(text: str, out_path):
 
 
 def _dataset_from_args(args) -> Dataset:
-    column_map = {}
-    for role in ("y", "a", "s", "b"):
-        v = getattr(args, f"{role}_col", None)
-        if v:
-            column_map[role] = v
+    column_map = {role: col for role in ("y", "a", "s", "b")
+                  if (col := getattr(args, f"{role}_col", None))}
     if getattr(args, "x_cols", None):
         column_map["x"] = [c.strip() for c in args.x_cols.split(",") if c.strip()]
     return load_dataset(args.input, column_map, outcome_kind=getattr(args, "outcome_kind", None))
@@ -406,15 +404,10 @@ def _cmd_simulate(args) -> int:
     rows = run_monte_carlo(config)
     fmt = args.format or "csv"
     if fmt == "json":
-        payload = [{"scenario": config.scenario, "n": config.n, "query": r.query,
-                    "truth": r.truth, "mean_estimate": r.mean_estimate,
-                    "pct_bias": r.pct_bias, "coverage": r.coverage,
-                    "mean_se": r.mean_se, "reps": r.reps, "failed": r.failed}
+        payload = [{"scenario": config.scenario, "n": config.n, **dataclasses.asdict(r)}
                    for r in rows]
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        import io
-
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["scenario", "n", "query", "truth", "mean_estimate",
@@ -431,8 +424,6 @@ def _cmd_emit_draws(args) -> int:
     n = args.n if args.n is not None else 10_000
     seed = args.seed if args.seed is not None else 1
     data = gen_dataset(ScenarioSpec(args.scenario, n, seed))
-    import io
-
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["b", "s", "a", "x1"])

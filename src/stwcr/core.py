@@ -70,8 +70,7 @@ class SmoothingParams:
     def __post_init__(self):
         if not (0.0 < self.t < 1.0):
             raise InvalidParameterError(f"t must be in (0,1), got {self.t}")
-        if not (self.epsilon > 0.0):
-            raise InvalidParameterError(f"epsilon must be > 0, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         for name in ("h", "h0", "h1"):
             val = getattr(self, name)
             if val is not None and not (val > 0.0 and math.isfinite(val)):
@@ -190,10 +189,7 @@ def softened_indicator(p, t, epsilon, value=True, deriv=True):
     return np.clip(z, _OPEN_UNIT_LO, _OPEN_UNIT_HI, out=z), dphi
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
+_leggauss = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
 
 
 def quad_rule(center: float, h: float, support: Interval, params: SmoothingParams):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -38,9 +38,12 @@ from .core import SmoothingParams
 from .eif import StwcrQuery, StwcrveQuery, eif_stwcr_batch, eif_stwcrve_batch, local_terms
 from .errors import EstimationError, InvalidParameterError, SolverError
 from .nuisance import (
+    CondDensityModel,
     Dataset,
     FeatureSpec,
     NuisanceTriple,
+    OutcomeModel,
+    PropensityModel,
     fit_cond_density,
     fit_outcome,
     fit_propensity,
@@ -253,14 +256,23 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
     """The plan of ``data``'s folds, with each fold fit on its complement.
 
     Returns the previous call's plan when ``data``'s contents, the folds
-    and the specs are unchanged. From ``_THREADED_FIT_ROWS`` rows the folds
-    are fit on threads; either way a failure names the lowest failing
-    fold, and nothing is stored.
+    and the specs are unchanged. The default specs are filled in once for all
+    folds, and a spec naming a column its model does not read fails before
+    any fold is fit. From ``_THREADED_FIT_ROWS`` rows the folds are fit on
+    threads; either way a failure names the lowest failing fold, and nothing
+    is stored.
     """
     key = _fit_key(data, folds, specs)
     plan = _FOLD_FITS.get(data)
     if plan is not None and plan.key == key:
         return plan
+    specs = replace(specs, cond_density_spec=specs.resolve_cond_spec(data),
+                    outcome_spec=specs.resolve_outcome_spec(data))
+    for model, spec in ((PropensityModel, specs.propensity_spec),
+                        (CondDensityModel, specs.cond_density_spec),
+                        (OutcomeModel, specs.outcome_spec)):
+        if spec is not None:
+            spec.resolve(model.ROLES, data.covariate_names)
 
     def fit(k):
         try:

@@ -13,14 +13,20 @@ fold, bundled with the marker support:
 
 Feature sets are declared with :class:`FeatureSpec`, a small ordered
 language of raw/squared/interaction terms, so that generating models
-that are polynomial in the covariates can be specified exactly.
+that are polynomial in the covariates can be specified exactly. A spec
+may name its model's ``ROLES`` (b for the propensity; a, b for the
+density; a, s, b for the outcome) and the covariates. It is resolved
+against those columns once, when its model is fit or built, for both
+the design matrix and the predictions; any other name, y included, is
+an InvalidParameterError, which the estimators raise before any fold
+is fit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -117,15 +123,8 @@ class Dataset:
     @classmethod
     def from_observations(cls, observations: Iterable[Observation], covariate_names, outcome_kind=None):
         obs = list(observations)
-        return cls(
-            y=[o.y for o in obs],
-            a=[o.a for o in obs],
-            s=[o.s for o in obs],
-            b=[o.b for o in obs],
-            x=[o.x for o in obs],
-            covariate_names=covariate_names,
-            outcome_kind=outcome_kind,
-        )
+        cols = {name: [getattr(o, name) for o in obs] for name in ("y", "a", "s", "b", "x")}
+        return cls(**cols, covariate_names=covariate_names, outcome_kind=outcome_kind)
 
     def __len__(self):
         return self.y.shape[0]
@@ -141,20 +140,6 @@ class Dataset:
     def subset(self, idx) -> "Dataset":
         return Dataset(self.y[idx], self.a[idx], self.s[idx], self.b[idx], self.x[idx],
                        self.covariate_names, self.outcome_kind)
-
-    def columns(self) -> dict[str, np.ndarray]:
-        return _named_columns(self.covariate_names, self.x, y=self.y, a=self.a.astype(float),
-                              s=self.s, b=self.b)
-
-
-def _named_columns(covariate_names, x, **roles) -> dict:
-    """Role columns plus each named covariate off x's last axis: the one name
-    binding that ``design_matrix`` (fitting) and ``linear_predictor`` read."""
-    x = np.asarray(x, dtype=float)
-    cols = dict(roles)
-    for j, name in enumerate(covariate_names):
-        cols[name] = x[..., j]
-    return cols
 
 
 # --- feature language ------------------------------------------------------
@@ -175,6 +160,10 @@ def interaction(name1: str, name2: str):
     return ("interaction", name1, name2)
 
 
+# each term kind's name pattern, with one {} per column it names
+_TERM_NAMES = {"intercept": "(intercept)", "raw": "{}", "square": "{}^2", "interaction": "{}:{}"}
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     """Ordered covariate transformations defining a design matrix."""
@@ -182,69 +171,80 @@ class FeatureSpec:
     terms: tuple = ()
 
     def __init__(self, terms: Sequence):
-        object.__setattr__(self, "terms", tuple(tuple(t) for t in terms))
+        try:
+            object.__setattr__(self, "terms", tuple(tuple(t) for t in terms))
+        except TypeError:
+            raise InvalidParameterError("each feature term must be a tuple") from None
+        for t in self.terms:
+            if not (t and isinstance(t[0], str) and t[0] in _TERM_NAMES
+                    and len(t) == 1 + _TERM_NAMES[t[0]].count("{}")
+                    and all(isinstance(name, str) for name in t[1:])):
+                raise InvalidParameterError(
+                    f"malformed feature term {t!r}: want ('intercept',), ('raw', name), "
+                    "('square', name) or ('interaction', name1, name2), names as strings")
         if sum(1 for t in self.terms if t[0] == "intercept") > 1:
             raise InvalidParameterError("at most one intercept term allowed")
-        for t in self.terms:
-            if t[0] not in ("intercept", "raw", "square", "interaction"):
-                raise InvalidParameterError(f"unknown term kind {t[0]!r}")
 
     def __len__(self):
         return len(self.terms)
 
-    def names(self) -> list[str]:
-        out = []
-        for t in self.terms:
-            if t[0] == "intercept":
-                out.append("(intercept)")
-            elif t[0] == "interaction":
-                out.append(f"{t[1]}:{t[2]}")
-            elif t[0] == "square":
-                out.append(f"{t[1]}^2")
-            else:
-                out.append(t[1])
-        return out
-
-
-def _term_value(term, columns):
-    kind = term[0]
-    try:
-        if kind == "intercept":
-            return 1.0
-        if kind == "raw":
-            return columns[term[1]]
-        if kind == "square":
-            return columns[term[1]] ** 2
-        return columns[term[1]] * columns[term[2]]
-    except KeyError as exc:
-        raise InvalidParameterError(f"feature references unknown column {exc.args[0]!r}") from None
-
-
-def design_matrix(spec: FeatureSpec, columns: dict, n: int) -> np.ndarray:
-    cols = [np.broadcast_to(np.asarray(_term_value(t, columns), dtype=float), (n,)) for t in spec.terms]
-    return np.column_stack(cols) if cols else np.empty((n, 0))
-
-
-def linear_predictor(spec: FeatureSpec, coef: np.ndarray, columns: dict):
-    """Sum of coef * term over broadcastable column arrays, left to right.
-
-    The sum is a new array, never one of ``columns``, and is updated in
-    place once it has its full broadcast shape.
-    """
-    eta = 0.0
-    for c, t in zip(coef, spec.terms):
-        term = c * _term_value(t, columns)
+    def resolve(self, roles, covariate_names) -> _Terms:
+        """The terms against ``(*roles, *covariate_names)``, the only columns
+        a model may read: any other name is an InvalidParameterError."""
+        position = {name: i for i, name in enumerate((*roles, *covariate_names))}
+        if len(position) < len(roles) + len(covariate_names):
+            raise InvalidParameterError(f"covariate names {tuple(covariate_names)} repeat or "
+                                        f"reuse a role of {tuple(roles)}")
         try:
-            eta += term
-        except ValueError:  # an array that must grow to the broadcast shape
-            eta = eta + term
-    return eta
+            return _Terms(tuple(roles), tuple((t[0], *[position[name] for name in t[1:]])
+                                              for t in self.terms))
+        except KeyError as exc:
+            raise InvalidParameterError(f"feature references unknown column {exc.args[0]!r}; "
+                                        f"this model reads {', '.join(position)}") from None
+
+    def names(self) -> list[str]:
+        return [_TERM_NAMES[t[0]].format(*t[1:]) for t in self.terms]
 
 
-def _own_full(eta, shape) -> np.ndarray:
-    """A linear predictor as a float array of ``shape`` that the caller may overwrite."""
-    eta = np.asarray(eta, dtype=float)
-    return eta if eta.shape == shape else np.broadcast_to(eta, shape).copy()
+class _Terms(NamedTuple):
+    """A FeatureSpec resolved for one model."""
+
+    roles: tuple  # the model's role columns, ahead of its covariates
+    terms: tuple  # per term its kind, then its columns' positions in (*roles, *covariates)
+
+    def _values(self, role_values, x):
+        """Each term's value, left to right, from the role values and x's last axis."""
+        x = np.asarray(x, dtype=float)
+        cols = (*role_values, *(x[..., j] for j in range(x.shape[-1])))
+        for kind, *pos in self.terms:
+            if kind == "intercept":
+                yield 1.0
+            elif kind == "raw":
+                yield cols[pos[0]]
+            elif kind == "square":
+                yield cols[pos[0]] ** 2
+            else:
+                yield cols[pos[0]] * cols[pos[1]]
+
+    def design(self, data: Dataset) -> np.ndarray:
+        n = len(data)
+        cols = [np.broadcast_to(np.asarray(v, dtype=float), (n,))
+                for v in self._values([getattr(data, r) for r in self.roles], data.x)]
+        return np.column_stack(cols) if cols else np.empty((n, 0))
+
+    def predictor(self, coef, role_values, x, shape) -> np.ndarray:
+        """Sum of coef * term, left to right, as a float array of ``shape`` that the
+        caller may overwrite: a new array, never a column, which grows to its
+        broadcast shape and is then updated in place."""
+        eta = 0.0
+        for c, value in zip(coef, self._values(role_values, x)):
+            term = c * value
+            try:
+                eta += term
+            except ValueError:  # an array that must grow to the broadcast shape
+                eta = eta + term
+        eta = np.asarray(eta, dtype=float)
+        return eta if eta.shape == shape else np.broadcast_to(eta, shape).copy()
 
 
 def _normal_density(s, mu, sd):
@@ -264,11 +264,14 @@ def _normal_density(s, mu, sd):
 class PropensityModel:
     """P(A = a | B, X): a known constant or a logistic fit on (b, x) features."""
 
+    ROLES: ClassVar[tuple[str, ...]] = ("b",)
+
     kind: str  # "known" or "logistic"
     prob_treated: float | None = None
     spec: FeatureSpec | None = None
     coef: np.ndarray | None = None
     covariate_names: tuple = ()
+    _terms: _Terms | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "known":
@@ -279,6 +282,8 @@ class PropensityModel:
                 raise InvalidParameterError("logistic propensity needs a spec and finite coefficients")
         else:
             raise InvalidParameterError(f"unknown propensity kind {self.kind!r}")
+        object.__setattr__(self, "_terms", self.spec.resolve(self.ROLES, self.covariate_names)
+                           if self.kind == "logistic" else None)
 
     def prob(self, a: int, b, x):
         """P(A = a | b, x), floored into [1e-12, 1 - 1e-12]. Returns an array matching b."""
@@ -286,9 +291,7 @@ class PropensityModel:
         if self.kind == "known":
             p1 = np.full_like(b, self.prob_treated)
         else:
-            cols = _named_columns(self.covariate_names, x, b=b)
-            p1 = expit(np.asarray(linear_predictor(self.spec, self.coef, cols)))
-            p1 = np.broadcast_to(p1, b.shape).astype(float)
+            p1 = expit(self._terms.predictor(self.coef, (b,), x, b.shape))
         p = p1 if a == 1 else 1.0 - p1
         return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
@@ -297,69 +300,67 @@ class PropensityModel:
 class CondDensityModel:
     """Gaussian conditional density of S: mean linear in features of (a, b, x)."""
 
+    ROLES: ClassVar[tuple[str, ...]] = ("a", "b")
+
     spec: FeatureSpec
     coef: np.ndarray
     residual_sd: float
     covariate_names: tuple = ()
+    _terms: _Terms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.residual_sd > 0 and math.isfinite(self.residual_sd)):
             raise InvalidParameterError("residual_sd must be positive and finite")
         if not np.all(np.isfinite(self.coef)):
             raise InvalidParameterError("conditional-density coefficients must be finite")
+        object.__setattr__(self, "_terms", self.spec.resolve(self.ROLES, self.covariate_names))
 
     def mean(self, a, b, x):
         b = np.asarray(b, dtype=float)
-        mu = linear_predictor(self.spec, self.coef,
-                              _named_columns(self.covariate_names, x, a=float(a), b=b))
-        return _own_full(mu, b.shape)
+        return self._terms.predictor(self.coef, (float(a), b), x, b.shape)
 
     def density_at(self, a, s, b, x):
-        """Density at aligned arrays: s, b of shape (m,), x of shape (m, p)."""
+        """Density at broadcastable s and b, with x's covariates on its last axis."""
         return _normal_density(np.asarray(s, dtype=float), self.mean(a, b, x), self.residual_sd)
 
     def density_grid(self, a, s_nodes, b, x):
         """Density on a marker grid: returns shape (m, len(s_nodes))."""
-        mu = self.mean(a, b, x)
-        return _normal_density(np.asarray(s_nodes, dtype=float)[None, :], mu[:, None],
-                               self.residual_sd)
+        mu = self.mean(a, b, x)[:, None]
+        return _normal_density(np.asarray(s_nodes, dtype=float)[None, :], mu, self.residual_sd)
 
 
 @dataclass(frozen=True)
 class OutcomeModel:
     """E[Y | A, S, B, X]: logistic (binary Y) or linear (continuous Y) in features."""
 
+    ROLES: ClassVar[tuple[str, ...]] = ("a", "s", "b")
+
     kind: str  # "logistic" or "linear"
     spec: FeatureSpec
     coef: np.ndarray
     covariate_names: tuple = ()
+    _terms: _Terms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("logistic", "linear"):
             raise InvalidParameterError(f"unknown outcome kind {self.kind!r}")
         if not np.all(np.isfinite(self.coef)):
             raise InvalidParameterError("outcome coefficients must be finite")
+        object.__setattr__(self, "_terms", self.spec.resolve(self.ROLES, self.covariate_names))
 
-    def _mean(self, eta):
-        """The mean at linear predictor ``eta``, written over it."""
+    def predict_at(self, a, s, b, x):
+        """The mean at broadcastable s and b, with x's covariates on its last axis."""
+        s, b = np.asarray(s, dtype=float), np.asarray(b, dtype=float)
+        eta = self._terms.predictor(self.coef, (float(a), s, b), x, np.broadcast(s, b).shape)
         if self.kind == "logistic":
             expit(eta, out=eta)
             np.clip(eta, PROB_FLOOR, 1.0 - PROB_FLOOR, out=eta)
         return eta
 
-    def predict_at(self, a, s, b, x):
-        b = np.asarray(b, dtype=float)
-        cols = _named_columns(self.covariate_names, x, a=float(a), s=np.asarray(s, dtype=float), b=b)
-        return self._mean(_own_full(linear_predictor(self.spec, self.coef, cols), b.shape))
-
     def predict_grid(self, a, s_nodes, b, x):
-        b = np.asarray(b, dtype=float)
-        x = np.asarray(x, dtype=float)
-        s_nodes = np.asarray(s_nodes, dtype=float)
-        cols = _named_columns(self.covariate_names, x[:, None, :], a=float(a),
-                              s=s_nodes[None, :], b=b[:, None])
-        eta = linear_predictor(self.spec, self.coef, cols)
-        return self._mean(_own_full(eta, (b.shape[0], s_nodes.shape[0])))
+        """The mean on a marker grid: returns shape (m, len(s_nodes))."""
+        grid = (np.asarray(s_nodes, dtype=float)[None, :], np.asarray(b, dtype=float)[:, None])
+        return self.predict_at(a, *grid, np.asarray(x, dtype=float)[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -432,8 +433,7 @@ def fit_propensity(data: Dataset, spec: FeatureSpec | None = None, known_prob: f
         raise InvalidParameterError("provide exactly one of spec or known_prob")
     if known_prob is not None:
         return PropensityModel(kind="known", prob_treated=float(known_prob))
-    cols = data.columns()
-    X = design_matrix(spec, cols, len(data))
+    X = spec.resolve(PropensityModel.ROLES, data.covariate_names).design(data)
     coef = irls_logistic(X, data.a, ridge=ridge, tol=tol, max_iter=max_iter)
     return PropensityModel(kind="logistic", spec=spec, coef=coef,
                            covariate_names=data.covariate_names)
@@ -451,7 +451,7 @@ def fit_cond_density(data: Dataset, spec: FeatureSpec) -> CondDensityModel:
     n, q = len(data), len(spec)
     if n <= q + 2:
         raise InvalidParameterError(f"need n > q + 2 rows (n={n}, q={q})")
-    X = design_matrix(spec, data.columns(), n)
+    X = spec.resolve(CondDensityModel.ROLES, data.covariate_names).design(data)
     coef = _least_squares(X, data.s)
     resid = data.s - X @ coef
     sd = float(np.sqrt(resid @ resid / (n - q)))
@@ -463,7 +463,7 @@ def fit_cond_density(data: Dataset, spec: FeatureSpec) -> CondDensityModel:
 
 def fit_outcome(data: Dataset, spec: FeatureSpec, ridge=1e-8, tol=1e-9, max_iter=100) -> OutcomeModel:
     """Fit E[Y | a, s, b, x]: logistic for binary outcomes, least squares otherwise."""
-    X = design_matrix(spec, data.columns(), len(data))
+    X = spec.resolve(OutcomeModel.ROLES, data.covariate_names).design(data)
     if data.outcome_kind == "binary":
         coef = irls_logistic(X, data.y, ridge=ridge, tol=tol, max_iter=max_iter)
         kind = "logistic"

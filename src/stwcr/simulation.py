@@ -27,8 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import gamma as gamma_dist
+from scipy.special import expit, gammaincinv, gammaln, xlogy
 
 from .core import Interval, SmoothingParams, kernel_weight, quad_rule, smooth_indicator
 from .eif import StwcrQuery
@@ -91,8 +90,7 @@ _B_NODES = 128  # per truncated-Gamma law, in u = sqrt(b)
 
 def gamma_truncation_points() -> tuple[float, float]:
     """Theoretical 99.5th percentiles of the two Gamma baseline laws."""
-    return tuple(float(gamma_dist.ppf(_GAMMA_TRUNC_Q, a=g["shape"], scale=1.0 / g["rate"]))
-                 for g in _GAMMA)
+    return tuple(float(gammaincinv(g["shape"], _GAMMA_TRUNC_Q) * (1.0 / g["rate"])) for g in _GAMMA)
 
 
 def baseline_marker_range(scenario: str) -> tuple[float, float]:
@@ -164,7 +162,9 @@ def _baseline_grid(scenario: str):
             g = _GAMMA[e]
             un, uw = _unit_gauss_legendre(_B_NODES)
             u = math.sqrt(caps[e]) * un
-            dens = gamma_dist.pdf(u * u, a=g["shape"], scale=1.0 / g["rate"])
+            scale = 1.0 / g["rate"]
+            z = u * u / scale  # the Gamma(shape, scale) density at b = u^2
+            dens = np.exp(xlogy(g["shape"] - 1.0, z) - z - gammaln(g["shape"])) / scale
             b = np.append(u * u, caps[e])
             wb = np.append(math.sqrt(caps[e]) * uw * dens * 2.0 * u, 1.0 - _GAMMA_TRUNC_Q)
         cells += [(p_e * w_i, float(b_i), float(e)) for w_i, b_i in zip(wb, b)]

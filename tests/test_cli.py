@@ -5,12 +5,15 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stwcr import estimators
 from stwcr.cli import _build_parser, load_dataset, main, parse_query
 from stwcr.core import SmoothingParams
 from stwcr.eif import StwcrQuery, StwcrveQuery
@@ -392,6 +395,24 @@ class TestMain:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["type"] == "InvalidParameterError" and message in err["error"]
 
+    @pytest.mark.parametrize("flag, conf", [(["--epsilon", "inf"], None), ([], {"epsilon": math.inf}),
+                                            (["--epsilon", "nan"], None)])
+    def test_nonfinite_epsilon_gives_error_json(self, trial_csv, tmp_path, capsys, monkeypatch,
+                                                flag, conf):
+        # rejected when the parameters are built, not after the fold fits
+        fits = []
+        monkeypatch.setattr(estimators, "fit_cond_density", lambda *args: fits.append(args))
+        argv = ["estimate-stwcr", "--input", str(trial_csv), "--a", "1", "--s", "7", "--h", "0.1",
+                *flag]
+        if conf is not None:
+            path = tmp_path / "conf.json"
+            path.write_text(json.dumps(conf))  # writes Infinity, which json.loads reads back
+            argv += ["--config", str(path)]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["type"] == "InvalidParameterError"
+        assert "epsilon must be positive and finite" in err["error"] and fits == []
+
     def test_config_not_utf8_gives_error_json(self, trial_csv, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         conf.write_bytes('{"h": 0.1, "note": "café"}'.encode("latin-1"))
@@ -516,3 +537,12 @@ class TestNoTraceback:
                 assert report.strip()
         finally:
             os.chdir(cwd)
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats takes about a second to import, which every CLI call would pay
+    code = "import sys, stwcr, stwcr.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "False"

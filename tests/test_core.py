@@ -35,6 +35,11 @@ class TestSmoothingParams:
         with pytest.raises(InvalidParameterError):
             SmoothingParams(**kwargs)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_epsilon_rejected(self, epsilon):
+        with pytest.raises(InvalidParameterError, match="epsilon must be positive and finite"):
+            SmoothingParams(epsilon=epsilon)
+
     def test_missing_bandwidth_flagged(self):
         with pytest.raises(InvalidParameterError):
             SmoothingParams(h=None).require_h()

@@ -103,6 +103,22 @@ class TestModelSpecs:
                        model_specs=ModelSpecs(known_propensity=None, propensity_spec=spec))
         assert calls == [{"spec": spec}] * 5
 
+    @pytest.mark.parametrize("fn, q", [(estimate_stwcr, StwcrQuery(1, 7.0)),
+                                       (estimate_stwcrve, StwcrveQuery(1, 0, 8.0, 7.0))])
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"known_propensity": None, "propensity_spec": FeatureSpec([intercept(), raw("s")])}, "s"),
+        ({"cond_density_spec": FeatureSpec([intercept(), raw("b"), raw("y")])}, "y"),
+        ({"outcome_spec": FeatureSpec([intercept(), raw("y"), raw("s")])}, "y"),
+    ])
+    def test_unreadable_column_rejected_before_any_fit(self, monkeypatch, fn, q, kwargs, name):
+        calls = []
+        for fit in ("fit_propensity", "fit_cond_density", "fit_outcome"):
+            monkeypatch.setattr(estimators, fit, lambda *args, fit=fit, **kw: calls.append(fit))
+        ds = gen_dataset(ScenarioSpec("I", 400, 27))
+        with pytest.raises(InvalidParameterError, match=f"unknown column '{name}'"):
+            fn(ds, q, PARAMS, make_folds(400, 5, 0), model_specs=ModelSpecs(**kwargs))
+        assert calls == []
+
 
 @pytest.fixture(scope="module")
 def scen1():
@@ -210,6 +226,68 @@ class TestEstimateStwcr:
                              nuisances=nuis)
         assert rep.tau_hat > 1.0
         assert any("outside [0, 1]" in w for w in rep.warnings)
+
+
+class TestOutcomeScaleEquivariance:
+    """y -> c*y + d maps tau to c*tau + d and se to |c|*se; y -> c*y leaves rho.
+
+    Holds for a continuous y under a linear outcome spec with an intercept,
+    up to the rounding of the refitted coefficients (see CHANGES.md).
+    """
+
+    TOL = 1e-9
+    SPECS = ModelSpecs(outcome_spec=FeatureSpec(
+        [intercept(), raw("s"), raw("a"), raw("b"), raw("x1"), raw("x2"), raw("x3")]))
+
+    @staticmethod
+    def continuous(seed, n, y=None):
+        base = gen_dataset(ScenarioSpec("I", n, seed))
+        if y is None:
+            rng = np.random.default_rng(seed)
+            y = 1.0 + base.s - 0.5 * base.b + rng.standard_normal(n)
+        return Dataset(y=y, a=base.a, s=base.s, b=base.b, x=base.x,
+                       covariate_names=base.covariate_names, outcome_kind="continuous")
+
+    def report(self, fn, q, ds, params, folds):
+        try:
+            return fn(ds, q, params, folds, model_specs=self.SPECS)
+        except EstimationError as exc:
+            assert "denominator nonpositive" in str(exc)
+            return None
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(200, 600), h=st.floats(0.05, 0.3),
+           c=st.floats(0.1, 10.0), negative=st.booleans(), d=st.floats(-10.0, 10.0))
+    def test_affine_map_of_y(self, seed, n, h, c, negative, d):
+        c = -c if negative else c
+        ds = self.continuous(seed, n)
+        moved = self.continuous(seed, n, y=c * ds.y + d)
+        params, folds, q = PARAMS.with_(h=h), make_folds(n, 5, seed), StwcrQuery(1, 7.0)
+        rep = self.report(estimate_stwcr, q, ds, params, folds)
+        rep2 = self.report(estimate_stwcr, q, moved, params, folds)
+        # the denominator does not read y, so both fail or neither does
+        assert (rep is None) == (rep2 is None)
+        if rep is None:
+            return
+        y_scale = float(np.max(np.abs(ds.y)))
+        assert abs(rep2.tau_hat - (c * rep.tau_hat + d)) <= self.TOL * (abs(c) * y_scale + abs(d))
+        assert abs(rep2.se - abs(c) * rep.se) <= self.TOL * abs(c) * y_scale
+        assert rep2.tau_den_hat == rep.tau_den_hat
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(200, 600), h=st.floats(0.05, 0.3),
+           c=st.floats(0.1, 10.0))
+    def test_ratio_unchanged_by_scale(self, seed, n, h, c):
+        ds = self.continuous(seed, n)
+        scaled = self.continuous(seed, n, y=c * ds.y)
+        params, folds = PARAMS.with_(h0=h, h1=h), make_folds(n, 5, seed)
+        q = StwcrveQuery(1, 0, 8.0, 7.0)
+        rep = self.report(estimate_stwcrve, q, ds, params, folds)
+        rep2 = self.report(estimate_stwcrve, q, scaled, params, folds)
+        assert (rep is None) == (rep2 is None)
+        if rep is None:
+            return
+        assert abs(rep2.rho_hat - rep.rho_hat) <= self.TOL * max(1.0, abs(rep.rho_hat))
 
 
 class ArmSignedOutcome:

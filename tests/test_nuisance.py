@@ -5,10 +5,12 @@ import pytest
 
 from stwcr.errors import InvalidParameterError, SolverError
 from stwcr.nuisance import (
+    CondDensityModel,
     Dataset,
     FeatureSpec,
     Observation,
-    design_matrix,
+    OutcomeModel,
+    PropensityModel,
     fit_cond_density,
     fit_outcome,
     fit_propensity,
@@ -68,9 +70,11 @@ class TestObservationAndDataset:
 
 class TestFeatureSpec:
     def test_design_matrix_terms(self):
-        spec = FeatureSpec([intercept(), raw("u"), square("u"), interaction("u", "v")])
-        cols = {"u": np.array([1.0, 2.0]), "v": np.array([3.0, 4.0])}
-        X = design_matrix(spec, cols, 2)
+        # b is a role column, v a covariate
+        spec = FeatureSpec([intercept(), raw("b"), square("b"), interaction("b", "v")])
+        ds = Dataset(y=[0, 1], a=[0, 1], s=[5.0, 6.0], b=[1.0, 2.0], x=[[3.0], [4.0]],
+                     covariate_names=("v",))
+        X = spec.resolve(("b",), ds.covariate_names).design(ds)
         assert np.allclose(X, [[1, 1, 1, 3], [1, 2, 4, 8]])
 
     def test_double_intercept_rejected(self):
@@ -79,8 +83,81 @@ class TestFeatureSpec:
 
     def test_unknown_column_flagged(self):
         spec = FeatureSpec([raw("nope")])
+        with pytest.raises(InvalidParameterError, match="unknown column 'nope'"):
+            spec.resolve(("u",), ())
+
+    @pytest.mark.parametrize("term", [
+        ("raw",), ("square",), ("interaction", "x1"),  # too few names
+        ("raw", "x1", "x2"), ("intercept", "x1"),  # too many
+        ("raw", 5), ("interaction", "x1", None),  # a name that is not a string
+        (), ("cube", "x1"), 7,
+    ])
+    def test_malformed_term_rejected_when_built(self, term):
         with pytest.raises(InvalidParameterError):
-            design_matrix(spec, {"u": np.zeros(2)}, 2)
+            FeatureSpec([intercept(), term])
+
+
+class TestModelColumns:
+    """Each model reads its roles and the covariates, and a spec naming any
+    other column fails when the model is fit or built, before any solve."""
+
+    DS = gen_dataset(ScenarioSpec("I", 200, 3))
+
+    @pytest.mark.parametrize("name", ["s", "y", "a", "z"])
+    def test_propensity_reads_b_and_x(self, name, monkeypatch):
+        monkeypatch.setattr("stwcr.nuisance.irls_logistic", None)  # never reached
+        with pytest.raises(InvalidParameterError, match=f"unknown column '{name}'.*reads b, x1"):
+            fit_propensity(self.DS, spec=FeatureSpec([intercept(), raw(name)]))
+        with pytest.raises(InvalidParameterError, match=f"unknown column '{name}'"):
+            PropensityModel(kind="logistic", spec=FeatureSpec([raw(name)]), coef=np.zeros(1),
+                            covariate_names=self.DS.covariate_names)
+
+    @pytest.mark.parametrize("name", ["s", "y", "z"])
+    def test_density_reads_a_b_and_x(self, name):
+        spec = FeatureSpec([intercept(), interaction("a", name)])
+        with pytest.raises(InvalidParameterError, match=f"unknown column '{name}'.*reads a, b, x1"):
+            fit_cond_density(self.DS, spec)
+        with pytest.raises(InvalidParameterError, match=f"unknown column '{name}'"):
+            CondDensityModel(spec=spec, coef=np.zeros(2), residual_sd=1.0,
+                             covariate_names=self.DS.covariate_names)
+
+    @pytest.mark.parametrize("name", ["y", "z"])
+    def test_outcome_reads_a_s_b_and_x(self, name):
+        spec = FeatureSpec([intercept(), square(name)])
+        with pytest.raises(InvalidParameterError, match=f"unknown column '{name}'.*reads a, s, b, x1"):
+            fit_outcome(self.DS, spec)
+        with pytest.raises(InvalidParameterError, match=f"unknown column '{name}'"):
+            OutcomeModel(kind="linear", spec=spec, coef=np.zeros(2),
+                         covariate_names=self.DS.covariate_names)
+
+    @pytest.mark.parametrize("names", [("b",), ("x1", "x1")])
+    def test_covariate_may_not_shadow_a_role(self, names):
+        # a covariate named b would silently replace the b column in predictions
+        with pytest.raises(InvalidParameterError, match="repeat or reuse a role"):
+            CondDensityModel(spec=FeatureSpec([raw("b")]), coef=np.ones(1), residual_sd=1.0,
+                             covariate_names=names)
+
+    def test_every_readable_column_fits(self):
+        terms = [intercept(), raw("b"), raw("x1"), square("x2"), interaction("x2", "x3")]
+        prop = fit_propensity(self.DS, spec=FeatureSpec(terms))
+        cond = fit_cond_density(self.DS, FeatureSpec(terms + [raw("a")]))
+        outc = fit_outcome(self.DS, FeatureSpec(terms + [raw("a"), raw("s")]))
+        assert prop.prob(1, self.DS.b, self.DS.x).shape == (200,)
+        assert cond.mean(1, self.DS.b, self.DS.x).shape == (200,)
+        assert outc.predict_at(1, self.DS.s, self.DS.b, self.DS.x).shape == (200,)
+
+    def test_design_and_prediction_read_the_same_columns(self):
+        # a linear fit through points it can reproduce exactly predicts them back
+        spec = FeatureSpec([intercept(), raw("s"), interaction("a", "b"), square("x2")])
+        ds = self.DS
+        y = 1.0 + 2.0 * ds.s - 0.5 * ds.a * ds.b + 3.0 * ds.x[:, 1] ** 2
+        lin = Dataset(y=y, a=ds.a, s=ds.s, b=ds.b, x=ds.x, covariate_names=ds.covariate_names,
+                      outcome_kind="continuous")
+        model = fit_outcome(lin, spec)
+        for arm in (0, 1):
+            rows = ds.a == arm
+            fitted = model.predict_at(arm, ds.s[rows], ds.b[rows], ds.x[rows])
+            assert np.allclose(fitted, y[rows], rtol=1e-10)
 
 
 class TestIrlsLogistic:
