@@ -180,15 +180,10 @@ def parse_query(text: str):
 
 
 # command -> (help, query flags in query-field order (arms a* are ints, markers
-# s* floats), query type, report fields beyond the common ones)
+# s* floats), query type)
 _ESTIMATE_COMMANDS = {
-    "estimate-stwcr": (
-        "risk estimate at one (arm, marker) query", ("a", "s"), StwcrQuery,
-        ("tau_num_hat", "tau_den_hat", "tau_hat", "sigma1_sq_hat", "se", "ci")),
-    "estimate-stwcrve": (
-        "relative-efficacy estimate", ("a1", "a0", "s1", "s0"), StwcrveQuery,
-        ("tau_num_hat", "tau_den_hat", "rho_hat", "delta_hat", "sigma2log_sq_hat",
-         "sigma2_sq_hat", "ci_rho", "ci_delta", "log_scale")),
+    "estimate-stwcr": ("risk estimate at one (arm, marker) query", ("a", "s"), StwcrQuery),
+    "estimate-stwcrve": ("relative-efficacy estimate", ("a1", "a0", "s1", "s0"), StwcrveQuery),
 }
 
 
@@ -238,7 +233,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         sp.add_argument("--x-cols", default=None, help="comma-separated covariate columns")
         sp.add_argument("--outcome-kind", choices=("binary", "continuous"), default=None)
 
-    for command, (help_text, query_args, _, _) in _ESTIMATE_COMMANDS.items():
+    for command, (help_text, query_args, _) in _ESTIMATE_COMMANDS.items():
         sp = sub.add_parser(command, help=help_text, allow_abbrev=False)
         add_columns(sp)
         for name in query_args:
@@ -361,7 +356,7 @@ def _report_json(command, params, query_dict, extra) -> str:
 
 
 def _cmd_estimate(args) -> int:
-    _, query_args, query_type, fields = _ESTIMATE_COMMANDS[args.command]
+    _, query_args, query_type = _ESTIMATE_COMMANDS[args.command]
     # resolved by name per call, so a wrapper set on this module's name sees it
     estimate = estimate_stwcr if query_type is StwcrQuery else estimate_stwcrve
     query = {name: getattr(args, name) for name in query_args}
@@ -371,10 +366,7 @@ def _cmd_estimate(args) -> int:
     k = args.folds if args.folds is not None else SimConfig.k_folds
     folds = make_folds(len(data), k, seed)
     rep = estimate(data, query_type(**query), params, folds, model_specs=_model_specs_from(args))
-    extra = {"input": args.input, "n": rep.n, "k_folds": k, "fold_seed": seed}
-    for name in fields + ("density_floor_hits", "degenerate_folds", "warnings"):
-        value = getattr(rep, name)
-        extra[name] = list(value) if isinstance(value, tuple) else value
+    extra = {"input": args.input, "k_folds": k, "fold_seed": seed, **dataclasses.asdict(rep)}
     _emit(_report_json(args.command, params, query, extra), args.out)
     return 0
 

@@ -4,10 +4,11 @@ The sample is split into K folds; nuisances are fit on each fold's
 complement and influence values are evaluated on the held-out fold. Point
 estimates are pooled means over all n held-out evaluations (the pooled
 mean and the mean of fold means coincide for balanced folds; the pooled
-form is used throughout). Influence values are scattered back into
-original observation order before averaging, so results do not depend on
-fold order and injected (oracle) nuisances give fold-seed-invariant
-estimates bit for bit.
+form is used throughout). Injected (oracle) nuisances take the same path
+with one part holding every row, which is never cached. Influence values
+are scattered back into original observation order before averaging, so
+results do not depend on fold order and injected nuisances give
+fold-seed-invariant estimates bit for bit.
 
 No nuisance depends on the query, so repeated ``estimate_stwcr`` and
 ``estimate_stwcrve`` calls on the same ``Dataset`` with the same folds and
@@ -30,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 from scipy.special import ndtri
@@ -82,8 +84,8 @@ class FoldAssignment:
     labels: np.ndarray
 
     def __post_init__(self):
-        if self.k_folds < 2:
-            raise InvalidParameterError("need at least 2 folds")
+        if not isinstance(self.k_folds, Integral) or self.k_folds < 2:
+            raise InvalidParameterError(f"need an integer k_folds >= 2, got {self.k_folds!r}")
         # checked as floats: the int cast would truncate 1.7 to fold 1
         raw = np.asarray(self.labels, dtype=float)
         if not np.all(raw == np.trunc(raw)):
@@ -101,8 +103,8 @@ class FoldAssignment:
 
 def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
     """Uniformly random balanced K-fold partition, deterministic given seed."""
-    if k < 2 or k > n:
-        raise InvalidParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
+    if not isinstance(k, Integral) or not 2 <= k <= n:
+        raise InvalidParameterError(f"need an integer 2 <= k <= n, got k={k!r}, n={n}")
     if seed < 0:
         raise InvalidParameterError(f"fold seed must be nonnegative, got {seed}")
     sizes = np.full(k, n // k)
@@ -119,9 +121,8 @@ class ModelSpecs:
     ``known_propensity`` short-circuits propensity fitting (the default
     0.5 matches 1:1 randomization); set it to None and give
     ``propensity_spec`` to fit a logistic model instead. Exactly one of the
-    two must be set. Unset density and outcome specs resolve against the
-    dataset's covariate names, with the simulated-trial feature sets used
-    when those names are x1..x3.
+    two must be set. Unset density and outcome specs are filled in per
+    dataset by ``for_dataset``.
     """
 
     known_propensity: float | None = 0.5
@@ -134,21 +135,27 @@ class ModelSpecs:
             raise InvalidParameterError(
                 "set exactly one of known_propensity and propensity_spec "
                 "(known_propensity=None to fit propensity_spec)")
+        if self.known_propensity is not None and not 0.0 < self.known_propensity < 1.0:
+            raise InvalidParameterError("known propensity must lie in (0,1)")
 
-    def resolve_cond_spec(self, data: Dataset) -> FeatureSpec:
-        if self.cond_density_spec is not None:
-            return self.cond_density_spec
+    def for_dataset(self, data: Dataset) -> ModelSpecs:
+        """These specs with unset density and outcome specs filled in for
+        ``data`` (its covariates, or the simulated trial's feature sets when
+        they are x1..x3), each checked against the columns its model reads."""
+        covs = [raw(c) for c in data.covariate_names]
+        defaults = {"cond_density_spec": [intercept(), raw("b"), raw("a"), *covs],
+                    "outcome_spec": [intercept(), raw("s"), raw("a"), raw("b"), *covs]}
         if data.covariate_names == _SIM_COVARIATES:
-            return FeatureSpec([intercept(), raw("b"), raw("a"), raw("x1"), square("x2")])
-        return FeatureSpec([intercept(), raw("b"), raw("a")] + [raw(c) for c in data.covariate_names])
-
-    def resolve_outcome_spec(self, data: Dataset) -> FeatureSpec:
-        if self.outcome_spec is not None:
-            return self.outcome_spec
-        if data.covariate_names == _SIM_COVARIATES:
-            return FeatureSpec([intercept(), raw("x2"), raw("x3"), raw("s"), raw("a"), raw("b")])
-        return FeatureSpec([intercept(), raw("s"), raw("a"), raw("b")]
-                           + [raw(c) for c in data.covariate_names])
+            defaults = {"cond_density_spec": [intercept(), raw("b"), raw("a"), raw("x1"), square("x2")],
+                        "outcome_spec": [intercept(), raw("x2"), raw("x3"), raw("s"), raw("a"), raw("b")]}
+        specs = replace(self, **{name: FeatureSpec(terms) for name, terms in defaults.items()
+                                 if getattr(self, name) is None})
+        for model, spec in ((PropensityModel, specs.propensity_spec),
+                            (CondDensityModel, specs.cond_density_spec),
+                            (OutcomeModel, specs.outcome_spec)):
+            if spec is not None:
+                spec.resolve(model.ROLES, data.covariate_names)
+        return specs
 
 
 @dataclass(frozen=True)
@@ -183,7 +190,7 @@ class StwcrveReport:
 
 
 def _fit_fold(train: Dataset, specs: ModelSpecs) -> tuple[NuisanceTriple, bool]:
-    """Fit the nuisance triple on one training fold.
+    """Fit the nuisance triple on one training fold, with ``specs`` filled in.
 
     A failed logistic fit (separation, degenerate outcome) is retried at
     ridge 1e-2 and the fold flagged as degenerate.
@@ -197,39 +204,39 @@ def _fit_fold(train: Dataset, specs: ModelSpecs) -> tuple[NuisanceTriple, bool]:
         except SolverError:
             prop = fit_propensity(train, spec=specs.propensity_spec, ridge=DEGENERATE_RIDGE)
             degenerate = True
-    cond = fit_cond_density(train, specs.resolve_cond_spec(train))
-    out_spec = specs.resolve_outcome_spec(train)
+    cond = fit_cond_density(train, specs.cond_density_spec)
     try:
-        outc = fit_outcome(train, out_spec)
+        outc = fit_outcome(train, specs.outcome_spec)
     except SolverError:
-        outc = fit_outcome(train, out_spec, ridge=DEGENERATE_RIDGE)
+        outc = fit_outcome(train, specs.outcome_spec, ridge=DEGENERATE_RIDGE)
         degenerate = True
     return NuisanceTriple(propensity=prop, cond_density=cond, outcome=outc,
                           support=support_bounds(train)), degenerate
 
 
 class _FoldPlan:
-    """What every query on one (data contents, folds, specs) shares.
+    """What every query on one (data contents, parts, nuisances) shares.
 
-    Holds each fold's ``(NuisanceTriple, degenerate)`` fit, each held-out
-    fold's rows gathered once, and per arm the ``LocalTerms`` of every
-    held-out fold at one (t, epsilon), made on first use and replaced when
-    a query brings another pair. It holds copies, never the dataset.
+    Row i is in part ``labels[i]`` of 1..len(fits), evaluated with that
+    part's ``(NuisanceTriple, degenerate)`` fit. Holds each part's rows
+    gathered once, and per arm the ``LocalTerms`` of every part at one (t,
+    epsilon), made on first use and replaced when a query brings another
+    pair. It holds copies, never the dataset.
     """
 
-    def __init__(self, key, data: Dataset, folds: FoldAssignment, fits):
+    def __init__(self, key, data: Dataset, labels: np.ndarray, fits):
         self.key = key
         self.fits = fits
-        # a stable sort keeps each fold's rows in their original order
-        order = np.argsort(folds.labels, kind="stable")
-        edges = np.searchsorted(folds.labels[order], np.arange(1, folds.k_folds + 2))
+        # a stable sort keeps each part's rows in their original order
+        order = np.argsort(labels, kind="stable")
+        edges = np.searchsorted(labels[order], np.arange(1, len(fits) + 2))
         cols = [col[order] for col in (data.y, data.a, data.s, data.b, data.x)]
         self.index = [order[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
         self.held = [tuple(col[lo:hi] for col in cols) for lo, hi in zip(edges[:-1], edges[1:])]
-        self._local = {}  # arm -> ((t, epsilon), one LocalTerms per fold)
+        self._local = {}  # arm -> ((t, epsilon), one LocalTerms per part)
 
     def local_terms(self, arm: int, params: SmoothingParams):
-        """Each held-out fold's ``LocalTerms`` on ``arm`` at params' t and epsilon."""
+        """Each part's ``LocalTerms`` on ``arm`` at params' t and epsilon."""
         key = (params.t, params.epsilon)
         entry = self._local.get(arm)
         if entry is None or entry[0] != key:
@@ -256,23 +263,16 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
     """The plan of ``data``'s folds, with each fold fit on its complement.
 
     Returns the previous call's plan when ``data``'s contents, the folds
-    and the specs are unchanged. The default specs are filled in once for all
-    folds, and a spec naming a column its model does not read fails before
-    any fold is fit. From ``_THREADED_FIT_ROWS`` rows the folds are fit on
-    threads; either way a failure names the lowest failing fold, and nothing
-    is stored.
+    and the specs are unchanged. Otherwise the specs are filled in once
+    for all folds, so a bad spec fails before any fold is fit. From
+    ``_THREADED_FIT_ROWS`` rows the folds are fit on threads; either way a
+    failure names the lowest failing fold, and nothing is stored.
     """
     key = _fit_key(data, folds, specs)
     plan = _FOLD_FITS.get(data)
     if plan is not None and plan.key == key:
         return plan
-    specs = replace(specs, cond_density_spec=specs.resolve_cond_spec(data),
-                    outcome_spec=specs.resolve_outcome_spec(data))
-    for model, spec in ((PropensityModel, specs.propensity_spec),
-                        (CondDensityModel, specs.cond_density_spec),
-                        (OutcomeModel, specs.outcome_spec)):
-        if spec is not None:
-            spec.resolve(model.ROLES, data.covariate_names)
+    specs = specs.for_dataset(data)
 
     def fit(k):
         try:
@@ -282,7 +282,7 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
 
     threaded = len(data) >= _THREADED_FIT_ROWS
     fits = map_threaded(fit, range(1, folds.k_folds + 1), tasks=folds.k_folds if threaded else 1)
-    _FOLD_FITS[data] = _FoldPlan(key, data, folds, tuple(fits))
+    _FOLD_FITS[data] = _FoldPlan(key, data, folds.labels, tuple(fits))
     return _FOLD_FITS[data]
 
 
@@ -300,19 +300,20 @@ def _check_arms(data: Dataset, folds: FoldAssignment, arms):
 def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
                      nuisances: NuisanceTriple | None, batch_fn, query,
                      params: SmoothingParams, required_arms):
-    """Influence values for all observations, in original order."""
+    """Influence values for all observations, in original order, part by
+    part: each fold, or with injected ``nuisances`` one uncached part of all rows."""
     n = len(data)
     if folds.labels.shape[0] != n:
         raise InvalidParameterError("fold assignment does not match dataset size")
     if nuisances is not None:
-        num, den, hits = batch_fn(data.y, data.a, data.s, data.b, data.x, query, nuisances, params)
-        return num, den, hits, 0
-    # ahead of any fit: a fold without the arm would fail as a singular design
-    _check_arms(data, folds, required_arms)
-    plan = _fold_plan(data, folds, specs)
+        plan = _FoldPlan(None, data, np.ones(n, dtype=int), ((nuisances, False),))
+    else:
+        # ahead of any fit: a fold without the arm would fail as a singular design
+        _check_arms(data, folds, required_arms)
+        plan = _fold_plan(data, folds, specs)
     # made here, in the calling thread, before any grid block goes to a pool
     local = {arm: plan.local_terms(arm, params) for arm in required_arms}
-    # NaN until a fold writes it, so an unfilled slot cannot pass silently
+    # NaN until a part writes it, so an unfilled slot cannot pass silently
     num = np.full(n, np.nan)
     den = np.full(n, np.nan)
     hits = 0
@@ -329,6 +330,21 @@ def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
     return num, den, hits, degenerate
 
 
+def _pooled(data: Dataset, folds: FoldAssignment, model_specs: ModelSpecs | None,
+            nuisances: NuisanceTriple | None, batch_fn, query, params: SmoothingParams,
+            required_arms):
+    """``(num, den, tau_num, tau_den, z, floor_hits, degenerate_folds)``: influence
+    values, their pooled means (EstimationError unless tau_den > 0) and the z quantile."""
+    num, den, hits, degenerate = _crossfit_ifvals(
+        data, folds, model_specs or ModelSpecs(), nuisances, batch_fn, query, params, required_arms)
+    tau_num = float(np.mean(num))
+    tau_den = float(np.mean(den))
+    if tau_den <= 0:
+        raise EstimationError(
+            f"denominator nonpositive: tau_den_hat={tau_den:.6g} (tau_num_hat={tau_num:.6g})")
+    return num, den, tau_num, tau_den, float(ndtri(1.0 - params.alpha / 2.0)), hits, degenerate
+
+
 def _sample_var(values: np.ndarray) -> float:
     return float(np.var(values, ddof=1)) if values.size > 1 else 0.0
 
@@ -341,20 +357,12 @@ def estimate_stwcr(data: Dataset, q: StwcrQuery, params: SmoothingParams,
     Pass ``nuisances`` to skip fitting and evaluate a known (oracle)
     nuisance triple on every observation instead.
     """
-    specs = model_specs if model_specs is not None else ModelSpecs()
-    num, den, hits, degenerate = _crossfit_ifvals(
-        data, folds, specs, nuisances, eif_stwcr_batch, q, params, required_arms=(q.a,))
+    num, den, tau_num, tau_den, z, hits, degenerate = _pooled(
+        data, folds, model_specs, nuisances, eif_stwcr_batch, q, params, required_arms=(q.a,))
     n = len(data)
-    tau_num = float(np.mean(num))
-    tau_den = float(np.mean(den))
-    if tau_den <= 0:
-        raise EstimationError(
-            f"denominator nonpositive: tau_den_hat={tau_den:.6g} (tau_num_hat={tau_num:.6g})")
     tau = tau_num / tau_den
-    ifvals = (num - tau * den) / tau_den
-    sigma1_sq = _sample_var(ifvals)
+    sigma1_sq = _sample_var((num - tau * den) / tau_den)
     se = float(np.sqrt(sigma1_sq / n))
-    z = float(ndtri(1.0 - params.alpha / 2.0))
     warnings = ()
     if data.outcome_kind == "binary" and not (0.0 <= tau <= 1.0):
         warnings = (f"point estimate {tau:.6g} outside [0, 1]; reported unclamped",)
@@ -372,19 +380,12 @@ def estimate_stwcrve(data: Dataset, q: StwcrveQuery, params: SmoothingParams,
     Log-scale intervals are primary; when rho_hat <= 0 the log transform
     is unavailable and a direct-scale interval is reported with a warning.
     """
-    specs = model_specs if model_specs is not None else ModelSpecs()
-    num, den, hits, degenerate = _crossfit_ifvals(
-        data, folds, specs, nuisances, eif_stwcrve_batch, q, params,
+    num, den, tau_num, tau_den, z, hits, degenerate = _pooled(
+        data, folds, model_specs, nuisances, eif_stwcrve_batch, q, params,
         required_arms=(q.a1,) if q.a1 == q.a0 else (q.a1, q.a0))
     n = len(data)
-    tau_num = float(np.mean(num))
-    tau_den = float(np.mean(den))
-    if tau_den <= 0:
-        raise EstimationError(
-            f"denominator nonpositive: tau_den_hat={tau_den:.6g} (tau_num_hat={tau_num:.6g})")
     rho = tau_num / tau_den
     delta = 1.0 - rho
-    z = float(ndtri(1.0 - params.alpha / 2.0))
     sigma2_sq = _sample_var((num - rho * den) / tau_den)
     warnings = ()
     if rho > 0:

@@ -213,9 +213,9 @@ def test_criterion_11_nuisance_recovery_at_scale():
     from stwcr.nuisance import fit_cond_density, fit_outcome
 
     data = gen_dataset(ScenarioSpec("I", 100_000, 31))
-    specs = ModelSpecs()
-    cond = fit_cond_density(data, specs.resolve_cond_spec(data))
-    outc = fit_outcome(data, specs.resolve_outcome_spec(data))
+    specs = ModelSpecs().for_dataset(data)
+    cond = fit_cond_density(data, specs.cond_density_spec)
+    outc = fit_outcome(data, specs.outcome_spec)
     cond_targets = {"(intercept)": 4.0, "b": 1.0, "a": 1.0, "x1": -0.5, "x2^2": 1.0}
     outc_targets = {"(intercept)": 1.5, "x2": 0.5, "x3": 2.0, "s": -0.2, "a": -1.0, "b": -0.3}
     errs = []

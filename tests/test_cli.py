@@ -18,7 +18,7 @@ from stwcr.cli import _build_parser, load_dataset, main, parse_query
 from stwcr.core import SmoothingParams
 from stwcr.eif import StwcrQuery, StwcrveQuery
 from stwcr.errors import DatasetParseError, InvalidParameterError
-from stwcr.estimators import estimate_stwcr, make_folds
+from stwcr.estimators import StwcrReport, StwcrveReport, estimate_stwcr, make_folds
 from stwcr.simulation import ScenarioSpec, SimConfig, gen_dataset
 
 
@@ -210,6 +210,20 @@ class TestMain:
         report = json.loads(out.read_text())
         assert "delta_hat" in report and "ci_delta" in report and "ci_rho" in report
 
+    @pytest.mark.parametrize("command,flags,report_type", [
+        ("estimate-stwcr", ["--a", "1", "--s", "7", "--h", "0.1"], StwcrReport),
+        ("estimate-stwcrve", ["--a1", "1", "--a0", "0", "--s1", "8", "--s0", "7",
+                              "--h0", "0.1", "--h1", "0.1"], StwcrveReport),
+    ])
+    def test_report_keys_are_common_plus_report_fields(self, trial_csv, tmp_path, command, flags,
+                                                       report_type):
+        out = tmp_path / "r.json"
+        assert main([command, "--input", str(trial_csv), *flags, "--out", str(out)]) == 0
+        common = {"schema_version", "command", "timestamp", "params", "query", "input",
+                  "k_folds", "fold_seed"}
+        fields = {f.name for f in dataclasses.fields(report_type)}
+        assert set(json.loads(out.read_text())) == common | fields
+
     @pytest.mark.parametrize("command,flags", [
         ("estimate-stwcr", ["--a", "1", "--s", "7", "--h", "0.1"]),
         ("estimate-stwcrve", ["--a1", "1", "--a0", "0", "--s1", "8", "--s0", "7",
@@ -386,6 +400,8 @@ class TestMain:
         (["emit-draws", "--scenario", "I", "--n", "60", "--seed", "-1"], "seed must be nonnegative"),
         (["--quad-nodes", "100000000"], "quad_nodes must be an integer in 8..1024"),
         (["--seed", "-1"], "fold seed must be nonnegative"),
+        (["simulate", "--scenario", "I", "--n", "1000", "--reps", "40", "--query", "stwcr:1:7",
+          "--h", "0.1", "--known-propensity", "1.5"], "known propensity must lie in (0,1)"),
     ])
     def test_out_of_range_flag_gives_error_json(self, trial_csv, capsys, argv, message):
         if argv[0].startswith("--"):

@@ -48,7 +48,7 @@ class TestMakeFolds:
     def test_different_seeds_differ(self):
         assert not np.array_equal(make_folds(137, 5, 1).labels, make_folds(137, 5, 2).labels)
 
-    @pytest.mark.parametrize("n,k", [(5, 6), (10, 1), (3, 0)])
+    @pytest.mark.parametrize("n,k", [(5, 6), (10, 1), (3, 0), (10, 2.5)])
     def test_invalid(self, n, k):
         with pytest.raises(InvalidParameterError):
             make_folds(n, k, 0)
@@ -56,6 +56,8 @@ class TestMakeFolds:
     def test_assignment_validation(self):
         with pytest.raises(InvalidParameterError):
             FoldAssignment(k_folds=3, labels=np.array([1, 1, 2]))  # fold 3 empty
+        with pytest.raises(InvalidParameterError, match="integer"):
+            FoldAssignment(k_folds=2.5, labels=[1, 2, 1, 2])
 
     def test_label_zero_rejected(self):
         # five rows labelled 0 would never be held out, so their influence
@@ -87,6 +89,11 @@ class TestModelSpecs:
     def test_exactly_one_propensity_source(self, kwargs):
         with pytest.raises(InvalidParameterError, match="exactly one"):
             ModelSpecs(**kwargs)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.2, np.nan, np.inf])
+    def test_known_propensity_outside_unit_interval(self, p):
+        with pytest.raises(InvalidParameterError, match=r"known propensity must lie in \(0,1\)"):
+            ModelSpecs(known_propensity=p)
 
     def test_propensity_spec_fitted_in_every_fold(self, monkeypatch):
         ds = gen_dataset(ScenarioSpec("I", 400, 27))
@@ -146,16 +153,20 @@ class TestEstimateStwcr:
             assert rep.tau_hat == first.tau_hat
             assert rep.sigma1_sq_hat == first.sigma1_sq_hat
 
-    def test_oracle_mode_is_plain_mean(self, scen1):
+    @pytest.mark.parametrize("q", [StwcrQuery(1, 7.0), StwcrveQuery(1, 0, 8.0, 7.0),
+                                   StwcrveQuery(1, 1, 7.0, 7.0)],
+                             ids=["risk", "efficacy", "symmetric"])
+    def test_oracle_mode_is_plain_mean(self, scen1, q):
         ds, nuis = scen1
-        from stwcr.eif import eif_stwcr_batch
+        from stwcr.eif import eif_stwcr_batch, eif_stwcrve_batch
 
-        num, den, _ = eif_stwcr_batch(ds.y, ds.a, ds.s, ds.b, ds.x,
-                                      StwcrQuery(1, 7.0), nuis, PARAMS)
-        rep = estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, make_folds(1000, 5, 3),
-                             nuisances=nuis)
+        risk = isinstance(q, StwcrQuery)
+        batch, fn = (eif_stwcr_batch, estimate_stwcr) if risk else (eif_stwcrve_batch, estimate_stwcrve)
+        num, den, hits = batch(ds.y, ds.a, ds.s, ds.b, ds.x, q, nuis, PARAMS)
+        rep = fn(ds, q, PARAMS, make_folds(1000, 5, 3), nuisances=nuis)
         assert rep.tau_num_hat == float(np.mean(num))
         assert rep.tau_den_hat == float(np.mean(den))
+        assert (rep.density_floor_hits, rep.degenerate_folds) == (hits, 0)
 
     def test_variance_positive(self, scen1):
         ds, _ = scen1
@@ -168,11 +179,16 @@ class TestEstimateStwcr:
                          covariate_names=ds.covariate_names, outcome_kind="binary")
         with pytest.raises(EstimationError, match="arm not present in training folds"):
             estimate_stwcr(forced, StwcrQuery(0, 7.0), PARAMS, make_folds(200, 5, 0))
+        # nothing is fit with injected nuisances, so one arm is enough
+        estimate_stwcr(forced, StwcrQuery(0, 7.0), PARAMS, make_folds(200, 5, 0),
+                       nuisances=true_nuisances("I"))
 
     def test_fold_size_mismatch(self, scen1):
-        ds, _ = scen1
-        with pytest.raises(InvalidParameterError):
-            estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, make_folds(999, 5, 0))
+        ds, nuis = scen1
+        for given in (None, nuis):
+            with pytest.raises(InvalidParameterError, match="does not match dataset size"):
+                estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, make_folds(999, 5, 0),
+                               nuisances=given)
 
     def test_unfilled_influence_slot_raises(self, scen1):
         ds, _ = scen1
@@ -442,6 +458,18 @@ class TestFoldFitReuse:
         assert count_outcome_fits[0] == 10
         assert repr(second) == repr(estimate(fresh_copy(ds), q, folds, specs))
         assert repr(second) != repr(first)
+
+    def test_injected_query_leaves_the_plan(self, count_outcome_fits):
+        ds = gen_dataset(ScenarioSpec("I", 400, 32))
+        folds = make_folds(400, 5, 5)
+        q = StwcrveQuery(1, 0, 8.0, 7.0)
+        first = repr(estimate(ds, q, folds))
+        plan = estimators._FOLD_FITS[ds]
+        estimate_stwcrve(ds, q, PARAMS, folds, nuisances=true_nuisances("I"))
+        assert estimators._FOLD_FITS[ds] is plan
+        assert repr(estimate(ds, q, folds)) == first
+        assert estimators._FOLD_FITS[ds] is plan
+        assert count_outcome_fits[0] == 5
 
     def test_entry_dies_with_dataset(self):
         ds = gen_dataset(ScenarioSpec("I", 300, 24))
