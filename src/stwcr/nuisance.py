@@ -24,6 +24,7 @@ is fit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, NamedTuple, Sequence
@@ -138,8 +139,16 @@ class Dataset:
         ]
 
     def subset(self, idx) -> "Dataset":
-        return Dataset(self.y[idx], self.a[idx], self.s[idx], self.b[idx], self.x[idx],
-                       self.covariate_names, self.outcome_kind)
+        """The rows ``idx`` selects. They come from this dataset's checked
+        columns, so only emptiness is checked again."""
+        sub = object.__new__(Dataset)
+        sub.y, sub.a, sub.s, sub.b, sub.x = (np.ascontiguousarray(col[idx])
+                                             for col in (self.y, self.a, self.s, self.b, self.x))
+        if sub.y.shape[0] == 0:
+            raise InvalidParameterError("dataset must be nonempty")
+        sub.covariate_names = self.covariate_names
+        sub.outcome_kind = self.outcome_kind
+        return sub
 
 
 # --- feature language ------------------------------------------------------
@@ -190,20 +199,30 @@ class FeatureSpec:
 
     def resolve(self, roles, covariate_names) -> _Terms:
         """The terms against ``(*roles, *covariate_names)``, the only columns
-        a model may read: any other name is an InvalidParameterError."""
-        position = {name: i for i, name in enumerate((*roles, *covariate_names))}
-        if len(position) < len(roles) + len(covariate_names):
-            raise InvalidParameterError(f"covariate names {tuple(covariate_names)} repeat or "
-                                        f"reuse a role of {tuple(roles)}")
-        try:
-            return _Terms(tuple(roles), tuple((t[0], *[position[name] for name in t[1:]])
-                                              for t in self.terms))
-        except KeyError as exc:
-            raise InvalidParameterError(f"feature references unknown column {exc.args[0]!r}; "
-                                        f"this model reads {', '.join(position)}") from None
+        a model may read: any other name is an InvalidParameterError.
+
+        A resolution is kept and handed back on the next call with the same
+        arguments; a failed one is not kept, so it raises every time."""
+        return _resolve(self, tuple(roles), tuple(covariate_names))
 
     def names(self) -> list[str]:
         return [_TERM_NAMES[t[0]].format(*t[1:]) for t in self.terms]
+
+
+# Each fit and each model built resolves its spec, so a 5-fold plan asks for
+# the same few resolutions about 20 times.
+@functools.lru_cache(maxsize=256)
+def _resolve(spec: FeatureSpec, roles: tuple, covariate_names: tuple) -> _Terms:
+    position = {name: i for i, name in enumerate((*roles, *covariate_names))}
+    if len(position) < len(roles) + len(covariate_names):
+        raise InvalidParameterError(f"covariate names {covariate_names} repeat or "
+                                    f"reuse a role of {roles}")
+    try:
+        return _Terms(roles, tuple((t[0], *[position[name] for name in t[1:]])
+                                   for t in spec.terms))
+    except KeyError as exc:
+        raise InvalidParameterError(f"feature references unknown column {exc.args[0]!r}; "
+                                    f"this model reads {', '.join(position)}") from None
 
 
 class _Terms(NamedTuple):
@@ -227,10 +246,10 @@ class _Terms(NamedTuple):
                 yield cols[pos[0]] * cols[pos[1]]
 
     def design(self, data: Dataset) -> np.ndarray:
-        n = len(data)
-        cols = [np.broadcast_to(np.asarray(v, dtype=float), (n,))
-                for v in self._values([getattr(data, r) for r in self.roles], data.x)]
-        return np.column_stack(cols) if cols else np.empty((n, 0))
+        X = np.empty((len(data), len(self.terms)))
+        for j, value in enumerate(self._values([getattr(data, r) for r in self.roles], data.x)):
+            X[:, j] = value
+        return X
 
     def predictor(self, coef, role_values, x, shape) -> np.ndarray:
         """Sum of coef * term, left to right, as a float array of ``shape`` that the
@@ -375,13 +394,14 @@ class NuisanceTriple:
 
 # --- fitting ---------------------------------------------------------------
 
-def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100):
+def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None):
     """Ridge-penalized logistic MLE via iteratively reweighted least squares.
 
-    Converges when the penalized score has max-norm below ``tol``. Raises
-    :class:`SolverError` on non-convergence (carrying the last gradient
-    norm) or on a rank-deficient weighted system; callers may retry with
-    a larger ridge.
+    Starts from the coefficients ``start``, zero by default. Converges
+    when the penalized score has max-norm below ``tol``; a ``start`` that
+    already meets it is returned unchanged. Raises :class:`SolverError` on
+    non-convergence (carrying the last gradient norm) or on a
+    rank-deficient weighted system; callers may retry with a larger ridge.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -390,11 +410,20 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100):
         raise SolverError(f"need at least as many rows ({n}) as features ({q})")
     if not np.all((y == 0) | (y == 1)):
         raise SolverError("labels must be 0/1")
-    beta = np.zeros(q)
-    eye = np.eye(q)
+    if start is None:
+        beta = np.zeros(q)
+    else:
+        beta = np.array(start, dtype=float)
+        if beta.shape != (q,) or not np.all(np.isfinite(beta)):
+            raise InvalidParameterError(f"start must hold {q} finite coefficients")
+    diag = np.diag_indices(q)
+    Xw = np.empty_like(X)  # X with each row scaled by its weight, remade every step
 
     def penalized_ll(bta, eta):
-        return float(y @ eta - np.sum(np.logaddexp(0.0, eta)) - 0.5 * ridge * bta @ bta)
+        # softplus(eta) = log(1 + exp(eta)), written to stay finite at any eta
+        softplus = np.log1p(np.exp(-np.abs(eta)))
+        softplus += np.maximum(eta, 0.0)
+        return float(y @ eta - np.sum(softplus) - 0.5 * ridge * bta @ bta)
 
     eta = X @ beta
     ll = penalized_ll(beta, eta)
@@ -405,8 +434,10 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100):
         gnorm = float(np.max(np.abs(grad)))
         if gnorm < tol:
             return beta
-        w = np.clip(p * (1.0 - p), 1e-10, None)
-        hess = X.T @ (X * w[:, None]) + ridge * eye
+        w = np.maximum(p * (1.0 - p), 1e-10)
+        np.multiply(X, w[:, None], out=Xw)
+        hess = X.T @ Xw
+        hess[diag] += ridge
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -427,14 +458,15 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100):
 
 
 def fit_propensity(data: Dataset, spec: FeatureSpec | None = None, known_prob: float | None = None,
-                   ridge=1e-8, tol=1e-9, max_iter=100) -> PropensityModel:
-    """Fit P(A = 1 | b, x), or declare it known (randomized designs)."""
+                   ridge=1e-8, tol=1e-9, max_iter=100, start=None) -> PropensityModel:
+    """Fit P(A = 1 | b, x), from coefficients ``start`` if given, or declare
+    it known (randomized designs)."""
     if (spec is None) == (known_prob is None):
         raise InvalidParameterError("provide exactly one of spec or known_prob")
     if known_prob is not None:
         return PropensityModel(kind="known", prob_treated=float(known_prob))
     X = spec.resolve(PropensityModel.ROLES, data.covariate_names).design(data)
-    coef = irls_logistic(X, data.a, ridge=ridge, tol=tol, max_iter=max_iter)
+    coef = irls_logistic(X, data.a, ridge=ridge, tol=tol, max_iter=max_iter, start=start)
     return PropensityModel(kind="logistic", spec=spec, coef=coef,
                            covariate_names=data.covariate_names)
 
@@ -461,11 +493,13 @@ def fit_cond_density(data: Dataset, spec: FeatureSpec) -> CondDensityModel:
                             covariate_names=data.covariate_names)
 
 
-def fit_outcome(data: Dataset, spec: FeatureSpec, ridge=1e-8, tol=1e-9, max_iter=100) -> OutcomeModel:
-    """Fit E[Y | a, s, b, x]: logistic for binary outcomes, least squares otherwise."""
+def fit_outcome(data: Dataset, spec: FeatureSpec, ridge=1e-8, tol=1e-9, max_iter=100,
+                start=None) -> OutcomeModel:
+    """Fit E[Y | a, s, b, x]: logistic for binary outcomes, from coefficients
+    ``start`` if given, and least squares, which takes no start, otherwise."""
     X = spec.resolve(OutcomeModel.ROLES, data.covariate_names).design(data)
     if data.outcome_kind == "binary":
-        coef = irls_logistic(X, data.y, ridge=ridge, tol=tol, max_iter=max_iter)
+        coef = irls_logistic(X, data.y, ridge=ridge, tol=tol, max_iter=max_iter, start=start)
         kind = "logistic"
     else:
         coef = _least_squares(X, data.y)

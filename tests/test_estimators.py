@@ -19,7 +19,16 @@ from stwcr.estimators import (
     estimate_stwcrve,
     make_folds,
 )
-from stwcr.nuisance import Dataset, FeatureSpec, NuisanceTriple, PropensityModel, intercept, raw
+from stwcr.nuisance import (
+    Dataset,
+    FeatureSpec,
+    NuisanceTriple,
+    PropensityModel,
+    fit_outcome,
+    fit_propensity,
+    intercept,
+    raw,
+)
 from stwcr.simulation import ScenarioSpec, compute_truths, gen_dataset, true_nuisances
 
 PARAMS = SmoothingParams(t=0.1, epsilon=0.1, h=0.1, h0=0.1, h1=0.1)
@@ -48,10 +57,12 @@ class TestMakeFolds:
     def test_different_seeds_differ(self):
         assert not np.array_equal(make_folds(137, 5, 1).labels, make_folds(137, 5, 2).labels)
 
-    @pytest.mark.parametrize("n,k", [(5, 6), (10, 1), (3, 0), (10, 2.5)])
-    def test_invalid(self, n, k):
+    @pytest.mark.parametrize("n,k,seed", [
+        *(pytest.param(n, k, 0, id=f"{n}-{k}") for n, k in ((5, 6), (10, 1), (3, 0), (10, 2.5))),
+        (10, 2, 1.5), (10.5, 2, 0), (10, 2, None), (10, 2, -1)])
+    def test_invalid(self, n, k, seed):
         with pytest.raises(InvalidParameterError):
-            make_folds(n, k, 0)
+            make_folds(n, k, seed)
 
     def test_assignment_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -108,7 +119,11 @@ class TestModelSpecs:
         monkeypatch.setattr(estimators, "fit_propensity", recording)
         estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, make_folds(400, 5, 0),
                        model_specs=ModelSpecs(known_propensity=None, propensity_spec=spec))
-        assert calls == [{"spec": spec}] * 5
+        assert [set(kwargs) for kwargs in calls] == [{"spec"}] + [{"spec", "start"}] * 4
+        assert all(kwargs["spec"] == spec for kwargs in calls)
+        # folds 2..5 start from fold 1's coefficients
+        first = estimators._FOLD_FITS[ds].fits[0][0].propensity.coef
+        assert all(np.array_equal(kwargs["start"], first) for kwargs in calls[1:])
 
     @pytest.mark.parametrize("fn, q", [(estimate_stwcr, StwcrQuery(1, 7.0)),
                                        (estimate_stwcrve, StwcrveQuery(1, 0, 8.0, 7.0))])
@@ -670,6 +685,103 @@ class TestThreadedFoldFits:
         assert thread_pools.made == [2]
         assert fold4_failed.is_set()
         assert ds not in estimators._FOLD_FITS
+
+
+class TestWarmStartedFolds:
+    """Folds 2..K start their logistic fits from fold 1's coefficients."""
+
+    SPECS = ModelSpecs(known_propensity=None,
+                       propensity_spec=FeatureSpec([intercept(), raw("b"), raw("x1")]))
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(200, 1500), fitted=st.booleans())
+    def test_chained_fits_equal_cold_fits(self, seed, n, fitted):
+        ds = gen_dataset(ScenarioSpec("I", n, seed))
+        folds = make_folds(n, 5, seed)
+        specs = (self.SPECS if fitted else ModelSpecs()).for_dataset(ds)
+        plan = estimators._fold_plan(ds, folds, specs)
+        for k, (nuis, degenerate) in enumerate(plan.fits, start=1):
+            train = ds.subset(folds.labels != k)
+            ridge = {"ridge": estimators.DEGENERATE_RIDGE} if degenerate else {}
+            cold = [(nuis.outcome.coef, fit_outcome(train, specs.outcome_spec, **ridge).coef)]
+            if fitted:
+                cold.append((nuis.propensity.coef,
+                             fit_propensity(train, spec=specs.propensity_spec, **ridge).coef))
+            # IRLS stops once the score's max-norm is below 1e-9, so fits from
+            # two starts agree to about 1e-9 / (the Hessian's least eigenvalue)
+            for chained, coef in cold:
+                np.testing.assert_allclose(chained, coef, rtol=1e-10, atol=1e-9)
+
+    def test_degenerate_fold_1_starts_no_fold(self, monkeypatch):
+        ds = gen_dataset(ScenarioSpec("I", 400, 36))
+        calls = []
+        real = estimators.fit_outcome
+
+        def recording(train, spec, **kwargs):
+            calls.append(kwargs)
+            if len(calls) == 1:  # fold 1's first try
+                raise SolverError("singular design")
+            return real(train, spec, **kwargs)
+
+        monkeypatch.setattr(estimators, "fit_outcome", recording)
+        rep = estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, make_folds(400, 5, 6))
+        assert calls == [{}, {"ridge": estimators.DEGENERATE_RIDGE}] + [{}] * 4
+        assert rep.degenerate_folds == 1
+
+    def test_failed_warm_fit_retried_from_zero(self, monkeypatch):
+        ds = gen_dataset(ScenarioSpec("I", 400, 37))
+        folds = make_folds(400, 5, 7)
+        marker = ds.s[folds.labels == 3][0]  # absent from fold 3's training rows
+        calls = []
+        real = estimators.fit_outcome
+
+        def failing(train, spec, **kwargs):
+            calls.append(sorted(kwargs))
+            if marker not in train.s and "ridge" not in kwargs:
+                raise SolverError("singular design")
+            return real(train, spec, **kwargs)
+
+        monkeypatch.setattr(estimators, "fit_outcome", failing)
+        plan = estimators._fold_plan(ds, folds, ModelSpecs())
+        assert calls == [[], ["start"], ["start"], ["ridge"], ["start"], ["start"]]
+        assert [degenerate for _, degenerate in plan.fits] == [False, False, True, False, False]
+
+    def test_pinned_sweep_reports(self):
+        # tau_hat and se (delta_hat and sigma2log_sq_hat) from fits that all
+        # start at zero: a warm start may move them only in the last digits
+        ds = gen_dataset(ScenarioSpec("I", 1000, 35))
+        folds = make_folds(1000, 5, 13)
+        pinned = [(SWEEP_1K[3], 0.4616298237434801, 0.08101637558327524),
+                  (SWEEP_1K[10], 0.2859940324438155, 0.06778462426466116),
+                  (SWEEP_1K[21], 0.5404277687527257, 50.29861548395229)]
+        for q, value, spread in pinned:
+            rep = estimate(ds, q, folds)
+            if isinstance(q, StwcrQuery):
+                got = (rep.tau_hat, rep.se)
+            else:
+                got = (rep.delta_hat, rep.sigma2log_sq_hat)
+            assert got == (pytest.approx(value, rel=1e-10), pytest.approx(spread, rel=1e-10))
+            assert rep.degenerate_folds == 0
+
+    def test_injected_plan_holds_the_dataset_columns(self, monkeypatch, scen1):
+        ds, nuis = scen1
+        plans = []
+
+        class Recording(estimators._FoldPlan):
+            def __init__(self, *args):
+                super().__init__(*args)
+                plans.append(self)
+
+        monkeypatch.setattr(estimators, "_FoldPlan", Recording)
+        folds = make_folds(len(ds), 5, 0)
+        rep = estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, folds, nuisances=nuis)
+        (plan,) = plans
+        (held,) = plan.held
+        for col, name in zip(held, ("y", "a", "s", "b", "x"), strict=True):
+            assert np.shares_memory(col, getattr(ds, name))
+        monkeypatch.undo()
+        assert repr(rep) == repr(estimate_stwcr(fresh_copy(ds), StwcrQuery(1, 7.0), PARAMS, folds,
+                                                nuisances=nuis))
 
 
 def reflected(ci):

@@ -59,6 +59,24 @@ class TestObservationAndDataset:
                      x=[[0.0], [1.0]], covariate_names=("x1",))
         assert ds.outcome_kind == "continuous"
 
+    @pytest.mark.parametrize("pick", ["mask", "permutation"])
+    def test_subset_equals_a_checked_dataset(self, pick):
+        ds = gen_dataset(ScenarioSpec("I", 80, 6))
+        rng = np.random.default_rng(0)
+        idx = rng.random(80) < 0.6 if pick == "mask" else rng.permutation(80)
+        sub = ds.subset(idx)
+        built = Dataset(ds.y[idx], ds.a[idx], ds.s[idx], ds.b[idx], ds.x[idx],
+                        ds.covariate_names, ds.outcome_kind)
+        for name in ("y", "a", "s", "b", "x"):
+            col, ref = getattr(sub, name), getattr(built, name)
+            assert col.dtype == ref.dtype and col.flags.c_contiguous
+            assert np.array_equal(col, ref)
+        assert (sub.covariate_names, sub.outcome_kind) == (built.covariate_names, built.outcome_kind)
+
+    def test_empty_subset_rejected(self):
+        with pytest.raises(InvalidParameterError, match="nonempty"):
+            gen_dataset(ScenarioSpec("I", 50, 6)).subset(np.zeros(50, dtype=bool))
+
     def test_duplicate_and_reserved_names_rejected(self):
         with pytest.raises(InvalidParameterError):
             Dataset(y=[0], a=[0], s=[1.0], b=[0.0], x=[[0.0, 1.0]],
@@ -77,6 +95,14 @@ class TestFeatureSpec:
         X = spec.resolve(("b",), ds.covariate_names).design(ds)
         assert np.allclose(X, [[1, 1, 1, 3], [1, 2, 4, 8]])
 
+    def test_design_equals_stacked_columns(self):
+        ds = gen_dataset(ScenarioSpec("I", 50, 8))
+        spec = FeatureSpec([intercept(), raw("a"), raw("s"), square("x2"), interaction("b", "x1")])
+        X = spec.resolve(OutcomeModel.ROLES, ds.covariate_names).design(ds)
+        x1, x2 = ds.x[:, 0], ds.x[:, 1]
+        ref = np.column_stack([np.ones(50), ds.a, ds.s, x2 ** 2, ds.b * x1])
+        assert X.flags.c_contiguous and np.array_equal(X, ref)
+
     def test_double_intercept_rejected(self):
         with pytest.raises(InvalidParameterError):
             FeatureSpec([intercept(), intercept()])
@@ -85,6 +111,20 @@ class TestFeatureSpec:
         spec = FeatureSpec([raw("nope")])
         with pytest.raises(InvalidParameterError, match="unknown column 'nope'"):
             spec.resolve(("u",), ())
+
+    def test_resolution_kept(self):
+        spec = FeatureSpec([intercept(), raw("b"), square("x2")])
+        first = spec.resolve(("b",), ("x1", "x2"))
+        # an equal spec and names given as lists find the same resolution
+        again = FeatureSpec([intercept(), raw("b"), square("x2")]).resolve(["b"], ["x1", "x2"])
+        assert again is first
+        assert spec.resolve(("a", "b"), ("x1", "x2")) is not first
+
+    def test_failed_resolution_raises_every_time(self):
+        spec = FeatureSpec([intercept(), raw("nope")])
+        for _ in range(3):
+            with pytest.raises(InvalidParameterError, match="unknown column 'nope'"):
+                spec.resolve(("b",), ("x1",))
 
     @pytest.mark.parametrize("term", [
         ("raw",), ("square",), ("interaction", "x1"),  # too few names
@@ -187,6 +227,31 @@ class TestIrlsLogistic:
     def test_bad_labels_rejected(self):
         with pytest.raises(SolverError):
             irls_logistic(np.ones((3, 1)), np.array([0.0, 2.0, 1.0]))
+
+    @staticmethod
+    def _problem(seed):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(400), rng.normal(size=400), rng.random(400)])
+        eta = 0.3 - 0.7 * X[:, 1] + 1.2 * X[:, 2]
+        return X, (rng.random(400) < 1 / (1 + np.exp(-eta))).astype(float)
+
+    def test_start_at_the_solution_returned_unchanged(self):
+        X, y = self._problem(5)
+        beta_hat = irls_logistic(X, y)
+        assert np.array_equal(irls_logistic(X, y, start=beta_hat), beta_hat)
+
+    def test_start_elsewhere_reaches_the_same_solution(self):
+        X, y = self._problem(6)
+        cold = irls_logistic(X, y)
+        start = cold + np.array([0.3, -0.2, 0.5])
+        # both stop at a score below tol = 1e-9, within 1e-9 of each other
+        assert np.allclose(irls_logistic(X, y, start=start), cold, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("start", [np.zeros(2), np.array([0.0, np.nan, 0.0])])
+    def test_bad_start_rejected(self, start):
+        X, y = self._problem(7)
+        with pytest.raises(InvalidParameterError, match="start must hold 3 finite"):
+            irls_logistic(X, y, start=start)
 
 
 class TestFitPropensity:
