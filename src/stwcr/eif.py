@@ -50,7 +50,7 @@ from .core import (
 )
 from .errors import EvaluationError, InvalidParameterError
 from .nuisance import NuisanceTriple, Observation
-from .parallel import map_threaded
+from .parallel import map_row_blocks
 
 __all__ = [
     "EifPair",
@@ -261,26 +261,17 @@ def eif_stwcrve(obs: Observation, q: StwcrveQuery, nuis: NuisanceTriple,
 
 _INTEGRALS = ("phi", "phi_r", "g", "g_r")
 
-# Observations per block of the m x quad_nodes grid: 1024 x 64 nodes is
-# 512 KB per array, which stays in cache. A multiple of 4, because
-# OpenBLAS's gemv kernel sums rows in groups of four and rounds a row in a
-# group differently from one in a tail; blocks that start on a multiple of
-# 4 keep every row's sum as in one call over all m rows.
-_GRID_ROWS = 1024
-
 
 def _kernel_integrals_1d(center, h, arm, nuis, params, b, x, t, eps):
     """Per-observation integrals of phi, phi*r, dphi*pi, dphi*pi*r on one arm.
 
     Returns dict of (m,) arrays; zeros when the window misses the support.
-    The grid is evaluated over blocks of ``_GRID_ROWS`` observations, on
-    threads, which bounds its memory and leaves every value as in one
-    unblocked serial pass.
+    The grid is evaluated in row blocks by ``map_row_blocks``, which bounds
+    its memory and leaves every value as in one unblocked serial pass.
     """
-    m = b.shape[0]
     rule = quad_rule(center, h, nuis.support, params)
     if rule is None:
-        return {key: np.zeros(m) for key in _INTEGRALS}
+        return {key: np.zeros(b.shape[0]) for key in _INTEGRALS}
     nodes, weights = rule
     wk = kernel_weight(nodes - center, h) * weights
 
@@ -297,22 +288,7 @@ def _kernel_integrals_1d(center, h, arm, nuis, params, b, x, t, eps):
         g *= r
         return int_phi, phi @ wk, int_g, g @ wk
 
-    if m <= _GRID_ROWS:
-        return dict(zip(_INTEGRALS, block(b, x)))
-    # NaN until written, so a row no block reaches fails the finite check on
-    # the influence values. A one-row block would go through numpy's vector
-    # dot, which rounds differently from gemv, so the last block absorbs it.
-    out = np.full((len(_INTEGRALS), m), np.nan)
-    edges = [*range(0, m - 1, _GRID_ROWS), m]
-
-    def fill(lo, hi):
-        out[:, lo:hi] = block(b[lo:hi], x[lo:hi])
-
-    # Blocks run on threads, each writing only its own columns of out. A
-    # thread pays for itself once it has about a block of rows to take, so
-    # 1100 rows (a full block and 76 rows) stay serial, and 1600 do not.
-    map_threaded(fill, edges[:-1], edges[1:], tasks=round(m / _GRID_ROWS))
-    return dict(zip(_INTEGRALS, out))
+    return dict(zip(_INTEGRALS, map_row_blocks(block, b, x)))
 
 
 class LocalTerms(NamedTuple):

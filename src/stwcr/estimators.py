@@ -342,18 +342,18 @@ def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
         plan = _fold_plan(data, folds, specs)
     # made here, in the calling thread, before any grid block goes to a pool
     local = {arm: plan.local_terms(arm, params) for arm in required_arms}
-    # NaN until a part writes it, so an unfilled slot cannot pass silently
-    num = np.full(n, np.nan)
-    den = np.full(n, np.nan)
-    hits = 0
-    degenerate = 0
+    if nuisances is None:
+        # NaN until a part writes it, so an unfilled slot cannot pass silently
+        num, den = np.full(n, np.nan), np.full(n, np.nan)
+    hits = degenerate = 0
     for j, (index, held, (nuis, degen)) in enumerate(zip(plan.index, plan.held, plan.fits)):
         degenerate += int(degen)
         f_num, f_den, f_hits = batch_fn(*held, query, nuis, params,
                                         _local={arm: terms[j] for arm, terms in local.items()})
-        num[index] = f_num
-        den[index] = f_den
         hits += f_hits
+        if nuisances is not None:  # the one part is every row, in order
+            return f_num, f_den, hits, degenerate
+        num[index], den[index] = f_num, f_den
     if np.isnan(num).any() or np.isnan(den).any():
         raise EstimationError("influence values left unset: a row was in no held-out fold")
     return num, den, hits, degenerate

@@ -486,7 +486,7 @@ def fit_cond_density(data: Dataset, spec: FeatureSpec) -> CondDensityModel:
     X = spec.resolve(CondDensityModel.ROLES, data.covariate_names).design(data)
     coef = _least_squares(X, data.s)
     resid = data.s - X @ coef
-    sd = float(np.sqrt(resid @ resid / (n - q)))
+    sd = float(np.sqrt(np.sum(resid * resid) / (n - q)))  # ddot rounds per BLAS thread count
     if not sd > 0:
         raise SolverError("zero residual variance in conditional-density fit")
     return CondDensityModel(spec=spec, coef=coef, residual_sd=sd,

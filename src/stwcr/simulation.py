@@ -10,14 +10,14 @@ Because the generating equations are polynomial in the features, the true
 nuisances are exactly representable by the parametric model classes;
 ``true_nuisances`` returns them with the generating coefficients.
 
-``compute_truths`` gives the ground truth: the defining kernel-quadrature
-integrals under the true nuisances, averaged over the baseline law by
-deterministic quadrature (the (B, x1) cells or truncated-Gamma densities,
-crossed with Gauss-Legendre over x2 and x3). It needs no sample size or
-seed and never touches the influence machinery. ``oracle_estimand``
-averages the same integrands over Monte Carlo baseline draws instead, and
-``direct_plain_smoothed_risk`` is a quadrature-free route (sampling marker
-values straight from the kernel); both are independent cross-checks.
+``compute_truths`` gives the ground truth, on the calling thread: the
+defining kernel-quadrature integrals under the true nuisances, averaged
+over the baseline law by deterministic quadrature (the (B, x1) cells or
+truncated-Gamma densities, crossed with Gauss-Legendre over x2 and x3).
+It needs no sample size or seed and never touches the influence code.
+``oracle_estimand`` averages the same integrands over Monte Carlo draws,
+in row blocks on threads; ``direct_plain_smoothed_risk`` samples marker
+values straight from the kernel, with no quadrature: two cross-checks.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .nuisance import (
     raw,
     square,
 )
-from .parallel import single_threaded
+from .parallel import map_row_blocks, single_threaded
 
 __all__ = [
     "ScenarioSpec",
@@ -237,6 +237,12 @@ class OracleResult:
 _ORACLE_BLOCK = 100_000
 
 
+def _baseline_blocks(rng: np.random.Generator, mc_size: int, scenario: str):
+    """``mc_size`` draws in ``_draw_baseline`` blocks, each drawn when asked for."""
+    for done in range(0, mc_size, _ORACLE_BLOCK):
+        yield _draw_baseline(rng, min(_ORACLE_BLOCK, mc_size - done), scenario)
+
+
 def _oracle_integrands(kind: str, scenario: str, query, params: SmoothingParams):
     """The query's defining integrands under the true nuisances.
 
@@ -291,15 +297,10 @@ def oracle_estimand(kind: str, scenario: str, query, params: SmoothingParams,
     terms = _oracle_integrands(kind, scenario, query, params)
     if mc_size < 100_000:
         raise InvalidParameterError("oracle needs mc_size >= 100000")
-    rng = np.random.default_rng(seed)
     sums = np.zeros(5)  # sum u, sum v, sum u^2, sum v^2, sum u*v
-    done = 0
-    while done < mc_size:
-        m = min(_ORACLE_BLOCK, mc_size - done)
-        b, x1, x2, x3 = _draw_baseline(rng, m, scenario)
-        u, v = terms(b, np.column_stack([x1, x2, x3]))
+    for b, x1, x2, x3 in _baseline_blocks(np.random.default_rng(seed), mc_size, scenario):
+        u, v = map_row_blocks(terms, b, np.column_stack([x1, x2, x3]))
         sums += (u.sum(), v.sum(), (u * u).sum(), (v * v).sum(), (u * v).sum())
-        done += m
 
     n = float(mc_size)
     num, den = sums[0] / n, sums[1] / n
@@ -322,15 +323,12 @@ def direct_plain_smoothed_risk(scenario: str, a: int, s: float, h: float,
     nor the softened trimming weight. Returns (value, mc_se).
     """
     rng = np.random.default_rng(seed)
-    total, total_sq, done = 0.0, 0.0, 0
-    while done < mc_size:
-        m = min(_ORACLE_BLOCK, mc_size - done)
-        b, x1, x2, x3 = _draw_baseline(rng, m, scenario)
-        s_draw = rng.normal(loc=s, scale=h, size=m)
+    total, total_sq = 0.0, 0.0
+    for b, x1, x2, x3 in _baseline_blocks(rng, mc_size, scenario):
+        s_draw = rng.normal(loc=s, scale=h, size=b.size)
         vals = outcome_prob(a, s_draw, b, x2, x3)
         total += vals.sum()
         total_sq += (vals * vals).sum()
-        done += m
     mean = total / mc_size
     var = max(total_sq - mc_size * mean ** 2, 0.0) / (mc_size - 1)
     return float(mean), float(math.sqrt(var / mc_size))

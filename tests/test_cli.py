@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -562,3 +563,33 @@ def test_import_leaves_out_scipy_stats():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "False"
+
+
+@pytest.fixture(scope="module")
+def large_csv(tmp_path_factory):
+    # past the row counts from which fold fits and grid blocks run on threads
+    path = tmp_path_factory.mktemp("large") / "trial.csv"
+    export_dataset(gen_dataset(ScenarioSpec("II", 40_000, 18)), path)
+    return path
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("estimate-stwcr", ["--a", "1", "--s", "9", "--h", "0.1"]),
+    ("estimate-stwcrve", ["--a1", "1", "--a0", "0", "--s1", "9", "--s0", "8",
+                          "--h0", "0.1", "--h1", "0.1"]),
+], ids=["stwcr", "stwcrve"])
+def test_report_same_under_any_blas_threads_and_cpu_mask(large_csv, command, flags):
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    runs = [({"OPENBLAS_NUM_THREADS": "1"}, []), ({"OPENBLAS_NUM_THREADS": "2"}, [])]
+    if shutil.which("taskset"):
+        runs.append(({}, ["taskset", "-c", "0"]))
+    reports = []
+    for blas, prefix in runs:
+        done = subprocess.run([*prefix, sys.executable, "-m", "stwcr.cli", command,
+                               "--input", str(large_csv), *flags],
+                              env={**env, **blas}, capture_output=True, text=True, check=True,
+                              timeout=120)
+        lines = done.stdout.splitlines(keepends=True)
+        reports.append("".join(line for line in lines if '"timestamp"' not in line))
+    assert reports == reports[:1] * len(runs)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stwcr import eif
+from stwcr import eif, parallel
 from stwcr.core import Interval, SmoothingParams, kernel_weight
 from stwcr.core import integrate_kernel_weighted, smooth_indicator, smooth_indicator_deriv
 from stwcr.eif import (
@@ -17,7 +17,14 @@ from stwcr.eif import (
 )
 from stwcr.errors import EvaluationError, InvalidParameterError
 from stwcr.nuisance import NuisanceTriple, Observation, PropensityModel
-from stwcr.simulation import ScenarioSpec, compute_truths, gen_dataset, true_nuisances
+from stwcr.simulation import (
+    OracleResult,
+    ScenarioSpec,
+    compute_truths,
+    gen_dataset,
+    oracle_estimand,
+    true_nuisances,
+)
 
 PARAMS = SmoothingParams(t=0.1, epsilon=0.1, h=0.1, h0=0.1, h1=0.1)
 
@@ -286,29 +293,48 @@ def assert_batches_equal(left, right):
         assert hits == r_hits
 
 
-class TestGridBlocking:
-    # Block sizes stay multiples of 4 (see eif._GRID_ROWS). m = 203 ends in
-    # an 11-row block; m = 209 = 13 * 16 + 1 would end in a one-row block,
-    # which the last full block absorbs.
-    @pytest.mark.parametrize("m", [203, 209])
-    def test_blocked_equals_one_block(self, monkeypatch, m):
-        ds = gen_dataset(ScenarioSpec("I", m, 44))
-        one_block = both_batches(ds)
-        monkeypatch.setattr(eif, "_GRID_ROWS", 16)
-        assert_batches_equal(one_block, both_batches(ds))
+def risk_oracle():
+    """A risk oracle result; 100_001 draws end in a one-draw block."""
+    return oracle_estimand("stwcr", "I", StwcrQuery(1, 7.0), PARAMS, mc_size=100_001)
 
-    @pytest.mark.parametrize("m", [203, 209])
+
+def grid_results(case, seed):
+    """``both_batches`` on a ``case``-row dataset, or ``risk_oracle``."""
+    if case == "oracle":
+        return risk_oracle()
+    return both_batches(gen_dataset(ScenarioSpec("I", case, seed)))
+
+
+def assert_grid_results_equal(left, right):
+    if isinstance(left, OracleResult):
+        assert left == right
+    else:
+        assert_batches_equal(left, right)
+
+
+class TestGridBlocking:
+    # Block sizes stay multiples of 4 (see parallel._BLOCK_ROWS). m = 203 ends
+    # in an 11-row block; m = 209 = 13 * 16 + 1 would end in a one-row block,
+    # which the last full block absorbs. The oracle's first draw block splits
+    # into 6250 blocks and its one-draw block goes straight to the integrands.
+    @pytest.mark.parametrize("m", [203, 209, "oracle"])
+    def test_blocked_equals_one_block(self, monkeypatch, m):
+        unpatched = grid_results(m, 44)
+        monkeypatch.setattr(parallel, "_BLOCK_ROWS", 16)
+        assert_grid_results_equal(unpatched, grid_results(m, 44))
+
+    @pytest.mark.parametrize("m", [203, 209, "oracle"])
     def test_threaded_blocks_equal_serial(self, monkeypatch, thread_pools, m):
-        ds = gen_dataset(ScenarioSpec("I", m, 45))
-        monkeypatch.setattr(eif, "_GRID_ROWS", 16)
         thread_pools.use(1)
-        serial = both_batches(ds)
+        serial = grid_results(m, 45)
         assert thread_pools.made == []
+        monkeypatch.setattr(parallel, "_BLOCK_ROWS", 16)
         thread_pools.use(2)
-        threaded = both_batches(ds)
-        # one pool per arm integral: one for the risk query, two for the VE query
-        assert thread_pools.made == [2, 2, 2]
-        assert_batches_equal(serial, threaded)
+        threaded = grid_results(m, 45)
+        # one pool per arm integral: one for the risk query, two for the VE
+        # query; the oracle's one for its 100_000-draw block
+        assert thread_pools.made == [2] * (1 if m == "oracle" else 3)
+        assert_grid_results_equal(serial, threaded)
 
 
 class ReadOnly:

@@ -4,9 +4,10 @@ import threading
 
 import pytest
 
-from stwcr import eif, parallel, simulation
-from stwcr.simulation import ScenarioSpec, gen_dataset
-from test_eif import assert_batches_equal, both_batches
+from stwcr import parallel, simulation
+from stwcr.eif import StwcrQuery, StwcrveQuery
+from stwcr.simulation import ScenarioSpec, compute_truths, gen_dataset
+from test_eif import PARAMS, assert_batches_equal, both_batches, risk_oracle
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
@@ -57,11 +58,11 @@ def test_serial_when_one_thread(thread_pools):
 
 def test_grid_blocks_under_thread_switching(monkeypatch, thread_pools):
     # more threads than cores and a short switch interval: a block written
-    # to the wrong columns, or not at all, breaks equality with the serial
-    # pass (an unwritten row stays NaN and fails the finite check)
+    # to the wrong rows, or not at all, breaks equality with the serial pass
     ds = gen_dataset(ScenarioSpec("I", 203, 46))
-    monkeypatch.setattr(eif, "_GRID_ROWS", 4)
     thread_pools.use(1)
+    oracle = risk_oracle()
+    monkeypatch.setattr(parallel, "_BLOCK_ROWS", 4)
     serial = both_batches(ds)
     thread_pools.use(4)
     interval = sys.getswitchinterval()
@@ -69,6 +70,16 @@ def test_grid_blocks_under_thread_switching(monkeypatch, thread_pools):
     try:
         for _ in range(3):
             assert_batches_equal(serial, both_batches(ds))
+        monkeypatch.setattr(parallel, "_BLOCK_ROWS", 16)
+        assert risk_oracle() == oracle
     finally:
         sys.setswitchinterval(interval)
-    assert thread_pools.made == [4] * 9
+    assert thread_pools.made == [4] * 10
+
+
+def test_compute_truths_starts_no_pool(thread_pools):
+    # its baseline grids stay on the calling thread: in the simulate
+    # process, threads' malloc arenas would keep memory past the call
+    thread_pools.use(2)
+    compute_truths("I", (StwcrQuery(1, 7.0), StwcrveQuery(1, 0, 8.0, 7.0)), PARAMS)
+    assert thread_pools.made == []
