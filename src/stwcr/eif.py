@@ -105,6 +105,12 @@ class StwcrveQuery:
             raise InvalidParameterError("query marker levels must be finite")
 
 
+def require_query(q, cls, caller: str):
+    """An InvalidParameterError unless ``q`` is a ``cls``; ``caller`` names the consumer."""
+    if not isinstance(q, cls):
+        raise InvalidParameterError(f"{caller} needs a {cls.__name__}, got {type(q).__name__}")
+
+
 def _obs_arrays(obs: Observation):
     return (np.asarray([obs.b]), np.asarray([obs.x], dtype=float))
 
@@ -126,19 +132,17 @@ def eif_stwcr(obs: Observation, q: StwcrQuery, nuis: NuisanceTriple,
     indicator = 1.0 if obs.a == q.a else 0.0
     ind = indicator / float(prop.prob(q.a, b1, x1)[0])
 
-    pi_S = float(cond.density_at(q.a, np.asarray([obs.s]), b1, x1)[0])
-    r_S = float(outc.predict_at(q.a, np.asarray([obs.s]), b1, x1)[0])
+    pi_S = float(cond.density_at(q.a, obs.s, b1, x1)[0])
+    r_S = float(outc.predict_at(q.a, obs.s, b1, x1)[0])
     k_S = kernel_weight(obs.s - q.s, h)
     dphi_S = smooth_indicator_deriv(pi_S, t, eps)
     phi_S = smooth_indicator(pi_S, t, eps)
 
     def pi_of(nodes):
-        m = nodes.size
-        return cond.density_at(q.a, nodes, np.full(m, obs.b), np.tile(x1, (m, 1)))
+        return cond.density_at(q.a, nodes, b1, x1)
 
     def r_of(nodes):
-        m = nodes.size
-        return outc.predict_at(q.a, nodes, np.full(m, obs.b), np.tile(x1, (m, 1)))
+        return outc.predict_at(q.a, nodes, b1, x1)
 
     int_dphi_pi = integrate_kernel_weighted(
         lambda s0: smooth_indicator_deriv(pi_of(s0), t, eps) * pi_of(s0),
@@ -182,12 +186,7 @@ def eif_stwcrve(obs: Observation, q: StwcrveQuery, nuis: NuisanceTriple,
     ind0 = (1.0 if obs.a == q.a0 else 0.0) / float(prop.prob(q.a0, b1, x1)[0])
 
     def nuis_at(arm, s_values):
-        s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-        m = s_values.size
-        bb, xx = np.full(m, obs.b), np.tile(x1, (m, 1))
-        pi = cond.density_at(arm, s_values, bb, xx)
-        r = outc.predict_at(arm, s_values, bb, xx)
-        return pi, r
+        return cond.density_at(arm, s_values, b1, x1), outc.predict_at(arm, s_values, b1, x1)
 
     pi_S1, r_S1 = (float(v[0]) for v in nuis_at(q.a1, obs.s))
     pi_S0, r_S0 = (float(v[0]) for v in nuis_at(q.a0, obs.s))
@@ -266,8 +265,9 @@ def _kernel_integrals_1d(center, h, arm, nuis, params, b, x, t, eps):
     """Per-observation integrals of phi, phi*r, dphi*pi, dphi*pi*r on one arm.
 
     Returns dict of (m,) arrays; zeros when the window misses the support.
-    The grid is evaluated in row blocks by ``map_row_blocks``, which bounds
-    its memory and leaves every value as in one unblocked serial pass.
+    The models are evaluated on the (rows, nodes) grid by broadcasting, in
+    row blocks by ``map_row_blocks``, which bounds memory and leaves every
+    value as in one unblocked serial pass.
     """
     rule = quad_rule(center, h, nuis.support, params)
     if rule is None:
@@ -278,8 +278,9 @@ def _kernel_integrals_1d(center, h, arm, nuis, params, b, x, t, eps):
     def block(b, x):
         # pi and r belong to the models and are only read; phi and g are
         # this block's own arrays, so the products are formed in them
-        pi = nuis.cond_density.density_grid(arm, nodes, b, x)
-        r = nuis.outcome.predict_grid(arm, nodes, b, x)
+        b, x = b[:, None], x[:, None, :]  # rows down, nodes across
+        pi = nuis.cond_density.density_at(arm, nodes, b, x)
+        r = nuis.outcome.predict_at(arm, nodes, b, x)
         phi, g = softened_indicator(pi, t, eps)
         g *= pi
         int_phi = phi @ wk

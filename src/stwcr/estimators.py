@@ -44,7 +44,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .core import SmoothingParams
-from .eif import StwcrQuery, StwcrveQuery, eif_stwcr_batch, eif_stwcrve_batch, local_terms
+from .eif import (StwcrQuery, StwcrveQuery, eif_stwcr_batch, eif_stwcrve_batch, local_terms,
+                  require_query)
 from .errors import EstimationError, InvalidParameterError, SolverError
 from .nuisance import (
     CondDensityModel,
@@ -386,6 +387,7 @@ def estimate_stwcr(data: Dataset, q: StwcrQuery, params: SmoothingParams,
     Pass ``nuisances`` to skip fitting and evaluate a known (oracle)
     nuisance triple on every observation instead.
     """
+    require_query(q, StwcrQuery, "estimate_stwcr")
     num, den, tau_num, tau_den, z, hits, degenerate = _pooled(
         data, folds, model_specs, nuisances, eif_stwcr_batch, q, params, required_arms=(q.a,))
     n = len(data)
@@ -409,6 +411,7 @@ def estimate_stwcrve(data: Dataset, q: StwcrveQuery, params: SmoothingParams,
     Log-scale intervals are primary; when rho_hat <= 0 the log transform
     is unavailable and a direct-scale interval is reported with a warning.
     """
+    require_query(q, StwcrveQuery, "estimate_stwcrve")
     num, den, tau_num, tau_den, z, hits, degenerate = _pooled(
         data, folds, model_specs, nuisances, eif_stwcrve_batch, q, params,
         required_arms=(q.a1,) if q.a1 == q.a0 else (q.a1, q.a0))

@@ -251,10 +251,11 @@ class _Terms(NamedTuple):
             X[:, j] = value
         return X
 
-    def predictor(self, coef, role_values, x, shape) -> np.ndarray:
-        """Sum of coef * term, left to right, as a float array of ``shape`` that the
-        caller may overwrite: a new array, never a column, which grows to its
-        broadcast shape and is then updated in place."""
+    def predictor(self, coef, role_values, x) -> np.ndarray:
+        """Sum of coef * term, left to right, in a new float array that the caller
+        may overwrite, never a column: it grows to the terms' broadcast shape and
+        is updated in place, then takes the role values' shape if that is larger."""
+        role_values = [np.asarray(v, dtype=float) for v in role_values]
         eta = 0.0
         for c, value in zip(coef, self._values(role_values, x)):
             term = c * value
@@ -263,6 +264,7 @@ class _Terms(NamedTuple):
             except ValueError:  # an array that must grow to the broadcast shape
                 eta = eta + term
         eta = np.asarray(eta, dtype=float)
+        shape = np.broadcast(eta, *role_values).shape
         return eta if eta.shape == shape else np.broadcast_to(eta, shape).copy()
 
 
@@ -310,7 +312,7 @@ class PropensityModel:
         if self.kind == "known":
             p1 = np.full_like(b, self.prob_treated)
         else:
-            p1 = expit(self._terms.predictor(self.coef, (b,), x, b.shape))
+            p1 = expit(self._terms.predictor(self.coef, (b,), x))
         p = p1 if a == 1 else 1.0 - p1
         return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
@@ -335,17 +337,13 @@ class CondDensityModel:
         object.__setattr__(self, "_terms", self.spec.resolve(self.ROLES, self.covariate_names))
 
     def mean(self, a, b, x):
-        b = np.asarray(b, dtype=float)
-        return self._terms.predictor(self.coef, (float(a), b), x, b.shape)
+        """The marker mean at broadcastable arm a and baseline b, with x's
+        covariates on its last axis: a may be one arm or one per row."""
+        return self._terms.predictor(self.coef, (a, b), x)
 
     def density_at(self, a, s, b, x):
-        """Density at broadcastable s and b, with x's covariates on its last axis."""
+        """Density at broadcastable a, s and b, with x's covariates on its last axis."""
         return _normal_density(np.asarray(s, dtype=float), self.mean(a, b, x), self.residual_sd)
-
-    def density_grid(self, a, s_nodes, b, x):
-        """Density on a marker grid: returns shape (m, len(s_nodes))."""
-        mu = self.mean(a, b, x)[:, None]
-        return _normal_density(np.asarray(s_nodes, dtype=float)[None, :], mu, self.residual_sd)
 
 
 @dataclass(frozen=True)
@@ -368,18 +366,13 @@ class OutcomeModel:
         object.__setattr__(self, "_terms", self.spec.resolve(self.ROLES, self.covariate_names))
 
     def predict_at(self, a, s, b, x):
-        """The mean at broadcastable s and b, with x's covariates on its last axis."""
-        s, b = np.asarray(s, dtype=float), np.asarray(b, dtype=float)
-        eta = self._terms.predictor(self.coef, (float(a), s, b), x, np.broadcast(s, b).shape)
+        """The mean at broadcastable a, s and b, with x's covariates on its last
+        axis: a may be one arm or one per row."""
+        eta = self._terms.predictor(self.coef, (a, s, b), x)
         if self.kind == "logistic":
             expit(eta, out=eta)
             np.clip(eta, PROB_FLOOR, 1.0 - PROB_FLOOR, out=eta)
         return eta
-
-    def predict_grid(self, a, s_nodes, b, x):
-        """The mean on a marker grid: returns shape (m, len(s_nodes))."""
-        grid = (np.asarray(s_nodes, dtype=float)[None, :], np.asarray(b, dtype=float)[:, None])
-        return self.predict_at(a, *grid, np.asarray(x, dtype=float)[:, None, :])
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ three scenarios (two categorical, one truncated-Gamma), 1:1 randomized
 treatment, marker S = B + A - 0.5*x1 + x2^2 + 4 + N(0,1), and a binary
 outcome with logit 0.5*x2 + 2*x3 - 0.2*S - A - 0.3*B + 1.5.
 
-Because the generating equations are polynomial in the features, the true
-nuisances are exactly representable by the parametric model classes;
-``true_nuisances`` returns them with the generating coefficients.
+The generating equations are polynomial in the features, so the parametric
+model classes hold them exactly: ``gen_dataset`` draws S and Y through
+``MARKER_MODEL`` and ``OUTCOME_MODEL``, and ``true_nuisances`` returns them.
 
 ``compute_truths`` gives the ground truth, on the calling thread: the
 defining kernel-quadrature integrals under the true nuisances, averaged
@@ -27,10 +27,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaincinv, gammaln, xlogy
+from scipy.special import gammaincinv, gammaln, xlogy
 
 from .core import Interval, SmoothingParams, kernel_weight, quad_rule, smooth_indicator
-from .eif import StwcrQuery
+from .eif import StwcrQuery, StwcrveQuery, require_query
 from .errors import HarnessError, InvalidParameterError, StwcrError
 from .estimators import ModelSpecs, estimate_stwcr, estimate_stwcrve, make_folds
 from .nuisance import (
@@ -62,11 +62,25 @@ __all__ = [
 
 COVARIATE_NAMES = ("x1", "x2", "x3")
 
+
+def _shared_coef(values):
+    coef = np.array(values, dtype=float)
+    coef.setflags(write=False)  # every true_nuisances() triple holds the same models
+    return coef
+
+
 # marker structural model: S = B + A - 0.5*x1 + x2^2 + 4 + N(0, 1)
 MARKER_COEF = (4.0, 1.0, 1.0, -0.5, 1.0)  # over {1, b, a, x1, x2^2}
 MARKER_SD = 1.0
+MARKER_MODEL = CondDensityModel(
+    spec=FeatureSpec([intercept(), raw("b"), raw("a"), raw("x1"), square("x2")]),
+    coef=_shared_coef(MARKER_COEF), residual_sd=MARKER_SD, covariate_names=COVARIATE_NAMES)
 # outcome structural model: logit P(Y=1) = 1.5 + 0.5*x2 + 2*x3 - 0.2*s - a - 0.3*b
 OUTCOME_COEF = (1.5, 0.5, 2.0, -0.2, -1.0, -0.3)  # over {1, x2, x3, s, a, b}
+OUTCOME_MODEL = OutcomeModel(
+    kind="logistic",
+    spec=FeatureSpec([intercept(), raw("x2"), raw("x3"), raw("s"), raw("a"), raw("b")]),
+    coef=_shared_coef(OUTCOME_COEF), covariate_names=COVARIATE_NAMES)
 TREATED_PROB = 0.5
 
 # baseline law: x1 ~ Bernoulli(EXPOSED_PROB); B | x1 per scenario, indexed by x1
@@ -120,7 +134,7 @@ class ScenarioSpec:
 
 
 def _draw_baseline(rng: np.random.Generator, n: int, scenario: str):
-    """Draw (b, x1, x2, x3) from the scenario's baseline population."""
+    """Draw (b, x) from the scenario's baseline population, x's columns x1, x2, x3."""
     x1 = (rng.random(n) < EXPOSED_PROB).astype(float)
     x2 = rng.random(n)
     x3 = rng.random(n)
@@ -136,7 +150,7 @@ def _draw_baseline(rng: np.random.Generator, n: int, scenario: str):
             g = _GAMMA[e]
             b[rows] = np.minimum(rng.gamma(shape=g["shape"], scale=1.0 / g["rate"], size=m),
                                  caps[e])
-    return b, x1, x2, x3
+    return b, np.column_stack([x1, x2, x3])
 
 
 def _unit_gauss_legendre(n: int):
@@ -175,43 +189,23 @@ def _baseline_grid(scenario: str):
     return wb[c] * xw[i2] * xw[i3], b[c], np.column_stack([x1[c], xn[i2], xn[i3]])
 
 
-def marker_mean(a, b, x1, x2):
-    c0, cb, ca, cx1, cx2sq = MARKER_COEF
-    return c0 + cb * b + ca * a + cx1 * x1 + cx2sq * x2 ** 2
-
-
-def outcome_prob(a, s, b, x2, x3):
-    c0, cx2, cx3, cs, ca, cb = OUTCOME_COEF
-    return expit(c0 + cx2 * x2 + cx3 * x3 + cs * s + ca * a + cb * b)
-
-
 def gen_dataset(spec: ScenarioSpec) -> Dataset:
-    """Generate one synthetic trial; deterministic given the seed."""
+    """One synthetic trial drawn through the generating models; deterministic given the seed."""
     rng = np.random.default_rng(spec.seed)
-    b, x1, x2, x3 = _draw_baseline(rng, spec.n, spec.scenario)
+    b, x = _draw_baseline(rng, spec.n, spec.scenario)
     a = (rng.random(spec.n) < TREATED_PROB).astype(int)
-    s = marker_mean(a, b, x1, x2) + MARKER_SD * rng.standard_normal(spec.n)
-    y = (rng.random(spec.n) < outcome_prob(a, s, b, x2, x3)).astype(float)
-    return Dataset(y=y, a=a, s=s, b=b, x=np.column_stack([x1, x2, x3]),
-                   covariate_names=COVARIATE_NAMES, outcome_kind="binary")
+    s = MARKER_MODEL.mean(a, b, x) + MARKER_SD * rng.standard_normal(spec.n)
+    y = (rng.random(spec.n) < OUTCOME_MODEL.predict_at(a, s, b, x)).astype(float)
+    return Dataset(y=y, a=a, s=s, b=b, x=x, covariate_names=COVARIATE_NAMES, outcome_kind="binary")
 
 
 def true_nuisances(scenario: str) -> NuisanceTriple:
-    """The generating-model nuisances, in closed form."""
+    """The generating models, with a marker support 6 sds past the extreme marker means."""
     b_lo, b_hi = baseline_marker_range(scenario)
-    mu_lo = marker_mean(0.0, b_lo, 1.0, 0.0)
-    mu_hi = marker_mean(1.0, b_hi, 0.0, 1.0)
-    cond = CondDensityModel(
-        spec=FeatureSpec([intercept(), raw("b"), raw("a"), raw("x1"), square("x2")]),
-        coef=np.asarray(MARKER_COEF), residual_sd=MARKER_SD,
-        covariate_names=COVARIATE_NAMES)
-    outc = OutcomeModel(
-        kind="logistic",
-        spec=FeatureSpec([intercept(), raw("x2"), raw("x3"), raw("s"), raw("a"), raw("b")]),
-        coef=np.asarray(OUTCOME_COEF), covariate_names=COVARIATE_NAMES)
-    prop = PropensityModel(kind="known", prob_treated=TREATED_PROB)
-    return NuisanceTriple(propensity=prop, cond_density=cond, outcome=outc,
-                          support=Interval(mu_lo - 6.0, mu_hi + 6.0))
+    mu_lo, mu_hi = MARKER_MODEL.mean([0.0, 1.0], [b_lo, b_hi], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    return NuisanceTriple(propensity=PropensityModel(kind="known", prob_treated=TREATED_PROB),
+                          cond_density=MARKER_MODEL, outcome=OUTCOME_MODEL,
+                          support=Interval(float(mu_lo) - 6.0, float(mu_hi) + 6.0))
 
 
 @dataclass(frozen=True)
@@ -235,6 +229,7 @@ class OracleResult:
 
 
 _ORACLE_BLOCK = 100_000
+_ORACLE_QUERIES = {"stwcr": StwcrQuery, "stwcrve_num_den": StwcrveQuery}
 
 
 def _baseline_blocks(rng: np.random.Generator, mc_size: int, scenario: str):
@@ -252,8 +247,9 @@ def _oracle_integrands(kind: str, scenario: str, query, params: SmoothingParams)
     integral of the smoothed trimming weight, times the outcome risk in
     the numerator. Independent of the influence-value code path.
     """
-    if kind not in ("stwcr", "stwcrve_num_den"):
+    if kind not in _ORACLE_QUERIES:
         raise InvalidParameterError(f"unknown oracle kind {kind!r}")
+    require_query(query, _ORACLE_QUERIES[kind], f"oracle kind {kind!r}")
     nuis = true_nuisances(scenario)
     if kind == "stwcr":
         arms = ((query.a, query.s, params.require_h()),)
@@ -269,11 +265,12 @@ def _oracle_integrands(kind: str, scenario: str, query, params: SmoothingParams)
         rules.append((arm, nodes, kernel_weight(nodes - center, h) * weights))
 
     def terms(b, x):
+        b, x = b[:, None], x[:, None, :]  # points down, nodes across
         per_arm = []
         for arm, nodes, wk in rules:
-            pi = nuis.cond_density.density_grid(arm, nodes, b, x)
+            pi = nuis.cond_density.density_at(arm, nodes, b, x)
             phi = smooth_indicator(pi, params.t, params.epsilon)
-            r = nuis.outcome.predict_grid(arm, nodes, b, x)
+            r = nuis.outcome.predict_at(arm, nodes, b, x)
             per_arm.append((phi @ wk, (phi * r) @ wk))
         if kind == "stwcr":
             plain, weighted = per_arm[0]
@@ -298,8 +295,8 @@ def oracle_estimand(kind: str, scenario: str, query, params: SmoothingParams,
     if mc_size < 100_000:
         raise InvalidParameterError("oracle needs mc_size >= 100000")
     sums = np.zeros(5)  # sum u, sum v, sum u^2, sum v^2, sum u*v
-    for b, x1, x2, x3 in _baseline_blocks(np.random.default_rng(seed), mc_size, scenario):
-        u, v = map_row_blocks(terms, b, np.column_stack([x1, x2, x3]))
+    for b, x in _baseline_blocks(np.random.default_rng(seed), mc_size, scenario):
+        u, v = map_row_blocks(terms, b, x)
         sums += (u.sum(), v.sum(), (u * u).sum(), (v * v).sum(), (u * v).sum())
 
     n = float(mc_size)
@@ -324,9 +321,9 @@ def direct_plain_smoothed_risk(scenario: str, a: int, s: float, h: float,
     """
     rng = np.random.default_rng(seed)
     total, total_sq = 0.0, 0.0
-    for b, x1, x2, x3 in _baseline_blocks(rng, mc_size, scenario):
+    for b, x in _baseline_blocks(rng, mc_size, scenario):
         s_draw = rng.normal(loc=s, scale=h, size=b.size)
-        vals = outcome_prob(a, s_draw, b, x2, x3)
+        vals = OUTCOME_MODEL.predict_at(a, s_draw, b, x)
         total += vals.sum()
         total_sq += (vals * vals).sum()
     mean = total / mc_size
@@ -360,6 +357,8 @@ class SimConfig:
         object.__setattr__(self, "queries", tuple(self.queries))
         if not self.queries:
             raise InvalidParameterError("need at least one query")
+        if not all(isinstance(q, (StwcrQuery, StwcrveQuery)) for q in self.queries):
+            raise InvalidParameterError("each query must be a StwcrQuery or a StwcrveQuery")
 
 
 @dataclass(frozen=True)
@@ -399,8 +398,9 @@ def compute_truths(scenario: str, queries, params: SmoothingParams) -> list[dict
         for lo in range(0, w.size, _ORACLE_BLOCK):
             blk = slice(lo, lo + _ORACLE_BLOCK)
             u, v = terms(b[blk], x[blk])
-            num += float(w[blk] @ u)
-            den += float(w[blk] @ v)
+            # not w @ u: OpenBLAS's ddot rounds differently per thread count
+            num += float(np.sum(w[blk] * u))
+            den += float(np.sum(w[blk] * v))
         ratio = num / den
         out.append({"truth": ratio if kind == "stwcr" else 1.0 - ratio, "num": num, "den": den})
     return out

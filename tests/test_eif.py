@@ -36,10 +36,7 @@ class ConstantDensity:
         self.value = value
 
     def density_at(self, a, s, b, x):
-        return np.full(np.shape(s), self.value, dtype=float)
-
-    def density_grid(self, a, s_nodes, b, x):
-        return np.full((np.shape(b)[0], np.shape(s_nodes)[0]), self.value, dtype=float)
+        return np.full(np.broadcast_shapes(np.shape(s), np.shape(b)), self.value, dtype=float)
 
 
 class ConstantOutcome:
@@ -47,10 +44,7 @@ class ConstantOutcome:
         self.value = value
 
     def predict_at(self, a, s, b, x):
-        return np.full(np.shape(b)[0], self.value, dtype=float)
-
-    def predict_grid(self, a, s_nodes, b, x):
-        return np.full((np.shape(b)[0], np.shape(s_nodes)[0]), self.value, dtype=float)
+        return np.full(np.broadcast_shapes(np.shape(s), np.shape(b)), self.value, dtype=float)
 
 
 def constant_triple(density=0.3, risk=0.4, prob=0.5, support=None):
@@ -392,7 +386,7 @@ class TestModelArraysAreOnlyRead:
                              outcome=Recording(nuis.outcome), support=nuis.support)
         assert_batches_equal([eif_stwcrve_batch(ds.y, ds.a, ds.s, ds.b, ds.x, q, nuis, PARAMS)],
                              [eif_stwcrve_batch(ds.y, ds.a, ds.s, ds.b, ds.x, q, spy, PARAMS)])
-        assert len(returned) == 10  # per arm: prob, density_at, predict_at and two grids
+        assert len(returned) == 10  # per arm: prob, then density_at and predict_at at S and on the grid
         for value, copy in returned:
             assert np.array_equal(value, copy)
 

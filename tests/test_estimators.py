@@ -325,10 +325,7 @@ class ArmSignedOutcome:
     """Outcome regression +1 under arm 0 and -1 under arm 1, so rho < 0."""
 
     def predict_at(self, a, s, b, x):
-        return np.full(np.shape(b)[0], 1.0 if a == 0 else -1.0)
-
-    def predict_grid(self, a, s_nodes, b, x):
-        return np.full((np.shape(b)[0], np.shape(s_nodes)[0]), 1.0 if a == 0 else -1.0)
+        return np.full(np.broadcast_shapes(np.shape(s), np.shape(b)), 1.0 if a == 0 else -1.0)
 
 
 class TestEstimateStwcrve:

@@ -186,6 +186,22 @@ class TestModelColumns:
         assert cond.mean(1, self.DS.b, self.DS.x).shape == (200,)
         assert outc.predict_at(1, self.DS.s, self.DS.b, self.DS.x).shape == (200,)
 
+    def test_per_row_arms_match_single_arm_calls(self):
+        terms = [intercept(), raw("b"), raw("a"), interaction("a", "x2"), square("x2")]
+        cond = fit_cond_density(self.DS, FeatureSpec(terms))
+        outc = fit_outcome(self.DS, FeatureSpec(terms + [raw("s"), interaction("a", "s")]))
+        ds, on = self.DS, self.DS.a == 1
+        assert np.array_equal(cond.mean(ds.a, ds.b, ds.x),
+                              np.where(on, cond.mean(1, ds.b, ds.x), cond.mean(0, ds.b, ds.x)))
+        assert np.array_equal(outc.predict_at(ds.a, ds.s, ds.b, ds.x),
+                              np.where(on, outc.predict_at(1, ds.s, ds.b, ds.x),
+                                       outc.predict_at(0, ds.s, ds.b, ds.x)))
+        nodes, grid = np.linspace(5.0, 9.0, 7), (ds.b[:, None], ds.x[:, None, :])
+        for model in (cond.density_at, outc.predict_at):
+            assert np.array_equal(model(ds.a[:, None], nodes, *grid),
+                                  np.where(on[:, None], model(1, nodes, *grid),
+                                           model(0, nodes, *grid)))
+
     def test_design_and_prediction_read_the_same_columns(self):
         # a linear fit through points it can reproduce exactly predicts them back
         spec = FeatureSpec([intercept(), raw("s"), interaction("a", "b"), square("x2")])
@@ -311,7 +327,7 @@ class TestFitCondDensity:
         nodes, weights = np.polynomial.legendre.leggauss(200)
         half = 8.0 * model.residual_sd
         svals = mu + half * nodes
-        dens = model.density_grid(1, svals, ds.b[:1], ds.x[:1])[0]
+        dens = model.density_at(1, svals, ds.b[:1, None], ds.x[:1, None, :])[0]
         assert float(dens @ (half * weights)) == pytest.approx(1.0, abs=1e-8)
 
     def test_singular_design_raises(self):
@@ -367,7 +383,7 @@ class TestFitOutcome:
         ds = gen_dataset(ScenarioSpec("I", 300, 9))
         model = fit_outcome(ds, self.SPEC)
         nodes = np.linspace(5.0, 9.0, 7)
-        grid = model.predict_grid(1, nodes, ds.b[:4], ds.x[:4])
+        grid = model.predict_at(1, nodes, ds.b[:4, None], ds.x[:4, None, :])
         for j, s in enumerate(nodes):
             at = model.predict_at(1, np.full(4, s), ds.b[:4], ds.x[:4])
             assert np.allclose(grid[:, j], at, rtol=1e-12)

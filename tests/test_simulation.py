@@ -1,14 +1,20 @@
 import math
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
-from stwcr import estimators
+from stwcr import estimators, simulation
 from stwcr.core import SmoothingParams
 from stwcr.eif import StwcrQuery, StwcrveQuery
 from stwcr.errors import EstimationError, HarnessError, InvalidParameterError
+from stwcr.estimators import ModelSpecs, estimate_stwcr, estimate_stwcrve, make_folds
 from stwcr.nuisance import Dataset
 from stwcr.simulation import (
     MetricsRow,
@@ -73,6 +79,21 @@ class TestGenDataset:
         # clamping leaves visible mass at the cap
         assert np.mean(ds.b[naive] == q_naive) > 0.001
 
+    @pytest.mark.parametrize("scenario", ["I", "II", "III"])
+    def test_draws_follow_structural_equations(self, scenario):
+        # replays the generator's stream: baseline, arm, marker noise, outcome uniforms
+        n, seed = 3000, 41
+        ds = gen_dataset(ScenarioSpec(scenario, n, seed))
+        rng = np.random.default_rng(seed)
+        b, x = simulation._draw_baseline(rng, n, scenario)
+        x1, x2, x3 = x.T
+        a = (rng.random(n) < 0.5).astype(int)
+        s = (4.0 + 1.0 * b + 1.0 * a + -0.5 * x1 + 1.0 * x2 ** 2) + 1.0 * rng.standard_normal(n)
+        p = expit(1.5 + 0.5 * x2 + 2.0 * x3 + -0.2 * s + -1.0 * a + -0.3 * b)
+        y = (rng.random(n) < p).astype(float)
+        for got, want in ((ds.b, b), (ds.x, x), (ds.a, a), (ds.s, s), (ds.y, y)):
+            assert np.array_equal(got, want)
+
     def test_deterministic(self):
         a = gen_dataset(ScenarioSpec("I", 500, 123))
         b = gen_dataset(ScenarioSpec("I", 500, 123))
@@ -107,6 +128,13 @@ class TestTrueNuisances:
         nuis = true_nuisances("I")
         assert nuis.support.lo == pytest.approx(4.5 - 6.0)
         assert nuis.support.hi == pytest.approx(11.0 + 6.0)
+
+    def test_estimator_default_specs_are_the_generating_specs(self):
+        specs = ModelSpecs().for_dataset(gen_dataset(ScenarioSpec("I", 100, 1)))
+        for scenario in ("I", "II", "III"):
+            nuis = true_nuisances(scenario)
+            assert specs.cond_density_spec == nuis.cond_density.spec
+            assert specs.outcome_spec == nuis.outcome.spec
 
 
 class TestOracle:
@@ -196,6 +224,39 @@ class TestOracle:
         assert abs(orc.ratio - truth["num"] / truth["den"]) < 4 * orc.mc_se
         assert abs(orc.num - truth["num"]) < 4 * orc.num_se
         assert abs(orc.den - truth["den"]) < 4 * orc.den_se
+
+
+def test_truths_same_under_any_blas_threads_and_cpu_mask():
+    # Scenario II's baseline grid has 148,608 points, long enough for a threaded ddot
+    code = ("from stwcr import SmoothingParams, StwcrQuery, StwcrveQuery\n"
+            "from stwcr.simulation import compute_truths\n"
+            "print(repr(compute_truths('II', (StwcrQuery(1, 9.0), StwcrveQuery(1, 0, 9.0, 8.0)),"
+            " SmoothingParams(t=0.1, epsilon=0.1, h=0.1, h0=0.1, h1=0.1))))")
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    runs = [({"OPENBLAS_NUM_THREADS": "1"}, []), ({"OPENBLAS_NUM_THREADS": "2"}, []), ({}, [])]
+    if shutil.which("taskset"):
+        runs.append(({}, ["taskset", "-c", "0"]))
+    truths = [subprocess.run([*prefix, sys.executable, "-c", code], env={**env, **blas},
+                             capture_output=True, text=True, check=True, timeout=120).stdout
+              for blas, prefix in runs]
+    assert truths == truths[:1] * len(runs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ds: estimate_stwcr(ds, StwcrveQuery(1, 0, 8.0, 7.0), PARAMS, make_folds(200, 5, 1)),
+    lambda ds: estimate_stwcrve(ds, StwcrQuery(1, 7.0), PARAMS, make_folds(200, 5, 1)),
+    lambda ds: oracle_estimand("stwcr", "I", StwcrveQuery(1, 0, 8.0, 7.0), PARAMS,
+                               mc_size=100_000),
+    lambda ds: oracle_estimand("stwcrve_num_den", "I", StwcrQuery(1, 7.0), PARAMS,
+                               mc_size=100_000),
+    lambda ds: compute_truths("I", (7.0,), PARAMS),
+    lambda ds: run_monte_carlo(SimConfig("I", 100, 1, ("stwcr:1:7",), PARAMS)),
+], ids=["estimate_stwcr", "estimate_stwcrve", "oracle_stwcr", "oracle_stwcrve", "compute_truths",
+        "run_monte_carlo"])
+def test_wrong_query_type_is_typed_error(call):
+    with pytest.raises(InvalidParameterError, match="Query"):
+        call(gen_dataset(ScenarioSpec("I", 200, 1)))
 
 
 class TestQuadratureTruth:
