@@ -10,6 +10,15 @@ are scattered back into original observation order before averaging, so
 results do not depend on fold order and injected nuisances give
 fold-seed-invariant estimates bit for bit.
 
+The rows are sorted by fold once per plan, so fold k's training rows are
+the two contiguous ranges on either side of part k. Each nuisance model's
+design matrix is built once over the sorted rows and every fold is fit
+from those ranges in place (``nuisance.TrainingRows``): no fold copies its
+training rows or builds its own design, and the designs are freed once
+the fits are made. Least squares sums per-part Gram matrices and solves
+by Cholesky, taking the SVD solve when that is poorly conditioned; IRLS
+sums over fixed row blocks.
+
 Fold 1 is fit first, from zero. Folds 2..K start their logistic fits (the
 binary outcome, and the propensity when it is fit) from fold 1's
 coefficients, unless fold 1 was degenerate. Each fit still runs until its
@@ -54,6 +63,8 @@ from .nuisance import (
     NuisanceTriple,
     OutcomeModel,
     PropensityModel,
+    RowParts,
+    TrainingRows,
     fit_cond_density,
     fit_outcome,
     fit_propensity,
@@ -200,9 +211,9 @@ class StwcrveReport:
     warnings: tuple[str, ...] = ()
 
 
-def _fit_fold(train: Dataset, specs: ModelSpecs,
+def _fit_fold(train: TrainingRows, specs: ModelSpecs,
               warm: NuisanceTriple | None = None) -> tuple[NuisanceTriple, bool]:
-    """Fit the nuisance triple on one training fold, with ``specs`` filled in.
+    """Fit the nuisance triple on one fold's training rows, with ``specs`` filled in.
 
     The logistic fits start from ``warm``'s coefficients when given. A
     failed logistic fit (separation, degenerate outcome) is retried from
@@ -235,29 +246,23 @@ def _fit_fold(train: Dataset, specs: ModelSpecs,
 class _FoldPlan:
     """What every query on one (data contents, parts, nuisances) shares.
 
-    Row i is in part ``labels[i]`` of 1..len(fits), evaluated with that
-    part's ``(NuisanceTriple, degenerate)`` fit; with ``labels`` None there
-    is one part of every row. Holds each part's rows, and per arm the
-    ``LocalTerms`` of every part at one (t, epsilon), made on first use and
-    replaced when a query brings another pair. Parts are gathered once into
-    copies; the one part of every row is the dataset's own columns. It
-    never holds the dataset.
+    Part j of ``rows`` holds the rows evaluated with ``fits[j]``, a
+    ``(NuisanceTriple, degenerate)`` pair, which sit at ``index[j]`` in the
+    dataset: ``order`` sorted the rows by part, or with ``order`` None the
+    one part is every row, in order. Holds each part's rows, and per arm
+    the ``LocalTerms`` of every part at one (t, epsilon), made on first
+    use and replaced when a query brings another pair. The held rows are
+    slices of ``rows``' columns, never a copy of its own; it holds neither
+    the dataset nor ``rows``, whose designs go with it.
     """
 
-    def __init__(self, key, data: Dataset, labels: np.ndarray | None, fits):
+    def __init__(self, key, rows: RowParts, order: np.ndarray | None, fits):
         self.key = key
         self.fits = fits
-        cols = (data.y, data.a, data.s, data.b, data.x)
-        if labels is None:
-            self.index = [slice(None)]
-            self.held = [cols]
-        else:
-            # a stable sort keeps each part's rows in their original order
-            order = np.argsort(labels, kind="stable")
-            edges = np.searchsorted(labels[order], np.arange(1, len(fits) + 2))
-            cols = [col[order] for col in cols]
-            self.index = [order[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
-            self.held = [tuple(col[lo:hi] for col in cols) for lo, hi in zip(edges[:-1], edges[1:])]
+        parts = list(zip(rows.edges[:-1], rows.edges[1:]))
+        self.index = [slice(None)] if order is None else [order[lo:hi] for lo, hi in parts]
+        self.held = [tuple(col[lo:hi] for col in (rows.y, rows.a, rows.s, rows.b, rows.x))
+                     for lo, hi in parts]
         self._local = {}  # arm -> ((t, epsilon), one LocalTerms per part)
 
     def local_terms(self, arm: int, params: SmoothingParams):
@@ -289,8 +294,11 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
 
     Returns the previous call's plan when ``data``'s contents, the folds
     and the specs are unchanged. Otherwise the specs are filled in once
-    for all folds, so a bad spec fails before any fold is fit. Fold 1 is
-    fit first, in the calling thread; unless it was degenerate, folds
+    for all folds, so a bad spec fails before any fold is fit. The rows
+    are sorted by fold once, and each fold is fit from the ranges on
+    either side of its own: each model's design is built once, by fold 1,
+    and freed with the fits' ``RowParts`` when the plan is made. Fold 1
+    is fit first, in the calling thread; unless it was degenerate, folds
     2..K start their logistic fits from its coefficients. From
     ``_THREADED_FIT_ROWS`` rows folds 2..K are fit on threads; either way a
     failure names the lowest failing fold, and nothing is stored.
@@ -300,10 +308,15 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
     if plan is not None and plan.key == key:
         return plan
     specs = specs.for_dataset(data)
+    # a stable sort keeps each fold's rows in their original order
+    order = np.argsort(folds.labels, kind="stable")
+    edges = np.searchsorted(folds.labels[order], np.arange(1, folds.k_folds + 2))
+    rows = RowParts([col[order] for col in (data.y, data.a, data.s, data.b, data.x)], edges,
+                    data.covariate_names, data.outcome_kind)
 
     def fit(k, warm=None):
         try:
-            return _fit_fold(data.subset(folds.labels != k), specs, warm)
+            return _fit_fold(TrainingRows(rows, k - 1), specs, warm)
         except SolverError as exc:
             raise EstimationError(f"nuisance fit failed in fold {k}: {exc}") from exc
 
@@ -312,7 +325,7 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
     threaded = len(data) >= _THREADED_FIT_ROWS
     rest = map_threaded(lambda k: fit(k, warm), range(2, folds.k_folds + 1),
                         tasks=folds.k_folds - 1 if threaded else 1)
-    _FOLD_FITS[data] = _FoldPlan(key, data, folds.labels, ((first, degenerate), *rest))
+    _FOLD_FITS[data] = _FoldPlan(key, rows, order, ((first, degenerate), *rest))
     return _FOLD_FITS[data]
 
 
@@ -336,7 +349,7 @@ def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
     if folds.labels.shape[0] != n:
         raise InvalidParameterError("fold assignment does not match dataset size")
     if nuisances is not None:
-        plan = _FoldPlan(None, data, None, ((nuisances, False),))
+        plan = _FoldPlan(None, RowParts.of(data), None, ((nuisances, False),))
     else:
         # ahead of any fit: a fold without the arm would fail as a singular design
         _check_arms(data, folds, required_arms)

@@ -20,11 +20,20 @@ against those columns once, when its model is fit or built, for both
 the design matrix and the predictions; any other name, y included, is
 an InvalidParameterError, which the estimators raise before any fold
 is fit.
+
+A fit reads :class:`TrainingRows`: one or two contiguous row ranges of
+columns grouped into parts (:class:`RowParts`), which hold each model's
+design matrix over all their rows. A fold plan sorts its rows by fold and
+fits fold k from the ranges on either side of part k, so no fit copies its
+training rows or builds its own design; a Dataset is read as one part of
+all its rows. Least squares solves the normal equations from per-part Gram
+sums by Cholesky, and IRLS sums over fixed row blocks.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, NamedTuple, Sequence
@@ -47,6 +56,8 @@ __all__ = [
     "CondDensityModel",
     "OutcomeModel",
     "NuisanceTriple",
+    "RowParts",
+    "TrainingRows",
     "irls_logistic",
     "fit_propensity",
     "fit_cond_density",
@@ -387,21 +398,151 @@ class NuisanceTriple:
 
 # --- fitting ---------------------------------------------------------------
 
-def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None):
+# Rows per block of a fit's sums over its training rows. A block's weighted
+# design is 0.8 MB at 6 features, so it stays in cache and is the same size
+# at any n; block edges that depend only on the training rows keep every
+# sum the same under any BLAS thread count.
+_FIT_BLOCK_ROWS = 16_384
+
+# Normal equations square the design's condition number: at a Gram
+# condition number c, a Cholesky solve has a relative error of about
+# c * 1.1e-16, 1e-10 at this bound. Above it, for the Gram matrix scaled to
+# a unit diagonal, least squares takes the SVD solve on the training rows.
+_GRAM_COND_MAX = 1e6
+
+
+class RowParts:
+    """A sample's columns with its rows grouped into contiguous parts, and
+    what the fits on them share.
+
+    A fold plan sorts its rows by fold, so that each fold is one part and
+    trains on the others; a Dataset fit reads one part of all its rows.
+    Each model's design matrix over all rows, and its per-part Gram sums,
+    are made on first use and live as long as the parts. A fold plan fits
+    fold 1 in the calling thread before folds 2..K start on threads, so
+    the threads only read them.
+    """
+
+    def __init__(self, columns, edges, covariate_names, outcome_kind):
+        self.y, self.a, self.s, self.b, self.x = columns
+        self.edges = [int(e) for e in edges]  # part j is rows edges[j]:edges[j + 1]
+        self.covariate_names = covariate_names
+        self.outcome_kind = outcome_kind
+        self._designs = {}
+        self._grams = {}
+
+    @classmethod
+    def of(cls, data: Dataset) -> RowParts:
+        """One part of all ``data``'s rows, on its own columns."""
+        return cls((data.y, data.a, data.s, data.b, data.x), (0, len(data)),
+                   data.covariate_names, data.outcome_kind)
+
+    def __len__(self):
+        return len(self.y)
+
+    def design(self, terms: _Terms) -> np.ndarray:
+        X = self._designs.get(terms)
+        if X is None:
+            X = self._designs[terms] = terms.design(self)
+        return X
+
+    def grams(self, terms: _Terms, target: str) -> list:
+        """Per part j, ``(X_j'X_j, X_j'z_j)`` for the design of ``terms`` and column ``target``."""
+        grams = self._grams.get((terms, target))
+        if grams is None:
+            X, z = self.design(terms), getattr(self, target)
+            grams = self._grams[terms, target] = [
+                (X[lo:hi].T @ X[lo:hi], X[lo:hi].T @ z[lo:hi])
+                for lo, hi in zip(self.edges[:-1], self.edges[1:])]
+        return grams
+
+
+def _gathered(name):
+    """A property: column ``name`` at the training rows, gathered into a new array."""
+    return property(lambda rows: np.concatenate([getattr(rows.parts, name)[lo:hi]
+                                                 for lo, hi in rows.ranges]))
+
+
+class TrainingRows:
+    """The rows one fit reads: every part of a :class:`RowParts` but
+    ``held_out``, counted from 0, or with ``held_out`` None all of them, as
+    up to two contiguous row ranges.
+
+    The fit functions take these or a Dataset, which they read as one part
+    of all its rows. Fits read the parts' columns and designs in place;
+    ``rows.s`` and the other columns are gathered copies, for callers that
+    want the training rows as arrays.
+    """
+
+    y, a, s, b, x = map(_gathered, ("y", "a", "s", "b", "x"))
+
+    def __init__(self, parts: RowParts, held_out: int | None):
+        self.parts = parts
+        self.held_out = held_out
+        self.covariate_names = parts.covariate_names
+        self.outcome_kind = parts.outcome_kind
+        first, last = parts.edges[0], parts.edges[-1]
+        if held_out is None:
+            ranges = [(first, last)]
+        else:
+            ranges = [(first, parts.edges[held_out]), (parts.edges[held_out + 1], last)]
+        self.ranges = [(lo, hi) for lo, hi in ranges if lo < hi]
+        if not self.ranges:
+            raise InvalidParameterError("a fit needs at least one training row")
+
+    def __len__(self):
+        return sum(hi - lo for lo, hi in self.ranges)
+
+    def gram(self, terms: _Terms, target: str):
+        """``(X'X, X'z)`` over these rows: the other parts' sums, added in part order."""
+        kept = [g for j, g in enumerate(self.parts.grams(terms, target)) if j != self.held_out]
+        return sum(g for g, _ in kept), sum(r for _, r in kept)
+
+
+def _row_blocks(ranges) -> list[list[tuple[int, int]]]:
+    """The rows of ``ranges``, in order, cut into blocks of ``_FIT_BLOCK_ROWS``
+    rows and a shorter last one: per block, its (lo, hi) pieces of the ranges."""
+    blocks, block, room = [], [], _FIT_BLOCK_ROWS
+    for lo, hi in ranges:
+        while lo < hi:
+            take = min(room, hi - lo)
+            block.append((lo, lo + take))
+            lo, room = lo + take, room - take
+            if not room:
+                blocks.append(block)
+                block, room = [], _FIT_BLOCK_ROWS
+    return blocks + [block] if block else blocks
+
+
+def _training_rows(data: Dataset | TrainingRows) -> TrainingRows:
+    return data if isinstance(data, TrainingRows) else TrainingRows(RowParts.of(data), None)
+
+
+def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None, rows=None):
     """Ridge-penalized logistic MLE via iteratively reweighted least squares.
 
-    Starts from the coefficients ``start``, zero by default. Converges
-    when the penalized score has max-norm below ``tol``; a ``start`` that
-    already meets it is returned unchanged. Raises :class:`SolverError` on
-    non-convergence (carrying the last gradient norm) or on a
-    rank-deficient weighted system; callers may retry with a larger ridge.
+    Fits the rows of ``design`` and ``labels`` in ``rows``, a list of
+    ``(lo, hi)`` ranges, or all rows by default. Starts from the
+    coefficients ``start``, zero by default. Converges when the penalized
+    score has max-norm below ``tol``; a ``start`` that already meets it is
+    returned unchanged. Raises :class:`SolverError` on non-convergence
+    (carrying the last gradient norm) or on a rank-deficient weighted
+    system; callers may retry with a larger ridge. Every sum runs over
+    these rows in order, in blocks of ``_FIT_BLOCK_ROWS``, so no step holds
+    more than one block's weighted design.
     """
     X = np.asarray(design, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    n, q = X.shape
+    y = np.asarray(labels)
+    q = X.shape[1]
+    # per block, per piece: its design rows, its labels, and its place in the block
+    blocks = [[(X[lo:hi], y[lo:hi], slice(at - (hi - lo), at))
+               for (lo, hi), at in zip(block, itertools.accumulate(hi - lo for lo, hi in block))]
+              for block in _row_blocks([(0, X.shape[0])] if rows is None else rows)]
+    pieces = [piece for block in blocks for piece in block]
+    n = sum(len(yp) for _, yp, _ in pieces)
     if n < q:
         raise SolverError(f"need at least as many rows ({n}) as features ({q})")
-    if not np.all((y == 0) | (y == 1)):
+    if not all(np.all((yp == 0) | (yp == 1)) for _, yp, _ in pieces):
         raise SolverError("labels must be 0/1")
     if start is None:
         beta = np.zeros(q)
@@ -410,27 +551,51 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
         if beta.shape != (q,) or not np.all(np.isfinite(beta)):
             raise InvalidParameterError(f"start must hold {q} finite coefficients")
     diag = np.diag_indices(q)
-    Xw = np.empty_like(X)  # X with each row scaled by its weight, remade every step
+    # softplus(eta) - y eta is softplus(sign eta), sign = 1 - 2y, kept a byte a row
+    signs = [np.concatenate([1 - 2 * yp for _, yp, _ in block]).astype(np.int8)
+             for block in blocks]
+    # one block's rows, each scaled by its weight, remade every step
+    Xw = np.empty((len(signs[0]), q))
 
-    def penalized_ll(bta, eta):
-        # softplus(eta) = log(1 + exp(eta)), written to stay finite at any eta
-        softplus = np.log1p(np.exp(-np.abs(eta)))
-        softplus += np.maximum(eta, 0.0)
-        return float(y @ eta - np.sum(softplus) - 0.5 * ridge * bta @ bta)
+    def evaluate(bta):
+        """The penalized log-likelihood at ``bta``, and each block's linear predictor."""
+        etas, loss = [], 0.5 * ridge * float(bta @ bta)
+        for block, sign in zip(blocks, signs):
+            eta = np.empty(len(sign))
+            for Xp, _, at in block:
+                np.matmul(Xp, bta, out=eta[at])
+            # softplus(z) = log(1 + exp(z)), written to stay finite at any z
+            z = sign * eta
+            terms = np.abs(z)
+            np.negative(terms, out=terms)
+            np.exp(terms, out=terms)
+            np.log1p(terms, out=terms)
+            terms += np.maximum(z, 0.0, out=z)
+            loss += terms.sum()  # a sum, not a BLAS ddot, so no thread count changes it
+            etas.append(eta)
+        return -float(loss), etas
 
-    eta = X @ beta
-    ll = penalized_ll(beta, eta)
+    ll, etas = evaluate(beta)
     gnorm = np.inf
     for _ in range(max_iter):
-        p = expit(eta)
-        grad = X.T @ (y - p) - ridge * beta
-        gnorm = float(np.max(np.abs(grad)))
+        ps = [expit(eta, out=eta) for eta in etas]  # the predictors are not read again
+        del etas
+        grad = 0.0
+        for block, p in zip(blocks, ps):
+            for Xp, yp, at in block:
+                grad = grad + Xp.T @ (yp - p[at])
+        grad = grad - ridge * beta
+        gnorm = float(np.abs(grad).max())
         if gnorm < tol:
             return beta
-        w = np.maximum(p * (1.0 - p), 1e-10)
-        np.multiply(X, w[:, None], out=Xw)
-        hess = X.T @ Xw
+        hess = 0.0
+        for block, p in zip(blocks, ps):
+            w = np.maximum(p * (1.0 - p), 1e-10)
+            for Xp, _, at in block:
+                np.multiply(Xp, w[at, None], out=Xw[at])
+                hess = hess + Xp.T @ Xw[at]
         hess[diag] += ridge
+        del ps
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -439,67 +604,112 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
         scale = 1.0
         for _ in range(40):
             cand = beta + scale * step
-            cand_eta = X @ cand
-            cand_ll = penalized_ll(cand, cand_eta)
+            cand_ll, cand_etas = evaluate(cand)
             if np.isfinite(cand_ll) and cand_ll >= ll - 1e-12 * (1.0 + abs(ll)):
                 break
             scale *= 0.5
         else:
             raise SolverError("IRLS line search failed", gradient_norm=gnorm)
-        beta, eta, ll = cand, cand_eta, cand_ll
+        beta, etas, ll = cand, cand_etas, cand_ll
     raise SolverError(f"IRLS did not converge in {max_iter} iterations", gradient_norm=gnorm)
 
 
-def fit_propensity(data: Dataset, spec: FeatureSpec | None = None, known_prob: float | None = None,
-                   ridge=1e-8, tol=1e-9, max_iter=100, start=None) -> PropensityModel:
-    """Fit P(A = 1 | b, x), from coefficients ``start`` if given, or declare
-    it known (randomized designs)."""
+def fit_propensity(data: Dataset | TrainingRows, spec: FeatureSpec | None = None,
+                   known_prob: float | None = None, ridge=1e-8, tol=1e-9, max_iter=100,
+                   start=None) -> PropensityModel:
+    """Fit P(A = 1 | b, x) on a Dataset or a fit's training rows, from
+    coefficients ``start`` if given, or declare it known (randomized designs)."""
     if (spec is None) == (known_prob is None):
         raise InvalidParameterError("provide exactly one of spec or known_prob")
     if known_prob is not None:
         return PropensityModel(kind="known", prob_treated=float(known_prob))
-    X = spec.resolve(PropensityModel.ROLES, data.covariate_names).design(data)
-    coef = irls_logistic(X, data.a, ridge=ridge, tol=tol, max_iter=max_iter, start=start)
+    rows = _training_rows(data)
+    terms = spec.resolve(PropensityModel.ROLES, rows.covariate_names)
+    coef = irls_logistic(rows.parts.design(terms), rows.parts.a, ridge=ridge, tol=tol,
+                         max_iter=max_iter, start=start, rows=rows.ranges)
     return PropensityModel(kind="logistic", spec=spec, coef=coef,
-                           covariate_names=data.covariate_names)
+                           covariate_names=rows.covariate_names)
 
 
-def _least_squares(X, z):
+def _cholesky_solve(gram, xz):
+    """The solution of ``gram @ c = xz`` by Cholesky, with ``gram`` scaled to
+    a unit diagonal, or None when the scaled matrix is not positive definite
+    or its condition estimate is above ``_GRAM_COND_MAX``."""
+    d = np.sqrt(np.diag(gram))
+    if not np.all(d > 0):
+        return None
+    try:
+        L = np.linalg.cholesky(gram / np.outer(d, d))
+    except np.linalg.LinAlgError:
+        return None
+    L_inv = np.linalg.inv(L)
+    # |L|_F^2 |L^-1|_F^2 = q |L^-1|_F^2 bounds the scaled matrix's 2-norm
+    # condition number from above, within a factor q^2
+    if not len(d) * np.square(L_inv).sum() <= _GRAM_COND_MAX:
+        return None
+    return L_inv.T @ (L_inv @ (xz / d)) / d
+
+
+def _svd_solve(X, z):
     coef, _, rank, _ = np.linalg.lstsq(X, z, rcond=None)
     if rank < X.shape[1]:
         raise SolverError(f"singular design: rank {rank} < {X.shape[1]} columns")
     return coef
 
 
-def fit_cond_density(data: Dataset, spec: FeatureSpec) -> CondDensityModel:
-    """Gaussian fit of S on features of (a, b, x); residual sd uses the n - q divisor."""
-    n, q = len(data), len(spec)
+def _least_squares(rows: TrainingRows, terms: _Terms, target: str) -> np.ndarray:
+    """Coefficients of column ``target`` on the design of ``terms`` over
+    ``rows``, from the normal equations; a poorly conditioned or singular
+    Gram matrix takes the SVD solve on the gathered training rows, which
+    raises SolverError when the design is rank-deficient."""
+    coef = _cholesky_solve(*rows.gram(terms, target))
+    if coef is None:
+        X, z = rows.parts.design(terms), getattr(rows.parts, target)
+        coef = _svd_solve(np.concatenate([X[lo:hi] for lo, hi in rows.ranges]),
+                          np.concatenate([z[lo:hi] for lo, hi in rows.ranges]))
+    return coef
+
+
+def fit_cond_density(data: Dataset | TrainingRows, spec: FeatureSpec) -> CondDensityModel:
+    """Gaussian fit of S on features of (a, b, x), on a Dataset or a fit's
+    training rows; residual sd uses the n - q divisor."""
+    rows = _training_rows(data)
+    n, q = len(rows), len(spec)
     if n <= q + 2:
         raise InvalidParameterError(f"need n > q + 2 rows (n={n}, q={q})")
-    X = spec.resolve(CondDensityModel.ROLES, data.covariate_names).design(data)
-    coef = _least_squares(X, data.s)
-    resid = data.s - X @ coef
-    sd = float(np.sqrt(np.sum(resid * resid) / (n - q)))  # ddot rounds per BLAS thread count
+    terms = spec.resolve(CondDensityModel.ROLES, rows.covariate_names)
+    coef = _least_squares(rows, terms, "s")
+    X, s = rows.parts.design(terms), rows.parts.s
+    rss = 0.0
+    for lo, hi in (piece for block in _row_blocks(rows.ranges) for piece in block):
+        resid = s[lo:hi] - X[lo:hi] @ coef
+        rss += float(np.sum(resid * resid))  # a ddot would round per BLAS thread count
+    sd = math.sqrt(rss / (n - q))
     if not sd > 0:
         raise SolverError("zero residual variance in conditional-density fit")
     return CondDensityModel(spec=spec, coef=coef, residual_sd=sd,
-                            covariate_names=data.covariate_names)
+                            covariate_names=rows.covariate_names)
 
 
-def fit_outcome(data: Dataset, spec: FeatureSpec, ridge=1e-8, tol=1e-9, max_iter=100,
-                start=None) -> OutcomeModel:
-    """Fit E[Y | a, s, b, x]: logistic for binary outcomes, from coefficients
-    ``start`` if given, and least squares, which takes no start, otherwise."""
-    X = spec.resolve(OutcomeModel.ROLES, data.covariate_names).design(data)
-    if data.outcome_kind == "binary":
-        coef = irls_logistic(X, data.y, ridge=ridge, tol=tol, max_iter=max_iter, start=start)
+def fit_outcome(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8, tol=1e-9,
+                max_iter=100, start=None) -> OutcomeModel:
+    """Fit E[Y | a, s, b, x] on a Dataset or a fit's training rows: logistic
+    for binary outcomes, from coefficients ``start`` if given, and least
+    squares, which takes no start, otherwise."""
+    rows = _training_rows(data)
+    terms = spec.resolve(OutcomeModel.ROLES, rows.covariate_names)
+    if rows.outcome_kind == "binary":
+        coef = irls_logistic(rows.parts.design(terms), rows.parts.y, ridge=ridge, tol=tol,
+                             max_iter=max_iter, start=start, rows=rows.ranges)
         kind = "logistic"
     else:
-        coef = _least_squares(X, data.y)
+        coef = _least_squares(rows, terms, "y")
         kind = "linear"
-    return OutcomeModel(kind=kind, spec=spec, coef=coef, covariate_names=data.covariate_names)
+    return OutcomeModel(kind=kind, spec=spec, coef=coef, covariate_names=rows.covariate_names)
 
 
-def support_bounds(data: Dataset) -> Interval:
-    """Observed marker range [min S, max S]."""
-    return Interval(float(np.min(data.s)), float(np.max(data.s)))
+def support_bounds(data: Dataset | TrainingRows) -> Interval:
+    """Observed marker range [min S, max S] of a Dataset or a fit's training rows."""
+    rows = _training_rows(data)
+    s = [rows.parts.s[lo:hi] for lo, hi in rows.ranges]
+    return Interval(min(float(np.min(part)) for part in s), max(float(np.max(part)) for part in s))

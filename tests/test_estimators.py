@@ -1,5 +1,6 @@
 import gc
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from stwcr import estimators
+from stwcr import estimators, nuisance
 from stwcr.core import Interval, SmoothingParams
 from stwcr.eif import StwcrQuery, StwcrveQuery
 from stwcr.errors import EstimationError, InvalidParameterError, SolverError
@@ -20,16 +21,20 @@ from stwcr.estimators import (
     make_folds,
 )
 from stwcr.nuisance import (
+    CondDensityModel,
     Dataset,
     FeatureSpec,
     NuisanceTriple,
     PropensityModel,
+    fit_cond_density,
     fit_outcome,
     fit_propensity,
     intercept,
     raw,
+    support_bounds,
 )
 from stwcr.simulation import ScenarioSpec, compute_truths, gen_dataset, true_nuisances
+from conftest import ThreadPools
 
 PARAMS = SmoothingParams(t=0.1, epsilon=0.1, h=0.1, h0=0.1, h1=0.1)
 
@@ -684,6 +689,76 @@ class TestThreadedFoldFits:
         assert ds not in estimators._FOLD_FITS
 
 
+def with_fourth_covariate(ds, x4):
+    """``ds`` with covariate x4 added: default specs then read x1..x4 raw."""
+    return Dataset(y=ds.y, a=ds.a, s=ds.s, b=ds.b, x=np.column_stack([ds.x, x4]),
+                   covariate_names=("x1", "x2", "x3", "x4"), outcome_kind=ds.outcome_kind)
+
+
+class TestFoldSlices:
+    """Fold fits read the plan's rows sorted by fold: one design per model, no copies."""
+
+    def test_duplicate_covariate_is_a_singular_design(self):
+        ds = gen_dataset(ScenarioSpec("I", 400, 38))
+        dup = with_fourth_covariate(ds, ds.x[:, 0])
+        with pytest.raises(EstimationError, match="nuisance fit failed in fold 1: singular design"):
+            estimate_stwcr(dup, StwcrQuery(1, 7.0), PARAMS, make_folds(400, 5, 0))
+        assert dup not in estimators._FOLD_FITS
+
+    def test_nearly_collinear_design_takes_the_svd_path(self, monkeypatch):
+        ds = gen_dataset(ScenarioSpec("I", 400, 39))
+        near = with_fourth_covariate(ds, ds.x[:, 0] + 1e-5 * np.random.default_rng(0).normal(size=400))
+        folds = make_folds(400, 5, 1)
+        specs = ModelSpecs().for_dataset(near)
+        terms = specs.cond_density_spec.resolve(CondDensityModel.ROLES, near.covariate_names)
+        solves = []
+        real = nuisance._svd_solve
+        monkeypatch.setattr(nuisance, "_svd_solve", lambda X, z: solves.append(len(z)) or real(X, z))
+        plan = estimators._fold_plan(near, folds, specs)
+        assert solves == [np.sum(folds.labels != k) for k in range(1, 6)]
+        for k, (nuis, _) in enumerate(plan.fits, start=1):
+            train = near.subset(folds.labels != k)
+            X = terms.design(train)
+            gram = X.T @ X
+            scale = 1.0 / np.sqrt(np.diag(gram))
+            assert np.linalg.cond(gram * np.outer(scale, scale)) > nuisance._GRAM_COND_MAX
+            # the plan's training rows are the same rows, sorted by fold
+            coef, *_ = np.linalg.lstsq(X, train.s, rcond=None)
+            np.testing.assert_allclose(nuis.cond_density.coef, coef, rtol=1e-8)
+        # a Dataset is one range of its own rows: the same lstsq call, bit for bit
+        coef, *_ = np.linalg.lstsq(terms.design(near), near.s, rcond=None)
+        assert np.array_equal(fit_cond_density(near, specs.cond_density_spec).coef, coef)
+
+    @pytest.mark.parametrize("k", [2, 5, 10])
+    def test_one_design_per_model(self, monkeypatch, k):
+        ds = gen_dataset(ScenarioSpec("I", 600, 40))
+        built = []
+        real = nuisance._Terms.design
+        monkeypatch.setattr(nuisance._Terms, "design",
+                            lambda terms, data: built.append(len(data)) or real(terms, data))
+        specs = ModelSpecs(known_propensity=None,
+                           propensity_spec=FeatureSpec([intercept(), raw("b"), raw("x1")]))
+        estimators._fold_plan(ds, make_folds(600, k, 2), specs)
+        assert built == [600, 600, 600]  # propensity, density, outcome, each over every row
+
+    def test_fold_plan_peak_memory(self, thread_pools):
+        # bound and its reasoning in CHANGES.md: about 4 D expected; fold fits on
+        # per-fold training subsets traced 5.5 D
+        n = 40_000
+        ds = gen_dataset(ScenarioSpec("I", n, 41))
+        folds = make_folds(n, 5, 3)
+        data_bytes = sum(col.nbytes for col in (ds.y, ds.a, ds.s, ds.b, ds.x))
+        thread_pools.use(2)
+        tracemalloc.start()
+        try:
+            estimators._fold_plan(ds, folds, ModelSpecs())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert thread_pools.made == [2]
+        assert peak < 5 * data_bytes, f"peak {peak / data_bytes:.2f} x the dataset's bytes"
+
+
 class TestWarmStartedFolds:
     """Folds 2..K start their logistic fits from fold 1's coefficients."""
 
@@ -691,16 +766,40 @@ class TestWarmStartedFolds:
                        propensity_spec=FeatureSpec([intercept(), raw("b"), raw("x1")]))
 
     @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(200, 1500), fitted=st.booleans())
-    def test_chained_fits_equal_cold_fits(self, seed, n, fitted):
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(200, 1500), k=st.sampled_from((2, 5, 10)),
+           fitted=st.booleans(), continuous=st.booleans())
+    @example(seed=3, n=1003, k=10, fitted=True, continuous=True)  # n not divisible by K
+    @example(seed=4, n=20_003, k=5, fitted=True, continuous=False)  # folds fit on threads
+    @example(seed=5, n=20_001, k=2, fitted=False, continuous=True)
+    def test_chained_fits_equal_cold_fits(self, seed, n, k, fitted, continuous):
+        # fold fits read the plan's sorted rows; cold fits get a gathered
+        # copy of each fold's training rows in their original order
         ds = gen_dataset(ScenarioSpec("I", n, seed))
-        folds = make_folds(n, 5, seed)
+        if continuous:
+            noise = np.random.default_rng(seed).normal(size=n)
+            ds = Dataset(y=2.0 + ds.s - ds.a + 0.5 * ds.b + ds.x[:, 1] - ds.x[:, 2] + noise,
+                         a=ds.a, s=ds.s, b=ds.b, x=ds.x, covariate_names=ds.covariate_names,
+                         outcome_kind="continuous")
+        folds = make_folds(n, k, seed)
         specs = (self.SPECS if fitted else ModelSpecs()).for_dataset(ds)
-        plan = estimators._fold_plan(ds, folds, specs)
-        for k, (nuis, degenerate) in enumerate(plan.fits, start=1):
-            train = ds.subset(folds.labels != k)
+        with pytest.MonkeyPatch.context() as mp:
+            pools = ThreadPools(mp)
+            pools.use(2)
+            plan = estimators._fold_plan(ds, folds, specs)
+        threaded = n >= estimators._THREADED_FIT_ROWS and k > 2
+        assert pools.made == ([2] if threaded else [])
+        for fold, (nuis, degenerate) in enumerate(plan.fits, start=1):
+            train = ds.subset(folds.labels != fold)
             ridge = {"ridge": estimators.DEGENERATE_RIDGE} if degenerate else {}
-            cold = [(nuis.outcome.coef, fit_outcome(train, specs.outcome_spec, **ridge).coef)]
+            cond = fit_cond_density(train, specs.cond_density_spec)
+            np.testing.assert_allclose(nuis.cond_density.coef, cond.coef, rtol=1e-10, atol=0)
+            assert nuis.cond_density.residual_sd == pytest.approx(cond.residual_sd, rel=1e-10)
+            assert nuis.support == support_bounds(train)
+            outcome = fit_outcome(train, specs.outcome_spec, **ridge)
+            assert nuis.outcome.kind == ("linear" if continuous else "logistic")
+            if continuous:
+                np.testing.assert_allclose(nuis.outcome.coef, outcome.coef, rtol=1e-10, atol=0)
+            cold = [] if continuous else [(nuis.outcome.coef, outcome.coef)]
             if fitted:
                 cold.append((nuis.propensity.coef,
                              fit_propensity(train, spec=specs.propensity_spec, **ridge).coef))
