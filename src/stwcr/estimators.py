@@ -15,9 +15,9 @@ the two contiguous ranges on either side of part k. Each nuisance model's
 design matrix is built once over the sorted rows and every fold is fit
 from those ranges in place (``nuisance.TrainingRows``): no fold copies its
 training rows or builds its own design, and the designs are freed once
-the fits are made. Least squares sums per-part Gram matrices and solves
-by Cholesky, taking the SVD solve when that is poorly conditioned; IRLS
-sums over fixed row blocks.
+the fits are made. Least squares stacks the other parts' R factors, made
+once per part from the QR decompositions of its row blocks, and solves
+them with ``lstsq``; IRLS sums over row blocks of each range.
 
 Fold 1 is fit first, from zero. Folds 2..K start their logistic fits (the
 binary outcome, and the propensity when it is fit) from fold 1's

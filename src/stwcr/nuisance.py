@@ -26,14 +26,14 @@ columns grouped into parts (:class:`RowParts`), which hold each model's
 design matrix over all their rows. A fold plan sorts its rows by fold and
 fits fold k from the ranges on either side of part k, so no fit copies its
 training rows or builds its own design; a Dataset is read as one part of
-all its rows. Least squares solves the normal equations from per-part Gram
-sums by Cholesky, and IRLS sums over fixed row blocks.
+all its rows. Both kinds of fit work over fixed row blocks: least squares
+solves from the stacked QR R factors of each part's blocks, and IRLS sums
+over blocks of each training range.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, NamedTuple, Sequence
@@ -43,6 +43,7 @@ from scipy.special import expit
 
 from .core import Interval
 from .errors import InvalidParameterError, SolverError
+from .parallel import row_blocks
 
 __all__ = [
     "Observation",
@@ -398,17 +399,11 @@ class NuisanceTriple:
 
 # --- fitting ---------------------------------------------------------------
 
-# Rows per block of a fit's sums over its training rows. A block's weighted
-# design is 0.8 MB at 6 features, so it stays in cache and is the same size
-# at any n; block edges that depend only on the training rows keep every
-# sum the same under any BLAS thread count.
+# Rows per block of a fit's passes over its training rows. A block's
+# weighted design is 0.8 MB at 6 features, so it stays in cache and is the
+# same size at any n; block edges that depend only on the training rows
+# keep every result the same under any BLAS thread count.
 _FIT_BLOCK_ROWS = 16_384
-
-# Normal equations square the design's condition number: at a Gram
-# condition number c, a Cholesky solve has a relative error of about
-# c * 1.1e-16, 1e-10 at this bound. Above it, for the Gram matrix scaled to
-# a unit diagonal, least squares takes the SVD solve on the training rows.
-_GRAM_COND_MAX = 1e6
 
 
 class RowParts:
@@ -417,7 +412,7 @@ class RowParts:
 
     A fold plan sorts its rows by fold, so that each fold is one part and
     trains on the others; a Dataset fit reads one part of all its rows.
-    Each model's design matrix over all rows, and its per-part Gram sums,
+    Each model's design matrix over all rows, and its per-part R factors,
     are made on first use and live as long as the parts. A fold plan fits
     fold 1 in the calling thread before folds 2..K start on threads, so
     the threads only read them.
@@ -429,7 +424,7 @@ class RowParts:
         self.covariate_names = covariate_names
         self.outcome_kind = outcome_kind
         self._designs = {}
-        self._grams = {}
+        self._factors = {}
 
     @classmethod
     def of(cls, data: Dataset) -> RowParts:
@@ -446,15 +441,18 @@ class RowParts:
             X = self._designs[terms] = terms.design(self)
         return X
 
-    def grams(self, terms: _Terms, target: str) -> list:
-        """Per part j, ``(X_j'X_j, X_j'z_j)`` for the design of ``terms`` and column ``target``."""
-        grams = self._grams.get((terms, target))
-        if grams is None:
+    def factors(self, terms: _Terms, target: str) -> list:
+        """Per part, the R factor of ``[X z]`` on each of its ``_FIT_BLOCK_ROWS``
+        blocks, for the design X of ``terms`` and column z ``target``: a
+        block's rows are ``Q @ R`` for a Q of orthonormal columns."""
+        factors = self._factors.get((terms, target))
+        if factors is None:
             X, z = self.design(terms), getattr(self, target)
-            grams = self._grams[terms, target] = [
-                (X[lo:hi].T @ X[lo:hi], X[lo:hi].T @ z[lo:hi])
-                for lo, hi in zip(self.edges[:-1], self.edges[1:])]
-        return grams
+            factors = self._factors[terms, target] = [
+                [np.linalg.qr(np.column_stack([X[lo:hi], z[lo:hi]]), mode="r")
+                 for lo, hi in row_blocks(start, stop, _FIT_BLOCK_ROWS)]
+                for start, stop in zip(self.edges[:-1], self.edges[1:])]
+        return factors
 
 
 def _gathered(name):
@@ -493,26 +491,6 @@ class TrainingRows:
     def __len__(self):
         return sum(hi - lo for lo, hi in self.ranges)
 
-    def gram(self, terms: _Terms, target: str):
-        """``(X'X, X'z)`` over these rows: the other parts' sums, added in part order."""
-        kept = [g for j, g in enumerate(self.parts.grams(terms, target)) if j != self.held_out]
-        return sum(g for g, _ in kept), sum(r for _, r in kept)
-
-
-def _row_blocks(ranges) -> list[list[tuple[int, int]]]:
-    """The rows of ``ranges``, in order, cut into blocks of ``_FIT_BLOCK_ROWS``
-    rows and a shorter last one: per block, its (lo, hi) pieces of the ranges."""
-    blocks, block, room = [], [], _FIT_BLOCK_ROWS
-    for lo, hi in ranges:
-        while lo < hi:
-            take = min(room, hi - lo)
-            block.append((lo, lo + take))
-            lo, room = lo + take, room - take
-            if not room:
-                blocks.append(block)
-                block, room = [], _FIT_BLOCK_ROWS
-    return blocks + [block] if block else blocks
-
 
 def _training_rows(data: Dataset | TrainingRows) -> TrainingRows:
     return data if isinstance(data, TrainingRows) else TrainingRows(RowParts.of(data), None)
@@ -522,27 +500,32 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
     """Ridge-penalized logistic MLE via iteratively reweighted least squares.
 
     Fits the rows of ``design`` and ``labels`` in ``rows``, a list of
-    ``(lo, hi)`` ranges, or all rows by default. Starts from the
-    coefficients ``start``, zero by default. Converges when the penalized
-    score has max-norm below ``tol``; a ``start`` that already meets it is
-    returned unchanged. Raises :class:`SolverError` on non-convergence
-    (carrying the last gradient norm) or on a rank-deficient weighted
-    system; callers may retry with a larger ridge. Every sum runs over
-    these rows in order, in blocks of ``_FIT_BLOCK_ROWS``, so no step holds
-    more than one block's weighted design.
+    increasing, disjoint, nonempty ``(lo, hi)`` ranges within the design's
+    rows, or all rows by default. Starts from the coefficients ``start``,
+    zero by default. Converges when the penalized score has max-norm below
+    ``tol``; a ``start`` that already meets it is returned unchanged.
+    Raises :class:`SolverError` on non-convergence (carrying the last
+    gradient norm) or on a rank-deficient weighted system; callers may
+    retry with a larger ridge. Every sum runs over the ranges in order, in
+    blocks of ``_FIT_BLOCK_ROWS`` rows cut from each range by
+    ``row_blocks``, so no step holds more than one block's weighted design.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(labels)
     q = X.shape[1]
-    # per block, per piece: its design rows, its labels, and its place in the block
-    blocks = [[(X[lo:hi], y[lo:hi], slice(at - (hi - lo), at))
-               for (lo, hi), at in zip(block, itertools.accumulate(hi - lo for lo, hi in block))]
-              for block in _row_blocks([(0, X.shape[0])] if rows is None else rows)]
-    pieces = [piece for block in blocks for piece in block]
-    n = sum(len(yp) for _, yp, _ in pieces)
+    if y.shape != X.shape[:1]:
+        raise InvalidParameterError(f"labels of shape {y.shape} for {X.shape[0]} design rows")
+    ranges = [(0, X.shape[0])] if rows is None else list(rows)
+    ends = [0, *(end for lo_hi in ranges for end in lo_hi), X.shape[0]]
+    if not (all(lo < hi for lo, hi in ranges) and all(u <= v for u, v in zip(ends, ends[1:]))):
+        raise InvalidParameterError(f"rows must be increasing, disjoint, nonempty ranges "
+                                    f"within 0..{X.shape[0]}, got {rows!r}")
+    blocks = [(X[lo:hi], y[lo:hi]) for lo_hi in ranges
+              for lo, hi in row_blocks(*lo_hi, _FIT_BLOCK_ROWS)]
+    n = sum(len(yb) for _, yb in blocks)
     if n < q:
         raise SolverError(f"need at least as many rows ({n}) as features ({q})")
-    if not all(np.all((yp == 0) | (yp == 1)) for _, yp, _ in pieces):
+    if not all(np.all((yb == 0) | (yb == 1)) for _, yb in blocks):
         raise SolverError("labels must be 0/1")
     if start is None:
         beta = np.zeros(q)
@@ -552,18 +535,15 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
             raise InvalidParameterError(f"start must hold {q} finite coefficients")
     diag = np.diag_indices(q)
     # softplus(eta) - y eta is softplus(sign eta), sign = 1 - 2y, kept a byte a row
-    signs = [np.concatenate([1 - 2 * yp for _, yp, _ in block]).astype(np.int8)
-             for block in blocks]
-    # one block's rows, each scaled by its weight, remade every step
-    Xw = np.empty((len(signs[0]), q))
+    signs = [(1 - 2 * yb).astype(np.int8) for _, yb in blocks]
+    # the largest block's rows, each scaled by its weight, remade every step
+    Xw = np.empty((max(len(yb) for _, yb in blocks), q))
 
     def evaluate(bta):
         """The penalized log-likelihood at ``bta``, and each block's linear predictor."""
         etas, loss = [], 0.5 * ridge * float(bta @ bta)
-        for block, sign in zip(blocks, signs):
-            eta = np.empty(len(sign))
-            for Xp, _, at in block:
-                np.matmul(Xp, bta, out=eta[at])
+        for (Xb, _), sign in zip(blocks, signs):
+            eta = Xb @ bta
             # softplus(z) = log(1 + exp(z)), written to stay finite at any z
             z = sign * eta
             terms = np.abs(z)
@@ -581,19 +561,16 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
         ps = [expit(eta, out=eta) for eta in etas]  # the predictors are not read again
         del etas
         grad = 0.0
-        for block, p in zip(blocks, ps):
-            for Xp, yp, at in block:
-                grad = grad + Xp.T @ (yp - p[at])
+        for (Xb, yb), p in zip(blocks, ps):
+            grad = grad + Xb.T @ (yb - p)
         grad = grad - ridge * beta
         gnorm = float(np.abs(grad).max())
         if gnorm < tol:
             return beta
         hess = 0.0
-        for block, p in zip(blocks, ps):
+        for (Xb, _), p in zip(blocks, ps):
             w = np.maximum(p * (1.0 - p), 1e-10)
-            for Xp, _, at in block:
-                np.multiply(Xp, w[at, None], out=Xw[at])
-                hess = hess + Xp.T @ Xw[at]
+            hess = hess + Xb.T @ np.multiply(Xb, w[:, None], out=Xw[:len(p)])
         hess[diag] += ridge
         del ps
         try:
@@ -615,8 +592,7 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
 
 
 def fit_propensity(data: Dataset | TrainingRows, spec: FeatureSpec | None = None,
-                   known_prob: float | None = None, ridge=1e-8, tol=1e-9, max_iter=100,
-                   start=None) -> PropensityModel:
+                   known_prob: float | None = None, ridge=1e-8, start=None) -> PropensityModel:
     """Fit P(A = 1 | b, x) on a Dataset or a fit's training rows, from
     coefficients ``start`` if given, or declare it known (randomized designs)."""
     if (spec is None) == (known_prob is None):
@@ -625,49 +601,26 @@ def fit_propensity(data: Dataset | TrainingRows, spec: FeatureSpec | None = None
         return PropensityModel(kind="known", prob_treated=float(known_prob))
     rows = _training_rows(data)
     terms = spec.resolve(PropensityModel.ROLES, rows.covariate_names)
-    coef = irls_logistic(rows.parts.design(terms), rows.parts.a, ridge=ridge, tol=tol,
-                         max_iter=max_iter, start=start, rows=rows.ranges)
+    coef = irls_logistic(rows.parts.design(terms), rows.parts.a, ridge=ridge, start=start,
+                         rows=rows.ranges)
     return PropensityModel(kind="logistic", spec=spec, coef=coef,
                            covariate_names=rows.covariate_names)
 
 
-def _cholesky_solve(gram, xz):
-    """The solution of ``gram @ c = xz`` by Cholesky, with ``gram`` scaled to
-    a unit diagonal, or None when the scaled matrix is not positive definite
-    or its condition estimate is above ``_GRAM_COND_MAX``."""
-    d = np.sqrt(np.diag(gram))
-    if not np.all(d > 0):
-        return None
-    try:
-        L = np.linalg.cholesky(gram / np.outer(d, d))
-    except np.linalg.LinAlgError:
-        return None
-    L_inv = np.linalg.inv(L)
-    # |L|_F^2 |L^-1|_F^2 = q |L^-1|_F^2 bounds the scaled matrix's 2-norm
-    # condition number from above, within a factor q^2
-    if not len(d) * np.square(L_inv).sum() <= _GRAM_COND_MAX:
-        return None
-    return L_inv.T @ (L_inv @ (xz / d)) / d
-
-
-def _svd_solve(X, z):
-    coef, _, rank, _ = np.linalg.lstsq(X, z, rcond=None)
-    if rank < X.shape[1]:
-        raise SolverError(f"singular design: rank {rank} < {X.shape[1]} columns")
-    return coef
-
-
-def _least_squares(rows: TrainingRows, terms: _Terms, target: str) -> np.ndarray:
+def _least_squares(rows: TrainingRows, terms: _Terms, target: str):
     """Coefficients of column ``target`` on the design of ``terms`` over
-    ``rows``, from the normal equations; a poorly conditioned or singular
-    Gram matrix takes the SVD solve on the gathered training rows, which
-    raises SolverError when the design is rank-deficient."""
-    coef = _cholesky_solve(*rows.gram(terms, target))
-    if coef is None:
-        X, z = rows.parts.design(terms), getattr(rows.parts, target)
-        coef = _svd_solve(np.concatenate([X[lo:hi] for lo, hi in rows.ranges]),
-                          np.concatenate([z[lo:hi] for lo, hi in rows.ranges]))
-    return coef
+    ``rows``, and their residual sum of squares, from the other parts' R
+    factors stacked in part order: the same singular values, rank test and
+    residual norm as ``lstsq`` on the training rows. Raises SolverError
+    when the design is rank-deficient."""
+    R = np.concatenate([r for j, part in enumerate(rows.parts.factors(terms, target))
+                        if j != rows.held_out for r in part])
+    q = R.shape[1] - 1
+    coef, _, rank, _ = np.linalg.lstsq(R[:, :q], R[:, q], rcond=np.finfo(float).eps * len(rows))
+    if rank < q:
+        raise SolverError(f"singular design: rank {rank} < {q} columns")
+    resid = R[:, q] - R[:, :q] @ coef
+    return coef, float(np.sum(resid * resid))  # a ddot would round per BLAS thread count
 
 
 def fit_cond_density(data: Dataset | TrainingRows, spec: FeatureSpec) -> CondDensityModel:
@@ -678,12 +631,7 @@ def fit_cond_density(data: Dataset | TrainingRows, spec: FeatureSpec) -> CondDen
     if n <= q + 2:
         raise InvalidParameterError(f"need n > q + 2 rows (n={n}, q={q})")
     terms = spec.resolve(CondDensityModel.ROLES, rows.covariate_names)
-    coef = _least_squares(rows, terms, "s")
-    X, s = rows.parts.design(terms), rows.parts.s
-    rss = 0.0
-    for lo, hi in (piece for block in _row_blocks(rows.ranges) for piece in block):
-        resid = s[lo:hi] - X[lo:hi] @ coef
-        rss += float(np.sum(resid * resid))  # a ddot would round per BLAS thread count
+    coef, rss = _least_squares(rows, terms, "s")
     sd = math.sqrt(rss / (n - q))
     if not sd > 0:
         raise SolverError("zero residual variance in conditional-density fit")
@@ -691,19 +639,19 @@ def fit_cond_density(data: Dataset | TrainingRows, spec: FeatureSpec) -> CondDen
                             covariate_names=rows.covariate_names)
 
 
-def fit_outcome(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8, tol=1e-9,
-                max_iter=100, start=None) -> OutcomeModel:
+def fit_outcome(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
+                start=None) -> OutcomeModel:
     """Fit E[Y | a, s, b, x] on a Dataset or a fit's training rows: logistic
     for binary outcomes, from coefficients ``start`` if given, and least
     squares, which takes no start, otherwise."""
     rows = _training_rows(data)
     terms = spec.resolve(OutcomeModel.ROLES, rows.covariate_names)
     if rows.outcome_kind == "binary":
-        coef = irls_logistic(rows.parts.design(terms), rows.parts.y, ridge=ridge, tol=tol,
-                             max_iter=max_iter, start=start, rows=rows.ranges)
+        coef = irls_logistic(rows.parts.design(terms), rows.parts.y, ridge=ridge, start=start,
+                             rows=rows.ranges)
         kind = "logistic"
     else:
-        coef = _least_squares(rows, terms, "y")
+        coef, _ = _least_squares(rows, terms, "y")
         kind = "linear"
     return OutcomeModel(kind=kind, spec=spec, coef=coef, covariate_names=rows.covariate_names)
 

@@ -7,6 +7,7 @@ value. ``estimators._fold_plan`` fits folds with ``map_threaded``, and
 grids with ``map_row_blocks``. Every call makes its own pool and joins it
 before returning: no thread outlives the call, and a process forked later
 (``run_monte_carlo``'s workers) inherits no pool without threads.
+``row_blocks`` cuts both those grids and the fold fits' training ranges.
 """
 
 from __future__ import annotations
@@ -56,6 +57,15 @@ def map_threaded(fn, *iterables, tasks: int) -> list:
         return list(pool.map(fn, *iterables))
 
 
+def row_blocks(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
+    """Rows ``lo:hi`` as contiguous ``(start, stop)`` blocks, in order, that
+    start at lo plus multiples of ``size``. The last block absorbs a one-row
+    remainder, which numpy's vector dot would round differently from gemv,
+    so only a one-row range gives a one-row block."""
+    starts = range(lo, hi - 1, size) or range(lo, hi)
+    return list(zip(starts, [*starts[1:], hi]))
+
+
 def map_row_blocks(fn, *arrays) -> tuple:
     """``fn(*arrays)`` over blocks of the arrays' rows, on threads: ``fn``
     returns a tuple of per-row arrays, each of which comes back whole, in
@@ -63,10 +73,8 @@ def map_row_blocks(fn, *arrays) -> tuple:
     m = len(arrays[0])
     if m <= _BLOCK_ROWS:
         return fn(*arrays)
-    # The last block absorbs a one-row remainder, which numpy's vector dot
-    # would round differently from gemv. A thread pays for itself from about
-    # a block of rows: 1100 rows stay serial, and 1600 do not.
-    edges = [*range(0, m - 1, _BLOCK_ROWS), m]
+    # A thread pays for itself from about a block of rows: 1100 rows stay
+    # serial, and 1600 do not.
     blocks = map_threaded(lambda lo, hi: fn(*(arr[lo:hi] for arr in arrays)),
-                          edges[:-1], edges[1:], tasks=round(m / _BLOCK_ROWS))
+                          *zip(*row_blocks(0, m, _BLOCK_ROWS)), tasks=round(m / _BLOCK_ROWS))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))

@@ -263,6 +263,29 @@ class TestIrlsLogistic:
         # both stop at a score below tol = 1e-9, within 1e-9 of each other
         assert np.allclose(irls_logistic(X, y, start=start), cold, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("rows", [
+        [(-50, 400)],  # starts before the first row
+        [(0, 500)],  # ends past the last row
+        [(0, 250), (200, 400)],  # overlapping
+        [(200, 400), (0, 100)],  # out of order
+        [(0, 100), (150, 150)],  # empty
+    ], ids=["negative", "past-end", "overlapping", "unordered", "empty"])
+    def test_bad_rows_rejected(self, rows):
+        X, y = self._problem(8)
+        with pytest.raises(InvalidParameterError, match="rows must be increasing"):
+            irls_logistic(X, y, rows=rows)
+
+    def test_labels_must_match_the_design_rows(self):
+        X, y = self._problem(8)
+        with pytest.raises(InvalidParameterError, match="labels of shape"):
+            irls_logistic(X, y[:300])
+
+    def test_adjacent_rows_fit_as_one_range(self):
+        X, y = self._problem(9)
+        # other block edges, so the sums round apart in the last digits only
+        np.testing.assert_allclose(irls_logistic(X, y, rows=[(0, 150), (150, 400)]),
+                                   irls_logistic(X, y), rtol=1e-12)
+
     @pytest.mark.parametrize("start", [np.zeros(2), np.array([0.0, np.nan, 0.0])])
     def test_bad_start_rejected(self, start):
         X, y = self._problem(7)
@@ -356,11 +379,11 @@ class TestFitOutcome:
         ds = gen_dataset(ScenarioSpec("I", 500, 6))
         ones = Dataset(y=np.ones(len(ds)), a=ds.a, s=ds.s, b=ds.b, x=ds.x,
                        covariate_names=ds.covariate_names, outcome_kind="binary")
-        model = fit_outcome(ones, self.SPEC, ridge=1e-3, max_iter=500)
+        model = fit_outcome(ones, self.SPEC, ridge=1e-3)
         preds = model.predict_at(1, ds.s, ds.b, ds.x)
         assert np.all(preds >= 0.999)
         # the stronger fold-fallback ridge still gives near-degenerate fits
-        fallback = fit_outcome(ones, self.SPEC, ridge=1e-2, max_iter=500)
+        fallback = fit_outcome(ones, self.SPEC, ridge=1e-2)
         assert np.all(fallback.predict_at(1, ds.s, ds.b, ds.x) >= 0.99)
 
     def test_continuous_exact_fit(self):

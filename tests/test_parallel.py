@@ -3,6 +3,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stwcr import parallel, simulation
 from stwcr.eif import StwcrQuery, StwcrveQuery
@@ -54,6 +56,22 @@ def test_serial_when_one_thread(thread_pools):
     thread_pools.use(4)
     assert parallel.map_threaded(str, range(1), tasks=1) == ["0"]
     assert thread_pools.made == []
+
+
+@given(lo=st.integers(0, 10**6), length=st.integers(1, 3000), size=st.integers(2, 500))
+def test_row_blocks_tile_the_range(lo, length, size):
+    hi = lo + length
+    blocks = parallel.row_blocks(lo, hi, size)
+    assert blocks[0][0] == lo and blocks[-1][1] == hi
+    assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+    # full blocks from lo on, then the rest, which takes a one-row remainder
+    assert all(stop - start == size for start, stop in blocks[:-1])
+    assert all((start - lo) % size == 0 for start, _ in blocks)
+    if length == 1:
+        assert blocks == [(lo, hi)]
+    else:
+        assert all(stop - start > 1 for start, stop in blocks)
+        assert blocks[-1][1] - blocks[-1][0] <= size + 1
 
 
 def test_grid_blocks_under_thread_switching(monkeypatch, thread_pools):
