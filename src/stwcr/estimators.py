@@ -10,14 +10,13 @@ are scattered back into original observation order before averaging, so
 results do not depend on fold order and injected nuisances give
 fold-seed-invariant estimates bit for bit.
 
-The rows are sorted by fold once per plan, so fold k's training rows are
-the two contiguous ranges on either side of part k. Each nuisance model's
-design matrix is built once over the sorted rows and every fold is fit
-from those ranges in place (``nuisance.TrainingRows``): no fold copies its
-training rows or builds its own design, and the designs are freed once
-the fits are made. Least squares stacks the other parts' R factors, made
-once per part from the QR decompositions of its row blocks, and solves
-them with ``lstsq``; IRLS sums over row blocks of each range.
+The rows are sorted by fold once per plan, into one Dataset copy, so fold
+k's training rows are the two contiguous ranges on either side of part k
+and every fold is fit from them in place (``nuisance.TrainingRows``).
+Least squares stacks the other parts' R factors, made once per part from
+the QR decompositions of its row blocks, and solves them with ``lstsq``;
+IRLS sums over row blocks of each range of a logistic model's design,
+built once. The factors and designs are freed once the fits are made.
 
 Fold 1 is fit first, from zero. Folds 2..K start their logistic fits (the
 binary outcome, and the propensity when it is fit) from fold 1's
@@ -252,8 +251,8 @@ class _FoldPlan:
     one part is every row, in order. Holds each part's rows, and per arm
     the ``LocalTerms`` of every part at one (t, epsilon), made on first
     use and replaced when a query brings another pair. The held rows are
-    slices of ``rows``' columns, never a copy of its own; it holds neither
-    the dataset nor ``rows``, whose designs go with it.
+    slices of ``rows.data``, never a copy of its own; it holds neither
+    the caller's dataset nor ``rows``, whose designs go with it.
     """
 
     def __init__(self, key, rows: RowParts, order: np.ndarray | None, fits):
@@ -261,8 +260,8 @@ class _FoldPlan:
         self.fits = fits
         parts = list(zip(rows.edges[:-1], rows.edges[1:]))
         self.index = [slice(None)] if order is None else [order[lo:hi] for lo, hi in parts]
-        self.held = [tuple(col[lo:hi] for col in (rows.y, rows.a, rows.s, rows.b, rows.x))
-                     for lo, hi in parts]
+        cols = (rows.data.y, rows.data.a, rows.data.s, rows.data.b, rows.data.x)
+        self.held = [tuple(col[lo:hi] for col in cols) for lo, hi in parts]
         self._local = {}  # arm -> ((t, epsilon), one LocalTerms per part)
 
     def local_terms(self, arm: int, params: SmoothingParams):
@@ -295,9 +294,9 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
     Returns the previous call's plan when ``data``'s contents, the folds
     and the specs are unchanged. Otherwise the specs are filled in once
     for all folds, so a bad spec fails before any fold is fit. The rows
-    are sorted by fold once, and each fold is fit from the ranges on
-    either side of its own: each model's design is built once, by fold 1,
-    and freed with the fits' ``RowParts`` when the plan is made. Fold 1
+    are sorted by fold once, into one copy, and each fold is fit from the
+    ranges on either side of its own: what a second fold reads is made
+    once, by fold 1, and freed with the fits' ``RowParts``. Fold 1
     is fit first, in the calling thread; unless it was degenerate, folds
     2..K start their logistic fits from its coefficients. From
     ``_THREADED_FIT_ROWS`` rows folds 2..K are fit on threads; either way a
@@ -311,8 +310,7 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
     # a stable sort keeps each fold's rows in their original order
     order = np.argsort(folds.labels, kind="stable")
     edges = np.searchsorted(folds.labels[order], np.arange(1, folds.k_folds + 2))
-    rows = RowParts([col[order] for col in (data.y, data.a, data.s, data.b, data.x)], edges,
-                    data.covariate_names, data.outcome_kind)
+    rows = RowParts(data.subset(order), edges)
 
     def fit(k, warm=None):
         try:
@@ -349,7 +347,7 @@ def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
     if folds.labels.shape[0] != n:
         raise InvalidParameterError("fold assignment does not match dataset size")
     if nuisances is not None:
-        plan = _FoldPlan(None, RowParts.of(data), None, ((nuisances, False),))
+        plan = _FoldPlan(None, RowParts(data), None, ((nuisances, False),))
     else:
         # ahead of any fit: a fold without the arm would fail as a singular design
         _check_arms(data, folds, required_arms)

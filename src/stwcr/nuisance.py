@@ -21,14 +21,14 @@ the design matrix and the predictions; any other name, y included, is
 an InvalidParameterError, which the estimators raise before any fold
 is fit.
 
-A fit reads :class:`TrainingRows`: one or two contiguous row ranges of
-columns grouped into parts (:class:`RowParts`), which hold each model's
-design matrix over all their rows. A fold plan sorts its rows by fold and
-fits fold k from the ranges on either side of part k, so no fit copies its
-training rows or builds its own design; a Dataset is read as one part of
-all its rows. Both kinds of fit work over fixed row blocks: least squares
-solves from the stacked QR R factors of each part's blocks, and IRLS sums
-over blocks of each training range.
+A fit reads :class:`TrainingRows`: one or two contiguous row ranges of a
+Dataset whose rows are grouped into parts (:class:`RowParts`). A fold plan
+sorts its rows by fold and fits fold k from the ranges on either side of
+part k, so no fit copies its training rows; a Dataset is read as one part
+of all its rows. Both kinds of fit work over fixed row blocks: least
+squares solves from the stacked QR R factors of each part's blocks, made
+once per model, and IRLS sums over blocks of each training range of a
+logistic model's design, built once over all rows.
 """
 
 from __future__ import annotations
@@ -407,38 +407,30 @@ _FIT_BLOCK_ROWS = 16_384
 
 
 class RowParts:
-    """A sample's columns with its rows grouped into contiguous parts, and
-    what the fits on them share.
+    """A Dataset with its rows grouped into contiguous parts, ``edges``, and
+    what the fits on them share; with ``edges`` None, one part of all rows.
 
     A fold plan sorts its rows by fold, so that each fold is one part and
     trains on the others; a Dataset fit reads one part of all its rows.
-    Each model's design matrix over all rows, and its per-part R factors,
-    are made on first use and live as long as the parts. A fold plan fits
+    Only what a second fit reads is kept, made on first use and living as
+    long as the parts: each logistic model's design matrix over all rows,
+    which every fold's IRLS reads, and each least-squares model's per-part
+    R factors, whose design is dropped once they are made. A fold plan fits
     fold 1 in the calling thread before folds 2..K start on threads, so
     the threads only read them.
     """
 
-    def __init__(self, columns, edges, covariate_names, outcome_kind):
-        self.y, self.a, self.s, self.b, self.x = columns
-        self.edges = [int(e) for e in edges]  # part j is rows edges[j]:edges[j + 1]
-        self.covariate_names = covariate_names
-        self.outcome_kind = outcome_kind
+    def __init__(self, data: Dataset, edges=None):
+        self.data = data
+        # part j is rows edges[j]:edges[j + 1]
+        self.edges = [0, len(data)] if edges is None else [int(e) for e in edges]
         self._designs = {}
         self._factors = {}
-
-    @classmethod
-    def of(cls, data: Dataset) -> RowParts:
-        """One part of all ``data``'s rows, on its own columns."""
-        return cls((data.y, data.a, data.s, data.b, data.x), (0, len(data)),
-                   data.covariate_names, data.outcome_kind)
-
-    def __len__(self):
-        return len(self.y)
 
     def design(self, terms: _Terms) -> np.ndarray:
         X = self._designs.get(terms)
         if X is None:
-            X = self._designs[terms] = terms.design(self)
+            X = self._designs[terms] = terms.design(self.data)
         return X
 
     def factors(self, terms: _Terms, target: str) -> list:
@@ -447,7 +439,7 @@ class RowParts:
         block's rows are ``Q @ R`` for a Q of orthonormal columns."""
         factors = self._factors.get((terms, target))
         if factors is None:
-            X, z = self.design(terms), getattr(self, target)
+            X, z = terms.design(self.data), getattr(self.data, target)
             factors = self._factors[terms, target] = [
                 [np.linalg.qr(np.column_stack([X[lo:hi], z[lo:hi]]), mode="r")
                  for lo, hi in row_blocks(start, stop, _FIT_BLOCK_ROWS)]
@@ -455,30 +447,19 @@ class RowParts:
         return factors
 
 
-def _gathered(name):
-    """A property: column ``name`` at the training rows, gathered into a new array."""
-    return property(lambda rows: np.concatenate([getattr(rows.parts, name)[lo:hi]
-                                                 for lo, hi in rows.ranges]))
-
-
 class TrainingRows:
     """The rows one fit reads: every part of a :class:`RowParts` but
     ``held_out``, counted from 0, or with ``held_out`` None all of them, as
-    up to two contiguous row ranges.
+    up to two contiguous row ranges of ``parts.data``.
 
     The fit functions take these or a Dataset, which they read as one part
-    of all its rows. Fits read the parts' columns and designs in place;
-    ``rows.s`` and the other columns are gathered copies, for callers that
-    want the training rows as arrays.
+    of all its rows. Fits read the parts' columns, designs and factors in
+    place; nothing here copies a row.
     """
-
-    y, a, s, b, x = map(_gathered, ("y", "a", "s", "b", "x"))
 
     def __init__(self, parts: RowParts, held_out: int | None):
         self.parts = parts
         self.held_out = held_out
-        self.covariate_names = parts.covariate_names
-        self.outcome_kind = parts.outcome_kind
         first, last = parts.edges[0], parts.edges[-1]
         if held_out is None:
             ranges = [(first, last)]
@@ -493,7 +474,7 @@ class TrainingRows:
 
 
 def _training_rows(data: Dataset | TrainingRows) -> TrainingRows:
-    return data if isinstance(data, TrainingRows) else TrainingRows(RowParts.of(data), None)
+    return data if isinstance(data, TrainingRows) else TrainingRows(RowParts(data), None)
 
 
 def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None, rows=None):
@@ -600,11 +581,11 @@ def fit_propensity(data: Dataset | TrainingRows, spec: FeatureSpec | None = None
     if known_prob is not None:
         return PropensityModel(kind="known", prob_treated=float(known_prob))
     rows = _training_rows(data)
-    terms = spec.resolve(PropensityModel.ROLES, rows.covariate_names)
-    coef = irls_logistic(rows.parts.design(terms), rows.parts.a, ridge=ridge, start=start,
+    names = rows.parts.data.covariate_names
+    terms = spec.resolve(PropensityModel.ROLES, names)
+    coef = irls_logistic(rows.parts.design(terms), rows.parts.data.a, ridge=ridge, start=start,
                          rows=rows.ranges)
-    return PropensityModel(kind="logistic", spec=spec, coef=coef,
-                           covariate_names=rows.covariate_names)
+    return PropensityModel(kind="logistic", spec=spec, coef=coef, covariate_names=names)
 
 
 def _least_squares(rows: TrainingRows, terms: _Terms, target: str):
@@ -630,13 +611,12 @@ def fit_cond_density(data: Dataset | TrainingRows, spec: FeatureSpec) -> CondDen
     n, q = len(rows), len(spec)
     if n <= q + 2:
         raise InvalidParameterError(f"need n > q + 2 rows (n={n}, q={q})")
-    terms = spec.resolve(CondDensityModel.ROLES, rows.covariate_names)
-    coef, rss = _least_squares(rows, terms, "s")
+    names = rows.parts.data.covariate_names
+    coef, rss = _least_squares(rows, spec.resolve(CondDensityModel.ROLES, names), "s")
     sd = math.sqrt(rss / (n - q))
     if not sd > 0:
         raise SolverError("zero residual variance in conditional-density fit")
-    return CondDensityModel(spec=spec, coef=coef, residual_sd=sd,
-                            covariate_names=rows.covariate_names)
+    return CondDensityModel(spec=spec, coef=coef, residual_sd=sd, covariate_names=names)
 
 
 def fit_outcome(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
@@ -645,19 +625,20 @@ def fit_outcome(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
     for binary outcomes, from coefficients ``start`` if given, and least
     squares, which takes no start, otherwise."""
     rows = _training_rows(data)
-    terms = spec.resolve(OutcomeModel.ROLES, rows.covariate_names)
-    if rows.outcome_kind == "binary":
-        coef = irls_logistic(rows.parts.design(terms), rows.parts.y, ridge=ridge, start=start,
+    names = rows.parts.data.covariate_names
+    terms = spec.resolve(OutcomeModel.ROLES, names)
+    if rows.parts.data.outcome_kind == "binary":
+        coef = irls_logistic(rows.parts.design(terms), rows.parts.data.y, ridge=ridge, start=start,
                              rows=rows.ranges)
         kind = "logistic"
     else:
         coef, _ = _least_squares(rows, terms, "y")
         kind = "linear"
-    return OutcomeModel(kind=kind, spec=spec, coef=coef, covariate_names=rows.covariate_names)
+    return OutcomeModel(kind=kind, spec=spec, coef=coef, covariate_names=names)
 
 
 def support_bounds(data: Dataset | TrainingRows) -> Interval:
     """Observed marker range [min S, max S] of a Dataset or a fit's training rows."""
     rows = _training_rows(data)
-    s = [rows.parts.s[lo:hi] for lo, hi in rows.ranges]
+    s = [rows.parts.data.s[lo:hi] for lo, hi in rows.ranges]
     return Interval(min(float(np.min(part)) for part in s), max(float(np.max(part)) for part in s))

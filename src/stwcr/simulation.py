@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.special import gammaincinv, gammaln, xlogy
@@ -107,13 +108,26 @@ def gamma_truncation_points() -> tuple[float, float]:
     return tuple(float(gammaincinv(g["shape"], _GAMMA_TRUNC_Q) * (1.0 / g["rate"])) for g in _GAMMA)
 
 
+def _require_scenario(scenario) -> None:
+    if scenario not in ("I", "II", "III"):
+        raise InvalidParameterError(f"scenario must be I, II, or III, got {scenario!r}")
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    """InvalidParameterError unless ``value`` is an integer (numpy's too) >= ``minimum``."""
+    if not isinstance(value, Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidParameterError(f"{name} must be nonnegative, got {value}" if minimum == 0
+                                    else f"need {name} >= {minimum}, got {value}")
+
+
 def baseline_marker_range(scenario: str) -> tuple[float, float]:
-    if scenario in _CATEGORICAL:
-        vals = _CATEGORICAL[scenario]["values"]
-        return float(min(vals)), float(max(vals))
+    _require_scenario(scenario)
     if scenario == "II":
         return 0.0, max(gamma_truncation_points())
-    raise InvalidParameterError(f"unknown scenario {scenario!r}")
+    vals = _CATEGORICAL[scenario]["values"]
+    return float(min(vals)), float(max(vals))
 
 
 @dataclass(frozen=True)
@@ -125,12 +139,10 @@ class ScenarioSpec:
     seed: object  # int or numpy SeedSequence
 
     def __post_init__(self):
-        if self.scenario not in ("I", "II", "III"):
-            raise InvalidParameterError(f"scenario must be I, II, or III, got {self.scenario!r}")
-        if self.n < 50:
-            raise InvalidParameterError(f"need n >= 50, got {self.n}")
-        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
-            raise InvalidParameterError(f"seed must be nonnegative, got {self.seed}")
+        _require_scenario(self.scenario)
+        _require_int("n", self.n, 50)
+        if not isinstance(self.seed, np.random.SeedSequence):
+            _require_int("seed", self.seed, 0)
 
 
 def _draw_baseline(rng: np.random.Generator, n: int, scenario: str):
@@ -292,8 +304,8 @@ def oracle_estimand(kind: str, scenario: str, query, params: SmoothingParams,
     :func:`compute_truths`, which it cross-checks.
     """
     terms = _oracle_integrands(kind, scenario, query, params)
-    if mc_size < 100_000:
-        raise InvalidParameterError("oracle needs mc_size >= 100000")
+    _require_int("mc_size", mc_size, 100_000)
+    _require_int("seed", seed, 0)
     sums = np.zeros(5)  # sum u, sum v, sum u^2, sum v^2, sum u*v
     for b, x in _baseline_blocks(np.random.default_rng(seed), mc_size, scenario):
         u, v = map_row_blocks(terms, b, x)
@@ -319,6 +331,12 @@ def direct_plain_smoothed_risk(scenario: str, a: int, s: float, h: float,
     averages the structural outcome probability; uses neither quadrature
     nor the softened trimming weight. Returns (value, mc_se).
     """
+    _require_scenario(scenario)
+    StwcrQuery(a, s)  # arm 0 or 1, finite s
+    if not (h > 0 and math.isfinite(h)):
+        raise InvalidParameterError(f"bandwidth h must be positive and finite, got {h!r}")
+    _require_int("mc_size", mc_size, 2)
+    _require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     total, total_sq = 0.0, 0.0
     for b, x in _baseline_blocks(rng, mc_size, scenario):
@@ -348,12 +366,9 @@ class SimConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise InvalidParameterError("need reps >= 1")
-        if self.n_jobs < 1:
-            raise InvalidParameterError(f"need n_jobs >= 1, got {self.n_jobs}")
-        if self.master_seed < 0:
-            raise InvalidParameterError(f"master_seed must be nonnegative, got {self.master_seed}")
+        _require_int("reps", self.reps, 1)
+        _require_int("n_jobs", self.n_jobs, 1)
+        _require_int("master_seed", self.master_seed, 0)
         object.__setattr__(self, "queries", tuple(self.queries))
         if not self.queries:
             raise InvalidParameterError("need at least one query")

@@ -663,18 +663,16 @@ class TestThreadedFoldFits:
     def test_lowest_failing_fold_named(self, monkeypatch, thread_pools):
         ds = gen_dataset(ScenarioSpec("I", 400, 34))
         folds = make_folds(400, 5, 5)
-        # a marker value of each failing fold, absent from that fold's training rows
-        marker = {k: ds.s[folds.labels == k][0] for k in (2, 4)}
         fold4_failed = threading.Event()
         real = estimators.fit_outcome
 
         def failing(train, spec, **kwargs):
-            if marker[2] not in train.s:
+            if train.held_out == 1:  # fold 2
                 # fold 2 fails only after fold 4 has, so fold order, not
                 # completion order, must pick the error
                 assert fold4_failed.wait(timeout=30)
                 raise SolverError("singular design")
-            if marker[4] not in train.s:
+            if train.held_out == 3:  # fold 4
                 fold4_failed.set()
                 raise SolverError("singular design")
             return real(train, spec, **kwargs)
@@ -827,13 +825,12 @@ class TestWarmStartedFolds:
     def test_failed_warm_fit_retried_from_zero(self, monkeypatch):
         ds = gen_dataset(ScenarioSpec("I", 400, 37))
         folds = make_folds(400, 5, 7)
-        marker = ds.s[folds.labels == 3][0]  # absent from fold 3's training rows
         calls = []
         real = estimators.fit_outcome
 
         def failing(train, spec, **kwargs):
             calls.append(sorted(kwargs))
-            if marker not in train.s and "ridge" not in kwargs:
+            if train.held_out == 2 and "ridge" not in kwargs:  # fold 3's first try
                 raise SolverError("singular design")
             return real(train, spec, **kwargs)
 

@@ -11,6 +11,8 @@ from stwcr.nuisance import (
     Observation,
     OutcomeModel,
     PropensityModel,
+    RowParts,
+    TrainingRows,
     fit_cond_density,
     fit_outcome,
     fit_propensity,
@@ -424,3 +426,21 @@ class TestSupportBounds:
     def test_generated_sample_range(self):
         iv = support_bounds(gen_dataset(ScenarioSpec("I", 5000, 12)))
         assert iv.hi - iv.lo > 5.0
+
+
+class TestRowParts:
+    def test_only_what_a_second_fold_reads_is_kept(self):
+        ds = gen_dataset(ScenarioSpec("I", 300, 13))
+        parts = RowParts(ds, (0, 100, 200, 300))
+        spec = FeatureSpec([intercept(), raw("b"), raw("a"), raw("x1")])
+        fit_cond_density(TrainingRows(parts, 0), spec)
+        # least squares keeps its per-part R factors, not the design they came from
+        assert parts._designs == {}
+        assert len(parts._factors) == 1
+        assert [len(blocks) for blocks in next(iter(parts._factors.values()))] == [1, 1, 1]
+        fit_cond_density(TrainingRows(parts, 1), spec)
+        assert len(parts._factors) == 1
+        # IRLS reads the logistic design on every fold, so it is kept
+        fit_outcome(TrainingRows(parts, 0), FeatureSpec([intercept(), raw("s"), raw("a")]))
+        assert len(parts._designs) == 1
+        assert len(parts._factors) == 1

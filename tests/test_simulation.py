@@ -226,6 +226,43 @@ class TestOracle:
         assert abs(orc.den - truth["den"]) < 4 * orc.den_se
 
 
+@pytest.mark.parametrize("bad", [
+    {"scenario": "IV"}, {"a": 2}, {"s": math.nan}, {"h": 0.0}, {"h": -0.1}, {"h": math.inf},
+    {"h": math.nan}, {"mc_size": 1}, {"mc_size": 0}, {"mc_size": 2e3}, {"seed": -1},
+    {"seed": 1.5},
+], ids=repr)
+def test_direct_route_rejects_what_it_cannot_draw(bad):
+    args = {"scenario": "I", "a": 1, "s": 8.0, "h": 0.1, "mc_size": 1000, "seed": 7, **bad}
+    with pytest.raises(InvalidParameterError):
+        direct_plain_smoothed_risk(**args)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: oracle_estimand("stwcr", "I", StwcrQuery(1, 7.0), PARAMS, mc_size=2e5),
+    lambda: oracle_estimand("stwcr", "I", StwcrQuery(1, 7.0), PARAMS, 100_000, -1),
+    lambda: ScenarioSpec("I", 100.5, 1),
+    lambda: ScenarioSpec("I", 100, 1.5),
+    lambda: SimConfig("I", 100, 2.5, (StwcrQuery(1, 7.0),), PARAMS),
+    lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), PARAMS, master_seed=-1),
+    lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), PARAMS, n_jobs=1.5),
+], ids=["oracle_mc_size", "oracle_seed", "scenario_n", "scenario_seed", "config_reps",
+        "config_master_seed", "config_n_jobs"])
+def test_bad_counts_and_seeds_are_typed_errors(call):
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
+def test_numpy_integer_counts_and_seeds_accepted():
+    ds = gen_dataset(ScenarioSpec("I", np.int64(100), np.uint32(3)))
+    assert np.array_equal(ds.s, gen_dataset(ScenarioSpec("I", 100, 3)).s)
+    numpy_ints, ints = (direct_plain_smoothed_risk("I", 1, 8.0, 0.1, mc_size=m, seed=seed)
+                        for m, seed in ((np.int64(1000), np.int64(7)), (1000, 7)))
+    assert numpy_ints == ints
+    assert oracle_estimand("stwcr", "I", StwcrQuery(1, 7.0), PARAMS, np.int64(100_000),
+                           np.int64(5)).mc_size == 100_000
+    assert SimConfig("I", 100, np.int64(2), (StwcrQuery(1, 7.0),), PARAMS).reps == 2
+
+
 def test_truths_same_under_any_blas_threads_and_cpu_mask():
     # Scenario II's baseline grid has 148,608 points, long enough for a threaded ddot
     code = ("from stwcr import SmoothingParams, StwcrQuery, StwcrveQuery\n"
