@@ -25,8 +25,9 @@ are what the cross-fitting estimators call; tests pin them to the
 reference path. Both build each arm's terms in two steps: ``local_terms``
 gives the query-independent observation-local terms, which a caller
 answering many queries may keep and pass back in, and ``_arm_terms``
-adds the kernel weights and grid integrals of the query's marker. A risk
-query takes one arm, a relative-efficacy query two.
+adds the kernel weights and the grid integrals of the query's kernel
+window on that arm, which such a caller may keep and pass back in too. A
+risk query takes one arm, a relative-efficacy query two.
 """
 
 from __future__ import annotations
@@ -322,14 +323,18 @@ def local_terms(y, a, s, b, x, arm, nuis: NuisanceTriple, t, eps) -> LocalTerms:
 
 
 def _arm_terms(s, b, x, arm, center, h, nuis: NuisanceTriple, params: SmoothingParams,
-               local: LocalTerms):
+               local: LocalTerms, windows: dict):
     """One arm's ``(plain, weighted, ints)`` for a query at ``center``, ``h``.
 
     ``plain = k*dphi - int g`` and ``weighted = k*local - int g*r`` pair the
     observation-local terms, weighted by the kernel k at S, with their
-    correction integrals; ``ints`` is the arm's ``_kernel_integrals_1d`` dict.
+    correction integrals; ``ints`` is the arm's ``_kernel_integrals_1d`` dict,
+    read from ``windows`` under ``(arm, center, h)``, or made and added to it.
     """
-    ints = _kernel_integrals_1d(center, h, arm, nuis, params, b, x, params.t, params.epsilon)
+    ints = windows.get((arm, center, h))
+    if ints is None:
+        ints = windows[arm, center, h] = _kernel_integrals_1d(
+            center, h, arm, nuis, params, b, x, params.t, params.epsilon)
     k_S = kernel_weight(s - center, h)
     plain = k_S * local.dphi - ints["g"]
     weighted = k_S * local.local - ints["g_r"]
@@ -349,19 +354,23 @@ def _arm_local(rows, arm, nuis, params, cached) -> LocalTerms:
 
 
 def eif_stwcr_batch(y, a, s, b, x, q: StwcrQuery, nuis: NuisanceTriple,
-                    params: SmoothingParams, *, _local=None):
+                    params: SmoothingParams, *, _local=None, _windows=None):
     """Vectorized influence values for a risk query.
 
     Returns ``(num, den, floor_hits)`` where num/den are (m,) arrays and
     floor_hits counts residual-term density-floor activations. ``_local``
     maps an arm to its ``local_terms`` on these rows at params' t and
     epsilon, for a caller that keeps them across queries; arms it lacks are
-    computed here.
+    computed here. ``_windows`` maps a kernel window ``(arm, center, h)`` to
+    its ``_kernel_integrals_1d`` on these rows at params' t, epsilon,
+    quad_nodes and window half-width; windows it lacks are computed here and
+    added to it, so the caller can keep them.
     """
     h = params.require_h()
     y, a, s, b, x = rows = _float_rows(y, a, s, b, x)
     loc = _arm_local(rows, q.a, nuis, params, _local)
-    plain, weighted, ints = _arm_terms(s, b, x, q.a, q.s, h, nuis, params, loc)
+    windows = {} if _windows is None else _windows
+    plain, weighted, ints = _arm_terms(s, b, x, q.a, q.s, h, nuis, params, loc, windows)
     den = loc.ind * plain + ints["phi"]
     num = loc.ind * weighted + ints["phi_r"]
     _check_finite("risk influence values", num)
@@ -370,23 +379,24 @@ def eif_stwcr_batch(y, a, s, b, x, q: StwcrQuery, nuis: NuisanceTriple,
 
 
 def eif_stwcrve_batch(y, a, s, b, x, q: StwcrveQuery, nuis: NuisanceTriple,
-                      params: SmoothingParams, *, _local=None):
+                      params: SmoothingParams, *, _local=None, _windows=None):
     """Vectorized influence values for a relative-efficacy query.
 
     Term grouping pairs each observation-local term with its correction
     integral, so a symmetric query (a1 == a0, s1 == s0, h1 == h0) yields
     num == den exactly; its one arm's terms are built once and serve both
-    sides. ``_local`` is as for ``eif_stwcr_batch``.
+    sides. ``_local`` and ``_windows`` are as for ``eif_stwcr_batch``.
     """
     h0, h1 = params.require_h0_h1()
     y, a, s, b, x = rows = _float_rows(y, a, s, b, x)
     loc0 = _arm_local(rows, q.a0, nuis, params, _local)
     loc1 = loc0 if q.a1 == q.a0 else _arm_local(rows, q.a1, nuis, params, _local)
-    plain0, weighted0, i0 = _arm_terms(s, b, x, q.a0, q.s0, h0, nuis, params, loc0)
+    windows = {} if _windows is None else _windows
+    plain0, weighted0, i0 = _arm_terms(s, b, x, q.a0, q.s0, h0, nuis, params, loc0, windows)
     if (q.a1, q.s1, h1) == (q.a0, q.s0, h0):
         plain1, weighted1, i1 = plain0, weighted0, i0
     else:
-        plain1, weighted1, i1 = _arm_terms(s, b, x, q.a1, q.s1, h1, nuis, params, loc1)
+        plain1, weighted1, i1 = _arm_terms(s, b, x, q.a1, q.s1, h1, nuis, params, loc1, windows)
     ind0, ind1 = loc0.ind, loc1.ind
     # numerator: r at a1; denominator: r at a0
     num = ind0 * i1["phi_r"] * plain0 + ind1 * i0["phi"] * weighted1 + i0["phi"] * i1["phi_r"]

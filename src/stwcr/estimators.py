@@ -29,8 +29,11 @@ No nuisance depends on the query, so repeated ``estimate_stwcr`` and
 ``estimate_stwcrve`` calls on the same ``Dataset`` with the same folds and
 model specs reuse a fold plan built by the first: the fold fits, each
 held-out fold's rows, and each arm's observation-local influence terms at
-the last (t, epsilon) asked. A marker sweep costs one fit per fold, and a
-repeated query only its kernel weights and grid integrals. Reuse is
+the last (t, epsilon) asked. A marker sweep costs one fit per fold, and
+each query its kernel weights and the grid integrals of its kernel
+windows. An arm asked the same window twice in a row keeps that window's
+integrals, so queries that hold the comparator's marker fixed compute its
+grid twice and then read it; a single query keeps no window. Reuse is
 checked against a fingerprint of the data's contents, so editing the
 arrays in place, or passing other folds or specs, rebuilds the plan.
 
@@ -250,9 +253,15 @@ class _FoldPlan:
     dataset: ``order`` sorted the rows by part, or with ``order`` None the
     one part is every row, in order. Holds each part's rows, and per arm
     the ``LocalTerms`` of every part at one (t, epsilon), made on first
-    use and replaced when a query brings another pair. The held rows are
-    slices of ``rows.data``, never a copy of its own; it holds neither
-    the caller's dataset nor ``rows``, whose designs go with it.
+    use and replaced when a query brings another pair.
+
+    Per arm it also records the key of the last kernel window asked on
+    that arm. A window asked again in a row, as by queries that hold the
+    comparator's marker fixed, keeps every part's integrals of it (32 bytes
+    a row) until the arm is asked another window; a run of one query keeps
+    none. The held rows are slices of ``rows.data``, never a copy of its
+    own; it holds neither the caller's dataset nor ``rows``, whose designs
+    go with it.
     """
 
     def __init__(self, key, rows: RowParts, order: np.ndarray | None, fits):
@@ -263,6 +272,8 @@ class _FoldPlan:
         cols = (rows.data.y, rows.data.a, rows.data.s, rows.data.b, rows.data.x)
         self.held = [tuple(col[lo:hi] for col in cols) for lo, hi in parts]
         self._local = {}  # arm -> ((t, epsilon), one LocalTerms per part)
+        # arm -> [key of its last window, that window's integrals per part once kept, else None]
+        self._window = {}
 
     def local_terms(self, arm: int, params: SmoothingParams):
         """Each part's ``LocalTerms`` on ``arm`` at params' t and epsilon."""
@@ -273,6 +284,23 @@ class _FoldPlan:
                                 for held, (nuis, _) in zip(self.held, self.fits)))
             self._local[arm] = entry
         return entry[1]
+
+    def kept_windows(self, windows, params: SmoothingParams) -> dict:
+        """Each of ``windows``, distinct ``(arm, center, h)``, that was also
+        the last window asked on its arm, mapped to that arm's entry ``[key,
+        parts]``: ``parts`` holds the window's integrals per part once kept,
+        and is None until this query fills it. Every other window becomes
+        the last asked on its arm, with nothing kept."""
+        kept = {}
+        for arm, center, h in windows:
+            key = (center, h, params.t, params.epsilon, params.quad_nodes,
+                   params.window_halfwidth_in_h)
+            entry = self._window.get(arm)
+            if entry is not None and entry[0] == key:
+                kept[arm, center, h] = entry
+            else:
+                self._window[arm] = [key, None]
+        return kept
 
 
 # Per live dataset: the _FoldPlan of its last fitted (folds, specs). A plan
@@ -340,44 +368,57 @@ def _check_arms(data: Dataset, folds: FoldAssignment, arms):
 
 def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
                      nuisances: NuisanceTriple | None, batch_fn, query,
-                     params: SmoothingParams, required_arms):
+                     params: SmoothingParams, windows):
     """Influence values for all observations, in original order, part by
-    part: each fold, or with injected ``nuisances`` one uncached part of all rows."""
+    part: each fold, or with injected ``nuisances`` one uncached part of all
+    rows. ``windows`` are the query's distinct ``(arm, center, h)`` kernel
+    windows."""
     n = len(data)
     if folds.labels.shape[0] != n:
         raise InvalidParameterError("fold assignment does not match dataset size")
+    arms = dict.fromkeys(arm for arm, _, _ in windows)
     if nuisances is not None:
         plan = _FoldPlan(None, RowParts(data), None, ((nuisances, False),))
     else:
         # ahead of any fit: a fold without the arm would fail as a singular design
-        _check_arms(data, folds, required_arms)
+        _check_arms(data, folds, arms)
         plan = _fold_plan(data, folds, specs)
     # made here, in the calling thread, before any grid block goes to a pool
-    local = {arm: plan.local_terms(arm, params) for arm in required_arms}
+    local = {arm: plan.local_terms(arm, params) for arm in arms}
+    kept = plan.kept_windows(windows, params)
+    filled = {window: [] for window, entry in kept.items() if entry[1] is None}
     if nuisances is None:
         # NaN until a part writes it, so an unfilled slot cannot pass silently
         num, den = np.full(n, np.nan), np.full(n, np.nan)
     hits = degenerate = 0
     for j, (index, held, (nuis, degen)) in enumerate(zip(plan.index, plan.held, plan.fits)):
         degenerate += int(degen)
+        # one part's windows at a time: the batch adds those it makes
+        ints = {window: entry[1][j] for window, entry in kept.items() if entry[1] is not None}
         f_num, f_den, f_hits = batch_fn(*held, query, nuis, params,
-                                        _local={arm: terms[j] for arm, terms in local.items()})
+                                        _local={arm: terms[j] for arm, terms in local.items()},
+                                        _windows=ints)
+        for window, parts in filled.items():
+            parts.append(ints[window])
         hits += f_hits
         if nuisances is not None:  # the one part is every row, in order
             return f_num, f_den, hits, degenerate
         num[index], den[index] = f_num, f_den
     if np.isnan(num).any() or np.isnan(den).any():
         raise EstimationError("influence values left unset: a row was in no held-out fold")
+    # kept only once every part has its integrals
+    for window, parts in filled.items():
+        kept[window][1] = tuple(parts)
     return num, den, hits, degenerate
 
 
 def _pooled(data: Dataset, folds: FoldAssignment, model_specs: ModelSpecs | None,
             nuisances: NuisanceTriple | None, batch_fn, query, params: SmoothingParams,
-            required_arms):
+            windows):
     """``(num, den, tau_num, tau_den, z, floor_hits, degenerate_folds)``: influence
     values, their pooled means (EstimationError unless tau_den > 0) and the z quantile."""
     num, den, hits, degenerate = _crossfit_ifvals(
-        data, folds, model_specs or ModelSpecs(), nuisances, batch_fn, query, params, required_arms)
+        data, folds, model_specs or ModelSpecs(), nuisances, batch_fn, query, params, windows)
     tau_num = float(np.mean(num))
     tau_den = float(np.mean(den))
     if tau_den <= 0:
@@ -400,7 +441,8 @@ def estimate_stwcr(data: Dataset, q: StwcrQuery, params: SmoothingParams,
     """
     require_query(q, StwcrQuery, "estimate_stwcr")
     num, den, tau_num, tau_den, z, hits, degenerate = _pooled(
-        data, folds, model_specs, nuisances, eif_stwcr_batch, q, params, required_arms=(q.a,))
+        data, folds, model_specs, nuisances, eif_stwcr_batch, q, params,
+        windows=((q.a, q.s, params.require_h()),))
     n = len(data)
     tau = tau_num / tau_den
     sigma1_sq = _sample_var((num - tau * den) / tau_den)
@@ -423,9 +465,10 @@ def estimate_stwcrve(data: Dataset, q: StwcrveQuery, params: SmoothingParams,
     is unavailable and a direct-scale interval is reported with a warning.
     """
     require_query(q, StwcrveQuery, "estimate_stwcrve")
+    h0, h1 = params.require_h0_h1()
     num, den, tau_num, tau_den, z, hits, degenerate = _pooled(
         data, folds, model_specs, nuisances, eif_stwcrve_batch, q, params,
-        required_arms=(q.a1,) if q.a1 == q.a0 else (q.a1, q.a0))
+        windows=tuple(dict.fromkeys(((q.a0, q.s0, h0), (q.a1, q.s1, h1)))))
     n = len(data)
     rho = tau_num / tau_den
     delta = 1.0 - rho

@@ -4,10 +4,12 @@ Both are numpy ufunc, LAPACK and BLAS work that releases the interpreter
 lock, and each task writes only its own result, so threads change no
 value. ``estimators._fold_plan`` fits folds with ``map_threaded``, and
 ``eif._kernel_integrals_1d`` and ``simulation.oracle_estimand`` evaluate
-grids with ``map_row_blocks``. Every call makes its own pool and joins it
-before returning: no thread outlives the call, and a process forked later
-(``run_monte_carlo``'s workers) inherits no pool without threads.
-``row_blocks`` cuts both those grids and the fold fits' training ranges.
+grids with ``map_row_blocks``; ``simulation.compute_truths`` cuts its grids
+by the same rule but keeps them on the calling thread. Every call makes its
+own pool and joins it before returning: no thread outlives the call, and a
+process forked later (``run_monte_carlo``'s workers) inherits no pool
+without threads. ``row_blocks`` cuts both those grids and the fold fits'
+training ranges.
 """
 
 from __future__ import annotations
@@ -66,15 +68,17 @@ def row_blocks(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
     return list(zip(starts, [*starts[1:], hi]))
 
 
-def map_row_blocks(fn, *arrays) -> tuple:
-    """``fn(*arrays)`` over blocks of the arrays' rows, on threads: ``fn``
-    returns a tuple of per-row arrays, each of which comes back whole, in
-    row order, and equal to one unblocked serial call's."""
+def map_row_blocks(fn, *arrays, threaded: bool = True) -> tuple:
+    """``fn(*arrays)`` over blocks of the arrays' rows, on threads unless
+    ``threaded`` is false: ``fn`` returns a tuple of per-row arrays, each of
+    which comes back whole, in row order, and equal to one unblocked serial
+    call's."""
     m = len(arrays[0])
     if m <= _BLOCK_ROWS:
         return fn(*arrays)
     # A thread pays for itself from about a block of rows: 1100 rows stay
     # serial, and 1600 do not.
     blocks = map_threaded(lambda lo, hi: fn(*(arr[lo:hi] for arr in arrays)),
-                          *zip(*row_blocks(0, m, _BLOCK_ROWS)), tasks=round(m / _BLOCK_ROWS))
+                          *zip(*row_blocks(0, m, _BLOCK_ROWS)),
+                          tasks=round(m / _BLOCK_ROWS) if threaded else 1)
     return tuple(np.concatenate(parts) for parts in zip(*blocks))

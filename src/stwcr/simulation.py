@@ -366,6 +366,11 @@ class SimConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
+        _require_int("n", self.n, 50)
+        _require_int("k_folds", self.k_folds, 2)
+        if self.k_folds > self.n:
+            raise InvalidParameterError(
+                f"need k_folds <= n, got k_folds={self.k_folds}, n={self.n}")
         _require_int("reps", self.reps, 1)
         _require_int("n_jobs", self.n_jobs, 1)
         _require_int("master_seed", self.master_seed, 0)
@@ -412,7 +417,9 @@ def compute_truths(scenario: str, queries, params: SmoothingParams) -> list[dict
         num = den = 0.0
         for lo in range(0, w.size, _ORACLE_BLOCK):
             blk = slice(lo, lo + _ORACLE_BLOCK)
-            u, v = terms(b[blk], x[blk])
+            # serial: in the simulate process, pool threads' malloc arenas
+            # would keep memory past the call
+            u, v = map_row_blocks(terms, b[blk], x[blk], threaded=False)
             # not w @ u: OpenBLAS's ddot rounds differently per thread count
             num += float(np.sum(w[blk] * u))
             den += float(np.sum(w[blk] * v))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from stwcr import estimators, nuisance
+from stwcr import eif, estimators, nuisance
 from stwcr.core import Interval, SmoothingParams
 from stwcr.eif import StwcrQuery, StwcrveQuery
 from stwcr.errors import EstimationError, InvalidParameterError, SolverError
@@ -616,6 +616,66 @@ class TestFoldPlan:
         for folds in (one, other, one):
             for q in (StwcrQuery(0, 6.5), StwcrveQuery(0, 1, 7.0, 8.0)):
                 assert repr(estimate(ds, q, folds)) == repr(estimate(fresh_copy(ds), q, folds))
+
+    WINDOW_PARAMS = (PARAMS, PARAMS, PARAMS.with_(t=0.2), PARAMS.with_(epsilon=0.05),
+                     PARAMS.with_(h=0.2, h0=0.2, h1=0.2), PARAMS.with_(quad_nodes=16),
+                     PARAMS.with_(window_halfwidth_in_h=5.0))
+    # arms and centers from small sets, so that windows repeat
+    QUERIES = st.one_of(
+        st.builds(StwcrQuery, st.sampled_from((0, 1)), st.sampled_from((6.5, 7.0))),
+        st.builds(StwcrveQuery, st.sampled_from((0, 1)), st.sampled_from((0, 1)),
+                  st.sampled_from((6.5, 7.0, 8.0)), st.sampled_from((6.5, 7.0))))
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(300, 500),
+           asked=st.lists(st.tuples(QUERIES, st.sampled_from(WINDOW_PARAMS)),
+                          min_size=1, max_size=8))
+    # the comparator's window kept, then asked with one other part of its key
+    @example(seed=3, n=400, asked=[(StwcrveQuery(1, 0, s1, 7.0), params)
+                                   for other in WINDOW_PARAMS[2:] for params in (PARAMS, other)
+                                   for s1 in (6.5, 8.0)])
+    # an arm asked two windows in one query keeps neither
+    @example(seed=4, n=400, asked=[(StwcrveQuery(1, 0, 8.0, 7.0), PARAMS),
+                                   (StwcrveQuery(0, 0, 6.5, 7.0), PARAMS),
+                                   (StwcrveQuery(1, 0, 8.0, 6.5), PARAMS),
+                                   (StwcrveQuery(1, 0, 7.0, 6.5), PARAMS)])
+    def test_any_query_sequence_equals_fresh_copies(self, seed, n, asked):
+        ds = gen_dataset(ScenarioSpec("I", n, seed))
+        folds = make_folds(n, 5, seed)
+
+        def answer(data, q, params):
+            fn = estimate_stwcr if isinstance(q, StwcrQuery) else estimate_stwcrve
+            try:
+                return repr(fn(data, q, params, folds))
+            except EstimationError as exc:  # a nonpositive denominator at small n
+                return repr(exc)
+
+        warm = [answer(ds, q, params) for q, params in asked]
+        assert warm == [answer(fresh_copy(ds), q, params) for q, params in asked]
+
+    def test_repeated_comparator_window_is_kept(self, monkeypatch):
+        ds = gen_dataset(ScenarioSpec("I", 400, 35))
+        folds = make_folds(400, 5, 13)
+        made = []
+        real = eif._kernel_integrals_1d
+
+        def counting(center, h, arm, *args):
+            made.append(arm)
+            return real(center, h, arm, *args)
+
+        monkeypatch.setattr(eif, "_kernel_integrals_1d", counting)
+        for s1 in (6.0, 8.0, 9.0):
+            made.clear()
+            estimate(ds, StwcrveQuery(1, 0, s1, 7.0), folds)
+        # the comparator's window was asked by the first two queries in a row
+        assert made == [1] * 5
+
+    def test_one_query_keeps_no_window(self):
+        for q in (StwcrQuery(1, 7.0), StwcrveQuery(1, 0, 8.0, 7.0), StwcrveQuery(0, 0, 8.0, 7.0)):
+            ds = gen_dataset(ScenarioSpec("I", 400, 36))
+            estimate(ds, q, make_folds(400, 5, 14))
+            windows = estimators._FOLD_FITS[ds]._window
+            assert windows and all(kept is None for _, kept in windows.values())
 
     def test_held_out_rows_keep_their_order(self):
         ds = gen_dataset(ScenarioSpec("I", 300, 31))

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,8 +246,13 @@ def test_direct_route_rejects_what_it_cannot_draw(bad):
     lambda: SimConfig("I", 100, 2.5, (StwcrQuery(1, 7.0),), PARAMS),
     lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), PARAMS, master_seed=-1),
     lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), PARAMS, n_jobs=1.5),
+    lambda: SimConfig("I", 10, 2, (StwcrQuery(1, 7.0),), PARAMS),
+    lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), PARAMS, k_folds=1),
+    lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), PARAMS, k_folds=2.5),
+    lambda: SimConfig("I", 60, 2, (StwcrQuery(1, 7.0),), PARAMS, k_folds=61),
 ], ids=["oracle_mc_size", "oracle_seed", "scenario_n", "scenario_seed", "config_reps",
-        "config_master_seed", "config_n_jobs"])
+        "config_master_seed", "config_n_jobs", "config_n", "config_k_folds_1",
+        "config_k_folds_fraction", "config_k_folds_above_n"])
 def test_bad_counts_and_seeds_are_typed_errors(call):
     with pytest.raises(InvalidParameterError):
         call()
@@ -307,6 +313,18 @@ class TestQuadratureTruth:
         assert compute_truths(scenario, risk, PARAMS)[0] == first
         symmetric = compute_truths(scenario, (StwcrveQuery(arm, arm, s, s),), PARAMS)[0]
         assert symmetric["truth"] == 0.0
+
+
+def test_compute_truths_traced_peak_scenario_II():
+    # bound and its reasoning in CHANGES.md: about 15 MB expected, against
+    # 203-252 MB when each 100k-point chunk was one grid
+    tracemalloc.start()
+    try:
+        compute_truths("II", (StwcrQuery(1, 9.0), StwcrveQuery(1, 0, 9.0, 8.0)), PARAMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestRunMonteCarlo:
