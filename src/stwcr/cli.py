@@ -5,14 +5,14 @@ Commands::
     stwcr estimate-stwcr    --input data.csv --a 1 --s 7 --h 0.1 ...
     stwcr estimate-stwcrve  --input data.csv --a1 1 --a0 0 --s1 8 --s0 7 ...
     stwcr simulate          --scenario I --n 1000 --reps 300 --query stwcr:1:7 ...
-    stwcr emit-draws        --scenario I --n 10000 --out draws.csv
+    stwcr emit-draws        --scenario I --n 10000 --out trial.csv
 
 Estimation commands emit a single JSON report embedding every parameter
 needed to reproduce it; ``simulate`` emits a metrics table (CSV by
 default, ``--format json``) against exact quadrature truths, over
-``--threads`` worker processes; ``emit-draws`` writes raw (b, s, a, x1)
-draws for external plotting. Failures exit nonzero with a
-machine-readable error JSON on stderr.
+``--threads`` worker processes; ``emit-draws`` writes a simulated trial,
+columns ``y,a,s,b,x1,x2,x3``, as a CSV that the estimation commands read.
+Failures exit nonzero with a machine-readable error JSON on stderr.
 
 Flags may also be supplied through ``--config file.json`` holding the
 same keys (dashes as underscores), each value of its flag's type;
@@ -250,7 +250,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--format", choices=("json", "csv"), default=None)
     add_estimation(sp)
 
-    sp = sub.add_parser("emit-draws", help="write raw (b, s, a, x1) draws", allow_abbrev=False)
+    sp = sub.add_parser("emit-draws", help="write a simulated trial (y,a,s,b,x1,x2,x3) as CSV",
+                        allow_abbrev=False)
     sp.add_argument("--scenario", required=True, choices=("I", "II", "III"))
     sp.add_argument("--n", type=int, default=None)
     add_common(sp)
@@ -417,11 +418,10 @@ def _cmd_emit_draws(args) -> int:
     seed = args.seed if args.seed is not None else 1
     data = gen_dataset(ScenarioSpec(args.scenario, n, seed))
     buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["b", "s", "a", "x1"])
-    for i in range(n):
-        w.writerow([f"{data.b[i]:.8g}", f"{data.s[i]:.8g}", int(data.a[i]),
-                    f"{data.x[i, 0]:.8g}"])
+    # %.17g reads back as the same double
+    np.savetxt(buf, np.column_stack([data.y, data.a, data.s, data.b, data.x]), fmt="%.17g",
+               delimiter=",", header=",".join(["y", "a", "s", "b", *data.covariate_names]),
+               comments="")
     _emit(buf.getvalue(), args.out)
     return 0
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 from scipy.special import ndtr
@@ -68,23 +69,22 @@ class SmoothingParams:
     window_halfwidth_in_h: float = 8.0
 
     def __post_init__(self):
-        if not (0.0 < self.t < 1.0):
+        # isinstance first: comparing None or a string raises TypeError
+        if not (isinstance(self.t, Real) and 0.0 < self.t < 1.0):
             raise InvalidParameterError(f"t must be in (0,1), got {self.t}")
         _check_epsilon(self.epsilon)
         for name in ("h", "h0", "h1"):
             val = getattr(self, name)
-            if val is not None and not (val > 0.0 and math.isfinite(val)):
+            if val is not None and not (isinstance(val, Real) and 0.0 < val < math.inf):
                 raise InvalidParameterError(f"{name} must be a positive finite bandwidth, got {val}")
-        if not (0.0 < self.alpha < 1.0):
+        if not (isinstance(self.alpha, Real) and 0.0 < self.alpha < 1.0):
             raise InvalidParameterError(f"alpha must be in (0,1), got {self.alpha}")
-        if (int(self.quad_nodes) != self.quad_nodes
-                or not 8 <= self.quad_nodes <= MAX_QUAD_NODES):
+        if self.quad_nodes not in range(8, MAX_QUAD_NODES + 1):  # never raises; 64.0 is in it
             raise InvalidParameterError(
                 f"quad_nodes must be an integer in 8..{MAX_QUAD_NODES}, got {self.quad_nodes}")
-        if not (self.window_halfwidth_in_h >= 4.0):
-            raise InvalidParameterError(
-                f"window_halfwidth_in_h must be >= 4, got {self.window_halfwidth_in_h}"
-            )
+        window = self.window_halfwidth_in_h  # may be inf: a bounded support clips the window
+        if not (isinstance(window, Real) and window >= 4.0):
+            raise InvalidParameterError(f"window_halfwidth_in_h must be >= 4, got {window}")
 
     def require_h(self) -> float:
         if self.h is None:
@@ -145,7 +145,7 @@ def _scaled_pdf(z, scale):
 
 
 def _check_epsilon(epsilon):
-    if not (np.isscalar(epsilon) and epsilon > 0 and math.isfinite(epsilon)):
+    if not (isinstance(epsilon, Real) and 0.0 < epsilon < math.inf):
         raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon}")
 
 

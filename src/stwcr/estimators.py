@@ -387,9 +387,8 @@ def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
     local = {arm: plan.local_terms(arm, params) for arm in arms}
     kept = plan.kept_windows(windows, params)
     filled = {window: [] for window, entry in kept.items() if entry[1] is None}
-    if nuisances is None:
-        # NaN until a part writes it, so an unfilled slot cannot pass silently
-        num, den = np.full(n, np.nan), np.full(n, np.nan)
+    # NaN until a part writes it, so an unfilled slot cannot pass silently
+    num, den = np.full(n, np.nan), np.full(n, np.nan)
     hits = degenerate = 0
     for j, (index, held, (nuis, degen)) in enumerate(zip(plan.index, plan.held, plan.fits)):
         degenerate += int(degen)
@@ -401,8 +400,6 @@ def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
         for window, parts in filled.items():
             parts.append(ints[window])
         hits += f_hits
-        if nuisances is not None:  # the one part is every row, in order
-            return f_num, f_den, hits, degenerate
         num[index], den[index] = f_num, f_den
     if np.isnan(num).any() or np.isnan(den).any():
         raise EstimationError("influence values left unset: a row was in no held-out fold")

@@ -19,7 +19,13 @@ from stwcr.cli import _build_parser, load_dataset, main, parse_query
 from stwcr.core import SmoothingParams
 from stwcr.eif import StwcrQuery, StwcrveQuery
 from stwcr.errors import DatasetParseError, InvalidParameterError
-from stwcr.estimators import StwcrReport, StwcrveReport, estimate_stwcr, make_folds
+from stwcr.estimators import (
+    StwcrReport,
+    StwcrveReport,
+    estimate_stwcr,
+    estimate_stwcrve,
+    make_folds,
+)
 from stwcr.simulation import ScenarioSpec, SimConfig, gen_dataset
 
 
@@ -30,11 +36,12 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def export_dataset(ds, path):
-    header = ["y", "a", "s", "b", *ds.covariate_names]
-    rows = [[repr(float(ds.y[i])), int(ds.a[i]), repr(float(ds.s[i])), repr(float(ds.b[i])),
-             *[repr(float(v)) for v in ds.x[i]]] for i in range(len(ds))]
-    write_csv(path, header, rows)
+def emit_trial(path, scenario, n, seed):
+    """``path``, holding the trial ``gen_dataset(ScenarioSpec(scenario, n, seed))``
+    as ``emit-draws`` writes it."""
+    assert main(["emit-draws", "--scenario", scenario, "--n", str(n), "--seed", str(seed),
+                 "--out", str(path)]) == 0
+    return path
 
 
 class TestLoadDataset:
@@ -146,16 +153,27 @@ class TestLoadDataset:
         assert load_dataset(p, outcome_kind="continuous").outcome_kind == "continuous"
 
     def test_csv_roundtrip_estimate_identical(self, tmp_path):
+        # each estimation command on an emitted trial reports what the
+        # estimator gives on the trial in memory
         ds = gen_dataset(ScenarioSpec("I", 400, 13))
-        p = tmp_path / "trial.csv"
-        export_dataset(ds, p)
-        reloaded = load_dataset(p)
-        params = SmoothingParams(t=0.1, epsilon=0.1, h=0.1)
-        folds = make_folds(400, 5, 3)
-        a = estimate_stwcr(ds, StwcrQuery(1, 7.0), params, folds)
-        b = estimate_stwcr(reloaded, StwcrQuery(1, 7.0), params, folds)
-        assert a.tau_hat == b.tau_hat
-        assert a.ci == b.ci
+        trial = emit_trial(tmp_path / "trial.csv", "I", 400, 13)
+        runs = [("estimate-stwcr", estimate_stwcr, StwcrQuery(1, 7.0), SmoothingParams(h=0.1),
+                 ["--a", "1", "--s", "7", "--h", "0.1"]),
+                ("estimate-stwcrve", estimate_stwcrve, StwcrveQuery(1, 0, 8.0, 7.0),
+                 SmoothingParams(h0=0.1, h1=0.2),
+                 ["--a1", "1", "--a0", "0", "--s1", "8", "--s0", "7",
+                  "--h0", "0.1", "--h1", "0.2"])]
+        for command, estimate, query, params, flags in runs:
+            out = tmp_path / f"{command}.json"
+            assert main([command, "--input", str(trial), *flags, "--folds", "5", "--seed", "3",
+                         "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            del report["timestamp"], report["input"]
+            rep = estimate(ds, query, params, make_folds(400, 5, 3))
+            expected = {"schema_version": 1, "command": command,
+                        "params": dataclasses.asdict(params), "query": dataclasses.asdict(query),
+                        "k_folds": 5, "fold_seed": 3, **dataclasses.asdict(rep)}
+            assert report == json.loads(json.dumps(expected))  # tuples as JSON lists
 
 
 class TestParseQuery:
@@ -171,10 +189,7 @@ class TestParseQuery:
 
 @pytest.fixture()
 def trial_csv(tmp_path):
-    ds = gen_dataset(ScenarioSpec("I", 400, 14))
-    p = tmp_path / "trial.csv"
-    export_dataset(ds, p)
-    return p
+    return emit_trial(tmp_path / "trial.csv", "I", 400, 14)
 
 
 class TestMain:
@@ -250,11 +265,10 @@ class TestMain:
         assert "--h" in err["error"]
 
     def test_absent_arm_error(self, tmp_path, capsys):
-        ds = gen_dataset(ScenarioSpec("I", 200, 15))
-        forced_rows = [[int(ds.y[i]), 1, repr(float(ds.s[i])), repr(float(ds.b[i])),
-                        *[repr(float(v)) for v in ds.x[i]]] for i in range(len(ds))]
+        # the treated rows of an emitted trial
+        header, *rows = emit_trial(tmp_path / "trial.csv", "I", 400, 15).read_text().splitlines()
         p = tmp_path / "one_arm.csv"
-        write_csv(p, ["y", "a", "s", "b", "x1", "x2", "x3"], forced_rows)
+        p.write_text("\n".join([header, *(row for row in rows if row.split(",")[1] == "1")]))
         rc = main(["estimate-stwcr", "--input", str(p), "--a", "0", "--s", "7", "--h", "0.1"])
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip())
@@ -274,13 +288,27 @@ class TestMain:
                                 "pct_bias", "coverage", "mean_se", "reps", "failed"}
 
     def test_emit_draws(self, tmp_path):
-        out = tmp_path / "draws.csv"
+        out = tmp_path / "trial.csv"
         rc = main(["emit-draws", "--scenario", "II", "--n", "500", "--seed", "9",
                    "--out", str(out)])
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
-        assert len(rows) == 500
-        assert set(rows[0]) == {"b", "s", "a", "x1"}
+        lines = out.read_text().splitlines()
+        assert lines[0] == "y,a,s,b,x1,x2,x3"
+        assert len(lines) == 501
+
+    @pytest.mark.parametrize("scenario", ["I", "II", "III"])
+    def test_emitted_trial_loads_as_drawn(self, tmp_path, scenario):
+        drawn = gen_dataset(ScenarioSpec(scenario, 2000, 21))
+        loaded = load_dataset(emit_trial(tmp_path / "trial.csv", scenario, 2000, 21))
+        for column in ("y", "a", "s", "b", "x"):
+            assert np.array_equal(getattr(loaded, column), getattr(drawn, column)), column
+        assert loaded.outcome_kind == drawn.outcome_kind
+        assert loaded.covariate_names == drawn.covariate_names
+
+    def test_emit_draws_without_out_writes_stdout(self, tmp_path, capsys):
+        emitted = emit_trial(tmp_path / "trial.csv", "III", 60, 4).read_text()
+        assert main(["emit-draws", "--scenario", "III", "--n", "60", "--seed", "4"]) == 0
+        assert capsys.readouterr().out == emitted
 
     def test_config_file_merging(self, trial_csv, tmp_path):
         conf = tmp_path / "conf.json"
@@ -490,7 +518,7 @@ _JSON_VALUES = (st.none() | st.booleans() | st.integers(-3, 100) | st.sampled_fr
 @pytest.fixture(scope="module")
 def cli_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_runs")
-    export_dataset(gen_dataset(ScenarioSpec("I", 60, 16)), root / "trial.csv")
+    emit_trial(root / "trial.csv", "I", 60, 16)
     (root / "latin1.json").write_bytes('{"t": 0.2, "name": "café"}'.encode("latin-1"))
     (root / "empty.csv").write_text("")
     return {"csv": root / "trial.csv", "missing": root / "missing.csv",
@@ -568,9 +596,7 @@ def test_import_leaves_out_scipy_stats():
 @pytest.fixture(scope="module")
 def large_csv(tmp_path_factory):
     # past the row counts from which fold fits and grid blocks run on threads
-    path = tmp_path_factory.mktemp("large") / "trial.csv"
-    export_dataset(gen_dataset(ScenarioSpec("II", 40_000, 18)), path)
-    return path
+    return emit_trial(tmp_path_factory.mktemp("large") / "trial.csv", "II", 40_000, 18)
 
 
 @pytest.mark.parametrize("command,flags", [

@@ -30,10 +30,17 @@ class TestSmoothingParams:
         {"t": 0.0}, {"t": 1.0}, {"epsilon": 0.0}, {"h": -0.1}, {"h0": 0.0},
         {"alpha": 0.0}, {"alpha": 1.0}, {"quad_nodes": 4}, {"window_halfwidth_in_h": 2.0},
         {"quad_nodes": MAX_QUAD_NODES + 1}, {"quad_nodes": 100_000_000},
+        {"quad_nodes": math.nan}, {"quad_nodes": math.inf}, {"quad_nodes": None},
+        {"t": None}, {"alpha": None}, {"window_halfwidth_in_h": None}, {"h": "0.1"},
+        {"epsilon": "0.1"},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(InvalidParameterError):
             SmoothingParams(**kwargs)
+
+    def test_integral_float_nodes_and_infinite_window_accepted(self):
+        p = SmoothingParams(quad_nodes=64.0, window_halfwidth_in_h=math.inf)
+        assert p.quad_nodes == 64 and p.window_halfwidth_in_h == math.inf
 
     @pytest.mark.parametrize("epsilon", [math.inf, -math.inf, math.nan])
     def test_nonfinite_epsilon_rejected(self, epsilon):
