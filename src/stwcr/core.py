@@ -197,14 +197,21 @@ def quad_rule(center: float, h: float, support: Interval, params: SmoothingParam
 
     The window is ``[center - W*h, center + W*h]`` intersected with the
     support; returns ``(nodes, weights)`` or ``None`` when the
-    intersection is empty. Weights already include the interval scaling
-    but not the kernel factor.
+    intersection is empty, and raises InvalidParameterError when it is
+    unbounded (an infinite ``window_halfwidth_in_h`` on an unbounded
+    support). Weights already include the interval scaling but not the
+    kernel factor.
     """
     half = params.window_halfwidth_in_h * h
     lo = max(center - half, support.lo)
     hi = min(center + half, support.hi)
     if not lo < hi:
         return None
+    if not math.isfinite(hi - lo):
+        raise InvalidParameterError(
+            f"kernel window [{center - half}, {center + half}] clipped to the support "
+            f"[{support.lo}, {support.hi}] is unbounded; use a finite window_halfwidth_in_h "
+            "or a bounded support")
     base_x, base_w = _leggauss(int(params.quad_nodes))
     mid = 0.5 * (lo + hi)
     scale = 0.5 * (hi - lo)

@@ -22,12 +22,15 @@ term maps to one code block.
 ``eif_stwcr`` / ``eif_stwcrve`` are single-observation reference
 implementations. The ``*_batch`` variants vectorize over observations and
 are what the cross-fitting estimators call; tests pin them to the
-reference path. Both build each arm's terms in two steps: ``local_terms``
-gives the query-independent observation-local terms, which a caller
-answering many queries may keep and pass back in, and ``_arm_terms``
-adds the kernel weights and the grid integrals of the query's kernel
-window on that arm, which such a caller may keep and pass back in too. A
-risk query takes one arm, a relative-efficacy query two.
+reference path. Each query names its ``(arm, center, h)`` kernel windows
+(``windows``): a risk query one, a relative-efficacy query two, the
+comparator's first. ``_arm_terms`` builds each window's terms from two
+parts it keeps in one dict: under the arm, the query-independent
+observation-local terms (``local_terms``), and under the window, its grid
+integrals. A caller answering many queries passes that dict back in; the
+estimators keep one per fold for each (t, epsilon, quad_nodes,
+window_halfwidth_in_h), with every arm's local terms and each window asked
+twice in a row on its arm, until that arm is asked another window.
 """
 
 from __future__ import annotations
@@ -89,6 +92,10 @@ class StwcrQuery:
         if not math.isfinite(self.s):
             raise InvalidParameterError("query marker level must be finite")
 
+    def windows(self, params: SmoothingParams):
+        """The query's one ``(arm, center, h)`` kernel window."""
+        return ((self.a, self.s, params.require_h()),)
+
 
 @dataclass(frozen=True)
 class StwcrveQuery:
@@ -104,6 +111,12 @@ class StwcrveQuery:
             raise InvalidParameterError("query arms must be 0 or 1")
         if not (math.isfinite(self.s1) and math.isfinite(self.s0)):
             raise InvalidParameterError("query marker levels must be finite")
+
+    def windows(self, params: SmoothingParams):
+        """The comparator's ``(arm, center, h)`` kernel window, then the
+        investigational arm's; a symmetric query's two are equal."""
+        h0, h1 = params.require_h0_h1()
+        return (self.a0, self.s0, h0), (self.a1, self.s1, h1)
 
 
 def require_query(q, cls, caller: str):
@@ -322,23 +335,33 @@ def local_terms(y, a, s, b, x, arm, nuis: NuisanceTriple, t, eps) -> LocalTerms:
     return LocalTerms(ind, dphi_S, dphi_S * r_S + (phi_S / floored) * (y - r_S), floor_hits)
 
 
-def _arm_terms(s, b, x, arm, center, h, nuis: NuisanceTriple, params: SmoothingParams,
-               local: LocalTerms, windows: dict):
-    """One arm's ``(plain, weighted, ints)`` for a query at ``center``, ``h``.
+def _arm_terms(rows, windows, nuis: NuisanceTriple, params: SmoothingParams, terms: dict):
+    """``(local, plain, weighted, ints)`` for each kernel window ``(arm,
+    center, h)`` of a query, on ``rows`` (y, a, s, b, x).
 
+    ``local`` is the arm's ``LocalTerms``, read from ``terms`` under the arm,
+    and ``ints`` the window's ``_kernel_integrals_1d`` dict, read under the
+    window; whatever is missing is made and added to ``terms``, every arm's
+    local terms before any window's grid, so that terms a caller keeps are
+    not allocated among the grid blocks' short-lived arrays.
     ``plain = k*dphi - int g`` and ``weighted = k*local - int g*r`` pair the
     observation-local terms, weighted by the kernel k at S, with their
-    correction integrals; ``ints`` is the arm's ``_kernel_integrals_1d`` dict,
-    read from ``windows`` under ``(arm, center, h)``, or made and added to it.
+    correction integrals.
     """
-    ints = windows.get((arm, center, h))
-    if ints is None:
-        ints = windows[arm, center, h] = _kernel_integrals_1d(
-            center, h, arm, nuis, params, b, x, params.t, params.epsilon)
-    k_S = kernel_weight(s - center, h)
-    plain = k_S * local.dphi - ints["g"]
-    weighted = k_S * local.local - ints["g_r"]
-    return plain, weighted, ints
+    _, _, s, b, x = rows
+    for arm, _, _ in windows:
+        if arm not in terms:
+            terms[arm] = local_terms(*rows, arm, nuis, params.t, params.epsilon)
+    out = []
+    for window in windows:
+        arm, center, h = window
+        if window not in terms:
+            terms[window] = _kernel_integrals_1d(center, h, arm, nuis, params, b, x,
+                                                 params.t, params.epsilon)
+        local, ints = terms[arm], terms[window]
+        k_S = kernel_weight(s - center, h)
+        out.append((local, k_S * local.dphi - ints["g"], k_S * local.local - ints["g_r"], ints))
+    return out
 
 
 def _float_rows(y, a, s, b, x):
@@ -346,31 +369,22 @@ def _float_rows(y, a, s, b, x):
     return y, np.asarray(a), s, b, x
 
 
-def _arm_local(rows, arm, nuis, params, cached) -> LocalTerms:
-    """``arm``'s terms from ``cached`` (a batch's ``_local``) or made now."""
-    if cached is not None and arm in cached:
-        return cached[arm]
-    return local_terms(*rows, arm, nuis, params.t, params.epsilon)
-
-
 def eif_stwcr_batch(y, a, s, b, x, q: StwcrQuery, nuis: NuisanceTriple,
-                    params: SmoothingParams, *, _local=None, _windows=None):
+                    params: SmoothingParams, *, _terms=None):
     """Vectorized influence values for a risk query.
 
     Returns ``(num, den, floor_hits)`` where num/den are (m,) arrays and
-    floor_hits counts residual-term density-floor activations. ``_local``
-    maps an arm to its ``local_terms`` on these rows at params' t and
-    epsilon, for a caller that keeps them across queries; arms it lacks are
-    computed here. ``_windows`` maps a kernel window ``(arm, center, h)`` to
-    its ``_kernel_integrals_1d`` on these rows at params' t, epsilon,
-    quad_nodes and window half-width; windows it lacks are computed here and
-    added to it, so the caller can keep them.
+    floor_hits counts residual-term density-floor activations. ``_terms``,
+    for a caller that keeps terms across queries, maps an arm to its
+    ``local_terms`` and a kernel window ``(arm, center, h)`` to its
+    ``_kernel_integrals_1d``, all on these rows at params' t, epsilon,
+    quad_nodes and window half-width; what the query needs and it lacks is
+    made here and added to it.
     """
-    h = params.require_h()
-    y, a, s, b, x = rows = _float_rows(y, a, s, b, x)
-    loc = _arm_local(rows, q.a, nuis, params, _local)
-    windows = {} if _windows is None else _windows
-    plain, weighted, ints = _arm_terms(s, b, x, q.a, q.s, h, nuis, params, loc, windows)
+    windows = q.windows(params)
+    rows = _float_rows(y, a, s, b, x)
+    ((loc, plain, weighted, ints),) = _arm_terms(rows, windows, nuis, params,
+                                                 {} if _terms is None else _terms)
     den = loc.ind * plain + ints["phi"]
     num = loc.ind * weighted + ints["phi_r"]
     _check_finite("risk influence values", num)
@@ -379,24 +393,18 @@ def eif_stwcr_batch(y, a, s, b, x, q: StwcrQuery, nuis: NuisanceTriple,
 
 
 def eif_stwcrve_batch(y, a, s, b, x, q: StwcrveQuery, nuis: NuisanceTriple,
-                      params: SmoothingParams, *, _local=None, _windows=None):
+                      params: SmoothingParams, *, _terms=None):
     """Vectorized influence values for a relative-efficacy query.
 
     Term grouping pairs each observation-local term with its correction
     integral, so a symmetric query (a1 == a0, s1 == s0, h1 == h0) yields
-    num == den exactly; its one arm's terms are built once and serve both
-    sides. ``_local`` and ``_windows`` are as for ``eif_stwcr_batch``.
+    num == den exactly: its second arm finds both its terms made by the
+    first. ``_terms`` is as for ``eif_stwcr_batch``.
     """
-    h0, h1 = params.require_h0_h1()
-    y, a, s, b, x = rows = _float_rows(y, a, s, b, x)
-    loc0 = _arm_local(rows, q.a0, nuis, params, _local)
-    loc1 = loc0 if q.a1 == q.a0 else _arm_local(rows, q.a1, nuis, params, _local)
-    windows = {} if _windows is None else _windows
-    plain0, weighted0, i0 = _arm_terms(s, b, x, q.a0, q.s0, h0, nuis, params, loc0, windows)
-    if (q.a1, q.s1, h1) == (q.a0, q.s0, h0):
-        plain1, weighted1, i1 = plain0, weighted0, i0
-    else:
-        plain1, weighted1, i1 = _arm_terms(s, b, x, q.a1, q.s1, h1, nuis, params, loc1, windows)
+    windows = q.windows(params)
+    rows = _float_rows(y, a, s, b, x)
+    (loc0, plain0, weighted0, i0), (loc1, plain1, weighted1, i1) = _arm_terms(
+        rows, windows, nuis, params, {} if _terms is None else _terms)
     ind0, ind1 = loc0.ind, loc1.ind
     # numerator: r at a1; denominator: r at a0
     num = ind0 * i1["phi_r"] * plain0 + ind1 * i0["phi"] * weighted1 + i0["phi"] * i1["phi_r"]

@@ -28,13 +28,16 @@ Injected nuisances fit nothing and are unaffected.
 No nuisance depends on the query, so repeated ``estimate_stwcr`` and
 ``estimate_stwcrve`` calls on the same ``Dataset`` with the same folds and
 model specs reuse a fold plan built by the first: the fold fits, each
-held-out fold's rows, and each arm's observation-local influence terms at
-the last (t, epsilon) asked. A marker sweep costs one fit per fold, and
-each query its kernel weights and the grid integrals of its kernel
-windows. An arm asked the same window twice in a row keeps that window's
-integrals, so queries that hold the comparator's marker fixed compute its
-grid twice and then read it; a single query keeps no window. Reuse is
-checked against a fingerprint of the data's contents, so editing the
+held-out fold's rows, and per fold one dict of influence terms for the
+last (t, epsilon, quad_nodes, window_halfwidth_in_h) asked, which each
+query's batch reads and fills. After each fold's batch one rule picks what
+the dict keeps: every arm's observation-local terms, and a kernel window's
+grid integrals once the window has been asked twice in a row on its arm,
+until that arm is asked another window. A marker sweep costs one fit per
+fold, and each query its kernel weights and the grid integrals of its
+kernel windows; queries that hold the comparator's marker fixed compute
+its grid twice and then read it, and a single query keeps no window. Reuse
+is checked against a fingerprint of the data's contents, so editing the
 arrays in place, or passing other folds or specs, rebuilds the plan.
 
 Risk queries report tau = num/den with variance
@@ -55,8 +58,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .core import SmoothingParams
-from .eif import (StwcrQuery, StwcrveQuery, eif_stwcr_batch, eif_stwcrve_batch, local_terms,
-                  require_query)
+from .eif import StwcrQuery, StwcrveQuery, eif_stwcr_batch, eif_stwcrve_batch, require_query
 from .errors import EstimationError, InvalidParameterError, SolverError
 from .nuisance import (
     CondDensityModel,
@@ -251,17 +253,18 @@ class _FoldPlan:
     Part j of ``rows`` holds the rows evaluated with ``fits[j]``, a
     ``(NuisanceTriple, degenerate)`` pair, which sit at ``index[j]`` in the
     dataset: ``order`` sorted the rows by part, or with ``order`` None the
-    one part is every row, in order. Holds each part's rows, and per arm
-    the ``LocalTerms`` of every part at one (t, epsilon), made on first
-    use and replaced when a query brings another pair.
-
-    Per arm it also records the key of the last kernel window asked on
-    that arm. A window asked again in a row, as by queries that hold the
-    comparator's marker fixed, keeps every part's integrals of it (32 bytes
-    a row) until the arm is asked another window; a run of one query keeps
-    none. The held rows are slices of ``rows.data``, never a copy of its
-    own; it holds neither the caller's dataset nor ``rows``, whose designs
-    go with it.
+    one part is every row, in order. Holds each part's rows and, in
+    ``terms``, one dict per part that the part's batch reads and fills
+    (``eif_stwcr_batch``'s ``_terms``), valid for one (t, epsilon,
+    quad_nodes, window_halfwidth_in_h): a query with another starts every
+    dict empty. After each part's batch its dict keeps only what ``ask``
+    allows: every arm's ``LocalTerms``, and each window ``(arm, center, h)``
+    asked twice in a row on its arm, until that arm is asked another window
+    (32 bytes a row); a run of one query keeps no window. Every entry is
+    keyed by all it depends on, so a query that fails part way leaves
+    nothing stale. The held rows are slices of ``rows.data``, never a copy
+    of its own; it holds neither the caller's dataset nor ``rows``, whose
+    designs go with it.
     """
 
     def __init__(self, key, rows: RowParts, order: np.ndarray | None, fits):
@@ -271,36 +274,20 @@ class _FoldPlan:
         self.index = [slice(None)] if order is None else [order[lo:hi] for lo, hi in parts]
         cols = (rows.data.y, rows.data.a, rows.data.s, rows.data.b, rows.data.x)
         self.held = [tuple(col[lo:hi] for col in cols) for lo, hi in parts]
-        self._local = {}  # arm -> ((t, epsilon), one LocalTerms per part)
-        # arm -> [key of its last window, that window's integrals per part once kept, else None]
-        self._window = {}
+        self._params = None  # (t, epsilon, quad_nodes, window_halfwidth_in_h) of ``terms``
+        self.terms = []
+        self._asked = {}  # arm -> (its last window, whether asked twice in a row)
 
-    def local_terms(self, arm: int, params: SmoothingParams):
-        """Each part's ``LocalTerms`` on ``arm`` at params' t and epsilon."""
-        key = (params.t, params.epsilon)
-        entry = self._local.get(arm)
-        if entry is None or entry[0] != key:
-            entry = (key, tuple(local_terms(*held, arm, nuis, *key)
-                                for held, (nuis, _) in zip(self.held, self.fits)))
-            self._local[arm] = entry
-        return entry[1]
-
-    def kept_windows(self, windows, params: SmoothingParams) -> dict:
-        """Each of ``windows``, distinct ``(arm, center, h)``, that was also
-        the last window asked on its arm, mapped to that arm's entry ``[key,
-        parts]``: ``parts`` holds the window's integrals per part once kept,
-        and is None until this query fills it. Every other window becomes
-        the last asked on its arm, with nothing kept."""
-        kept = {}
-        for arm, center, h in windows:
-            key = (center, h, params.t, params.epsilon, params.quad_nodes,
-                   params.window_halfwidth_in_h)
-            entry = self._window.get(arm)
-            if entry is not None and entry[0] == key:
-                kept[arm, center, h] = entry
-            else:
-                self._window[arm] = [key, None]
-        return kept
+    def ask(self, windows, params: SmoothingParams) -> set:
+        """Record a query's ``windows`` under ``params``; returns the keys
+        the parts' dicts keep: both arms and each window asked twice in a row."""
+        key = (params.t, params.epsilon, params.quad_nodes, params.window_halfwidth_in_h)
+        if key != self._params:
+            self._params, self._asked, self.terms = key, {}, [{} for _ in self.fits]
+        for window in dict.fromkeys(windows):
+            last = self._asked.get(window[0])
+            self._asked[window[0]] = (window, last is not None and last[0] == window)
+        return {0, 1, *(window for window, again in self._asked.values() if again)}
 
 
 # Per live dataset: the _FoldPlan of its last fitted (folds, specs). A plan
@@ -368,60 +355,61 @@ def _check_arms(data: Dataset, folds: FoldAssignment, arms):
 
 def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
                      nuisances: NuisanceTriple | None, batch_fn, query,
-                     params: SmoothingParams, windows):
+                     params: SmoothingParams):
     """Influence values for all observations, in original order, part by
     part: each fold, or with injected ``nuisances`` one uncached part of all
-    rows. ``windows`` are the query's distinct ``(arm, center, h)`` kernel
-    windows."""
+    rows."""
+    windows = query.windows(params)
     n = len(data)
     if folds.labels.shape[0] != n:
         raise InvalidParameterError("fold assignment does not match dataset size")
-    arms = dict.fromkeys(arm for arm, _, _ in windows)
     if nuisances is not None:
         plan = _FoldPlan(None, RowParts(data), None, ((nuisances, False),))
     else:
         # ahead of any fit: a fold without the arm would fail as a singular design
-        _check_arms(data, folds, arms)
+        _check_arms(data, folds, {arm for arm, _, _ in windows})
         plan = _fold_plan(data, folds, specs)
-    # made here, in the calling thread, before any grid block goes to a pool
-    local = {arm: plan.local_terms(arm, params) for arm in arms}
-    kept = plan.kept_windows(windows, params)
-    filled = {window: [] for window, entry in kept.items() if entry[1] is None}
+    kept = plan.ask(windows, params)
     # NaN until a part writes it, so an unfilled slot cannot pass silently
     num, den = np.full(n, np.nan), np.full(n, np.nan)
     hits = degenerate = 0
     for j, (index, held, (nuis, degen)) in enumerate(zip(plan.index, plan.held, plan.fits)):
         degenerate += int(degen)
-        # one part's windows at a time: the batch adds those it makes
-        ints = {window: entry[1][j] for window, entry in kept.items() if entry[1] is not None}
-        f_num, f_den, f_hits = batch_fn(*held, query, nuis, params,
-                                        _local={arm: terms[j] for arm, terms in local.items()},
-                                        _windows=ints)
-        for window, parts in filled.items():
-            parts.append(ints[window])
+        terms = plan.terms[j]
+        f_num, f_den, f_hits = batch_fn(*held, query, nuis, params, _terms=terms)
+        for key in terms.keys() - kept:
+            del terms[key]
         hits += f_hits
         num[index], den[index] = f_num, f_den
     if np.isnan(num).any() or np.isnan(den).any():
         raise EstimationError("influence values left unset: a row was in no held-out fold")
-    # kept only once every part has its integrals
-    for window, parts in filled.items():
-        kept[window][1] = tuple(parts)
     return num, den, hits, degenerate
 
 
 def _pooled(data: Dataset, folds: FoldAssignment, model_specs: ModelSpecs | None,
-            nuisances: NuisanceTriple | None, batch_fn, query, params: SmoothingParams,
-            windows):
+            nuisances: NuisanceTriple | None, batch_fn, query, params: SmoothingParams):
     """``(num, den, tau_num, tau_den, z, floor_hits, degenerate_folds)``: influence
     values, their pooled means (EstimationError unless tau_den > 0) and the z quantile."""
     num, den, hits, degenerate = _crossfit_ifvals(
-        data, folds, model_specs or ModelSpecs(), nuisances, batch_fn, query, params, windows)
+        data, folds, model_specs or ModelSpecs(), nuisances, batch_fn, query, params)
     tau_num = float(np.mean(num))
     tau_den = float(np.mean(den))
     if tau_den <= 0:
         raise EstimationError(
             f"denominator nonpositive: tau_den_hat={tau_den:.6g} (tau_num_hat={tau_num:.6g})")
     return num, den, tau_num, tau_den, float(ndtri(1.0 - params.alpha / 2.0)), hits, degenerate
+
+
+def _require_args(caller: str, data, params, folds, model_specs, nuisances):
+    """An InvalidParameterError naming the first of ``caller``'s arguments of a wrong type."""
+    for name, value, cls, optional in (
+            ("data", data, Dataset, False), ("params", params, SmoothingParams, False),
+            ("folds", folds, FoldAssignment, False), ("model_specs", model_specs, ModelSpecs, True),
+            ("nuisances", nuisances, NuisanceTriple, True)):
+        if not (isinstance(value, cls) or optional and value is None):
+            wanted = cls.__name__ + (" or None" if optional else "")
+            raise InvalidParameterError(
+                f"{caller} needs {name} as a {wanted}, got {type(value).__name__}")
 
 
 def _sample_var(values: np.ndarray) -> float:
@@ -437,9 +425,9 @@ def estimate_stwcr(data: Dataset, q: StwcrQuery, params: SmoothingParams,
     nuisance triple on every observation instead.
     """
     require_query(q, StwcrQuery, "estimate_stwcr")
+    _require_args("estimate_stwcr", data, params, folds, model_specs, nuisances)
     num, den, tau_num, tau_den, z, hits, degenerate = _pooled(
-        data, folds, model_specs, nuisances, eif_stwcr_batch, q, params,
-        windows=((q.a, q.s, params.require_h()),))
+        data, folds, model_specs, nuisances, eif_stwcr_batch, q, params)
     n = len(data)
     tau = tau_num / tau_den
     sigma1_sq = _sample_var((num - tau * den) / tau_den)
@@ -462,10 +450,9 @@ def estimate_stwcrve(data: Dataset, q: StwcrveQuery, params: SmoothingParams,
     is unavailable and a direct-scale interval is reported with a warning.
     """
     require_query(q, StwcrveQuery, "estimate_stwcrve")
-    h0, h1 = params.require_h0_h1()
+    _require_args("estimate_stwcrve", data, params, folds, model_specs, nuisances)
     num, den, tau_num, tau_den, z, hits, degenerate = _pooled(
-        data, folds, model_specs, nuisances, eif_stwcrve_batch, q, params,
-        windows=tuple(dict.fromkeys(((q.a0, q.s0, h0), (q.a1, q.s1, h1)))))
+        data, folds, model_specs, nuisances, eif_stwcrve_batch, q, params)
     n = len(data)
     rho = tau_num / tau_den
     delta = 1.0 - rho

@@ -226,6 +226,23 @@ class TestIntegrate1D:
         assert val == pytest.approx(0.5, abs=1e-10)
 
 
+@pytest.mark.parametrize("support", [WIDE, Interval(0.0, math.inf)])
+@pytest.mark.parametrize("constant", [True, False])
+@pytest.mark.parametrize("dims", [1, 2])
+def test_unbounded_window_rejected(dims, constant, support):
+    # an infinite half-width clipped to an unbounded support leaves no finite
+    # window to put nodes on: the window is named, not the integrand
+    params = PARAMS.with_(window_halfwidth_in_h=math.inf)
+    with pytest.raises(InvalidParameterError, match=r"kernel window \[-inf, inf\].*unbounded"):
+        if dims == 1:
+            integrate_kernel_weighted(
+                (lambda s: np.ones_like(s)) if constant else (lambda s: s), 0.5, 0.1, support, params)
+        else:
+            integrate_kernel_weighted_2d(
+                (lambda a, b: np.ones(np.broadcast_shapes(a.shape, b.shape))) if constant
+                else (lambda a, b: a * b), 0.5, 0.1, 0.7, 0.1, support, params)
+
+
 class TestIntegrate2D:
     def test_product_of_normalized_kernels(self):
         val = integrate_kernel_weighted_2d(lambda a, b: np.ones(np.broadcast_shapes(a.shape, b.shape)),

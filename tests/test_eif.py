@@ -408,10 +408,20 @@ class TestLocalTerms:
         assert np.array_equal(num, den)
 
     @pytest.mark.parametrize("q", [StwcrQuery(0, 7.0), StwcrveQuery(1, 0, 8.0, 7.0)])
-    def test_passed_terms_equal_computed(self, q, scen1_ve):
+    def test_passed_terms_equal_computed(self, q, scen1_ve, monkeypatch):
         ds, nuis = scen1_ve
         cols = (ds.y, ds.a, ds.s, ds.b, ds.x)
         terms = {arm: eif.local_terms(*cols, arm, nuis, PARAMS.t, PARAMS.epsilon) for arm in (0, 1)}
         batch = eif_stwcr_batch if isinstance(q, StwcrQuery) else eif_stwcrve_batch
-        assert_batches_equal([batch(*cols, q, nuis, PARAMS)],
-                             [batch(*cols, q, nuis, PARAMS, _local=terms)])
+        computed = batch(*cols, q, nuis, PARAMS)
+        assert_batches_equal([computed], [batch(*cols, q, nuis, PARAMS, _terms=terms)])
+        # a dict one call fills serves a second call, which makes nothing
+        filled = {}
+        assert_batches_equal([computed], [batch(*cols, q, nuis, PARAMS, _terms=filled)])
+        windows = q.windows(PARAMS)
+        assert set(filled) == {*(arm for arm, _, _ in windows), *windows}
+        made = []
+        for name in ("local_terms", "_kernel_integrals_1d"):
+            monkeypatch.setattr(eif, name, lambda *args, name=name: made.append(name))
+        assert_batches_equal([computed], [batch(*cols, q, nuis, PARAMS, _terms=filled)])
+        assert made == []

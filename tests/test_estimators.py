@@ -210,6 +210,17 @@ class TestEstimateStwcr:
                 estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, make_folds(999, 5, 0),
                                nuisances=given)
 
+    @pytest.mark.parametrize("fn, q", [(estimate_stwcr, StwcrQuery(1, 7.0)),
+                                       (estimate_stwcrve, StwcrveQuery(1, 0, 8.0, 7.0))])
+    @pytest.mark.parametrize("name, value", [
+        ("data", (1.0, 2.0)), ("folds", None), ("folds", np.repeat([1, 2], 500)),
+        ("params", {"h": 0.1}), ("model_specs", "x"), ("nuisances", "x")])
+    def test_wrong_argument_type_named(self, scen1, fn, q, name, value):
+        ds, _ = scen1
+        args = {"data": ds, "q": q, "params": PARAMS, "folds": make_folds(1000, 5, 0), name: value}
+        with pytest.raises(InvalidParameterError, match=f"{fn.__name__} needs {name} as a "):
+            fn(**args)
+
     def test_unfilled_influence_slot_raises(self, scen1):
         ds, _ = scen1
         folds = make_folds(1000, 5, 0)
@@ -561,15 +572,15 @@ SWEEP_1K = ([StwcrQuery(1, 5.0 + 0.35 * k) for k in range(20)]
 
 @pytest.fixture()
 def count_local_terms(monkeypatch):
-    """Counts calls of ``stwcr.estimators.local_terms`` by arm."""
+    """Counts calls of ``stwcr.eif.local_terms`` by arm."""
     calls = {0: 0, 1: 0}
-    real = estimators.local_terms
+    real = eif.local_terms
 
     def counting(*args):
         calls[args[5]] += 1
         return real(*args)
 
-    monkeypatch.setattr(estimators, "local_terms", counting)
+    monkeypatch.setattr(eif, "local_terms", counting)
     return calls
 
 
@@ -590,10 +601,11 @@ class TestFoldPlan:
         for params in (PARAMS, PARAMS.with_(t=0.2), PARAMS.with_(epsilon=0.05), PARAMS):
             warm = estimate_stwcr(ds, q, params, folds)
             assert repr(warm) == repr(estimate_stwcr(fresh_copy(ds), q, params, folds))
-            # one (t, epsilon) per arm is kept
-            assert estimators._FOLD_FITS[ds]._local[1][0] == (params.t, params.epsilon)
+            # one (t, epsilon) is kept: each fold's terms of arm 1 at these params
+            plan = estimators._FOLD_FITS[ds]
+            assert plan._params[:2] == (params.t, params.epsilon)
+            assert [set(terms) for terms in plan.terms] == [{1}] * 5
         assert count_local_terms[1] == 4 * 5 + 4 * 5  # the copies are cold too
-        assert set(estimators._FOLD_FITS[ds]._local) == {1}
 
     @pytest.mark.parametrize("column", ["s", "x", "a"])
     def test_edit_in_place_rebuilds(self, column):
@@ -669,13 +681,21 @@ class TestFoldPlan:
             estimate(ds, StwcrveQuery(1, 0, s1, 7.0), folds)
         # the comparator's window was asked by the first two queries in a row
         assert made == [1] * 5
+        # terms are kept for one (t, epsilon, quad_nodes, window_halfwidth_in_h):
+        # other params remake the comparator's window, and so do the old ones after them
+        for params in (PARAMS.with_(quad_nodes=16), PARAMS,
+                       PARAMS.with_(window_halfwidth_in_h=5.0), PARAMS):
+            made.clear()
+            estimate_stwcrve(ds, StwcrveQuery(1, 0, 10.0, 7.0), params, folds)
+            assert made == [0, 1] * 5
 
     def test_one_query_keeps_no_window(self):
-        for q in (StwcrQuery(1, 7.0), StwcrveQuery(1, 0, 8.0, 7.0), StwcrveQuery(0, 0, 8.0, 7.0)):
+        for q, arms in ((StwcrQuery(1, 7.0), {1}), (StwcrveQuery(1, 0, 8.0, 7.0), {0, 1}),
+                        (StwcrveQuery(0, 0, 8.0, 7.0), {0})):
             ds = gen_dataset(ScenarioSpec("I", 400, 36))
             estimate(ds, q, make_folds(400, 5, 14))
-            windows = estimators._FOLD_FITS[ds]._window
-            assert windows and all(kept is None for _, kept in windows.values())
+            # each fold keeps its arms' local terms and no window
+            assert [set(terms) for terms in estimators._FOLD_FITS[ds].terms] == [arms] * 5
 
     def test_held_out_rows_keep_their_order(self):
         ds = gen_dataset(ScenarioSpec("I", 300, 31))
