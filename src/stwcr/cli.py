@@ -312,11 +312,16 @@ def _given(args, **fields) -> dict:
             if getattr(args, flag) is not None}
 
 
-def _params_from(args, need=()) -> SmoothingParams:
+def _params_from(args, queries) -> SmoothingParams:
+    """The smoothing flags as SmoothingParams; each bandwidth that one of
+    ``queries`` needs (h for a risk query, h0 and h1 for relative efficacy)
+    is a required flag."""
     given = _given(args, t="t", epsilon="epsilon", h="h", h0="h0", h1="h1", alpha="alpha",
                    quad_nodes="quad_nodes", window="window_halfwidth_in_h")
     params = SmoothingParams(**given)
-    for name in need:
+    need = {name for q in queries
+            for name in (("h",) if isinstance(q, StwcrQuery) else ("h0", "h1"))}
+    for name in sorted(need):
         if getattr(params, name) is None:
             raise InvalidParameterError(f"--{name} is required for this command")
     return params
@@ -360,15 +365,15 @@ def _cmd_estimate(args) -> int:
     _, query_args, query_type = _ESTIMATE_COMMANDS[args.command]
     # resolved by name per call, so a wrapper set on this module's name sees it
     estimate = estimate_stwcr if query_type is StwcrQuery else estimate_stwcrve
-    query = {name: getattr(args, name) for name in query_args}
+    query = query_type(**{name: getattr(args, name) for name in query_args})
     data = _dataset_from_args(args)
-    params = _params_from(args, need=("h",) if query_type is StwcrQuery else ("h0", "h1"))
+    params = _params_from(args, (query,))
     seed = args.seed if args.seed is not None else 0
     k = args.folds if args.folds is not None else SimConfig.k_folds
     folds = make_folds(len(data), k, seed)
-    rep = estimate(data, query_type(**query), params, folds, model_specs=_model_specs_from(args))
+    rep = estimate(data, query, params, folds, model_specs=_model_specs_from(args))
     extra = {"input": args.input, "k_folds": k, "fold_seed": seed, **dataclasses.asdict(rep)}
-    _emit(_report_json(args.command, params, query, extra), args.out)
+    _emit(_report_json(args.command, params, dataclasses.asdict(query), extra), args.out)
     return 0
 
 
@@ -380,10 +385,7 @@ def _queries_from(args):
 
 def _sim_config_from(args) -> SimConfig:
     queries = _queries_from(args)
-    need = set()
-    for q in queries:
-        need.update(("h",) if isinstance(q, StwcrQuery) else ("h0", "h1"))
-    params = _params_from(args, need=sorted(need))
+    params = _params_from(args, queries)
     return SimConfig(
         scenario=args.scenario,
         n=args.n if args.n is not None else 1000,

@@ -108,6 +108,9 @@ class Interval:
     hi: float
 
     def __post_init__(self):
+        if not (isinstance(self.lo, Real) and isinstance(self.hi, Real)):
+            raise InvalidParameterError(
+                f"interval endpoints must be numbers, got {self.lo!r} and {self.hi!r}")
         if math.isnan(self.lo) or math.isnan(self.hi):
             raise InvalidParameterError("interval endpoints cannot be NaN")
         if self.lo > self.hi:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -89,8 +90,9 @@ class StwcrQuery:
     def __post_init__(self):
         if self.a not in (0, 1):
             raise InvalidParameterError("query arm must be 0 or 1")
-        if not math.isfinite(self.s):
-            raise InvalidParameterError("query marker level must be finite")
+        if not (isinstance(self.s, Real) and math.isfinite(self.s)):
+            raise InvalidParameterError(
+                f"query marker level must be a finite number, got {self.s!r}")
 
     def windows(self, params: SmoothingParams):
         """The query's one ``(arm, center, h)`` kernel window."""
@@ -109,8 +111,9 @@ class StwcrveQuery:
     def __post_init__(self):
         if self.a1 not in (0, 1) or self.a0 not in (0, 1):
             raise InvalidParameterError("query arms must be 0 or 1")
-        if not (math.isfinite(self.s1) and math.isfinite(self.s0)):
-            raise InvalidParameterError("query marker levels must be finite")
+        if not all(isinstance(s, Real) and math.isfinite(s) for s in (self.s1, self.s0)):
+            raise InvalidParameterError(
+                f"query marker levels must be finite numbers, got {self.s1!r} and {self.s0!r}")
 
     def windows(self, params: SmoothingParams):
         """The comparator's ``(arm, center, h)`` kernel window, then the
@@ -328,8 +331,7 @@ def local_terms(y, a, s, b, x, arm, nuis: NuisanceTriple, t, eps) -> LocalTerms:
                         on_arm / nuis.propensity.prob(arm, b, x))
     pi_S = _check_finite(f"marker density (arm {arm})", nuis.cond_density.density_at(arm, s, b, x))
     r_S = _check_finite(f"outcome regression (arm {arm})", nuis.outcome.predict_at(arm, s, b, x))
-    dphi_S = smooth_indicator_deriv(pi_S, t, eps)
-    phi_S = smooth_indicator(pi_S, t, eps)
+    phi_S, dphi_S = softened_indicator(pi_S, t, eps)
     floored = np.maximum(pi_S, DENSITY_FLOOR)
     floor_hits = int(np.sum((pi_S < DENSITY_FLOOR) & on_arm))
     return LocalTerms(ind, dphi_S, dphi_S * r_S + (phi_S / floored) * (y - r_S), floor_hits)

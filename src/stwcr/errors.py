@@ -16,10 +16,6 @@ class EvaluationError(StwcrError, ArithmeticError):
 class SolverError(StwcrError, RuntimeError):
     """A model fit failed (non-convergence or singular system)."""
 
-    def __init__(self, message, gradient_norm=None):
-        super().__init__(message)
-        self.gradient_norm = gradient_norm
-
 
 class EstimationError(StwcrError, RuntimeError):
     """An estimator precondition or postcondition was violated."""

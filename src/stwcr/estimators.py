@@ -52,7 +52,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass, replace
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import ndtri
@@ -110,7 +110,13 @@ class FoldAssignment:
         if not isinstance(self.k_folds, Integral) or self.k_folds < 2:
             raise InvalidParameterError(f"need an integer k_folds >= 2, got {self.k_folds!r}")
         # checked as floats: the int cast would truncate 1.7 to fold 1
-        raw = np.asarray(self.labels, dtype=float)
+        try:
+            raw = np.asarray(self.labels, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidParameterError("fold labels must be numbers") from None
+        if raw.ndim != 1:
+            raise InvalidParameterError(
+                f"fold labels must be one-dimensional, got shape {raw.shape}")
         if not np.all(raw == np.trunc(raw)):
             raise InvalidParameterError("fold labels must be integers")
         if raw.size and (raw.min() < 1 or raw.max() > self.k_folds):
@@ -161,8 +167,14 @@ class ModelSpecs:
             raise InvalidParameterError(
                 "set exactly one of known_propensity and propensity_spec "
                 "(known_propensity=None to fit propensity_spec)")
-        if self.known_propensity is not None and not 0.0 < self.known_propensity < 1.0:
-            raise InvalidParameterError("known propensity must lie in (0,1)")
+        p = self.known_propensity
+        if p is not None and not (isinstance(p, Real) and 0.0 < p < 1.0):
+            raise InvalidParameterError(f"known propensity must lie in (0,1), got {p!r}")
+        for name in ("propensity_spec", "cond_density_spec", "outcome_spec"):
+            spec = getattr(self, name)
+            if not (spec is None or isinstance(spec, FeatureSpec)):
+                raise InvalidParameterError(
+                    f"{name} must be a FeatureSpec or None, got {type(spec).__name__}")
 
     def for_dataset(self, data: Dataset) -> ModelSpecs:
         """These specs with unset density and outcome specs filled in for
@@ -219,30 +231,28 @@ def _fit_fold(train: TrainingRows, specs: ModelSpecs,
               warm: NuisanceTriple | None = None) -> tuple[NuisanceTriple, bool]:
     """Fit the nuisance triple on one fold's training rows, with ``specs`` filled in.
 
-    The logistic fits start from ``warm``'s coefficients when given. A
-    failed logistic fit (separation, degenerate outcome) is retried from
-    zero at ridge 1e-2 and the fold flagged as degenerate.
+    A known propensity is built, not fit. The fitted propensity and the
+    outcome start from ``warm``'s coefficients when given, which a
+    least-squares outcome ignores. A fit that fails (separation, degenerate
+    outcome) is retried from zero at ridge ``DEGENERATE_RIDGE`` and the
+    fold flagged as degenerate.
     """
-    prop_start = outc_start = {}
-    if warm is not None:
-        prop_start = {"start": warm.propensity.coef}  # read only when the propensity is fit
-        if warm.outcome.kind == "logistic":
-            outc_start = {"start": warm.outcome.coef}
     degenerate = False
-    if specs.known_propensity is not None:
-        prop = fit_propensity(train, known_prob=specs.known_propensity)
-    else:
+
+    def retried(fit, spec, start):
+        nonlocal degenerate
         try:
-            prop = fit_propensity(train, spec=specs.propensity_spec, **prop_start)
+            return fit(train, spec, start=start)
         except SolverError:
-            prop = fit_propensity(train, spec=specs.propensity_spec, ridge=DEGENERATE_RIDGE)
             degenerate = True
+            return fit(train, spec, ridge=DEGENERATE_RIDGE)
+
+    if specs.known_propensity is not None:
+        prop = PropensityModel(kind="known", prob_treated=float(specs.known_propensity))
+    else:
+        prop = retried(fit_propensity, specs.propensity_spec, warm and warm.propensity.coef)
     cond = fit_cond_density(train, specs.cond_density_spec)
-    try:
-        outc = fit_outcome(train, specs.outcome_spec, **outc_start)
-    except SolverError:
-        outc = fit_outcome(train, specs.outcome_spec, ridge=DEGENERATE_RIDGE)
-        degenerate = True
+    outc = retried(fit_outcome, specs.outcome_spec, warm and warm.outcome.coef)
     return NuisanceTriple(propensity=prop, cond_density=cond, outcome=outc,
                           support=support_bounds(train)), degenerate
 

@@ -485,11 +485,11 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
     rows, or all rows by default. Starts from the coefficients ``start``,
     zero by default. Converges when the penalized score has max-norm below
     ``tol``; a ``start`` that already meets it is returned unchanged.
-    Raises :class:`SolverError` on non-convergence (carrying the last
-    gradient norm) or on a rank-deficient weighted system; callers may
-    retry with a larger ridge. Every sum runs over the ranges in order, in
-    blocks of ``_FIT_BLOCK_ROWS`` rows cut from each range by
-    ``row_blocks``, so no step holds more than one block's weighted design.
+    Raises :class:`SolverError` on non-convergence or on a rank-deficient
+    weighted system; callers may retry from zero with a larger ridge.
+    Every sum runs over the ranges in order, in blocks of
+    ``_FIT_BLOCK_ROWS`` rows cut from each range by ``row_blocks``, so no
+    step holds more than one block's weighted design.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(labels)
@@ -537,7 +537,6 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
         return -float(loss), etas
 
     ll, etas = evaluate(beta)
-    gnorm = np.inf
     for _ in range(max_iter):
         ps = [expit(eta, out=eta) for eta in etas]  # the predictors are not read again
         del etas
@@ -545,8 +544,7 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
         for (Xb, yb), p in zip(blocks, ps):
             grad = grad + Xb.T @ (yb - p)
         grad = grad - ridge * beta
-        gnorm = float(np.abs(grad).max())
-        if gnorm < tol:
+        if np.abs(grad).max() < tol:
             return beta
         hess = 0.0
         for (Xb, _), p in zip(blocks, ps):
@@ -557,7 +555,7 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
-            raise SolverError("rank-deficient weighted system in IRLS", gradient_norm=gnorm) from None
+            raise SolverError("rank-deficient weighted system in IRLS") from None
         # damped Newton: halve until the penalized likelihood does not decrease
         scale = 1.0
         for _ in range(40):
@@ -567,19 +565,17 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
                 break
             scale *= 0.5
         else:
-            raise SolverError("IRLS line search failed", gradient_norm=gnorm)
+            raise SolverError("IRLS line search failed")
         beta, etas, ll = cand, cand_etas, cand_ll
-    raise SolverError(f"IRLS did not converge in {max_iter} iterations", gradient_norm=gnorm)
+    raise SolverError(f"IRLS did not converge in {max_iter} iterations")
 
 
-def fit_propensity(data: Dataset | TrainingRows, spec: FeatureSpec | None = None,
-                   known_prob: float | None = None, ridge=1e-8, start=None) -> PropensityModel:
-    """Fit P(A = 1 | b, x) on a Dataset or a fit's training rows, from
-    coefficients ``start`` if given, or declare it known (randomized designs)."""
-    if (spec is None) == (known_prob is None):
-        raise InvalidParameterError("provide exactly one of spec or known_prob")
-    if known_prob is not None:
-        return PropensityModel(kind="known", prob_treated=float(known_prob))
+def fit_propensity(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
+                   start=None) -> PropensityModel:
+    """Fit a logistic P(A = 1 | b, x) on features ``spec`` of a Dataset or a
+    fit's training rows, from coefficients ``start`` if given. A known
+    propensity (randomized designs) is not fit: it is
+    ``PropensityModel(kind="known", prob_treated=p)``."""
     rows = _training_rows(data)
     names = rows.parts.data.covariate_names
     terms = spec.resolve(PropensityModel.ROLES, names)

@@ -22,6 +22,7 @@ values straight from the kernel, with no quadrature: two cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -379,6 +380,12 @@ class SimConfig:
             raise InvalidParameterError("need at least one query")
         if not all(isinstance(q, (StwcrQuery, StwcrveQuery)) for q in self.queries):
             raise InvalidParameterError("each query must be a StwcrQuery or a StwcrveQuery")
+        if not isinstance(self.params, SmoothingParams):
+            raise InvalidParameterError(
+                f"params must be a SmoothingParams, got {type(self.params).__name__}")
+        if not (self.model_specs is None or isinstance(self.model_specs, ModelSpecs)):
+            raise InvalidParameterError(
+                f"model_specs must be a ModelSpecs or None, got {type(self.model_specs).__name__}")
 
 
 @dataclass(frozen=True)
@@ -446,7 +453,9 @@ def _rep_seeds(master_seed: int, r: int):
     return data_ss, int(fold_ss.generate_state(1)[0])
 
 
-def _run_one_rep(config: SimConfig, r: int, estimate_fn):
+def _run_one_rep(config: SimConfig, estimate_fn, r: int):
+    """Replication ``r``: per query ``estimate_fn``'s (estimate, lo, hi, se),
+    or ``("error", message)`` when it raised a StwcrError."""
     data_ss, fold_seed = _rep_seeds(config.master_seed, r)
     data = gen_dataset(ScenarioSpec(config.scenario, config.n, data_ss))
     folds = make_folds(config.n, config.k_folds, fold_seed)
@@ -457,11 +466,6 @@ def _run_one_rep(config: SimConfig, r: int, estimate_fn):
         except StwcrError as exc:
             out.append(("error", f"{type(exc).__name__}: {exc}"))
     return out
-
-
-def _run_one_rep_default(args):
-    config, r = args
-    return _run_one_rep(config, r, _default_estimate_fn)
 
 
 def _replication_pool(n_jobs: int) -> ProcessPoolExecutor:
@@ -476,54 +480,42 @@ def _replication_pool(n_jobs: int) -> ProcessPoolExecutor:
 def run_monte_carlo(config: SimConfig, estimate_fn=None) -> list[MetricsRow]:
     """Repeated-sampling bias and coverage for each configured query.
 
-    Truths come from :func:`compute_truths`. Replication r draws its seeds
-    from the master seed by counter-based splitting, so results are
-    independent of worker count and each replication is reproducible in
-    isolation. A custom ``estimate_fn`` runs serially and needs
-    ``n_jobs == 1``. Raises :class:`HarnessError` when more than 5% of
-    replications fail for any query. ``pct_bias`` is NaN when the truth is 0.
+    Truths come from :func:`compute_truths`. One ``_run_one_rep`` is mapped
+    over the replications, by ``map`` on one job and by a pool of
+    ``n_jobs`` processes otherwise. Replication r draws its seeds from the
+    master seed by counter-based splitting, so results are independent of
+    worker count and each replication is reproducible in isolation. A
+    custom ``estimate_fn`` runs serially and needs ``n_jobs == 1``. Each
+    query is summarized from its own replications: :class:`HarnessError`,
+    naming that query's first errors, when more than 5% of them failed.
+    ``pct_bias`` is NaN when the truth is 0.
     """
     if estimate_fn is not None and config.n_jobs > 1:
         raise InvalidParameterError("a custom estimate_fn runs serially; set n_jobs=1")
     truths = compute_truths(config.scenario, config.queries, config.params)
 
-    results: list[list] = [None] * config.reps
+    one_rep = functools.partial(_run_one_rep, config, estimate_fn or _default_estimate_fn)
     if config.n_jobs > 1:
         with _replication_pool(config.n_jobs) as pool:
-            for r, res in enumerate(pool.map(_run_one_rep_default,
-                                             [(config, r) for r in range(config.reps)],
-                                             chunksize=max(1, config.reps // (8 * config.n_jobs)))):
-                results[r] = res
+            results = list(pool.map(one_rep, range(config.reps),
+                                    chunksize=max(1, config.reps // (8 * config.n_jobs))))
     else:
-        fn = estimate_fn if estimate_fn is not None else _default_estimate_fn
-        for r in range(config.reps):
-            results[r] = _run_one_rep(config, r, fn)
+        results = list(map(one_rep, range(config.reps)))
 
     rows = []
-    errors = []
-    for j, q in enumerate(config.queries):
-        truth = truths[j]["truth"]
-        estimates, ses, covered, failed = [], [], 0, 0
-        for r in range(config.reps):
-            res = results[r][j]
-            if res[0] == "error":
-                failed += 1
-                errors.append(f"rep {r}, {query_label(q)}: {res[1]}")
-                continue
-            est, lo, hi, se = res
-            estimates.append(est)
-            ses.append(se)
-            covered += int(lo <= truth <= hi)
-        ok = len(estimates)
-        if failed > 0.05 * config.reps:
-            raise HarnessError(
-                f"{failed}/{config.reps} replications failed for {query_label(q)}; "
-                f"first errors: {errors[:3]}")
-        mean_est = float(np.mean(estimates)) if ok else float("nan")
+    for q, truth, outcomes in zip(config.queries, (t["truth"] for t in truths), zip(*results)):
+        label = query_label(q)
+        errors = [f"rep {r}, {label}: {out[1]}" for r, out in enumerate(outcomes)
+                  if out[0] == "error"]
+        if len(errors) > 0.05 * config.reps:
+            raise HarnessError(f"{len(errors)}/{config.reps} replications failed for {label}; "
+                               f"first errors: {errors[:3]}")
+        # one row per successful replication: estimate, lo, hi, se
+        est, lo, hi, se = np.array([out for out in outcomes if out[0] != "error"], dtype=float).T
+        mean_est = float(np.mean(est))
         rows.append(MetricsRow(
-            query=query_label(q), truth=float(truth), mean_estimate=mean_est,
+            query=label, truth=float(truth), mean_estimate=mean_est,
             pct_bias=float(100.0 * (mean_est - truth) / truth) if truth != 0.0 else float("nan"),
-            coverage=float(covered / ok) if ok else float("nan"),
-            mean_se=float(np.mean(ses)) if ok else float("nan"),
-            reps=ok, failed=failed))
+            coverage=float(np.mean((lo <= truth) & (truth <= hi))), mean_se=float(np.mean(se)),
+            reps=est.size, failed=len(errors)))
     return rows

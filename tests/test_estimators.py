@@ -117,18 +117,19 @@ class TestModelSpecs:
         calls = []
         real = estimators.fit_propensity
 
-        def recording(data, **kwargs):
-            calls.append(kwargs)
-            return real(data, **kwargs)
+        def recording(data, spec, **kwargs):
+            calls.append((spec, kwargs))
+            return real(data, spec, **kwargs)
 
         monkeypatch.setattr(estimators, "fit_propensity", recording)
         estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, make_folds(400, 5, 0),
                        model_specs=ModelSpecs(known_propensity=None, propensity_spec=spec))
-        assert [set(kwargs) for kwargs in calls] == [{"spec"}] + [{"spec", "start"}] * 4
-        assert all(kwargs["spec"] == spec for kwargs in calls)
-        # folds 2..5 start from fold 1's coefficients
+        assert len(calls) == 5 and all(got == spec for got, _ in calls)
+        # fold 1 starts from zero (start None), folds 2..5 from fold 1's coefficients
+        assert calls[0][1] == {"start": None}
         first = estimators._FOLD_FITS[ds].fits[0][0].propensity.coef
-        assert all(np.array_equal(kwargs["start"], first) for kwargs in calls[1:])
+        assert all(set(kwargs) == {"start"} and np.array_equal(kwargs["start"], first)
+                   for _, kwargs in calls[1:])
 
     @pytest.mark.parametrize("fn, q", [(estimate_stwcr, StwcrQuery(1, 7.0)),
                                        (estimate_stwcrve, StwcrveQuery(1, 0, 8.0, 7.0))])
@@ -899,7 +900,9 @@ class TestWarmStartedFolds:
 
         monkeypatch.setattr(estimators, "fit_outcome", recording)
         rep = estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, make_folds(400, 5, 6))
-        assert calls == [{}, {"ridge": estimators.DEGENERATE_RIDGE}] + [{}] * 4
+        # a start of None is a start from zero
+        assert calls == ([{"start": None}, {"ridge": estimators.DEGENERATE_RIDGE}]
+                         + [{"start": None}] * 4)
         assert rep.degenerate_folds == 1
 
     def test_failed_warm_fit_retried_from_zero(self, monkeypatch):
@@ -909,7 +912,8 @@ class TestWarmStartedFolds:
         real = estimators.fit_outcome
 
         def failing(train, spec, **kwargs):
-            calls.append(sorted(kwargs))
+            # a start of None is a start from zero, recorded as no start
+            calls.append(sorted(k for k, v in kwargs.items() if v is not None))
             if train.held_out == 2 and "ridge" not in kwargs:  # fold 3's first try
                 raise SolverError("singular design")
             return real(train, spec, **kwargs)

@@ -298,7 +298,7 @@ class TestIrlsLogistic:
 class TestFitPropensity:
     def test_known_constant(self):
         ds = gen_dataset(ScenarioSpec("I", 60, 1))
-        model = fit_propensity(ds, known_prob=0.5)
+        model = PropensityModel(kind="known", prob_treated=0.5)
         assert np.all(model.prob(1, ds.b, ds.x) == 0.5)
         assert np.all(model.prob(0, ds.b, ds.x) == 0.5)
 
@@ -314,13 +314,6 @@ class TestFitPropensity:
         extreme_b = np.array([-1e6, 1e6])
         p = model.prob(1, extreme_b, np.zeros((2, 3)))
         assert np.all(p >= 1e-12) and np.all(p <= 1 - 1e-12)
-
-    def test_exactly_one_mode(self):
-        ds = gen_dataset(ScenarioSpec("I", 60, 1))
-        with pytest.raises(InvalidParameterError):
-            fit_propensity(ds)
-        with pytest.raises(InvalidParameterError):
-            fit_propensity(ds, spec=FeatureSpec([intercept()]), known_prob=0.5)
 
 
 class TestFitCondDensity:
@@ -396,6 +389,18 @@ class TestFitOutcome:
         assert model.kind == "linear"
         assert model.coef[0] == pytest.approx(2.0, abs=1e-8)
         assert model.coef[1] == pytest.approx(3.0, abs=1e-8)
+
+    @pytest.mark.parametrize("start", [np.zeros(2), np.array([1e6, -3.5])])
+    def test_continuous_ignores_start(self, start):
+        # the fold fits pass every outcome fit a start; least squares has no use for it
+        ds = gen_dataset(ScenarioSpec("I", 200, 7))
+        lin = Dataset(y=2.0 + 3.0 * ds.s + ds.x[:, 1], a=ds.a, s=ds.s, b=ds.b, x=ds.x,
+                      covariate_names=ds.covariate_names, outcome_kind="continuous")
+        spec = FeatureSpec([intercept(), raw("s")])
+        cold = fit_outcome(lin, spec)
+        warm = fit_outcome(lin, spec, start=start)
+        assert warm.kind == "linear"
+        assert np.array_equal(warm.coef, cold.coef)
 
     def test_binary_predictions_bounded(self):
         ds = gen_dataset(ScenarioSpec("I", 1000, 8))

@@ -12,10 +12,16 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from stwcr import estimators, simulation
-from stwcr.core import SmoothingParams
+from stwcr.core import Interval, SmoothingParams
 from stwcr.eif import StwcrQuery, StwcrveQuery
 from stwcr.errors import EstimationError, HarnessError, InvalidParameterError
-from stwcr.estimators import ModelSpecs, estimate_stwcr, estimate_stwcrve, make_folds
+from stwcr.estimators import (
+    FoldAssignment,
+    ModelSpecs,
+    estimate_stwcr,
+    estimate_stwcrve,
+    make_folds,
+)
 from stwcr.nuisance import Dataset
 from stwcr.simulation import (
     MetricsRow,
@@ -258,6 +264,26 @@ def test_bad_counts_and_seeds_are_typed_errors(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: StwcrQuery(1, "7"),
+    lambda: StwcrQuery(1, None),
+    lambda: StwcrveQuery(1, 0, "8", 7),
+    lambda: Interval(None, 1),
+    lambda: Interval("0", 1),
+    lambda: ModelSpecs(known_propensity="0.5"),
+    lambda: ModelSpecs(cond_density_spec=[("intercept",), ("raw", "b")]),
+    lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), {"h": 0.1}),
+    lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), PARAMS, model_specs="x"),
+    lambda: FoldAssignment(2, [[1, 2], [1, 2]]),
+    lambda: FoldAssignment(2, ["1", "b"]),
+], ids=["query_marker_str", "query_marker_none", "ve_query_marker_str", "interval_none",
+        "interval_str", "known_propensity_str", "spec_list", "config_params_dict",
+        "config_model_specs_str", "fold_labels_2d", "fold_labels_str"])
+def test_wrong_input_type_is_typed_error_where_it_enters(call):
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
 def test_numpy_integer_counts_and_seeds_accepted():
     ds = gen_dataset(ScenarioSpec("I", np.int64(100), np.uint32(3)))
     assert np.array_equal(ds.s, gen_dataset(ScenarioSpec("I", 100, 3)).s)
@@ -389,6 +415,24 @@ class TestRunMonteCarlo:
 
         with pytest.raises(HarnessError):
             run_monte_carlo(cfg, estimate_fn=failing)
+
+    def test_failure_names_only_its_own_query(self):
+        cfg = SimConfig(scenario="I", n=100, reps=20, params=PARAMS,
+                        queries=(StwcrQuery(1, 7.0), StwcrQuery(1, 8.0)))
+        calls = []
+
+        def failing(data, q, params, folds, model_specs):
+            calls.append(q)
+            # s=7 fails once, within the 5% allowed, and s=8 every time
+            if q.s == 8.0 or calls.count(q) == 1:
+                raise EstimationError(f"boom at s={q.s:g}")
+            return 0.5, 0.4, 0.6, 0.05
+
+        with pytest.raises(HarnessError) as info:
+            run_monte_carlo(cfg, estimate_fn=failing)
+        message = str(info.value)
+        assert message.startswith("20/20 replications failed for STWCR(a=1,s=8); first errors: ")
+        assert "s=7" not in message and message.count("boom at s=8") == 3
 
     def test_custom_estimate_fn_rejects_workers(self):
         cfg = SimConfig(scenario="I", n=100, reps=2, queries=(StwcrQuery(1, 7.0),),
