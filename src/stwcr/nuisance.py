@@ -576,6 +576,8 @@ def fit_propensity(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
     fit's training rows, from coefficients ``start`` if given. A known
     propensity (randomized designs) is not fit: it is
     ``PropensityModel(kind="known", prob_treated=p)``."""
+    if not isinstance(spec, FeatureSpec):
+        raise InvalidParameterError(f"spec must be a FeatureSpec, got {type(spec).__name__}")
     rows = _training_rows(data)
     names = rows.parts.data.covariate_names
     terms = spec.resolve(PropensityModel.ROLES, names)

@@ -22,7 +22,7 @@ from stwcr.estimators import (
     estimate_stwcrve,
     make_folds,
 )
-from stwcr.nuisance import Dataset
+from stwcr.nuisance import Dataset, fit_propensity
 from stwcr.simulation import (
     MetricsRow,
     ScenarioSpec,
@@ -276,9 +276,10 @@ def test_bad_counts_and_seeds_are_typed_errors(call):
     lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), PARAMS, model_specs="x"),
     lambda: FoldAssignment(2, [[1, 2], [1, 2]]),
     lambda: FoldAssignment(2, ["1", "b"]),
+    lambda: fit_propensity(gen_dataset(ScenarioSpec("I", 100, 1)), None),
 ], ids=["query_marker_str", "query_marker_none", "ve_query_marker_str", "interval_none",
         "interval_str", "known_propensity_str", "spec_list", "config_params_dict",
-        "config_model_specs_str", "fold_labels_2d", "fold_labels_str"])
+        "config_model_specs_str", "fold_labels_2d", "fold_labels_str", "fit_propensity_no_spec"])
 def test_wrong_input_type_is_typed_error_where_it_enters(call):
     with pytest.raises(InvalidParameterError):
         call()
