@@ -222,7 +222,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                         help=f"number of cross-fitting folds (default {SimConfig.k_folds})")
         sp.add_argument("--known-propensity", type=float, default=None,
                         help="known treatment probability P(A=1|b,x) "
-                             f"(default {ModelSpecs.known_propensity})")
+                             f"(default {ModelSpecs.propensity})")
 
     def add_columns(sp):
         sp.add_argument("--input", required=True, help="CSV file with a header row")
@@ -327,12 +327,6 @@ def _params_from(args, queries) -> SmoothingParams:
     return params
 
 
-def _model_specs_from(args) -> ModelSpecs | None:
-    """None, the estimators' default specs, unless --known-propensity is set."""
-    kp = args.known_propensity
-    return None if kp is None else ModelSpecs(known_propensity=kp)
-
-
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -371,7 +365,8 @@ def _cmd_estimate(args) -> int:
     seed = args.seed if args.seed is not None else 0
     k = args.folds if args.folds is not None else SimConfig.k_folds
     folds = make_folds(len(data), k, seed)
-    rep = estimate(data, query, params, folds, model_specs=_model_specs_from(args))
+    specs = ModelSpecs(**_given(args, known_propensity="propensity"))
+    rep = estimate(data, query, params, folds, model_specs=specs)
     extra = {"input": args.input, "k_folds": k, "fold_seed": seed, **dataclasses.asdict(rep)}
     _emit(_report_json(args.command, params, dataclasses.asdict(query), extra), args.out)
     return 0
@@ -390,7 +385,8 @@ def _sim_config_from(args) -> SimConfig:
         scenario=args.scenario,
         n=args.n if args.n is not None else 1000,
         reps=args.reps if args.reps is not None else 1,
-        queries=queries, params=params, model_specs=_model_specs_from(args),
+        queries=queries, params=params,
+        model_specs=ModelSpecs(**_given(args, known_propensity="propensity")),
         **_given(args, folds="k_folds", seed="master_seed", threads="n_jobs"))
 
 

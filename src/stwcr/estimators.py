@@ -148,29 +148,25 @@ def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
 
 @dataclass(frozen=True)
 class ModelSpecs:
-    """Nuisance model configuration for the cross-fitting estimators.
+    """Nuisance model configuration for the cross-fitting estimators, one
+    field per nuisance model.
 
-    ``known_propensity`` short-circuits propensity fitting (the default
-    0.5 matches 1:1 randomization); set it to None and give
-    ``propensity_spec`` to fit a logistic model instead. Exactly one of the
-    two must be set. Unset density and outcome specs are filled in per
-    dataset by ``for_dataset``.
+    ``propensity`` is either a known treatment probability in (0, 1), used
+    as is (the default 0.5 matches 1:1 randomization), or a FeatureSpec of
+    a logistic model fitted on each fold. Unset density and outcome specs
+    are filled in per dataset by ``for_dataset``.
     """
 
-    known_propensity: float | None = 0.5
-    propensity_spec: FeatureSpec | None = None
+    propensity: float | FeatureSpec = 0.5
     cond_density_spec: FeatureSpec | None = None
     outcome_spec: FeatureSpec | None = None
 
     def __post_init__(self):
-        if (self.known_propensity is None) == (self.propensity_spec is None):
-            raise InvalidParameterError(
-                "set exactly one of known_propensity and propensity_spec "
-                "(known_propensity=None to fit propensity_spec)")
-        p = self.known_propensity
-        if p is not None and not (isinstance(p, Real) and 0.0 < p < 1.0):
-            raise InvalidParameterError(f"known propensity must lie in (0,1), got {p!r}")
-        for name in ("propensity_spec", "cond_density_spec", "outcome_spec"):
+        p = self.propensity
+        if not (isinstance(p, FeatureSpec) or isinstance(p, Real) and 0.0 < p < 1.0):
+            raise InvalidParameterError(f"known propensity must lie in (0,1), got {p!r}; "
+                                        "a FeatureSpec fits a logistic propensity")
+        for name in ("cond_density_spec", "outcome_spec"):
             spec = getattr(self, name)
             if not (spec is None or isinstance(spec, FeatureSpec)):
                 raise InvalidParameterError(
@@ -188,10 +184,10 @@ class ModelSpecs:
                         "outcome_spec": [intercept(), raw("x2"), raw("x3"), raw("s"), raw("a"), raw("b")]}
         specs = replace(self, **{name: FeatureSpec(terms) for name, terms in defaults.items()
                                  if getattr(self, name) is None})
-        for model, spec in ((PropensityModel, specs.propensity_spec),
+        for model, spec in ((PropensityModel, specs.propensity),
                             (CondDensityModel, specs.cond_density_spec),
                             (OutcomeModel, specs.outcome_spec)):
-            if spec is not None:
+            if isinstance(spec, FeatureSpec):
                 spec.resolve(model.ROLES, data.covariate_names)
         return specs
 
@@ -231,8 +227,9 @@ def _fit_fold(train: TrainingRows, specs: ModelSpecs,
               warm: NuisanceTriple | None = None) -> tuple[NuisanceTriple, bool]:
     """Fit the nuisance triple on one fold's training rows, with ``specs`` filled in.
 
-    A known propensity is built, not fit. The fitted propensity and the
-    outcome start from ``warm``'s coefficients when given, which a
+    A ``specs.propensity`` FeatureSpec is fitted as a logistic model; a
+    number is a known propensity, built, not fit. The fitted propensity and
+    the outcome start from ``warm``'s coefficients when given, which a
     least-squares outcome ignores. A fit that fails (separation, degenerate
     outcome) is retried from zero at ridge ``DEGENERATE_RIDGE`` and the
     fold flagged as degenerate.
@@ -247,10 +244,10 @@ def _fit_fold(train: TrainingRows, specs: ModelSpecs,
             degenerate = True
             return fit(train, spec, ridge=DEGENERATE_RIDGE)
 
-    if specs.known_propensity is not None:
-        prop = PropensityModel(kind="known", prob_treated=float(specs.known_propensity))
+    if isinstance(specs.propensity, FeatureSpec):
+        prop = retried(fit_propensity, specs.propensity, warm and warm.propensity.coef)
     else:
-        prop = retried(fit_propensity, specs.propensity_spec, warm and warm.propensity.coef)
+        prop = PropensityModel(kind="known", prob_treated=float(specs.propensity))
     cond = fit_cond_density(train, specs.cond_density_spec)
     outc = retried(fit_outcome, specs.outcome_spec, warm and warm.outcome.coef)
     return NuisanceTriple(propensity=prop, cond_density=cond, outcome=outc,
@@ -396,12 +393,12 @@ def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
     return num, den, hits, degenerate
 
 
-def _pooled(data: Dataset, folds: FoldAssignment, model_specs: ModelSpecs | None,
+def _pooled(data: Dataset, folds: FoldAssignment, model_specs: ModelSpecs,
             nuisances: NuisanceTriple | None, batch_fn, query, params: SmoothingParams):
     """``(num, den, tau_num, tau_den, z, floor_hits, degenerate_folds)``: influence
     values, their pooled means (EstimationError unless tau_den > 0) and the z quantile."""
     num, den, hits, degenerate = _crossfit_ifvals(
-        data, folds, model_specs or ModelSpecs(), nuisances, batch_fn, query, params)
+        data, folds, model_specs, nuisances, batch_fn, query, params)
     tau_num = float(np.mean(num))
     tau_den = float(np.mean(den))
     if tau_den <= 0:
@@ -414,7 +411,7 @@ def _require_args(caller: str, data, params, folds, model_specs, nuisances):
     """An InvalidParameterError naming the first of ``caller``'s arguments of a wrong type."""
     for name, value, cls, optional in (
             ("data", data, Dataset, False), ("params", params, SmoothingParams, False),
-            ("folds", folds, FoldAssignment, False), ("model_specs", model_specs, ModelSpecs, True),
+            ("folds", folds, FoldAssignment, False), ("model_specs", model_specs, ModelSpecs, False),
             ("nuisances", nuisances, NuisanceTriple, True)):
         if not (isinstance(value, cls) or optional and value is None):
             wanted = cls.__name__ + (" or None" if optional else "")
@@ -427,7 +424,7 @@ def _sample_var(values: np.ndarray) -> float:
 
 
 def estimate_stwcr(data: Dataset, q: StwcrQuery, params: SmoothingParams,
-                   folds: FoldAssignment, model_specs: ModelSpecs | None = None,
+                   folds: FoldAssignment, model_specs: ModelSpecs = ModelSpecs(),
                    nuisances: NuisanceTriple | None = None) -> StwcrReport:
     """Cross-fitted one-step estimate of the trimmed-risk ratio at (a, s).
 
@@ -452,7 +449,7 @@ def estimate_stwcr(data: Dataset, q: StwcrQuery, params: SmoothingParams,
 
 
 def estimate_stwcrve(data: Dataset, q: StwcrveQuery, params: SmoothingParams,
-                     folds: FoldAssignment, model_specs: ModelSpecs | None = None,
+                     folds: FoldAssignment, model_specs: ModelSpecs = ModelSpecs(),
                      nuisances: NuisanceTriple | None = None) -> StwcrveReport:
     """Cross-fitted one-step estimate of relative efficacy 1 - rho.
 

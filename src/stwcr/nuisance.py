@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -92,8 +92,10 @@ class Observation:
 class Dataset:
     """Column-oriented i.i.d. sample of observations.
 
-    ``outcome_kind`` is "binary" or "continuous"; binary outcomes must lie
-    in {0, 1}.
+    ``y``, ``a``, ``s`` and ``b`` are 1-D columns of one length; ``x`` holds
+    the covariates as a 2-D (rows, covariates) array, or 1-D for one
+    covariate. ``outcome_kind`` is "binary" or "continuous"; binary outcomes
+    must lie in {0, 1}.
     """
 
     def __init__(self, y, a, s, b, x, covariate_names, outcome_kind=None):
@@ -104,6 +106,11 @@ class Dataset:
         self.x = np.ascontiguousarray(x, dtype=float)
         if self.x.ndim == 1:
             self.x = self.x[:, None]
+        for name in ("y", "a", "s", "b", "x"):
+            shape = getattr(self, name).shape
+            if len(shape) != (2 if name == "x" else 1):
+                wanted = "1-D or 2-D" if name == "x" else "1-D"
+                raise InvalidParameterError(f"column {name} must be {wanted}, got shape {shape}")
         self.covariate_names = tuple(covariate_names)
         n = self.y.shape[0]
         if n == 0:
@@ -133,12 +140,6 @@ class Dataset:
             raise InvalidParameterError("binary-outcome dataset has y outside {0,1}")
         self.outcome_kind = outcome_kind
 
-    @classmethod
-    def from_observations(cls, observations: Iterable[Observation], covariate_names, outcome_kind=None):
-        obs = list(observations)
-        cols = {name: [getattr(o, name) for o in obs] for name in ("y", "a", "s", "b", "x")}
-        return cls(**cols, covariate_names=covariate_names, outcome_kind=outcome_kind)
-
     def __len__(self):
         return self.y.shape[0]
 
@@ -151,16 +152,11 @@ class Dataset:
         ]
 
     def subset(self, idx) -> "Dataset":
-        """The rows ``idx`` selects. They come from this dataset's checked
-        columns, so only emptiness is checked again."""
-        sub = object.__new__(Dataset)
-        sub.y, sub.a, sub.s, sub.b, sub.x = (np.ascontiguousarray(col[idx])
-                                             for col in (self.y, self.a, self.s, self.b, self.x))
-        if sub.y.shape[0] == 0:
-            raise InvalidParameterError("dataset must be nonempty")
-        sub.covariate_names = self.covariate_names
-        sub.outcome_kind = self.outcome_kind
-        return sub
+        """The rows ``idx`` selects, as a new Dataset that the constructor
+        builds and checks like any other, with this one's covariate names
+        and outcome kind."""
+        return Dataset(*(col[idx] for col in (self.y, self.a, self.s, self.b, self.x)),
+                       self.covariate_names, self.outcome_kind)
 
 
 # --- feature language ------------------------------------------------------
@@ -196,6 +192,8 @@ class FeatureSpec:
             object.__setattr__(self, "terms", tuple(tuple(t) for t in terms))
         except TypeError:
             raise InvalidParameterError("each feature term must be a tuple") from None
+        if not self.terms:
+            raise InvalidParameterError("a feature spec needs at least one term")
         for t in self.terms:
             if not (t and isinstance(t[0], str) and t[0] in _TERM_NAMES
                     and len(t) == 1 + _TERM_NAMES[t[0]].count("{}")
@@ -235,6 +233,14 @@ def _resolve(spec: FeatureSpec, roles: tuple, covariate_names: tuple) -> _Terms:
     except KeyError as exc:
         raise InvalidParameterError(f"feature references unknown column {exc.args[0]!r}; "
                                     f"this model reads {', '.join(position)}") from None
+
+
+def _spec_terms(spec, roles, covariate_names) -> _Terms:
+    """``spec`` resolved for a model that reads ``roles`` and the covariates:
+    the one check, for every fit and model, that a spec is a FeatureSpec."""
+    if not isinstance(spec, FeatureSpec):
+        raise InvalidParameterError(f"spec must be a FeatureSpec, got {type(spec).__name__}")
+    return spec.resolve(roles, covariate_names)
 
 
 class _Terms(NamedTuple):
@@ -311,11 +317,11 @@ class PropensityModel:
             if not (self.prob_treated is not None and 0.0 < self.prob_treated < 1.0):
                 raise InvalidParameterError("known propensity must lie in (0,1)")
         elif self.kind == "logistic":
-            if self.spec is None or self.coef is None or not np.all(np.isfinite(self.coef)):
-                raise InvalidParameterError("logistic propensity needs a spec and finite coefficients")
+            if self.coef is None or not np.all(np.isfinite(self.coef)):
+                raise InvalidParameterError("logistic propensity needs finite coefficients")
         else:
             raise InvalidParameterError(f"unknown propensity kind {self.kind!r}")
-        object.__setattr__(self, "_terms", self.spec.resolve(self.ROLES, self.covariate_names)
+        object.__setattr__(self, "_terms", _spec_terms(self.spec, self.ROLES, self.covariate_names)
                            if self.kind == "logistic" else None)
 
     def prob(self, a: int, b, x):
@@ -346,7 +352,7 @@ class CondDensityModel:
             raise InvalidParameterError("residual_sd must be positive and finite")
         if not np.all(np.isfinite(self.coef)):
             raise InvalidParameterError("conditional-density coefficients must be finite")
-        object.__setattr__(self, "_terms", self.spec.resolve(self.ROLES, self.covariate_names))
+        object.__setattr__(self, "_terms", _spec_terms(self.spec, self.ROLES, self.covariate_names))
 
     def mean(self, a, b, x):
         """The marker mean at broadcastable arm a and baseline b, with x's
@@ -375,7 +381,7 @@ class OutcomeModel:
             raise InvalidParameterError(f"unknown outcome kind {self.kind!r}")
         if not np.all(np.isfinite(self.coef)):
             raise InvalidParameterError("outcome coefficients must be finite")
-        object.__setattr__(self, "_terms", self.spec.resolve(self.ROLES, self.covariate_names))
+        object.__setattr__(self, "_terms", _spec_terms(self.spec, self.ROLES, self.covariate_names))
 
     def predict_at(self, a, s, b, x):
         """The mean at broadcastable a, s and b, with x's covariates on its last
@@ -492,6 +498,9 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
     step holds more than one block's weighted design.
     """
     X = np.asarray(design, dtype=float)
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise InvalidParameterError(
+            f"design must be 2-D with at least one column, got shape {X.shape}")
     y = np.asarray(labels)
     q = X.shape[1]
     if y.shape != X.shape[:1]:
@@ -576,11 +585,9 @@ def fit_propensity(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
     fit's training rows, from coefficients ``start`` if given. A known
     propensity (randomized designs) is not fit: it is
     ``PropensityModel(kind="known", prob_treated=p)``."""
-    if not isinstance(spec, FeatureSpec):
-        raise InvalidParameterError(f"spec must be a FeatureSpec, got {type(spec).__name__}")
     rows = _training_rows(data)
     names = rows.parts.data.covariate_names
-    terms = spec.resolve(PropensityModel.ROLES, names)
+    terms = _spec_terms(spec, PropensityModel.ROLES, names)
     coef = irls_logistic(rows.parts.design(terms), rows.parts.data.a, ridge=ridge, start=start,
                          rows=rows.ranges)
     return PropensityModel(kind="logistic", spec=spec, coef=coef, covariate_names=names)
@@ -606,11 +613,12 @@ def fit_cond_density(data: Dataset | TrainingRows, spec: FeatureSpec) -> CondDen
     """Gaussian fit of S on features of (a, b, x), on a Dataset or a fit's
     training rows; residual sd uses the n - q divisor."""
     rows = _training_rows(data)
+    names = rows.parts.data.covariate_names
+    terms = _spec_terms(spec, CondDensityModel.ROLES, names)
     n, q = len(rows), len(spec)
     if n <= q + 2:
         raise InvalidParameterError(f"need n > q + 2 rows (n={n}, q={q})")
-    names = rows.parts.data.covariate_names
-    coef, rss = _least_squares(rows, spec.resolve(CondDensityModel.ROLES, names), "s")
+    coef, rss = _least_squares(rows, terms, "s")
     sd = math.sqrt(rss / (n - q))
     if not sd > 0:
         raise SolverError("zero residual variance in conditional-density fit")
@@ -624,7 +632,7 @@ def fit_outcome(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
     squares, which takes no start, otherwise."""
     rows = _training_rows(data)
     names = rows.parts.data.covariate_names
-    terms = spec.resolve(OutcomeModel.ROLES, names)
+    terms = _spec_terms(spec, OutcomeModel.ROLES, names)
     if rows.parts.data.outcome_kind == "binary":
         coef = irls_logistic(rows.parts.design(terms), rows.parts.data.y, ridge=ridge, start=start,
                              rows=rows.ranges)

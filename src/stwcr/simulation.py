@@ -363,7 +363,7 @@ class SimConfig:
     params: SmoothingParams
     k_folds: int = 5
     master_seed: int = 1
-    model_specs: ModelSpecs | None = None
+    model_specs: ModelSpecs = ModelSpecs()
     n_jobs: int = 1
 
     def __post_init__(self):
@@ -383,9 +383,9 @@ class SimConfig:
         if not isinstance(self.params, SmoothingParams):
             raise InvalidParameterError(
                 f"params must be a SmoothingParams, got {type(self.params).__name__}")
-        if not (self.model_specs is None or isinstance(self.model_specs, ModelSpecs)):
+        if not isinstance(self.model_specs, ModelSpecs):
             raise InvalidParameterError(
-                f"model_specs must be a ModelSpecs or None, got {type(self.model_specs).__name__}")
+                f"model_specs must be a ModelSpecs, got {type(self.model_specs).__name__}")
 
 
 @dataclass(frozen=True)

@@ -98,18 +98,10 @@ class TestMakeFolds:
 
 
 class TestModelSpecs:
-    @pytest.mark.parametrize("kwargs", [
-        {"propensity_spec": FeatureSpec([intercept(), raw("b")])},  # known 0.5 still set
-        {"known_propensity": None},
-    ])
-    def test_exactly_one_propensity_source(self, kwargs):
-        with pytest.raises(InvalidParameterError, match="exactly one"):
-            ModelSpecs(**kwargs)
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.2, np.nan, np.inf])
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.2, np.nan, np.inf, None])
     def test_known_propensity_outside_unit_interval(self, p):
         with pytest.raises(InvalidParameterError, match=r"known propensity must lie in \(0,1\)"):
-            ModelSpecs(known_propensity=p)
+            ModelSpecs(propensity=p)
 
     def test_propensity_spec_fitted_in_every_fold(self, monkeypatch):
         ds = gen_dataset(ScenarioSpec("I", 400, 27))
@@ -123,7 +115,7 @@ class TestModelSpecs:
 
         monkeypatch.setattr(estimators, "fit_propensity", recording)
         estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, make_folds(400, 5, 0),
-                       model_specs=ModelSpecs(known_propensity=None, propensity_spec=spec))
+                       model_specs=ModelSpecs(propensity=spec))
         assert len(calls) == 5 and all(got == spec for got, _ in calls)
         # fold 1 starts from zero (start None), folds 2..5 from fold 1's coefficients
         assert calls[0][1] == {"start": None}
@@ -134,7 +126,7 @@ class TestModelSpecs:
     @pytest.mark.parametrize("fn, q", [(estimate_stwcr, StwcrQuery(1, 7.0)),
                                        (estimate_stwcrve, StwcrveQuery(1, 0, 8.0, 7.0))])
     @pytest.mark.parametrize("kwargs, name", [
-        ({"known_propensity": None, "propensity_spec": FeatureSpec([intercept(), raw("s")])}, "s"),
+        ({"propensity": FeatureSpec([intercept(), raw("s")])}, "s"),
         ({"cond_density_spec": FeatureSpec([intercept(), raw("b"), raw("y")])}, "y"),
         ({"outcome_spec": FeatureSpec([intercept(), raw("y"), raw("s")])}, "y"),
     ])
@@ -449,7 +441,7 @@ SWEEP = ([StwcrQuery(1, 5.0 + 0.25 * k) for k in range(20)]
          + [StwcrveQuery(1, 1, 7.0, 7.0)])
 
 
-def estimate(ds, q, folds, specs=None):
+def estimate(ds, q, folds, specs=ModelSpecs()):
     fn = estimate_stwcr if isinstance(q, StwcrQuery) else estimate_stwcrve
     return fn(ds, q, PARAMS, folds, model_specs=specs)
 
@@ -715,8 +707,7 @@ def fitted_values(fits):
 
 
 class TestThreadedFoldFits:
-    SPECS = ModelSpecs(known_propensity=None,
-                       propensity_spec=FeatureSpec([intercept(), raw("b"), raw("x1")]))
+    SPECS = ModelSpecs(propensity=FeatureSpec([intercept(), raw("b"), raw("x1")]))
 
     def test_coefficients_equal_serial(self, monkeypatch, thread_pools):
         ds = gen_dataset(ScenarioSpec("I", 600, 31))
@@ -811,8 +802,7 @@ class TestFoldSlices:
         real = nuisance._Terms.design
         monkeypatch.setattr(nuisance._Terms, "design",
                             lambda terms, data: built.append(len(data)) or real(terms, data))
-        specs = ModelSpecs(known_propensity=None,
-                           propensity_spec=FeatureSpec([intercept(), raw("b"), raw("x1")]))
+        specs = ModelSpecs(propensity=FeatureSpec([intercept(), raw("b"), raw("x1")]))
         estimators._fold_plan(ds, make_folds(600, k, 2), specs)
         assert built == [600, 600, 600]  # propensity, density, outcome, each over every row
 
@@ -837,8 +827,7 @@ class TestFoldSlices:
 class TestWarmStartedFolds:
     """Folds 2..K start their logistic fits from fold 1's coefficients."""
 
-    SPECS = ModelSpecs(known_propensity=None,
-                       propensity_spec=FeatureSpec([intercept(), raw("b"), raw("x1")]))
+    SPECS = ModelSpecs(propensity=FeatureSpec([intercept(), raw("b"), raw("x1")]))
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(200, 1500), k=st.sampled_from((2, 5, 10)),
@@ -881,7 +870,7 @@ class TestWarmStartedFolds:
             cold = [] if continuous else [(nuis.outcome.coef, outcome.coef)]
             if fitted:
                 cold.append((nuis.propensity.coef,
-                             fit_propensity(train, spec=specs.propensity_spec, **ridge).coef))
+                             fit_propensity(train, spec=specs.propensity, **ridge).coef))
             # IRLS stops once the score's max-norm is below 1e-9, so fits from
             # two starts agree to about 1e-9 / (the Hessian's least eigenvalue)
             for chained, coef in cold:
@@ -1055,28 +1044,68 @@ class TestOracleInvariance:
             assert type(moved) is type(rep)
             if isinstance(rep, str):
                 continue
-            # row order changes only the summation order of the means and
-            # variances. Risks and ratios are compared on their unit scale:
-            # an estimate or CI endpoint near 0 is a difference of O(1) terms.
-            if fn is estimate_stwcr:
-                _assert_close(rep, moved, ("tau_hat", "ci"), scale=1.0)
-                _assert_close(rep, moved, ("se",))
-            else:
-                assert moved.log_scale == rep.log_scale
-                _assert_close(rep, moved, ("rho_hat", "delta_hat"), scale=1.0)
-                # the log-scale variance is NaN when rho_hat <= 0
-                _assert_close(rep, moved, ("sigma2_sq_hat",)
-                              + (("sigma2log_sq_hat",) if rep.log_scale else ()))
-                if rep.log_scale:
-                    # ci_rho = rho*exp(-+half) with half = z*sqrt(sigma2log_sq_hat/n):
-                    # a relative error e in the variance moves half by |half|*e/2,
-                    # and exp turns that into a relative error of the endpoint
-                    half = ndtri(1.0 - params.alpha / 2.0) * np.sqrt(rep.sigma2log_sq_hat / n)
-                    tol = 1e-12 * (1.0 + abs(half))
-                    _assert_close(rep, moved, ("ci_rho",), rel=tol)
-                    # ci_delta = 1 - ci_rho: the same absolute error
-                    assert np.all(np.abs(np.subtract(rep.ci_delta, moved.ci_delta))
-                                  <= tol * np.abs(rep.ci_rho)[::-1])
-                else:
-                    _assert_close(rep, moved, ("ci_delta",), scale=1.0)
-            assert moved.density_floor_hits == rep.density_floor_hits
+            # row order changes only the summation order of the means and variances
+            _assert_reports_close(rep, moved, params.alpha, rel=1e-12)
+
+
+def _assert_reports_close(rep, moved, alpha, rel):
+    """Two reports of one query agree to within ``rel``, and their counts are equal.
+
+    Risks and ratios are compared on their unit scale: an estimate or CI
+    endpoint near 0 is a difference of O(1) terms. Variances are compared
+    relative to their size.
+    """
+    assert (moved.n, moved.density_floor_hits, moved.degenerate_folds) == (
+        rep.n, rep.density_floor_hits, rep.degenerate_folds)
+    if isinstance(rep, estimators.StwcrReport):
+        _assert_close(rep, moved, ("tau_hat", "ci"), scale=1.0, rel=rel)
+        _assert_close(rep, moved, ("se",), rel=rel)
+        return
+    assert moved.log_scale == rep.log_scale
+    _assert_close(rep, moved, ("rho_hat", "delta_hat"), scale=1.0, rel=rel)
+    # the log-scale variance is NaN when rho_hat <= 0
+    _assert_close(rep, moved, ("sigma2_sq_hat",)
+                  + (("sigma2log_sq_hat",) if rep.log_scale else ()), rel=rel)
+    if rep.log_scale:
+        # ci_rho = rho*exp(-+half) with half = z*sqrt(sigma2log_sq_hat/n):
+        # a relative error e in the variance moves half by |half|*e/2,
+        # and exp turns that into a relative error of the endpoint
+        half = ndtri(1.0 - alpha / 2.0) * np.sqrt(rep.sigma2log_sq_hat / rep.n)
+        tol = rel * (1.0 + abs(half))
+        _assert_close(rep, moved, ("ci_rho",), rel=tol)
+        # ci_delta = 1 - ci_rho: the same absolute error
+        assert np.all(np.abs(np.subtract(rep.ci_delta, moved.ci_delta))
+                      <= tol * np.abs(rep.ci_rho)[::-1])
+    else:
+        _assert_close(rep, moved, ("ci_delta",), scale=1.0, rel=rel)
+
+
+def _fitted_report(fn, ds, q, folds, specs):
+    """The fitted report, or the typed error's text."""
+    try:
+        return fn(ds, q, PARAMS, folds, model_specs=specs)
+    except EstimationError as exc:
+        assert "denominator nonpositive" in str(exc)
+        return repr(exc)
+
+
+class TestFittedRowOrder:
+    # Permuting the rows together with their fold labels keeps every fold's
+    # rows, so each fit solves the same problem from the same start and only
+    # the order of its sums changes; bound and reasoning in CHANGES.md.
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(200, 800), k=st.sampled_from((2, 5)),
+           fitted=st.booleans())
+    def test_rows_permuted_with_their_folds(self, seed, n, k, fitted):
+        ds = gen_dataset(ScenarioSpec("I", n, seed))
+        folds = make_folds(n, k, seed)
+        perm = np.random.default_rng(seed).permutation(n)
+        shuffled, moved_folds = ds.subset(perm), FoldAssignment(k, folds.labels[perm])
+        specs = TestWarmStartedFolds.SPECS if fitted else ModelSpecs()
+        for fn, q in ((estimate_stwcr, StwcrQuery(1, 7.0)),
+                      (estimate_stwcrve, StwcrveQuery(1, 0, 8.0, 7.0))):
+            rep = _fitted_report(fn, ds, q, folds, specs)
+            moved = _fitted_report(fn, shuffled, q, moved_folds, specs)
+            assert type(moved) is type(rep)
+            if not isinstance(rep, str):
+                _assert_reports_close(rep, moved, PARAMS.alpha, rel=1e-9)

@@ -42,8 +42,9 @@ class TestObservationAndDataset:
 
     def test_dataset_roundtrip_through_observations(self):
         ds = gen_dataset(ScenarioSpec("I", 60, 5))
-        ds2 = Dataset.from_observations(ds.observations, ds.covariate_names, ds.outcome_kind)
-        assert np.array_equal(ds.s, ds2.s) and np.array_equal(ds.y, ds2.y)
+        obs = ds.observations
+        for name in ("y", "a", "s", "b", "x"):
+            assert np.array_equal([getattr(o, name) for o in obs], getattr(ds, name))
 
     def test_binary_outcome_enforced(self):
         with pytest.raises(InvalidParameterError):

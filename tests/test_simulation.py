@@ -22,7 +22,17 @@ from stwcr.estimators import (
     estimate_stwcrve,
     make_folds,
 )
-from stwcr.nuisance import Dataset, fit_propensity
+from stwcr.nuisance import (
+    CondDensityModel,
+    Dataset,
+    FeatureSpec,
+    OutcomeModel,
+    PropensityModel,
+    fit_cond_density,
+    fit_outcome,
+    fit_propensity,
+    irls_logistic,
+)
 from stwcr.simulation import (
     MetricsRow,
     ScenarioSpec,
@@ -264,22 +274,42 @@ def test_bad_counts_and_seeds_are_typed_errors(call):
         call()
 
 
+def _trial(**columns):
+    """Scenario I's 100-row trial as a Dataset, with ``columns`` replaced."""
+    ds = gen_dataset(ScenarioSpec("I", 100, 1))
+    cols = {name: getattr(ds, name) for name in ("y", "a", "s", "b", "x")}
+    return Dataset(**{**cols, **columns}, covariate_names=ds.covariate_names)
+
+
 @pytest.mark.parametrize("call", [
     lambda: StwcrQuery(1, "7"),
     lambda: StwcrQuery(1, None),
     lambda: StwcrveQuery(1, 0, "8", 7),
     lambda: Interval(None, 1),
     lambda: Interval("0", 1),
-    lambda: ModelSpecs(known_propensity="0.5"),
+    lambda: ModelSpecs(propensity="0.5"),
     lambda: ModelSpecs(cond_density_spec=[("intercept",), ("raw", "b")]),
     lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), {"h": 0.1}),
     lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), PARAMS, model_specs="x"),
     lambda: FoldAssignment(2, [[1, 2], [1, 2]]),
     lambda: FoldAssignment(2, ["1", "b"]),
-    lambda: fit_propensity(gen_dataset(ScenarioSpec("I", 100, 1)), None),
+    lambda: fit_propensity(_trial(), None),
+    lambda: fit_cond_density(_trial(), None),
+    lambda: fit_outcome(_trial(), [("intercept",), ("raw", "s")]),
+    lambda: PropensityModel(kind="logistic", spec=[("intercept",)], coef=np.zeros(1)),
+    lambda: CondDensityModel(spec=[("intercept",)], coef=np.zeros(1), residual_sd=1.0),
+    lambda: OutcomeModel(kind="logistic", spec="intercept", coef=np.zeros(1)),
+    lambda: FeatureSpec([]),
+    lambda: irls_logistic(np.ones((10, 0)), np.zeros(10)),
+    lambda: _trial(s=np.ones((100, 2))),
+    lambda: _trial(x=np.ones((100, 3, 1))),
+    lambda: _trial(y=np.zeros((100, 1))),
 ], ids=["query_marker_str", "query_marker_none", "ve_query_marker_str", "interval_none",
         "interval_str", "known_propensity_str", "spec_list", "config_params_dict",
-        "config_model_specs_str", "fold_labels_2d", "fold_labels_str", "fit_propensity_no_spec"])
+        "config_model_specs_str", "fold_labels_2d", "fold_labels_str", "fit_propensity_no_spec",
+        "fit_cond_density_no_spec", "fit_outcome_spec_list", "propensity_model_spec_list",
+        "cond_density_model_spec_list", "outcome_model_spec_str", "spec_empty",
+        "irls_no_columns", "dataset_s_2d", "dataset_x_3d", "dataset_y_2d"])
 def test_wrong_input_type_is_typed_error_where_it_enters(call):
     with pytest.raises(InvalidParameterError):
         call()
