@@ -40,19 +40,29 @@ its grid twice and then read it, and a single query keeps no window. Reuse
 is checked against a fingerprint of the data's contents, so editing the
 arrays in place, or passing other folds or specs, rebuilds the plan.
 
-Risk queries report tau = num/den with variance
-Var((num_i - tau*den_i)/tau_den)/n. Relative-efficacy queries report
-delta = 1 - rho with the log-scale interval
+Each estimator makes one ``_influence`` call, which checks the query and
+arguments, runs the fold loop and returns an ``_Influence`` record: the
+influence values num_i and den_i in original row order, their pooled
+means tau_num and tau_den (an EstimationError unless tau_den > 0), the
+density-floor hits and the degenerate folds. The report is built from
+that record alone. ``ratio_var`` gives the ratio tau_num/tau_den and its
+direct-scale variance Var((num_i - ratio*den_i)/tau_den). Risk queries
+report tau = the ratio, with variance that over n. Relative-efficacy
+queries report delta = 1 - rho with the log-scale interval
 rho*exp(+-z*sigma_log/sqrt(n)), sigma_log^2 = Var(num_i/tau_num -
-den_i/tau_den); the direct-scale variance is also reported.
+den_i/tau_den); the direct-scale variance is also reported, and gives the
+interval when rho_hat <= 0. Each report's ``wald`` property is its
+(estimate, lo, hi, se), which the Monte Carlo harness reads.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import weakref
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -205,6 +215,11 @@ class StwcrReport:
     degenerate_folds: int
     warnings: tuple[str, ...] = ()
 
+    @property
+    def wald(self) -> tuple[float, float, float, float]:
+        """(tau_hat, lo, hi, se) of the Wald interval."""
+        return self.tau_hat, self.ci[0], self.ci[1], self.se
+
 
 @dataclass(frozen=True)
 class StwcrveReport:
@@ -221,6 +236,15 @@ class StwcrveReport:
     degenerate_folds: int
     log_scale: bool = True
     warnings: tuple[str, ...] = ()
+
+    @property
+    def wald(self) -> tuple[float, float, float, float]:
+        """(delta_hat, lo, hi, se) of the delta interval. The se is
+        rho_hat*sigma_log/sqrt(n) on the log scale (the delta method's se of
+        delta), and sigma_2/sqrt(n) on the direct scale."""
+        se = (self.rho_hat * math.sqrt(self.sigma2log_sq_hat / self.n) if self.log_scale
+              else math.sqrt(self.sigma2_sq_hat / self.n))
+        return self.delta_hat, self.ci_delta[0], self.ci_delta[1], se
 
 
 def _fit_fold(train: TrainingRows, specs: ModelSpecs,
@@ -349,23 +373,30 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
     return _FOLD_FITS[data]
 
 
-def _check_arms(data: Dataset, folds: FoldAssignment, arms):
-    """EstimationError when some fold's training rows lack one of ``arms``."""
-    k = folds.k_folds
-    treated = np.bincount(folds.labels, weights=data.a, minlength=k + 1)[1:]
-    held = np.bincount(folds.labels, minlength=k + 1)[1:]
-    train_treated = treated.sum() - treated
-    on_arm = {1: train_treated, 0: (len(data) - held) - train_treated}
-    if any(np.any(on_arm[arm] == 0) for arm in arms):
-        raise EstimationError("arm not present in training folds")
+class _Influence(NamedTuple):
+    """One query's cross-fitted influence values in original row order, their
+    pooled means (tau_den > 0) and the fold loop's counts."""
+
+    num: np.ndarray
+    den: np.ndarray
+    tau_num: float
+    tau_den: float
+    floor_hits: int
+    degenerate_folds: int
+
+    def ratio_var(self) -> tuple[float, float]:
+        """tau_num/tau_den and its direct-scale variance Var((num_i - ratio*den_i)/tau_den)."""
+        ratio = self.tau_num / self.tau_den
+        return ratio, _sample_var((self.num - ratio * self.den) / self.tau_den)
 
 
-def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
-                     nuisances: NuisanceTriple | None, batch_fn, query,
-                     params: SmoothingParams):
-    """Influence values for all observations, in original order, part by
-    part: each fold, or with injected ``nuisances`` one uncached part of all
-    rows."""
+def _influence(caller: str, query_type, batch_fn, data: Dataset, query, params: SmoothingParams,
+               folds: FoldAssignment, specs: ModelSpecs, nuisances) -> _Influence:
+    """``caller``'s arguments checked, then ``batch_fn``'s influence values for
+    all rows, part by part: each fold, or with injected ``nuisances`` one
+    uncached part of all rows. EstimationError unless tau_den > 0."""
+    require_query(query, query_type, caller)
+    _require_args(caller, data, params, folds, specs, nuisances)
     windows = query.windows(params)
     n = len(data)
     if folds.labels.shape[0] != n:
@@ -373,38 +404,31 @@ def _crossfit_ifvals(data: Dataset, folds: FoldAssignment, specs: ModelSpecs,
     if nuisances is not None:
         plan = _FoldPlan(None, RowParts(data), None, ((nuisances, False),))
     else:
-        # ahead of any fit: a fold without the arm would fail as a singular design
-        _check_arms(data, folds, {arm for arm, _, _ in windows})
+        # ahead of any fit: a fold without the arm would fail as a singular design.
+        # A fold's training rows lack an arm exactly when it holds every row on the arm.
+        for arm in {arm for arm, _, _ in windows}:
+            on_arm = data.a == arm
+            if np.bincount(folds.labels[on_arm], minlength=1).max() == on_arm.sum():
+                raise EstimationError("arm not present in training folds")
         plan = _fold_plan(data, folds, specs)
     kept = plan.ask(windows, params)
     # NaN until a part writes it, so an unfilled slot cannot pass silently
     num, den = np.full(n, np.nan), np.full(n, np.nan)
     hits = degenerate = 0
-    for j, (index, held, (nuis, degen)) in enumerate(zip(plan.index, plan.held, plan.fits)):
-        degenerate += int(degen)
-        terms = plan.terms[j]
-        f_num, f_den, f_hits = batch_fn(*held, query, nuis, params, _terms=terms)
+    for index, held, terms, (nuis, degen) in zip(plan.index, plan.held, plan.terms, plan.fits):
+        num[index], den[index], part_hits = batch_fn(*held, query, nuis, params, _terms=terms)
         for key in terms.keys() - kept:
             del terms[key]
-        hits += f_hits
-        num[index], den[index] = f_num, f_den
+        hits += part_hits
+        degenerate += int(degen)
     if np.isnan(num).any() or np.isnan(den).any():
         raise EstimationError("influence values left unset: a row was in no held-out fold")
-    return num, den, hits, degenerate
-
-
-def _pooled(data: Dataset, folds: FoldAssignment, model_specs: ModelSpecs,
-            nuisances: NuisanceTriple | None, batch_fn, query, params: SmoothingParams):
-    """``(num, den, tau_num, tau_den, z, floor_hits, degenerate_folds)``: influence
-    values, their pooled means (EstimationError unless tau_den > 0) and the z quantile."""
-    num, den, hits, degenerate = _crossfit_ifvals(
-        data, folds, model_specs, nuisances, batch_fn, query, params)
     tau_num = float(np.mean(num))
     tau_den = float(np.mean(den))
     if tau_den <= 0:
         raise EstimationError(
             f"denominator nonpositive: tau_den_hat={tau_den:.6g} (tau_num_hat={tau_num:.6g})")
-    return num, den, tau_num, tau_den, float(ndtri(1.0 - params.alpha / 2.0)), hits, degenerate
+    return _Influence(num, den, tau_num, tau_den, hits, degenerate)
 
 
 def _require_args(caller: str, data, params, folds, model_specs, nuisances):
@@ -431,21 +455,19 @@ def estimate_stwcr(data: Dataset, q: StwcrQuery, params: SmoothingParams,
     Pass ``nuisances`` to skip fitting and evaluate a known (oracle)
     nuisance triple on every observation instead.
     """
-    require_query(q, StwcrQuery, "estimate_stwcr")
-    _require_args("estimate_stwcr", data, params, folds, model_specs, nuisances)
-    num, den, tau_num, tau_den, z, hits, degenerate = _pooled(
-        data, folds, model_specs, nuisances, eif_stwcr_batch, q, params)
-    n = len(data)
-    tau = tau_num / tau_den
-    sigma1_sq = _sample_var((num - tau * den) / tau_den)
+    inf = _influence("estimate_stwcr", StwcrQuery, eif_stwcr_batch,
+                     data, q, params, folds, model_specs, nuisances)
+    n, z = len(data), float(ndtri(1.0 - params.alpha / 2.0))
+    tau, sigma1_sq = inf.ratio_var()
     se = float(np.sqrt(sigma1_sq / n))
     warnings = ()
     if data.outcome_kind == "binary" and not (0.0 <= tau <= 1.0):
         warnings = (f"point estimate {tau:.6g} outside [0, 1]; reported unclamped",)
     return StwcrReport(
-        tau_num_hat=tau_num, tau_den_hat=tau_den, tau_hat=tau,
-        sigma1_sq_hat=sigma1_sq, se=se, ci=(tau - z * se, tau + z * se),
-        n=n, density_floor_hits=hits, degenerate_folds=degenerate, warnings=warnings)
+        tau_num_hat=inf.tau_num, tau_den_hat=inf.tau_den, tau_hat=tau,
+        sigma1_sq_hat=sigma1_sq, se=se, ci=(tau - z * se, tau + z * se), n=n,
+        density_floor_hits=inf.floor_hits, degenerate_folds=inf.degenerate_folds,
+        warnings=warnings)
 
 
 def estimate_stwcrve(data: Dataset, q: StwcrveQuery, params: SmoothingParams,
@@ -456,30 +478,26 @@ def estimate_stwcrve(data: Dataset, q: StwcrveQuery, params: SmoothingParams,
     Log-scale intervals are primary; when rho_hat <= 0 the log transform
     is unavailable and a direct-scale interval is reported with a warning.
     """
-    require_query(q, StwcrveQuery, "estimate_stwcrve")
-    _require_args("estimate_stwcrve", data, params, folds, model_specs, nuisances)
-    num, den, tau_num, tau_den, z, hits, degenerate = _pooled(
-        data, folds, model_specs, nuisances, eif_stwcrve_batch, q, params)
-    n = len(data)
-    rho = tau_num / tau_den
+    inf = _influence("estimate_stwcrve", StwcrveQuery, eif_stwcrve_batch,
+                     data, q, params, folds, model_specs, nuisances)
+    n, z = len(data), float(ndtri(1.0 - params.alpha / 2.0))
+    rho, sigma2_sq = inf.ratio_var()
     delta = 1.0 - rho
-    sigma2_sq = _sample_var((num - rho * den) / tau_den)
+    log_scale = rho > 0
     warnings = ()
-    if rho > 0:
-        sigma2log_sq = _sample_var(num / tau_num - den / tau_den)
+    if log_scale:
+        sigma2log_sq = _sample_var(inf.num / inf.tau_num - inf.den / inf.tau_den)
         half = z * np.sqrt(sigma2log_sq / n)
         ci_rho = (rho * float(np.exp(-half)), rho * float(np.exp(half)))
         ci_delta = (1.0 - ci_rho[1], 1.0 - ci_rho[0])
-        log_scale = True
     else:
         sigma2log_sq = float("nan")
         half = z * float(np.sqrt(sigma2_sq / n))
         ci_delta = (delta - half, delta + half)
         ci_rho = (1.0 - ci_delta[1], 1.0 - ci_delta[0])
-        log_scale = False
         warnings = ("rho_hat <= 0: log-scale interval unavailable, direct-scale interval reported",)
     return StwcrveReport(
-        tau_num_hat=tau_num, tau_den_hat=tau_den, rho_hat=rho, delta_hat=delta,
+        tau_num_hat=inf.tau_num, tau_den_hat=inf.tau_den, rho_hat=rho, delta_hat=delta,
         sigma2log_sq_hat=sigma2log_sq, ci_rho=ci_rho, ci_delta=ci_delta,
-        sigma2_sq_hat=sigma2_sq, n=n, density_floor_hits=hits,
-        degenerate_folds=degenerate, log_scale=log_scale, warnings=warnings)
+        sigma2_sq_hat=sigma2_sq, n=n, density_floor_hits=inf.floor_hits,
+        degenerate_folds=inf.degenerate_folds, log_scale=log_scale, warnings=warnings)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
@@ -82,9 +83,11 @@ class Observation:
     x: tuple[float, ...]
 
     def __post_init__(self):
-        vals = (self.y, self.s, self.b) + tuple(self.x)
-        if not all(math.isfinite(v) for v in vals):
-            raise InvalidParameterError("observation fields must be finite")
+        if not isinstance(self.x, tuple):
+            raise InvalidParameterError(f"observation x must be a tuple, got {self.x!r}")
+        vals = (self.y, self.s, self.b, *self.x)
+        if not all(isinstance(v, Real) and math.isfinite(v) for v in vals):
+            raise InvalidParameterError(f"observation fields must be finite numbers, got {vals}")
         if self.a not in (0, 1):
             raise InvalidParameterError(f"treatment indicator must be 0 or 1, got {self.a}")
 
@@ -99,18 +102,24 @@ class Dataset:
     """
 
     def __init__(self, y, a, s, b, x, covariate_names, outcome_kind=None):
-        self.y = np.ascontiguousarray(y, dtype=float)
-        self.a = np.ascontiguousarray(a, dtype=float)  # cast to int once checked 0/1
-        self.s = np.ascontiguousarray(s, dtype=float)
-        self.b = np.ascontiguousarray(b, dtype=float)
-        self.x = np.ascontiguousarray(x, dtype=float)
-        if self.x.ndim == 1:
-            self.x = self.x[:, None]
-        for name in ("y", "a", "s", "b", "x"):
-            shape = getattr(self, name).shape
-            if len(shape) != (2 if name == "x" else 1):
+        # a is held as floats too, and cast to int once checked 0/1
+        for name, col in zip("yasbx", (y, a, s, b, x)):
+            try:
+                col = np.ascontiguousarray(col, dtype=float)
+            except (TypeError, ValueError):
+                raise InvalidParameterError(f"column {name} must hold numbers") from None
+            if name == "x" and col.ndim == 1:
+                col = col[:, None]
+            if col.ndim != (2 if name == "x" else 1):
                 wanted = "1-D or 2-D" if name == "x" else "1-D"
-                raise InvalidParameterError(f"column {name} must be {wanted}, got shape {shape}")
+                raise InvalidParameterError(f"column {name} must be {wanted}, got shape {col.shape}")
+            if not np.all(np.isfinite(col)):
+                raise InvalidParameterError(f"non-finite value in column {name}")
+            setattr(self, name, col)
+        if not (isinstance(covariate_names, (tuple, list))
+                and all(isinstance(c, str) for c in covariate_names)):
+            raise InvalidParameterError(
+                f"covariate_names must be a tuple or list of strings, got {covariate_names!r}")
         self.covariate_names = tuple(covariate_names)
         n = self.y.shape[0]
         if n == 0:
@@ -119,16 +128,11 @@ class Dataset:
             raise InvalidParameterError("dataset columns have mismatched lengths")
         if self.x.shape[1] != len(self.covariate_names):
             raise InvalidParameterError(
-                f"{self.x.shape[1]} covariate columns but {len(self.covariate_names)} names"
-            )
+                f"{self.x.shape[1]} covariate columns but {len(self.covariate_names)} names")
         if len(set(self.covariate_names)) != len(self.covariate_names):
             raise InvalidParameterError("covariate names must be unique")
-        reserved = {"y", "a", "s", "b"}
-        if reserved & set(self.covariate_names):
+        if {"y", "a", "s", "b"} & set(self.covariate_names):
             raise InvalidParameterError("covariate names y/a/s/b are reserved")
-        for arr, name in ((self.y, "y"), (self.s, "s"), (self.b, "b"), (self.x, "x")):
-            if not np.all(np.isfinite(arr)):
-                raise InvalidParameterError(f"non-finite value in column {name}")
         if not np.all((self.a == 0) | (self.a == 1)):
             raise InvalidParameterError("treatment column must be 0/1")
         self.a = self.a.astype(int)

@@ -436,15 +436,9 @@ def compute_truths(scenario: str, queries, params: SmoothingParams) -> list[dict
 
 
 def _default_estimate_fn(data, q, params, folds, model_specs):
-    if isinstance(q, StwcrQuery):
-        rep = estimate_stwcr(data, q, params, folds, model_specs=model_specs)
-        return rep.tau_hat, rep.ci[0], rep.ci[1], rep.se
-    rep = estimate_stwcrve(data, q, params, folds, model_specs=model_specs)
-    if rep.log_scale:
-        se = rep.rho_hat * math.sqrt(rep.sigma2log_sq_hat / rep.n)
-    else:
-        se = math.sqrt(rep.sigma2_sq_hat / rep.n)
-    return rep.delta_hat, rep.ci_delta[0], rep.ci_delta[1], se
+    # resolved by name per call, so a wrapper set on this module's name sees it
+    estimate = estimate_stwcr if isinstance(q, StwcrQuery) else estimate_stwcrve
+    return estimate(data, q, params, folds, model_specs=model_specs).wald
 
 
 def _rep_seeds(master_seed: int, r: int):

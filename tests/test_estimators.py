@@ -1,4 +1,5 @@
 import gc
+import math
 import threading
 import tracemalloc
 import weakref
@@ -153,6 +154,9 @@ class TestEstimateStwcr:
         assert rep.ci[0] <= rep.tau_hat <= rep.ci[1]
         assert rep.se == pytest.approx(np.sqrt(rep.sigma1_sq_hat / rep.n))
         assert rep.n == 1000
+        # the harness's (estimate, lo, hi, se): se = sqrt(sigma1^2 / n)
+        assert rep.wald == (rep.tau_hat, *rep.ci, rep.se)
+        assert rep.wald[3] == math.sqrt(rep.sigma1_sq_hat / rep.n)
 
     def test_oracle_mode_partition_invariant(self, scen1):
         ds, nuis = scen1
@@ -346,6 +350,9 @@ class TestEstimateStwcrve:
         se = rep.rho_hat * np.sqrt(rep.sigma2log_sq_hat / rep.n)
         assert abs(rep.delta_hat - truth) < 4 * se
         assert rep.log_scale
+        # log scale: the delta method's se of delta = 1 - rho, rho * sigma_log / sqrt(n)
+        assert rep.wald == (rep.delta_hat, *rep.ci_delta,
+                            rep.rho_hat * math.sqrt(rep.sigma2log_sq_hat / rep.n))
 
     def test_symmetric_query_gives_zero(self):
         ds = gen_dataset(ScenarioSpec("I", 600, 9))
@@ -398,6 +405,10 @@ class TestEstimateStwcrve:
         assert rep.warnings
         assert rep.ci_delta[0] <= rep.delta_hat <= rep.ci_delta[1]
         assert rep.ci_delta == (1.0 - rep.ci_rho[1], 1.0 - rep.ci_rho[0])
+        # direct scale: se = sigma_2 / sqrt(n), the se the interval was built from
+        se = math.sqrt(rep.sigma2_sq_hat / rep.n)
+        assert rep.wald == (rep.delta_hat, *rep.ci_delta, se)
+        assert rep.ci_delta[1] - rep.delta_hat == pytest.approx(ndtri(0.975) * se, rel=1e-12)
 
 
 class TestConsistencySweep:

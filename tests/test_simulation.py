@@ -26,6 +26,7 @@ from stwcr.nuisance import (
     CondDensityModel,
     Dataset,
     FeatureSpec,
+    Observation,
     OutcomeModel,
     PropensityModel,
     fit_cond_density,
@@ -275,10 +276,11 @@ def test_bad_counts_and_seeds_are_typed_errors(call):
 
 
 def _trial(**columns):
-    """Scenario I's 100-row trial as a Dataset, with ``columns`` replaced."""
+    """Scenario I's 100-row trial as a Dataset, with ``columns`` (or its
+    ``covariate_names``) replaced."""
     ds = gen_dataset(ScenarioSpec("I", 100, 1))
-    cols = {name: getattr(ds, name) for name in ("y", "a", "s", "b", "x")}
-    return Dataset(**{**cols, **columns}, covariate_names=ds.covariate_names)
+    cols = {name: getattr(ds, name) for name in ("y", "a", "s", "b", "x", "covariate_names")}
+    return Dataset(**{**cols, **columns})
 
 
 @pytest.mark.parametrize("call", [
@@ -304,12 +306,21 @@ def _trial(**columns):
     lambda: _trial(s=np.ones((100, 2))),
     lambda: _trial(x=np.ones((100, 3, 1))),
     lambda: _trial(y=np.zeros((100, 1))),
+    lambda: _trial(y=["a", "b", "c"] * 33 + ["d"]),
+    lambda: _trial(x=[[0.0, 0.5, 0.5]] * 99 + [[0.0, 0.5]]),
+    lambda: _trial(covariate_names=None),
+    lambda: _trial(x=np.zeros(100), covariate_names=(1,)),
+    lambda: Observation(y="1", a=1, s=7.0, b=0.0, x=(0.0,)),
+    lambda: Observation(y=1.0, a=1, s=7.0, b=0.0, x=None),
+    lambda: Observation(y=1.0, a=1, s=7.0, b=0.0, x=("0",)),
 ], ids=["query_marker_str", "query_marker_none", "ve_query_marker_str", "interval_none",
         "interval_str", "known_propensity_str", "spec_list", "config_params_dict",
         "config_model_specs_str", "fold_labels_2d", "fold_labels_str", "fit_propensity_no_spec",
         "fit_cond_density_no_spec", "fit_outcome_spec_list", "propensity_model_spec_list",
         "cond_density_model_spec_list", "outcome_model_spec_str", "spec_empty",
-        "irls_no_columns", "dataset_s_2d", "dataset_x_3d", "dataset_y_2d"])
+        "irls_no_columns", "dataset_s_2d", "dataset_x_3d", "dataset_y_2d", "dataset_y_str",
+        "dataset_x_ragged", "dataset_names_none", "dataset_name_int",
+        "observation_y_str", "observation_x_none", "observation_x_str"])
 def test_wrong_input_type_is_typed_error_where_it_enters(call):
     with pytest.raises(InvalidParameterError):
         call()
