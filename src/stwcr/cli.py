@@ -61,8 +61,9 @@ def load_dataset(path, column_map=None, outcome_kind=None) -> Dataset:
     ``column_map`` may override the default column names
     {"y": "y", "a": "a", "s": "s", "b": "b", "x": ["x1", ..., "xp"]};
     by default every header matching x<digits> becomes a covariate, in
-    numeric order. Cells may be quoted, and columns that are not selected
-    may hold text. Parse failures name the offending row and column.
+    numeric order. Each role and covariate reads its own column. Cells may
+    be quoted, and columns that are not selected may hold text. Parse
+    failures name the offending row and column.
     """
     try:
         return _load_dataset(path, dict(column_map or {}), outcome_kind)
@@ -83,11 +84,14 @@ def _load_dataset(path, column_map, outcome_kind) -> Dataset:
     if x_cols is None:
         matches = sorted(((int(m.group(1)), c) for c in header if (m := _X_COL.match(c))))
         x_cols = [c for _, c in matches]
-    idx = {}
+    idx, role_of = {}, {}
     for role, col in list(names.items()) + [(f"x:{c}", c) for c in x_cols]:
         if col not in header:
             raise DatasetParseError(f"{path}: missing column {col!r}")
-        idx[role] = header.index(col)
+        if col in role_of:
+            raise DatasetParseError(f"{path}: column {col!r} is read both as "
+                                    f"{_column_use(role_of[col])} and as {_column_use(role)}")
+        idx[role], role_of[col] = header.index(col), role
 
     # Unselected columns still pass through the parser, as 0.0, so that a
     # ragged row raises; `usecols` would accept it.
@@ -117,6 +121,10 @@ def _load_dataset(path, column_map, outcome_kind) -> Dataset:
     return Dataset(y=table[:, idx["y"]], a=table[:, idx["a"]], s=table[:, idx["s"]],
                    b=table[:, idx["b"]], x=table[:, [idx[f"x:{c}"] for c in x_cols]],
                    covariate_names=tuple(x_cols), outcome_kind=outcome_kind)
+
+
+def _column_use(role) -> str:
+    return "a covariate" if role.startswith("x:") else f"role {role!r}"
 
 
 def _unparsed_cell(cell):

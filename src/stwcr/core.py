@@ -9,7 +9,10 @@ Every estimand in this package is built from three ingredients:
   density ``p``, and
 * Gauss-Legendre quadrature of kernel-weighted integrands over a window
   of ``window_halfwidth_in_h`` bandwidths around the kernel center,
-  clipped to the marker support.
+  clipped to the marker support. ``quad_rule`` gives that window's nodes
+  and weights with the kernel already in the weights, so an integral is
+  ``f(nodes) @ wk``; a window that misses the support is an empty rule,
+  whose integrals are 0.
 
 All functions here are pure and accept scalars or numpy arrays.
 """
@@ -75,7 +78,7 @@ class SmoothingParams:
         _check_epsilon(self.epsilon)
         for name in ("h", "h0", "h1"):
             val = getattr(self, name)
-            if val is not None and not (isinstance(val, Real) and 0.0 < val < math.inf):
+            if val is not None and not (_is_number(val) and 0.0 < val < math.inf):
                 raise InvalidParameterError(f"{name} must be a positive finite bandwidth, got {val}")
         if not (isinstance(self.alpha, Real) and 0.0 < self.alpha < 1.0):
             raise InvalidParameterError(f"alpha must be in (0,1), got {self.alpha}")
@@ -147,8 +150,13 @@ def _scaled_pdf(z, scale):
     return out
 
 
+def _is_number(val) -> bool:
+    """A real number that is not a bool: ``True`` is a ``Real`` that reads as 1."""
+    return isinstance(val, Real) and not isinstance(val, bool)
+
+
 def _check_epsilon(epsilon):
-    if not (isinstance(epsilon, Real) and 0.0 < epsilon < math.inf):
+    if not (_is_number(epsilon) and 0.0 < epsilon < math.inf):
         raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon}")
 
 
@@ -162,31 +170,29 @@ def smooth_indicator(p, t, epsilon):
     Clipped into the open unit interval so saturated normal-CDF values
     never round to exactly 0 or 1.
     """
-    out, _ = softened_indicator(p, t, epsilon, deriv=False)
+    out, _ = softened_indicator(p, t, epsilon)
     return out if out.ndim else float(out)
 
 
 def smooth_indicator_deriv(p, t, epsilon):
     """Derivative of :func:`smooth_indicator` in p: ``pdf_std((p - t)/epsilon)/epsilon``."""
-    _, out = softened_indicator(p, t, epsilon, value=False)
+    _, out = softened_indicator(p, t, epsilon)
     return out if out.ndim else float(out)
 
 
-def softened_indicator(p, t, epsilon, value=True, deriv=True):
+def softened_indicator(p, t, epsilon):
     """``(smooth_indicator, smooth_indicator_deriv)`` at array p, from one
     ``z = (p - t)/epsilon``.
 
-    Each result is a new array, so a caller may update it in place; one not
-    asked for is None. ``p`` itself is never written.
+    Each result is a new array, so a caller may update it in place. ``p``
+    itself is never written.
     """
     _check_epsilon(epsilon)
     p = np.asarray(p, dtype=float)
     with np.errstate(over="ignore"):  # see _scaled_pdf; ndtr(+-inf) is 1 or 0
         z = np.subtract(p, t, out=np.empty(p.shape))
         z /= epsilon
-        dphi = _scaled_pdf(z, epsilon) if deriv else None
-    if not value:
-        return None, dphi
+        dphi = _scaled_pdf(z, epsilon)
     # z is spent: the weight overwrites it
     ndtr(z, out=z)
     return np.clip(z, _OPEN_UNIT_LO, _OPEN_UNIT_HI, out=z), dphi
@@ -196,20 +202,21 @@ _leggauss = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
 
 
 def quad_rule(center: float, h: float, support: Interval, params: SmoothingParams):
-    """Gauss-Legendre nodes/weights on the kernel window around ``center``.
+    """Gauss-Legendre nodes and kernel-weighted weights on the window around ``center``.
 
     The window is ``[center - W*h, center + W*h]`` intersected with the
-    support; returns ``(nodes, weights)`` or ``None`` when the
-    intersection is empty, and raises InvalidParameterError when it is
-    unbounded (an infinite ``window_halfwidth_in_h`` on an unbounded
-    support). Weights already include the interval scaling but not the
-    kernel factor.
+    support. Returns ``(nodes, wk)``, where ``wk`` is the kernel
+    ``K_h(nodes - center)`` times the interval-scaled quadrature weights, so
+    ``f(nodes) @ wk`` is the kernel-weighted integral of ``f``. A window that
+    misses the support is an empty rule, two empty arrays, whose integrals
+    are 0. Raises InvalidParameterError when the window is unbounded (an
+    infinite ``window_halfwidth_in_h`` on an unbounded support).
     """
     half = params.window_halfwidth_in_h * h
     lo = max(center - half, support.lo)
     hi = min(center + half, support.hi)
     if not lo < hi:
-        return None
+        return np.empty(0), np.empty(0)
     if not math.isfinite(hi - lo):
         raise InvalidParameterError(
             f"kernel window [{center - half}, {center + half}] clipped to the support "
@@ -218,7 +225,8 @@ def quad_rule(center: float, h: float, support: Interval, params: SmoothingParam
     base_x, base_w = _leggauss(int(params.quad_nodes))
     mid = 0.5 * (lo + hi)
     scale = 0.5 * (hi - lo)
-    return mid + scale * base_x, scale * base_w
+    nodes = mid + scale * base_x
+    return nodes, kernel_weight(nodes - center, h) * (scale * base_w)
 
 
 def integrate_kernel_weighted(f, center, h, support, params):
@@ -228,34 +236,25 @@ def integrate_kernel_weighted(f, center, h, support, params):
     the same shape (scalars broadcast). Returns 0.0 when the window does
     not intersect the support.
     """
-    rule = quad_rule(center, h, support, params)
-    if rule is None:
-        return 0.0
-    nodes, weights = rule
+    nodes, wk = quad_rule(center, h, support, params)
     vals = np.asarray(f(nodes), dtype=float)
     vals = np.broadcast_to(vals, nodes.shape)
     if np.any(np.isnan(vals)):
         raise EvaluationError("integrand returned NaN inside the integration window")
-    kern = kernel_weight(nodes - center, h)
-    return float(np.sum(weights * kern * vals))
+    return float(np.sum(wk * vals))
 
 
 def integrate_kernel_weighted_2d(f, c0, h0, c1, h1, support, params):
     """Tensor-product version: ``iint K_h0(s'-c0) K_h1(s''-c1) f(s', s'') ds' ds''``.
 
     ``f`` receives broadcastable arrays shaped ``(q0, 1)`` and ``(1, q1)``
-    and must return the ``(q0, q1)`` integrand values.
+    and must return the ``(q0, q1)`` integrand values. Returns 0.0 when
+    either window does not intersect the support.
     """
-    rule0 = quad_rule(c0, h0, support, params)
-    rule1 = quad_rule(c1, h1, support, params)
-    if rule0 is None or rule1 is None:
-        return 0.0
-    x0, w0 = rule0
-    x1, w1 = rule1
+    x0, k0 = quad_rule(c0, h0, support, params)
+    x1, k1 = quad_rule(c1, h1, support, params)
     vals = np.asarray(f(x0[:, None], x1[None, :]), dtype=float)
     vals = np.broadcast_to(vals, (x0.size, x1.size))
     if np.any(np.isnan(vals)):
         raise EvaluationError("2d integrand returned NaN inside the integration window")
-    k0 = kernel_weight(x0 - c0, h0) * w0
-    k1 = kernel_weight(x1 - c1, h1) * w1
     return float(k0 @ vals @ k1)

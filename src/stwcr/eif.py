@@ -281,16 +281,13 @@ _INTEGRALS = ("phi", "phi_r", "g", "g_r")
 def _kernel_integrals_1d(center, h, arm, nuis, params, b, x, t, eps):
     """Per-observation integrals of phi, phi*r, dphi*pi, dphi*pi*r on one arm.
 
-    Returns dict of (m,) arrays; zeros when the window misses the support.
-    The models are evaluated on the (rows, nodes) grid by broadcasting, in
-    row blocks by ``map_row_blocks``, which bounds memory and leaves every
-    value as in one unblocked serial pass.
+    Returns dict of (m,) arrays. The models are evaluated on the (rows,
+    nodes) grid by broadcasting, in row blocks by ``map_row_blocks``, which
+    bounds memory and leaves every value as in one unblocked serial pass.
+    A window that misses the support is an empty rule, whose grid has no
+    nodes, so every integral is zero.
     """
-    rule = quad_rule(center, h, nuis.support, params)
-    if rule is None:
-        return {key: np.zeros(b.shape[0]) for key in _INTEGRALS}
-    nodes, weights = rule
-    wk = kernel_weight(nodes - center, h) * weights
+    nodes, wk = quad_rule(center, h, nuis.support, params)
 
     def block(b, x):
         # pi and r belong to the models and are only read; phi and g are

@@ -31,7 +31,7 @@ from numbers import Integral
 import numpy as np
 from scipy.special import gammaincinv, gammaln, xlogy
 
-from .core import Interval, SmoothingParams, kernel_weight, quad_rule, smooth_indicator
+from .core import Interval, SmoothingParams, quad_rule, smooth_indicator
 from .eif import StwcrQuery, StwcrveQuery, require_query
 from .errors import HarnessError, InvalidParameterError, StwcrError
 from .estimators import ModelSpecs, estimate_stwcr, estimate_stwcrve, make_folds
@@ -271,11 +271,10 @@ def _oracle_integrands(kind: str, scenario: str, query, params: SmoothingParams)
         arms = ((query.a0, query.s0, h0), (query.a1, query.s1, h1))
     rules = []
     for arm, center, h in arms:
-        rule = quad_rule(center, h, nuis.support, params)
-        if rule is None:
+        nodes, wk = quad_rule(center, h, nuis.support, params)
+        if nodes.size == 0:
             raise InvalidParameterError("query window lies outside the marker support")
-        nodes, weights = rule
-        rules.append((arm, nodes, kernel_weight(nodes - center, h) * weights))
+        rules.append((arm, nodes, wk))
 
     def terms(b, x):
         b, x = b[:, None], x[:, None, :]  # points down, nodes across
@@ -367,6 +366,7 @@ class SimConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
+        _require_scenario(self.scenario)
         _require_int("n", self.n, 50)
         _require_int("k_folds", self.k_folds, 2)
         if self.k_folds > self.n:
@@ -402,10 +402,18 @@ class MetricsRow:
     failed: int = 0
 
 
+def _marker_label(s) -> str:
+    """``s`` as ``:g`` writes it when that reads back as the same float, else
+    as its shortest round-trip repr, so distinct markers never share a label."""
+    s = float(s)  # a numpy float's repr names its type; a Fraction has no :g
+    short = f"{s:g}"
+    return short if float(short) == s else repr(s)
+
+
 def query_label(q) -> str:
     if isinstance(q, StwcrQuery):
-        return f"STWCR(a={q.a},s={q.s:g})"
-    return f"STWCRVE(a1={q.a1},a0={q.a0},s1={q.s1:g},s0={q.s0:g})"
+        return f"STWCR(a={q.a},s={_marker_label(q.s)})"
+    return f"STWCRVE(a1={q.a1},a0={q.a0},s1={_marker_label(q.s1)},s0={_marker_label(q.s0)})"
 
 
 def compute_truths(scenario: str, queries, params: SmoothingParams) -> list[dict]:
@@ -416,6 +424,7 @@ def compute_truths(scenario: str, queries, params: SmoothingParams) -> list[dict
     ``_baseline_grid``); ``truth`` is their ratio for a risk query and
     1 - ratio for a relative-efficacy query.
     """
+    _require_scenario(scenario)
     w, b, x = _baseline_grid(scenario)
     out = []
     for q in queries:

@@ -140,6 +140,18 @@ class TestLoadDataset:
                               "b": "baseline", "x": ["age"]})
         assert ds.covariate_names == ("age",)
 
+    @pytest.mark.parametrize("column_map,message", [
+        ({"y": "a"}, "column 'a' is read both as role 'y' and as role 'a'"),
+        ({"s": "x2"}, "column 'x2' is read both as role 's' and as a covariate"),
+        ({"x": ["x1", "b"]}, "column 'b' is read both as role 'b' and as a covariate"),
+        ({"x": ["x1", "x1"]}, "column 'x1' is read both as a covariate and as a covariate"),
+    ], ids=["y_reads_a", "s_reads_x2", "covariate_reads_b", "covariate_twice"])
+    def test_column_read_for_two_roles_rejected(self, tmp_path, column_map, message):
+        p = tmp_path / "d.csv"
+        write_csv(p, ["y", "a", "s", "b", "x1", "x2"], [[1, 0, 5.0, 2.0, 0.3, 0.6]])
+        with pytest.raises(DatasetParseError, match=message):
+            load_dataset(p, column_map)
+
     def test_x_columns_autodetected_in_order(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, ["y", "a", "x2", "s", "b", "x1", "x10"],

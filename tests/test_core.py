@@ -11,6 +11,7 @@ from stwcr.core import (
     integrate_kernel_weighted,
     integrate_kernel_weighted_2d,
     kernel_weight,
+    quad_rule,
     smooth_indicator,
     smooth_indicator_deriv,
     softened_indicator,
@@ -174,13 +175,29 @@ class TestSoftenedIndicator:
         assert np.array_equal(dphi, (1.0 / math.sqrt(2.0 * math.pi) / eps) * np.exp(-0.5 * z * z))
         assert np.array_equal(smooth_indicator(p, t, eps), phi)
         assert np.array_equal(smooth_indicator_deriv(p, t, eps), dphi)
-        assert softened_indicator(p, t, eps, value=False)[0] is None
-        assert softened_indicator(p, t, eps, deriv=False)[1] is None
 
     def test_far_from_threshold_saturates_without_warning(self):
         phi, dphi = softened_indicator(np.array([0.0, 1.0]), 0.5, 1e-300)
         assert np.array_equal(dphi, [0.0, 0.0])
         assert 0.0 < phi[0] < phi[1] < 1.0
+
+
+class TestQuadRule:
+    # W = 4: an unclipped window keeps the kernel mass within 4 bandwidths
+    FOUR = PARAMS.with_(window_halfwidth_in_h=4.0)
+
+    def test_weights_carry_the_kernel_mass(self):
+        _, wk = quad_rule(0.3, 0.1, WIDE, self.FOUR)
+        assert wk.sum() == pytest.approx(1.0 - 2.0 * ndtr(-4.0), abs=1e-12)
+
+    def test_window_clipped_at_its_center_keeps_half(self):
+        nodes, wk = quad_rule(0.3, 0.1, Interval(0.3, 50.0), self.FOUR)
+        assert nodes.min() > 0.3
+        assert wk.sum() == pytest.approx(0.5 - ndtr(-4.0), abs=1e-12)
+
+    def test_empty_intersection_is_an_empty_rule(self):
+        nodes, wk = quad_rule(0.0, 0.1, Interval(100.0, 101.0), PARAMS)
+        assert nodes.shape == wk.shape == (0,)
 
 
 class TestIntegrate1D:
@@ -271,5 +288,11 @@ class TestIntegrate2D:
 
     def test_empty_window_returns_zero(self):
         val = integrate_kernel_weighted_2d(lambda a, b: a * b, 0.0, 0.1, 0.0, 0.1,
+                                           Interval(50.0, 60.0), PARAMS)
+        assert val == 0.0
+
+    @pytest.mark.parametrize("c0,c1", [(55.0, 0.0), (0.0, 55.0)])
+    def test_one_empty_window_returns_zero(self, c0, c1):
+        val = integrate_kernel_weighted_2d(lambda a, b: 1.0 + a * b, c0, 0.1, c1, 0.1,
                                            Interval(50.0, 60.0), PARAMS)
         assert val == 0.0

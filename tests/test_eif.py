@@ -306,6 +306,25 @@ def assert_grid_results_equal(left, right):
         assert_batches_equal(left, right)
 
 
+class TestWindowOutsideTheSupport:
+    # Scenario I's marker support is [-1.5, 17]: windows at 100 and -10 miss it
+    @pytest.mark.parametrize("q", [StwcrQuery(1, 100.0), StwcrveQuery(1, 0, 100.0, 7.0),
+                                   StwcrveQuery(1, 0, 8.0, -10.0)])
+    def test_zero_integrals_equal_the_reference(self, q, scen1_ve):
+        ds, nuis = scen1_ve
+        risk = isinstance(q, StwcrQuery)
+        batch, reference = (eif_stwcr_batch, eif_stwcr) if risk else (eif_stwcrve_batch, eif_stwcrve)
+        terms = {}
+        num, den, _ = batch(ds.y, ds.a, ds.s, ds.b, ds.x, q, nuis, PARAMS, _terms=terms)
+        outside = [w for w in q.windows(PARAMS) if not nuis.support.lo < w[1] < nuis.support.hi]
+        assert len(outside) == 1
+        assert all(np.array_equal(v, np.zeros(len(ds))) for v in terms[outside[0]].values())
+        for i in range(0, 300, 41):
+            pair = reference(ds.observations[i], q, nuis, PARAMS)
+            assert num[i] == pytest.approx(pair.num, rel=1e-9, abs=1e-11)
+            assert den[i] == pytest.approx(pair.den, rel=1e-9, abs=1e-11)
+
+
 class TestGridBlocking:
     # Block sizes stay multiples of 4 (see parallel._BLOCK_ROWS). m = 203 ends
     # in an 11-row block; m = 209 = 13 * 16 + 1 would end in a one-row block,

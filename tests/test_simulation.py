@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -293,6 +294,12 @@ def _trial(**columns):
     lambda: ModelSpecs(cond_density_spec=[("intercept",), ("raw", "b")]),
     lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), {"h": 0.1}),
     lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), PARAMS, model_specs="x"),
+    lambda: SimConfig("IV", 100, 2, (StwcrQuery(1, 7.0),), PARAMS),
+    lambda: compute_truths("IV", (), PARAMS),
+    lambda: SmoothingParams(h=True),
+    lambda: SmoothingParams(h0=True),
+    lambda: SmoothingParams(h1=True),
+    lambda: SmoothingParams(epsilon=True),
     lambda: FoldAssignment(2, [[1, 2], [1, 2]]),
     lambda: FoldAssignment(2, ["1", "b"]),
     lambda: fit_propensity(_trial(), None),
@@ -315,7 +322,9 @@ def _trial(**columns):
     lambda: Observation(y=1.0, a=1, s=7.0, b=0.0, x=("0",)),
 ], ids=["query_marker_str", "query_marker_none", "ve_query_marker_str", "interval_none",
         "interval_str", "known_propensity_str", "spec_list", "config_params_dict",
-        "config_model_specs_str", "fold_labels_2d", "fold_labels_str", "fit_propensity_no_spec",
+        "config_model_specs_str", "config_scenario_unknown", "truths_scenario_unknown",
+        "params_h_bool", "params_h0_bool", "params_h1_bool", "params_epsilon_bool",
+        "fold_labels_2d", "fold_labels_str", "fit_propensity_no_spec",
         "fit_cond_density_no_spec", "fit_outcome_spec_list", "propensity_model_spec_list",
         "cond_density_model_spec_list", "outcome_model_spec_str", "spec_empty",
         "irls_no_columns", "dataset_s_2d", "dataset_x_3d", "dataset_y_2d", "dataset_y_str",
@@ -371,6 +380,15 @@ def test_wrong_query_type_is_typed_error(call):
 
 
 class TestQuadratureTruth:
+    @pytest.mark.parametrize("q", [StwcrQuery(1, 100.0), StwcrveQuery(1, 0, 8.0, -10.0)])
+    def test_window_outside_the_support_raises(self, q):
+        # Scenario I's marker support is [-1.5, 17]
+        with pytest.raises(InvalidParameterError, match="window lies outside the marker support"):
+            compute_truths("I", (q,), PARAMS)
+        kind = "stwcr" if isinstance(q, StwcrQuery) else "stwcrve_num_den"
+        with pytest.raises(InvalidParameterError, match="window lies outside the marker support"):
+            oracle_estimand(kind, "I", q, PARAMS, mc_size=100_000)
+
     @settings(max_examples=10, deadline=None)
     @given(scenario=st.sampled_from(("I", "II", "III")), arm=st.sampled_from((0, 1)),
            s=st.floats(min_value=5.0, max_value=11.0))
@@ -498,3 +516,10 @@ class TestRunMonteCarlo:
     def test_query_labels(self):
         assert query_label(StwcrQuery(1, 7.0)) == "STWCR(a=1,s=7)"
         assert query_label(StwcrveQuery(1, 0, 8.0, 7.0)) == "STWCRVE(a1=1,a0=0,s1=8,s0=7)"
+        # a marker that :g would round is written in full, so labels stay unique
+        assert query_label(StwcrQuery(1, 7.0000001)) == "STWCR(a=1,s=7.0000001)"
+        assert query_label(StwcrQuery(1, 7.123456789)) == "STWCR(a=1,s=7.123456789)"
+        assert query_label(StwcrQuery(1, np.float64(7.123456789))) == "STWCR(a=1,s=7.123456789)"
+        assert query_label(StwcrQuery(1, Fraction(15, 2))) == "STWCR(a=1,s=7.5)"
+        assert (query_label(StwcrveQuery(1, 0, 8.0, 7.0000001))
+                == "STWCRVE(a1=1,a0=0,s1=8,s0=7.0000001)")
