@@ -88,6 +88,8 @@ def _load_dataset(path, column_map, outcome_kind) -> Dataset:
     for role, col in list(names.items()) + [(f"x:{c}", c) for c in x_cols]:
         if col not in header:
             raise DatasetParseError(f"{path}: missing column {col!r}")
+        if header.count(col) > 1:
+            raise DatasetParseError(f"{path}: the header names column {col!r} more than once")
         if col in role_of:
             raise DatasetParseError(f"{path}: column {col!r} is read both as "
                                     f"{_column_use(role_of[col])} and as {_column_use(role)}")

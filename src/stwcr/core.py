@@ -126,7 +126,7 @@ class Interval:
 
 def kernel_weight(u, h):
     """Gaussian kernel ``K_h(u) = (1/h) * pdf_std(u/h)``; symmetric, integrates to 1."""
-    if not (np.isscalar(h) and h > 0 and math.isfinite(h)):
+    if not (_is_number(h) and h > 0 and math.isfinite(h)):
         raise InvalidParameterError(f"bandwidth h must be positive and finite, got {h}")
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -80,6 +80,11 @@ class EifPair:
             raise EvaluationError("influence values must be finite")
 
 
+def _is_arm(a) -> bool:
+    """An integer 0 or 1 that is not a bool, so that each arm has one label (``True`` == 1.0 == 1)."""
+    return isinstance(a, Integral) and not isinstance(a, bool) and a in (0, 1)
+
+
 @dataclass(frozen=True)
 class StwcrQuery:
     """Risk query: arm and marker level."""
@@ -88,8 +93,8 @@ class StwcrQuery:
     s: float
 
     def __post_init__(self):
-        if self.a not in (0, 1):
-            raise InvalidParameterError("query arm must be 0 or 1")
+        if not _is_arm(self.a):
+            raise InvalidParameterError(f"query arm must be an integer 0 or 1, got {self.a!r}")
         if not (isinstance(self.s, Real) and math.isfinite(self.s)):
             raise InvalidParameterError(
                 f"query marker level must be a finite number, got {self.s!r}")
@@ -109,8 +114,9 @@ class StwcrveQuery:
     s0: float
 
     def __post_init__(self):
-        if self.a1 not in (0, 1) or self.a0 not in (0, 1):
-            raise InvalidParameterError("query arms must be 0 or 1")
+        if not (_is_arm(self.a1) and _is_arm(self.a0)):
+            raise InvalidParameterError(
+                f"query arms must be integers 0 or 1, got {self.a1!r} and {self.a0!r}")
         if not all(isinstance(s, Real) and math.isfinite(s) for s in (self.s1, self.s0)):
             raise InvalidParameterError(
                 f"query marker levels must be finite numbers, got {self.s1!r} and {self.s0!r}")

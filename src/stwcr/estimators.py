@@ -36,9 +36,11 @@ grid integrals once the window has been asked twice in a row on its arm,
 until that arm is asked another window. A marker sweep costs one fit per
 fold, and each query its kernel weights and the grid integrals of its
 kernel windows; queries that hold the comparator's marker fixed compute
-its grid twice and then read it, and a single query keeps no window. Reuse
-is checked against a fingerprint of the data's contents, so editing the
-arrays in place, or passing other folds or specs, rebuilds the plan.
+its grid twice and then read it, and a single query keeps no window. A
+``Dataset`` and a ``FoldAssignment``'s labels are read-only, so the plan is
+kept per Dataset object and its contents are never checked: it is reused
+when the specs are equal and the folds are the same object or hold equal
+labels, and other folds or specs rebuild it.
 
 Each estimator makes one ``_influence`` call, which checks the query and
 arguments, runs the fold loop and returns an ``_Influence`` record: the
@@ -57,7 +59,6 @@ interval when rho_hat <= 0. Each report's ``wald`` property is its
 
 from __future__ import annotations
 
-import hashlib
 import math
 import weakref
 from dataclasses import dataclass, replace
@@ -109,9 +110,13 @@ _THREADED_FIT_ROWS = 20_000
 _SIM_COVARIATES = ("x1", "x2", "x3")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldAssignment:
-    """Balanced random partition; labels take values 1..k_folds."""
+    """Balanced random partition; labels take values 1..k_folds.
+
+    ``labels`` is a read-only int copy of the labels given. Two assignments
+    compare and hash by identity; compare their ``labels`` for equal folds.
+    """
 
     k_folds: int
     labels: np.ndarray
@@ -132,6 +137,7 @@ class FoldAssignment:
         if raw.size and (raw.min() < 1 or raw.max() > self.k_folds):
             raise InvalidParameterError(f"fold labels must lie in 1..{self.k_folds}")
         labels = raw.astype(int)
+        labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         counts = np.bincount(labels, minlength=self.k_folds + 1)[1:]
         if counts.size != self.k_folds or np.any(counts == 0):
@@ -279,7 +285,7 @@ def _fit_fold(train: TrainingRows, specs: ModelSpecs,
 
 
 class _FoldPlan:
-    """What every query on one (data contents, parts, nuisances) shares.
+    """What every query on one (dataset, folds, specs) shares.
 
     Part j of ``rows`` holds the rows evaluated with ``fits[j]``, a
     ``(NuisanceTriple, degenerate)`` pair, which sit at ``index[j]`` in the
@@ -295,11 +301,12 @@ class _FoldPlan:
     keyed by all it depends on, so a query that fails part way leaves
     nothing stale. The held rows are slices of ``rows.data``, never a copy
     of its own; it holds neither the caller's dataset nor ``rows``, whose
-    designs go with it.
+    designs go with it. ``folds`` and ``specs`` are what the fits were made
+    from, None for injected nuisances.
     """
 
-    def __init__(self, key, rows: RowParts, order: np.ndarray | None, fits):
-        self.key = key
+    def __init__(self, folds, specs, rows: RowParts, order: np.ndarray | None, fits):
+        self.folds, self.specs = folds, specs
         self.fits = fits
         parts = list(zip(rows.edges[:-1], rows.edges[1:]))
         self.index = [slice(None)] if order is None else [order[lo:hi] for lo, hi in parts]
@@ -326,19 +333,12 @@ class _FoldPlan:
 _FOLD_FITS: "weakref.WeakKeyDictionary[Dataset, _FoldPlan]" = weakref.WeakKeyDictionary()
 
 
-def _fit_key(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> tuple:
-    """Everything the fold fits depend on, with the arrays as one content hash."""
-    h = hashlib.blake2b(digest_size=16)
-    for arr in (data.y, data.a, data.s, data.b, data.x, folds.labels):
-        h.update(np.ascontiguousarray(arr))  # hashes the buffer, no copy
-    return h.digest(), data.covariate_names, data.outcome_kind, folds.k_folds, specs
-
-
 def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _FoldPlan:
     """The plan of ``data``'s folds, with each fold fit on its complement.
 
-    Returns the previous call's plan when ``data``'s contents, the folds
-    and the specs are unchanged. Otherwise the specs are filled in once
+    Returns the previous call's plan on ``data`` when the specs are equal
+    and the folds are the same or hold equal labels; ``data`` is immutable,
+    so its contents need no check. Otherwise the specs are filled in once
     for all folds, so a bad spec fails before any fold is fit. The rows
     are sorted by fold once, into one copy, and each fold is fit from the
     ranges on either side of its own: what a second fold reads is made
@@ -348,11 +348,11 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
     ``_THREADED_FIT_ROWS`` rows folds 2..K are fit on threads; either way a
     failure names the lowest failing fold, and nothing is stored.
     """
-    key = _fit_key(data, folds, specs)
     plan = _FOLD_FITS.get(data)
-    if plan is not None and plan.key == key:
+    if plan is not None and plan.specs == specs and (
+            plan.folds is folds or np.array_equal(plan.folds.labels, folds.labels)):
         return plan
-    specs = specs.for_dataset(data)
+    filled = specs.for_dataset(data)
     # a stable sort keeps each fold's rows in their original order
     order = np.argsort(folds.labels, kind="stable")
     edges = np.searchsorted(folds.labels[order], np.arange(1, folds.k_folds + 2))
@@ -360,7 +360,7 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
 
     def fit(k, warm=None):
         try:
-            return _fit_fold(TrainingRows(rows, k - 1), specs, warm)
+            return _fit_fold(TrainingRows(rows, k - 1), filled, warm)
         except SolverError as exc:
             raise EstimationError(f"nuisance fit failed in fold {k}: {exc}") from exc
 
@@ -369,7 +369,7 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
     threaded = len(data) >= _THREADED_FIT_ROWS
     rest = map_threaded(lambda k: fit(k, warm), range(2, folds.k_folds + 1),
                         tasks=folds.k_folds - 1 if threaded else 1)
-    _FOLD_FITS[data] = _FoldPlan(key, rows, order, ((first, degenerate), *rest))
+    _FOLD_FITS[data] = _FoldPlan(folds, specs, rows, order, ((first, degenerate), *rest))
     return _FOLD_FITS[data]
 
 
@@ -402,7 +402,7 @@ def _influence(caller: str, query_type, batch_fn, data: Dataset, query, params: 
     if folds.labels.shape[0] != n:
         raise InvalidParameterError("fold assignment does not match dataset size")
     if nuisances is not None:
-        plan = _FoldPlan(None, RowParts(data), None, ((nuisances, False),))
+        plan = _FoldPlan(None, None, RowParts(data), None, ((nuisances, False),))
     else:
         # ahead of any fit: a fold without the arm would fail as a singular design.
         # A fold's training rows lack an arm exactly when it holds every row on the arm.

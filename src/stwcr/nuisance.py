@@ -99,13 +99,17 @@ class Dataset:
     the covariates as a 2-D (rows, covariates) array, or 1-D for one
     covariate. ``outcome_kind`` is "binary" or "continuous"; binary outcomes
     must lie in {0, 1}.
+
+    A Dataset is immutable: it holds read-only copies of its columns, never
+    the caller's arrays, and refuses attribute assignment, so the fold plans
+    that ``estimators`` keeps per Dataset stay valid for its lifetime.
     """
 
     def __init__(self, y, a, s, b, x, covariate_names, outcome_kind=None):
         # a is held as floats too, and cast to int once checked 0/1
         for name, col in zip("yasbx", (y, a, s, b, x)):
             try:
-                col = np.ascontiguousarray(col, dtype=float)
+                col = np.array(col, dtype=float, order="C")
             except (TypeError, ValueError):
                 raise InvalidParameterError(f"column {name} must hold numbers") from None
             if name == "x" and col.ndim == 1:
@@ -115,12 +119,12 @@ class Dataset:
                 raise InvalidParameterError(f"column {name} must be {wanted}, got shape {col.shape}")
             if not np.all(np.isfinite(col)):
                 raise InvalidParameterError(f"non-finite value in column {name}")
-            setattr(self, name, col)
+            object.__setattr__(self, name, col)
         if not (isinstance(covariate_names, (tuple, list))
                 and all(isinstance(c, str) for c in covariate_names)):
             raise InvalidParameterError(
                 f"covariate_names must be a tuple or list of strings, got {covariate_names!r}")
-        self.covariate_names = tuple(covariate_names)
+        object.__setattr__(self, "covariate_names", tuple(covariate_names))
         n = self.y.shape[0]
         if n == 0:
             raise InvalidParameterError("dataset must be nonempty")
@@ -135,14 +139,19 @@ class Dataset:
             raise InvalidParameterError("covariate names y/a/s/b are reserved")
         if not np.all((self.a == 0) | (self.a == 1)):
             raise InvalidParameterError("treatment column must be 0/1")
-        self.a = self.a.astype(int)
+        object.__setattr__(self, "a", self.a.astype(int))
         if outcome_kind is None:
             outcome_kind = "binary" if np.all((self.y == 0) | (self.y == 1)) else "continuous"
         if outcome_kind not in ("binary", "continuous"):
             raise InvalidParameterError(f"unknown outcome_kind {outcome_kind!r}")
         if outcome_kind == "binary" and not np.all((self.y == 0) | (self.y == 1)):
             raise InvalidParameterError("binary-outcome dataset has y outside {0,1}")
-        self.outcome_kind = outcome_kind
+        object.__setattr__(self, "outcome_kind", outcome_kind)
+        for col in (self.y, self.a, self.s, self.b, self.x):
+            col.setflags(write=False)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Dataset is immutable: cannot set {name!r}")
 
     def __len__(self):
         return self.y.shape[0]

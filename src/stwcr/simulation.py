@@ -257,20 +257,16 @@ def _oracle_integrands(kind: str, scenario: str, query, params: SmoothingParams)
     Returns ``terms(b, x) -> (u, v)``: per baseline point, the numerator and
     denominator integrands, whose means over the baseline law are the
     functional's numerator and denominator. Each is a kernel-quadrature
-    integral of the smoothed trimming weight, times the outcome risk in
-    the numerator. Independent of the influence-value code path.
+    integral, over one of the query's ``windows``, of the smoothed trimming
+    weight, times the outcome risk in the numerator. Independent of the
+    influence-value code path.
     """
     if kind not in _ORACLE_QUERIES:
         raise InvalidParameterError(f"unknown oracle kind {kind!r}")
     require_query(query, _ORACLE_QUERIES[kind], f"oracle kind {kind!r}")
     nuis = true_nuisances(scenario)
-    if kind == "stwcr":
-        arms = ((query.a, query.s, params.require_h()),)
-    else:
-        h0, h1 = params.require_h0_h1()
-        arms = ((query.a0, query.s0, h0), (query.a1, query.s1, h1))
     rules = []
-    for arm, center, h in arms:
+    for arm, center, h in query.windows(params):
         nodes, wk = quad_rule(center, h, nuis.support, params)
         if nodes.size == 0:
             raise InvalidParameterError("query window lies outside the marker support")

@@ -152,6 +152,14 @@ class TestLoadDataset:
         with pytest.raises(DatasetParseError, match=message):
             load_dataset(p, column_map)
 
+    @pytest.mark.parametrize("header", [["y", "a", "s", "b", "x1", "s"], ["y", "a", "s", "b", "x1", "x1"]],
+                             ids=["role", "covariate"])
+    def test_repeated_header_name_rejected(self, tmp_path, header):
+        p = tmp_path / "d.csv"
+        write_csv(p, header, [[1, 0, 5.0, 2.0, 0.3, 9.0], [0, 1, 6.5, 1.0, 0.7, 9.5]])
+        with pytest.raises(DatasetParseError, match=f"names column '{header[-1]}' more than once"):
+            load_dataset(p)
+
     def test_x_columns_autodetected_in_order(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, ["y", "a", "x2", "s", "b", "x1", "x10"],

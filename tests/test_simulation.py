@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from stwcr import estimators, simulation
-from stwcr.core import Interval, SmoothingParams
+from stwcr.core import Interval, SmoothingParams, kernel_weight
 from stwcr.eif import StwcrQuery, StwcrveQuery
 from stwcr.errors import EstimationError, HarnessError, InvalidParameterError
 from stwcr.estimators import (
@@ -288,6 +288,11 @@ def _trial(**columns):
     lambda: StwcrQuery(1, "7"),
     lambda: StwcrQuery(1, None),
     lambda: StwcrveQuery(1, 0, "8", 7),
+    lambda: StwcrQuery(True, 7.0),
+    lambda: StwcrQuery(1.0, 7.0),
+    lambda: StwcrveQuery(True, 0, 8.0, 7.0),
+    lambda: StwcrveQuery(1, 0.0, 8.0, 7.0),
+    lambda: kernel_weight(0.0, True),
     lambda: Interval(None, 1),
     lambda: Interval("0", 1),
     lambda: ModelSpecs(propensity="0.5"),
@@ -320,7 +325,8 @@ def _trial(**columns):
     lambda: Observation(y="1", a=1, s=7.0, b=0.0, x=(0.0,)),
     lambda: Observation(y=1.0, a=1, s=7.0, b=0.0, x=None),
     lambda: Observation(y=1.0, a=1, s=7.0, b=0.0, x=("0",)),
-], ids=["query_marker_str", "query_marker_none", "ve_query_marker_str", "interval_none",
+], ids=["query_marker_str", "query_marker_none", "ve_query_marker_str", "query_arm_bool",
+        "query_arm_float", "ve_query_arm_bool", "ve_query_arm_float", "kernel_h_bool", "interval_none",
         "interval_str", "known_propensity_str", "spec_list", "config_params_dict",
         "config_model_specs_str", "config_scenario_unknown", "truths_scenario_unknown",
         "params_h_bool", "params_h0_bool", "params_h1_bool", "params_epsilon_bool",
@@ -344,6 +350,8 @@ def test_numpy_integer_counts_and_seeds_accepted():
     assert oracle_estimand("stwcr", "I", StwcrQuery(1, 7.0), PARAMS, np.int64(100_000),
                            np.int64(5)).mc_size == 100_000
     assert SimConfig("I", 100, np.int64(2), (StwcrQuery(1, 7.0),), PARAMS).reps == 2
+    assert query_label(StwcrQuery(np.int64(1), 7.0)) == "STWCR(a=1,s=7)"
+    assert query_label(StwcrveQuery(np.uint8(1), np.int32(0), 8.0, 7.0)) == "STWCRVE(a1=1,a0=0,s1=8,s0=7)"
 
 
 def test_truths_same_under_any_blas_threads_and_cpu_mask():
