@@ -36,7 +36,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .core import MAX_QUAD_NODES, SmoothingParams
+from .core import MAX_QUAD_NODES, SmoothingParams, _is_number
 from .eif import StwcrQuery, StwcrveQuery
 from .errors import DatasetParseError, InvalidParameterError, StwcrError
 from .estimators import ModelSpecs, estimate_stwcr, estimate_stwcrve, make_folds
@@ -302,8 +302,8 @@ def _config_value(action: argparse.Action, key: str, val):
             return val
         expected = "a list of strings"
     elif action.type in (int, float):
-        # JSON true/false load as bool, a subclass of int
-        number = isinstance(val, (int, float)) and not isinstance(val, bool)
+        # JSON true/false load as bool, a subclass of int; NaN and Infinity as floats
+        number = _is_number(val, finite=False)
         if number and action.type is float:
             return float(val)
         if number and float(val).is_integer():

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import ndtr
@@ -59,7 +59,7 @@ class SmoothingParams:
     ``h`` is the bandwidth for single-marker risk queries; ``h0``/``h1``
     are the comparator-side and investigational-side bandwidths for
     relative-efficacy queries. Bandwidths not needed by a given query may
-    be left unset. ``quad_nodes`` lies in 8..``MAX_QUAD_NODES``.
+    be left unset. ``quad_nodes`` is an integer in 8..``MAX_QUAD_NODES``.
     """
 
     t: float = 0.1
@@ -72,22 +72,17 @@ class SmoothingParams:
     window_halfwidth_in_h: float = 8.0
 
     def __post_init__(self):
-        # isinstance first: comparing None or a string raises TypeError
-        if not (isinstance(self.t, Real) and 0.0 < self.t < 1.0):
-            raise InvalidParameterError(f"t must be in (0,1), got {self.t}")
-        _check_epsilon(self.epsilon)
+        for name, val in (("t", self.t), ("alpha", self.alpha)):
+            if not (_is_number(val) and 0.0 < val < 1.0):
+                raise InvalidParameterError(f"{name} must be in (0,1), got {val!r}")
+        _require_positive("epsilon", self.epsilon)
         for name in ("h", "h0", "h1"):
-            val = getattr(self, name)
-            if val is not None and not (_is_number(val) and 0.0 < val < math.inf):
-                raise InvalidParameterError(f"{name} must be a positive finite bandwidth, got {val}")
-        if not (isinstance(self.alpha, Real) and 0.0 < self.alpha < 1.0):
-            raise InvalidParameterError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.quad_nodes not in range(8, MAX_QUAD_NODES + 1):  # never raises; 64.0 is in it
-            raise InvalidParameterError(
-                f"quad_nodes must be an integer in 8..{MAX_QUAD_NODES}, got {self.quad_nodes}")
+            if getattr(self, name) is not None:
+                _require_positive(name, getattr(self, name))
+        _require_int("quad_nodes", self.quad_nodes, 8, MAX_QUAD_NODES)  # 64.0 is not an integer
         window = self.window_halfwidth_in_h  # may be inf: a bounded support clips the window
-        if not (isinstance(window, Real) and window >= 4.0):
-            raise InvalidParameterError(f"window_halfwidth_in_h must be >= 4, got {window}")
+        if not (_is_number(window, finite=False) and window >= 4.0):
+            raise InvalidParameterError(f"window_halfwidth_in_h must be >= 4, got {window!r}")
 
     def require_h(self) -> float:
         if self.h is None:
@@ -111,11 +106,9 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        if not (isinstance(self.lo, Real) and isinstance(self.hi, Real)):
+        if not (_is_number(self.lo, finite=False) and _is_number(self.hi, finite=False)):
             raise InvalidParameterError(
-                f"interval endpoints must be numbers, got {self.lo!r} and {self.hi!r}")
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise InvalidParameterError("interval endpoints cannot be NaN")
+                f"interval endpoints lo and hi must be numbers, not NaN, got {self.lo!r} and {self.hi!r}")
         if self.lo > self.hi:
             raise InvalidParameterError(f"interval lo={self.lo} > hi={self.hi}")
 
@@ -126,8 +119,7 @@ class Interval:
 
 def kernel_weight(u, h):
     """Gaussian kernel ``K_h(u) = (1/h) * pdf_std(u/h)``; symmetric, integrates to 1."""
-    if not (_is_number(h) and h > 0 and math.isfinite(h)):
-        raise InvalidParameterError(f"bandwidth h must be positive and finite, got {h}")
+    _require_positive("bandwidth h", h)
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise InvalidParameterError("kernel displacement u must be finite")
@@ -150,14 +142,43 @@ def _scaled_pdf(z, scale):
     return out
 
 
-def _is_number(val) -> bool:
-    """A real number that is not a bool: ``True`` is a ``Real`` that reads as 1."""
-    return isinstance(val, Real) and not isinstance(val, bool)
+# --- one rule per scalar kind: every public scalar argument is checked here --
+
+def _is_number(val, finite: bool = True) -> bool:
+    """A number: a real that is not a bool (``True`` is a ``Real`` that reads
+    as 1), not NaN, and not an int too large for a float. With ``finite``,
+    not infinite either."""
+    if isinstance(val, bool) or not isinstance(val, Real):
+        return False
+    try:
+        return math.isfinite(val) if finite else not math.isnan(val)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
-def _check_epsilon(epsilon):
-    if not (_is_number(epsilon) and 0.0 < epsilon < math.inf):
-        raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon}")
+def _require_positive(name: str, val) -> None:
+    """InvalidParameterError naming ``name`` unless ``val`` is a positive
+    finite number: the rule for every bandwidth, epsilon and residual_sd."""
+    if not (_is_number(val) and val > 0.0):
+        raise InvalidParameterError(f"{name} must be positive and finite, got {val!r}")
+
+
+def _require_int(name: str, val, minimum: int, maximum=math.inf) -> None:
+    """InvalidParameterError naming ``name`` unless ``val`` is an integer in
+    ``minimum..maximum``: an ``Integral`` (numpy's too) that is not a bool."""
+    if isinstance(val, bool) or not isinstance(val, Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {val!r}")
+    if not minimum <= val <= maximum:
+        raise InvalidParameterError(
+            f"{name} must be an integer in {minimum}..{maximum}, got {val}" if maximum < math.inf
+            else f"{name} must be nonnegative, got {val}" if minimum == 0
+            else f"need {name} >= {minimum}, got {val}")
+
+
+def _is_arm(a) -> bool:
+    """An arm: the integer 0 or 1, not a bool nor a float, so that each arm
+    has one label (``True`` == 1.0 == 1)."""
+    return isinstance(a, Integral) and not isinstance(a, bool) and a in (0, 1)
 
 
 _OPEN_UNIT_LO = np.finfo(float).tiny
@@ -187,7 +208,7 @@ def softened_indicator(p, t, epsilon):
     Each result is a new array, so a caller may update it in place. ``p``
     itself is never written.
     """
-    _check_epsilon(epsilon)
+    _require_positive("epsilon", epsilon)
     p = np.asarray(p, dtype=float)
     with np.errstate(over="ignore"):  # see _scaled_pdf; ndtr(+-inf) is 1 or 0
         z = np.subtract(p, t, out=np.empty(p.shape))
@@ -222,7 +243,7 @@ def quad_rule(center: float, h: float, support: Interval, params: SmoothingParam
             f"kernel window [{center - half}, {center + half}] clipped to the support "
             f"[{support.lo}, {support.hi}] is unbounded; use a finite window_halfwidth_in_h "
             "or a bounded support")
-    base_x, base_w = _leggauss(int(params.quad_nodes))
+    base_x, base_w = _leggauss(params.quad_nodes)
     mid = 0.5 * (lo + hi)
     scale = 0.5 * (hi - lo)
     nodes = mid + scale * base_x

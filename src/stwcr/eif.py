@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +44,8 @@ import numpy as np
 from .core import (
     DENSITY_FLOOR,
     SmoothingParams,
+    _is_arm,
+    _is_number,
     integrate_kernel_weighted,
     integrate_kernel_weighted_2d,
     kernel_weight,
@@ -80,11 +81,6 @@ class EifPair:
             raise EvaluationError("influence values must be finite")
 
 
-def _is_arm(a) -> bool:
-    """An integer 0 or 1 that is not a bool, so that each arm has one label (``True`` == 1.0 == 1)."""
-    return isinstance(a, Integral) and not isinstance(a, bool) and a in (0, 1)
-
-
 @dataclass(frozen=True)
 class StwcrQuery:
     """Risk query: arm and marker level."""
@@ -94,10 +90,9 @@ class StwcrQuery:
 
     def __post_init__(self):
         if not _is_arm(self.a):
-            raise InvalidParameterError(f"query arm must be an integer 0 or 1, got {self.a!r}")
-        if not (isinstance(self.s, Real) and math.isfinite(self.s)):
-            raise InvalidParameterError(
-                f"query marker level must be a finite number, got {self.s!r}")
+            raise InvalidParameterError(f"query arm a must be an integer 0 or 1, got {self.a!r}")
+        if not _is_number(self.s):
+            raise InvalidParameterError(f"query marker level s must be a finite number, got {self.s!r}")
 
     def windows(self, params: SmoothingParams):
         """The query's one ``(arm, center, h)`` kernel window."""
@@ -116,10 +111,10 @@ class StwcrveQuery:
     def __post_init__(self):
         if not (_is_arm(self.a1) and _is_arm(self.a0)):
             raise InvalidParameterError(
-                f"query arms must be integers 0 or 1, got {self.a1!r} and {self.a0!r}")
-        if not all(isinstance(s, Real) and math.isfinite(s) for s in (self.s1, self.s0)):
+                f"query arms a1 and a0 must be integers 0 or 1, got {self.a1!r} and {self.a0!r}")
+        if not (_is_number(self.s1) and _is_number(self.s0)):
             raise InvalidParameterError(
-                f"query marker levels must be finite numbers, got {self.s1!r} and {self.s0!r}")
+                f"query marker levels s1 and s0 must be finite numbers, got {self.s1!r} and {self.s0!r}")
 
     def windows(self, params: SmoothingParams):
         """The comparator's ``(arm, center, h)`` kernel window, then the

@@ -62,13 +62,12 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
-from .core import SmoothingParams
+from .core import SmoothingParams, _is_number, _require_int
 from .eif import StwcrQuery, StwcrveQuery, eif_stwcr_batch, eif_stwcrve_batch, require_query
 from .errors import EstimationError, InvalidParameterError, SolverError
 from .nuisance import (
@@ -122,8 +121,7 @@ class FoldAssignment:
     labels: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.k_folds, Integral) or self.k_folds < 2:
-            raise InvalidParameterError(f"need an integer k_folds >= 2, got {self.k_folds!r}")
+        _require_int("k_folds", self.k_folds, 2)
         # checked as floats: the int cast would truncate 1.7 to fold 1
         try:
             raw = np.asarray(self.labels, dtype=float)
@@ -148,13 +146,9 @@ class FoldAssignment:
 
 def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
     """Uniformly random balanced K-fold partition, deterministic given seed."""
-    if not (isinstance(n, Integral) and isinstance(seed, Integral)):
-        raise InvalidParameterError(
-            f"need an integer row count and fold seed, got n={n!r}, seed={seed!r}")
-    if not isinstance(k, Integral) or not 2 <= k <= n:
-        raise InvalidParameterError(f"need an integer 2 <= k <= n, got k={k!r}, n={n}")
-    if seed < 0:
-        raise InvalidParameterError(f"fold seed must be nonnegative, got {seed}")
+    _require_int("n", n, 2)
+    _require_int("k", k, 2, n)
+    _require_int("fold seed", seed, 0)
     sizes = np.full(k, n // k)
     sizes[: n % k] += 1
     labels = np.repeat(np.arange(1, k + 1), sizes)
@@ -179,7 +173,7 @@ class ModelSpecs:
 
     def __post_init__(self):
         p = self.propensity
-        if not (isinstance(p, FeatureSpec) or isinstance(p, Real) and 0.0 < p < 1.0):
+        if not (isinstance(p, FeatureSpec) or _is_number(p) and 0.0 < p < 1.0):
             raise InvalidParameterError(f"known propensity must lie in (0,1), got {p!r}; "
                                         "a FeatureSpec fits a logistic propensity")
         for name in ("cond_density_spec", "outcome_spec"):

@@ -36,13 +36,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .core import Interval
+from .core import Interval, _is_arm, _is_number, _require_positive
 from .errors import InvalidParameterError, SolverError
 from .parallel import row_blocks
 
@@ -85,11 +84,12 @@ class Observation:
     def __post_init__(self):
         if not isinstance(self.x, tuple):
             raise InvalidParameterError(f"observation x must be a tuple, got {self.x!r}")
-        vals = (self.y, self.s, self.b, *self.x)
-        if not all(isinstance(v, Real) and math.isfinite(v) for v in vals):
-            raise InvalidParameterError(f"observation fields must be finite numbers, got {vals}")
-        if self.a not in (0, 1):
-            raise InvalidParameterError(f"treatment indicator must be 0 or 1, got {self.a}")
+        for name, val in (("y", self.y), ("s", self.s), ("b", self.b),
+                          *((f"x[{i}]", v) for i, v in enumerate(self.x))):
+            if not _is_number(val):
+                raise InvalidParameterError(f"observation {name} must be a finite number, got {val!r}")
+        if not _is_arm(self.a):
+            raise InvalidParameterError(f"treatment indicator a must be an integer 0 or 1, got {self.a!r}")
 
 
 class Dataset:
@@ -101,8 +101,9 @@ class Dataset:
     must lie in {0, 1}.
 
     A Dataset is immutable: it holds read-only copies of its columns, never
-    the caller's arrays, and refuses attribute assignment, so the fold plans
-    that ``estimators`` keeps per Dataset stay valid for its lifetime.
+    the caller's arrays, and refuses attribute assignment and deletion, so
+    the fold plans that ``estimators`` keeps per Dataset stay valid for its
+    lifetime. A pickled or copied Dataset is rebuilt by the constructor.
     """
 
     def __init__(self, y, a, s, b, x, covariate_names, outcome_kind=None):
@@ -152,6 +153,13 @@ class Dataset:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Dataset is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Dataset is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, so a copy's columns are read-only too
+        return Dataset, (self.y, self.a, self.s, self.b, self.x, self.covariate_names, self.outcome_kind)
 
     def __len__(self):
         return self.y.shape[0]
@@ -361,8 +369,7 @@ class CondDensityModel:
     _terms: _Terms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.residual_sd > 0 and math.isfinite(self.residual_sd)):
-            raise InvalidParameterError("residual_sd must be positive and finite")
+        _require_positive("residual_sd", self.residual_sd)
         if not np.all(np.isfinite(self.coef)):
             raise InvalidParameterError("conditional-density coefficients must be finite")
         object.__setattr__(self, "_terms", _spec_terms(self.spec, self.ROLES, self.covariate_names))

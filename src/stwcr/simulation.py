@@ -26,12 +26,11 @@ import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from scipy.special import gammaincinv, gammaln, xlogy
 
-from .core import Interval, SmoothingParams, quad_rule, smooth_indicator
+from .core import Interval, SmoothingParams, _require_int, _require_positive, quad_rule, smooth_indicator
 from .eif import StwcrQuery, StwcrveQuery, require_query
 from .errors import HarnessError, InvalidParameterError, StwcrError
 from .estimators import ModelSpecs, estimate_stwcr, estimate_stwcrve, make_folds
@@ -112,15 +111,6 @@ def gamma_truncation_points() -> tuple[float, float]:
 def _require_scenario(scenario) -> None:
     if scenario not in ("I", "II", "III"):
         raise InvalidParameterError(f"scenario must be I, II, or III, got {scenario!r}")
-
-
-def _require_int(name: str, value, minimum: int) -> None:
-    """InvalidParameterError unless ``value`` is an integer (numpy's too) >= ``minimum``."""
-    if not isinstance(value, Integral):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidParameterError(f"{name} must be nonnegative, got {value}" if minimum == 0
-                                    else f"need {name} >= {minimum}, got {value}")
 
 
 def baseline_marker_range(scenario: str) -> tuple[float, float]:
@@ -329,8 +319,7 @@ def direct_plain_smoothed_risk(scenario: str, a: int, s: float, h: float,
     """
     _require_scenario(scenario)
     StwcrQuery(a, s)  # arm 0 or 1, finite s
-    if not (h > 0 and math.isfinite(h)):
-        raise InvalidParameterError(f"bandwidth h must be positive and finite, got {h!r}")
+    _require_positive("bandwidth h", h)
     _require_int("mc_size", mc_size, 2)
     _require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)

@@ -412,6 +412,8 @@ class TestMain:
         (None, {"quad_nodes": 64.7}, "config key 'quad_nodes' must be an integer, got 64.7"),
         (None, {"quad_nodes": True}, "must be an integer, got true"),
         (None, {"t": False}, "must be a number, got false"),
+        (None, {"t": math.nan}, "config key 't' must be a number, got NaN"),
+        (None, {"quad_nodes": 10 ** 400}, "config key 'quad_nodes' must be an integer, got 1000"),
         (None, {"out": 5}, "must be a string, got 5"),
         (["simulate", "--scenario", "I", "--h", "0.1"], {"query": "stwcr:1:7"},
          "must be a list of strings"),

@@ -39,8 +39,9 @@ class TestSmoothingParams:
         with pytest.raises(InvalidParameterError):
             SmoothingParams(**kwargs)
 
-    def test_integral_float_nodes_and_infinite_window_accepted(self):
-        p = SmoothingParams(quad_nodes=64.0, window_halfwidth_in_h=math.inf)
+    def test_numpy_integer_nodes_and_infinite_window_accepted(self):
+        # an integral float such as 64.0 is not an integer (test_simulation's typed-error table)
+        p = SmoothingParams(quad_nodes=np.int64(64), window_halfwidth_in_h=math.inf)
         assert p.quad_nodes == 64 and p.window_halfwidth_in_h == math.inf
 
     @pytest.mark.parametrize("epsilon", [math.inf, -math.inf, math.nan])

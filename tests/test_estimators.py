@@ -1,5 +1,7 @@
+import copy
 import gc
 import math
+import pickle
 import threading
 import tracemalloc
 import weakref
@@ -598,6 +600,28 @@ class TestImmutableInputs:
         ds = gen_dataset(ScenarioSpec("I", 200, 29))
         with pytest.raises(AttributeError, match="immutable"):
             setattr(ds, name, getattr(ds, name))
+
+    def test_attributes_cannot_be_deleted(self):
+        ds = gen_dataset(ScenarioSpec("I", 200, 29))
+        for name in [*self.COLUMNS, "covariate_names", "outcome_kind"]:
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(ds, name)
+
+    @pytest.mark.parametrize("copier", [lambda ds: pickle.loads(pickle.dumps(ds)), copy.deepcopy,
+                                        copy.copy], ids=["pickle", "deepcopy", "copy"])
+    def test_copies_are_immutable_and_answer_alike(self, copier):
+        ds = gen_dataset(ScenarioSpec("I", 400, 29))
+        folds = make_folds(400, 5, 9)
+        q = StwcrveQuery(1, 0, 8.0, 7.0)
+        copied = copier(ds)
+        assert type(copied) is Dataset
+        for name in self.COLUMNS:
+            assert not getattr(copied, name).flags.writeable
+            assert repr(getattr(copied, name)) == repr(getattr(ds, name))
+        assert (copied.covariate_names, copied.outcome_kind) == (ds.covariate_names, ds.outcome_kind)
+        assert repr(estimate(copied, q, folds)) == repr(estimate(ds, q, folds))
+        with pytest.raises(AttributeError, match="immutable"):
+            del copied.y
 
     def test_editing_the_callers_arrays_changes_nothing(self):
         trial = gen_dataset(ScenarioSpec("I", 400, 29))

@@ -268,9 +268,18 @@ def test_direct_route_rejects_what_it_cannot_draw(bad):
     lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), PARAMS, k_folds=1),
     lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), PARAMS, k_folds=2.5),
     lambda: SimConfig("I", 60, 2, (StwcrQuery(1, 7.0),), PARAMS, k_folds=61),
+    lambda: oracle_estimand("stwcr", "I", StwcrQuery(1, 7.0), PARAMS, 100_000, True),
+    lambda: ScenarioSpec("I", 100, True),
+    lambda: SimConfig("I", 100, True, (StwcrQuery(1, 7.0),), PARAMS),
+    lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), PARAMS, master_seed=True),
+    lambda: SimConfig("I", 100, 2, (StwcrQuery(1, 7.0),), PARAMS, n_jobs=True),
+    lambda: make_folds(100, 5, True),
+    lambda: direct_plain_smoothed_risk("I", 1, 8.0, 0.1, mc_size=1000, seed=True),
 ], ids=["oracle_mc_size", "oracle_seed", "scenario_n", "scenario_seed", "config_reps",
         "config_master_seed", "config_n_jobs", "config_n", "config_k_folds_1",
-        "config_k_folds_fraction", "config_k_folds_above_n"])
+        "config_k_folds_fraction", "config_k_folds_above_n", "oracle_seed_bool",
+        "scenario_seed_bool", "config_reps_bool", "config_master_seed_bool", "config_n_jobs_bool",
+        "make_folds_seed_bool", "direct_seed_bool"])
 def test_bad_counts_and_seeds_are_typed_errors(call):
     with pytest.raises(InvalidParameterError):
         call()
@@ -325,6 +334,24 @@ def _trial(**columns):
     lambda: Observation(y="1", a=1, s=7.0, b=0.0, x=(0.0,)),
     lambda: Observation(y=1.0, a=1, s=7.0, b=0.0, x=None),
     lambda: Observation(y=1.0, a=1, s=7.0, b=0.0, x=("0",)),
+    lambda: StwcrQuery(1, True),
+    lambda: StwcrveQuery(1, 0, True, 7.0),
+    lambda: Interval(True, 2.0),
+    lambda: Interval(0.0, True),
+    lambda: Observation(y=True, a=1, s=7.0, b=0.0, x=(0.0,)),
+    lambda: Observation(y=1.0, a=True, s=7.0, b=0.0, x=(0.0,)),
+    lambda: Observation(y=1.0, a=1, s=True, b=0.0, x=(0.0,)),
+    lambda: Observation(y=1.0, a=1, s=7.0, b=True, x=(0.0,)),
+    lambda: Observation(y=1.0, a=1, s=7.0, b=0.0, x=(True,)),
+    lambda: CondDensityModel(spec=FeatureSpec([("intercept",)]), coef=np.zeros(1), residual_sd=True),
+    lambda: CondDensityModel(spec=FeatureSpec([("intercept",)]), coef=np.zeros(1), residual_sd="0.1"),
+    lambda: CondDensityModel(spec=FeatureSpec([("intercept",)]), coef=np.zeros(1), residual_sd=None),
+    lambda: direct_plain_smoothed_risk("I", 1, True, 0.1, mc_size=1000),
+    lambda: direct_plain_smoothed_risk("I", 1, 8.0, True, mc_size=1000),
+    lambda: direct_plain_smoothed_risk("I", 1, 8.0, "0.1", mc_size=1000),
+    lambda: direct_plain_smoothed_risk("I", 1, 8.0, None, mc_size=1000),
+    lambda: SmoothingParams(quad_nodes=64.0),
+    lambda: StwcrQuery(1, 10 ** 400),
 ], ids=["query_marker_str", "query_marker_none", "ve_query_marker_str", "query_arm_bool",
         "query_arm_float", "ve_query_arm_bool", "ve_query_arm_float", "kernel_h_bool", "interval_none",
         "interval_str", "known_propensity_str", "spec_list", "config_params_dict",
@@ -335,7 +362,11 @@ def _trial(**columns):
         "cond_density_model_spec_list", "outcome_model_spec_str", "spec_empty",
         "irls_no_columns", "dataset_s_2d", "dataset_x_3d", "dataset_y_2d", "dataset_y_str",
         "dataset_x_ragged", "dataset_names_none", "dataset_name_int",
-        "observation_y_str", "observation_x_none", "observation_x_str"])
+        "observation_y_str", "observation_x_none", "observation_x_str", "query_marker_bool",
+        "ve_query_marker_bool", "interval_lo_bool", "interval_hi_bool", "observation_y_bool",
+        "observation_a_bool", "observation_s_bool", "observation_b_bool", "observation_x_bool",
+        "residual_sd_bool", "residual_sd_str", "residual_sd_none", "direct_s_bool", "direct_h_bool",
+        "direct_h_str", "direct_h_none", "params_quad_nodes_float", "query_marker_huge_int"])
 def test_wrong_input_type_is_typed_error_where_it_enters(call):
     with pytest.raises(InvalidParameterError):
         call()
