@@ -412,14 +412,14 @@ class TestMain:
         (None, {"quad_nodes": 64.7}, "config key 'quad_nodes' must be an integer, got 64.7"),
         (None, {"quad_nodes": True}, "must be an integer, got true"),
         (None, {"t": False}, "must be a number, got false"),
-        (None, {"t": math.nan}, "config key 't' must be a number, got NaN"),
-        (None, {"quad_nodes": 10 ** 400}, "config key 'quad_nodes' must be an integer, got 1000"),
         (None, {"out": 5}, "must be a string, got 5"),
         (["simulate", "--scenario", "I", "--h", "0.1"], {"query": "stwcr:1:7"},
          "must be a list of strings"),
         (["simulate", "--scenario", "I", "--query", "stwcr:1:7", "--h", "0.1"],
          {"format": "xml"}, "must be one of json, csv"),
         (None, [0.1], "config must be a JSON object"),
+        (None, {"t": math.nan}, "config key 't' must be a number, got NaN"),
+        (None, {"quad_nodes": 10 ** 400}, "config key 'quad_nodes' must be an integer, got 1000"),
     ])
     def test_config_value_type_checked(self, trial_csv, tmp_path, capsys, argv, conf, message):
         path = tmp_path / "conf.json"
