@@ -142,7 +142,7 @@ def _scaled_pdf(z, scale):
     return out
 
 
-# --- one rule per scalar kind: every public scalar argument is checked here --
+# --- one rule per argument kind: each public scalar, array and typed argument is checked here
 
 def _is_number(val, finite: bool = True) -> bool:
     """A number: a real that is not a bool (``True`` is a ``Real`` that reads
@@ -179,6 +179,54 @@ def _is_arm(a) -> bool:
     """An arm: the integer 0 or 1, not a bool nor a float, so that each arm
     has one label (``True`` == 1.0 == 1)."""
     return isinstance(a, Integral) and not isinstance(a, bool) and a in (0, 1)
+
+
+def _require_array(name: str, val, ndim: int | tuple = 1, shape: tuple | None = None,
+                   integers: bool = False) -> np.ndarray:
+    """A read-only, C-order float64 copy of ``val``, never the caller's array:
+    the rule for every array argument.
+
+    InvalidParameterError naming ``name`` unless ``val`` holds numbers
+    (bools, ints and floats: not strings, nor an int beyond the float
+    range), all finite, and with ``integers`` all whole, in the ``shape``
+    given, or else in ``ndim`` dimensions, one count or a tuple of the
+    counts allowed.
+    """
+    try:
+        arr = np.asarray(val)
+        # strings would parse as floats; an object array may hold ints beyond the float range
+        arr = np.array(arr, dtype=float, order="C") if arr.dtype.kind in "biufO" else None
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    dims = ndim if isinstance(ndim, tuple) else (ndim,)
+    if arr is None:
+        given = "a value that is not a number within the float range"
+    elif arr.shape != shape if shape is not None else arr.ndim not in dims:
+        given = f"shape {arr.shape}"
+    elif not np.isfinite(arr).all():
+        given = "a non-finite value"
+    elif integers and not np.all(arr == np.trunc(arr)):
+        given = "a fraction"
+    else:
+        arr.setflags(write=False)
+        return arr
+    wanted = (" x ".join(map(str, shape)) if shape is not None
+              else f"a {' or '.join(f'{d}-D' for d in dims)} array of")
+    raise InvalidParameterError(
+        f"{name} must hold {wanted} finite {'integers' if integers else 'numbers'}, got {given}")
+
+
+def _require_type(caller: str, name: str, val, cls, optional: bool = False) -> None:
+    """InvalidParameterError unless ``val`` is a ``cls``, a class or a tuple
+    of classes, or None when ``optional``: the rule for every typed argument.
+    The message names ``caller``, the argument, the type wanted and the type given."""
+    if isinstance(val, cls) or optional and val is None:
+        return
+    wanted = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+    wanted += " or None" if optional else ""
+    article = "an" if wanted[0] in "AEIOU" else "a"
+    raise InvalidParameterError(
+        f"{caller} needs {name} as {article} {wanted}, got {type(val).__name__}")
 
 
 _OPEN_UNIT_LO = np.finfo(float).tiny

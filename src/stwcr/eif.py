@@ -123,12 +123,6 @@ class StwcrveQuery:
         return (self.a0, self.s0, h0), (self.a1, self.s1, h1)
 
 
-def require_query(q, cls, caller: str):
-    """An InvalidParameterError unless ``q`` is a ``cls``; ``caller`` names the consumer."""
-    if not isinstance(q, cls):
-        raise InvalidParameterError(f"{caller} needs a {cls.__name__}, got {type(q).__name__}")
-
-
 def _obs_arrays(obs: Observation):
     return (np.asarray([obs.b]), np.asarray([obs.x], dtype=float))
 

@@ -67,8 +67,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .core import SmoothingParams, _is_number, _require_int
-from .eif import StwcrQuery, StwcrveQuery, eif_stwcr_batch, eif_stwcrve_batch, require_query
+from .core import SmoothingParams, _is_number, _require_array, _require_int, _require_type
+from .eif import StwcrQuery, StwcrveQuery, eif_stwcr_batch, eif_stwcrve_batch
 from .errors import EstimationError, InvalidParameterError, SolverError
 from .nuisance import (
     CondDensityModel,
@@ -113,8 +113,10 @@ _SIM_COVARIATES = ("x1", "x2", "x3")
 class FoldAssignment:
     """Balanced random partition; labels take values 1..k_folds.
 
-    ``labels`` is a read-only int copy of the labels given. Two assignments
-    compare and hash by identity; compare their ``labels`` for equal folds.
+    ``labels`` is a read-only int copy of the labels given, which
+    ``core._require_array`` checks to be integers before the cast.
+    Two assignments compare and hash by identity; compare their ``labels``
+    for equal folds.
     """
 
     k_folds: int
@@ -123,15 +125,7 @@ class FoldAssignment:
     def __post_init__(self):
         _require_int("k_folds", self.k_folds, 2)
         # checked as floats: the int cast would truncate 1.7 to fold 1
-        try:
-            raw = np.asarray(self.labels, dtype=float)
-        except (TypeError, ValueError):
-            raise InvalidParameterError("fold labels must be numbers") from None
-        if raw.ndim != 1:
-            raise InvalidParameterError(
-                f"fold labels must be one-dimensional, got shape {raw.shape}")
-        if not np.all(raw == np.trunc(raw)):
-            raise InvalidParameterError("fold labels must be integers")
+        raw = _require_array("fold labels", self.labels, integers=True)
         if raw.size and (raw.min() < 1 or raw.max() > self.k_folds):
             raise InvalidParameterError(f"fold labels must lie in 1..{self.k_folds}")
         labels = raw.astype(int)
@@ -177,10 +171,7 @@ class ModelSpecs:
             raise InvalidParameterError(f"known propensity must lie in (0,1), got {p!r}; "
                                         "a FeatureSpec fits a logistic propensity")
         for name in ("cond_density_spec", "outcome_spec"):
-            spec = getattr(self, name)
-            if not (spec is None or isinstance(spec, FeatureSpec)):
-                raise InvalidParameterError(
-                    f"{name} must be a FeatureSpec or None, got {type(spec).__name__}")
+            _require_type("ModelSpecs", name, getattr(self, name), FeatureSpec, optional=True)
 
     def for_dataset(self, data: Dataset) -> ModelSpecs:
         """These specs with unset density and outcome specs filled in for
@@ -389,8 +380,11 @@ def _influence(caller: str, query_type, batch_fn, data: Dataset, query, params: 
     """``caller``'s arguments checked, then ``batch_fn``'s influence values for
     all rows, part by part: each fold, or with injected ``nuisances`` one
     uncached part of all rows. EstimationError unless tau_den > 0."""
-    require_query(query, query_type, caller)
-    _require_args(caller, data, params, folds, specs, nuisances)
+    for name, value, cls in (("q", query, query_type), ("data", data, Dataset),
+                             ("params", params, SmoothingParams), ("folds", folds, FoldAssignment),
+                             ("model_specs", specs, ModelSpecs)):
+        _require_type(caller, name, value, cls)
+    _require_type(caller, "nuisances", nuisances, NuisanceTriple, optional=True)
     windows = query.windows(params)
     n = len(data)
     if folds.labels.shape[0] != n:
@@ -423,18 +417,6 @@ def _influence(caller: str, query_type, batch_fn, data: Dataset, query, params: 
         raise EstimationError(
             f"denominator nonpositive: tau_den_hat={tau_den:.6g} (tau_num_hat={tau_num:.6g})")
     return _Influence(num, den, tau_num, tau_den, hits, degenerate)
-
-
-def _require_args(caller: str, data, params, folds, model_specs, nuisances):
-    """An InvalidParameterError naming the first of ``caller``'s arguments of a wrong type."""
-    for name, value, cls, optional in (
-            ("data", data, Dataset, False), ("params", params, SmoothingParams, False),
-            ("folds", folds, FoldAssignment, False), ("model_specs", model_specs, ModelSpecs, False),
-            ("nuisances", nuisances, NuisanceTriple, True)):
-        if not (isinstance(value, cls) or optional and value is None):
-            wanted = cls.__name__ + (" or None" if optional else "")
-            raise InvalidParameterError(
-                f"{caller} needs {name} as a {wanted}, got {type(value).__name__}")
 
 
 def _sample_var(values: np.ndarray) -> float:

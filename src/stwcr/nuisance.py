@@ -41,7 +41,7 @@ from typing import ClassVar, NamedTuple, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .core import Interval, _is_arm, _is_number, _require_positive
+from .core import Interval, _is_arm, _is_number, _require_array, _require_positive, _require_type
 from .errors import InvalidParameterError, SolverError
 from .parallel import row_blocks
 
@@ -82,8 +82,7 @@ class Observation:
     x: tuple[float, ...]
 
     def __post_init__(self):
-        if not isinstance(self.x, tuple):
-            raise InvalidParameterError(f"observation x must be a tuple, got {self.x!r}")
+        _require_type("Observation", "x", self.x, tuple)
         for name, val in (("y", self.y), ("s", self.s), ("b", self.b),
                           *((f"x[{i}]", v) for i, v in enumerate(self.x))):
             if not _is_number(val):
@@ -100,31 +99,21 @@ class Dataset:
     covariate. ``outcome_kind`` is "binary" or "continuous"; binary outcomes
     must lie in {0, 1}.
 
-    A Dataset is immutable: it holds read-only copies of its columns, never
-    the caller's arrays, and refuses attribute assignment and deletion, so
-    the fold plans that ``estimators`` keeps per Dataset stay valid for its
-    lifetime. A pickled or copied Dataset is rebuilt by the constructor.
+    A Dataset is immutable: each column is ``core._require_array``'s
+    read-only float copy, never the caller's array, and attribute
+    assignment and deletion are refused, so the fold plans that
+    ``estimators`` keeps per Dataset stay valid for its lifetime. ``a`` is
+    cast to a read-only int copy once checked 0/1. A pickled or copied
+    Dataset is rebuilt by the constructor.
     """
 
     def __init__(self, y, a, s, b, x, covariate_names, outcome_kind=None):
-        # a is held as floats too, and cast to int once checked 0/1
         for name, col in zip("yasbx", (y, a, s, b, x)):
-            try:
-                col = np.array(col, dtype=float, order="C")
-            except (TypeError, ValueError):
-                raise InvalidParameterError(f"column {name} must hold numbers") from None
-            if name == "x" and col.ndim == 1:
-                col = col[:, None]
-            if col.ndim != (2 if name == "x" else 1):
-                wanted = "1-D or 2-D" if name == "x" else "1-D"
-                raise InvalidParameterError(f"column {name} must be {wanted}, got shape {col.shape}")
-            if not np.all(np.isfinite(col)):
-                raise InvalidParameterError(f"non-finite value in column {name}")
-            object.__setattr__(self, name, col)
-        if not (isinstance(covariate_names, (tuple, list))
-                and all(isinstance(c, str) for c in covariate_names)):
-            raise InvalidParameterError(
-                f"covariate_names must be a tuple or list of strings, got {covariate_names!r}")
+            col = _require_array(f"column {name}", col, ndim=(1, 2) if name == "x" else 1)
+            object.__setattr__(self, name, col[:, None] if col.ndim == 1 and name == "x" else col)
+        _require_type("Dataset", "covariate_names", covariate_names, (tuple, list))
+        for c in covariate_names:
+            _require_type("Dataset", "each covariate name", c, str)
         object.__setattr__(self, "covariate_names", tuple(covariate_names))
         n = self.y.shape[0]
         if n == 0:
@@ -140,7 +129,9 @@ class Dataset:
             raise InvalidParameterError("covariate names y/a/s/b are reserved")
         if not np.all((self.a == 0) | (self.a == 1)):
             raise InvalidParameterError("treatment column must be 0/1")
-        object.__setattr__(self, "a", self.a.astype(int))
+        a = self.a.astype(int)
+        a.setflags(write=False)
+        object.__setattr__(self, "a", a)
         if outcome_kind is None:
             outcome_kind = "binary" if np.all((self.y == 0) | (self.y == 1)) else "continuous"
         if outcome_kind not in ("binary", "continuous"):
@@ -148,8 +139,6 @@ class Dataset:
         if outcome_kind == "binary" and not np.all((self.y == 0) | (self.y == 1)):
             raise InvalidParameterError("binary-outcome dataset has y outside {0,1}")
         object.__setattr__(self, "outcome_kind", outcome_kind)
-        for col in (self.y, self.a, self.s, self.b, self.x):
-            col.setflags(write=False)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Dataset is immutable: cannot set {name!r}")
@@ -256,12 +245,20 @@ def _resolve(spec: FeatureSpec, roles: tuple, covariate_names: tuple) -> _Terms:
                                     f"this model reads {', '.join(position)}") from None
 
 
-def _spec_terms(spec, roles, covariate_names) -> _Terms:
-    """``spec`` resolved for a model that reads ``roles`` and the covariates:
-    the one check, for every fit and model, that a spec is a FeatureSpec."""
-    if not isinstance(spec, FeatureSpec):
-        raise InvalidParameterError(f"spec must be a FeatureSpec, got {type(spec).__name__}")
-    return spec.resolve(roles, covariate_names)
+def _spec_terms(model, spec, covariate_names) -> _Terms:
+    """``spec`` resolved for a ``model`` class, which reads its ``ROLES`` and
+    the covariates: the one check, for every fit and model, that a spec is a
+    FeatureSpec."""
+    _require_type(model.__name__, "spec", spec, FeatureSpec)
+    return spec.resolve(model.ROLES, covariate_names)
+
+
+def _set_terms_and_coef(model) -> None:
+    """``model``'s coef replaced by a read-only copy of one finite number per
+    term of its spec, with the spec resolved first."""
+    object.__setattr__(model, "_terms", _spec_terms(type(model), model.spec, model.covariate_names))
+    object.__setattr__(model, "coef", _require_array(f"{type(model).__name__} coef", model.coef,
+                                                     shape=(len(model.spec),)))
 
 
 class _Terms(NamedTuple):
@@ -322,7 +319,10 @@ def _normal_density(s, mu, sd):
 
 @dataclass(frozen=True)
 class PropensityModel:
-    """P(A = a | B, X): a known constant or a logistic fit on (b, x) features."""
+    """P(A = a | B, X): a known constant or a logistic fit on (b, x) features.
+
+    A logistic model's ``coef`` is a read-only copy of the coefficients
+    given, one per term of ``spec``."""
 
     ROLES: ClassVar[tuple[str, ...]] = ("b",)
 
@@ -335,15 +335,15 @@ class PropensityModel:
 
     def __post_init__(self):
         if self.kind == "known":
-            if not (self.prob_treated is not None and 0.0 < self.prob_treated < 1.0):
-                raise InvalidParameterError("known propensity must lie in (0,1)")
+            p = self.prob_treated
+            if not (_is_number(p) and 0.0 < p < 1.0):
+                raise InvalidParameterError(
+                    f"prob_treated must lie in (0,1) for a known propensity, got {p!r}")
+            object.__setattr__(self, "_terms", None)
         elif self.kind == "logistic":
-            if self.coef is None or not np.all(np.isfinite(self.coef)):
-                raise InvalidParameterError("logistic propensity needs finite coefficients")
+            _set_terms_and_coef(self)
         else:
             raise InvalidParameterError(f"unknown propensity kind {self.kind!r}")
-        object.__setattr__(self, "_terms", _spec_terms(self.spec, self.ROLES, self.covariate_names)
-                           if self.kind == "logistic" else None)
 
     def prob(self, a: int, b, x):
         """P(A = a | b, x), floored into [1e-12, 1 - 1e-12]. Returns an array matching b."""
@@ -358,7 +358,9 @@ class PropensityModel:
 
 @dataclass(frozen=True)
 class CondDensityModel:
-    """Gaussian conditional density of S: mean linear in features of (a, b, x)."""
+    """Gaussian conditional density of S: mean linear in features of (a, b, x).
+
+    ``coef`` is a read-only copy of the coefficients given, one per term of ``spec``."""
 
     ROLES: ClassVar[tuple[str, ...]] = ("a", "b")
 
@@ -370,9 +372,7 @@ class CondDensityModel:
 
     def __post_init__(self):
         _require_positive("residual_sd", self.residual_sd)
-        if not np.all(np.isfinite(self.coef)):
-            raise InvalidParameterError("conditional-density coefficients must be finite")
-        object.__setattr__(self, "_terms", _spec_terms(self.spec, self.ROLES, self.covariate_names))
+        _set_terms_and_coef(self)
 
     def mean(self, a, b, x):
         """The marker mean at broadcastable arm a and baseline b, with x's
@@ -386,7 +386,9 @@ class CondDensityModel:
 
 @dataclass(frozen=True)
 class OutcomeModel:
-    """E[Y | A, S, B, X]: logistic (binary Y) or linear (continuous Y) in features."""
+    """E[Y | A, S, B, X]: logistic (binary Y) or linear (continuous Y) in features.
+
+    ``coef`` is a read-only copy of the coefficients given, one per term of ``spec``."""
 
     ROLES: ClassVar[tuple[str, ...]] = ("a", "s", "b")
 
@@ -399,9 +401,7 @@ class OutcomeModel:
     def __post_init__(self):
         if self.kind not in ("logistic", "linear"):
             raise InvalidParameterError(f"unknown outcome kind {self.kind!r}")
-        if not np.all(np.isfinite(self.coef)):
-            raise InvalidParameterError("outcome coefficients must be finite")
-        object.__setattr__(self, "_terms", _spec_terms(self.spec, self.ROLES, self.covariate_names))
+        _set_terms_and_coef(self)
 
     def predict_at(self, a, s, b, x):
         """The mean at broadcastable a, s and b, with x's covariates on its last
@@ -415,12 +415,18 @@ class OutcomeModel:
 
 @dataclass(frozen=True)
 class NuisanceTriple:
-    """Fitted nuisances plus the marker support they were trained against."""
+    """Fitted nuisances plus the marker support they were trained against.
+
+    ``support`` must be an Interval; the three models are duck-typed, so any
+    object with the methods the influence values call will do."""
 
     propensity: PropensityModel
     cond_density: CondDensityModel
     outcome: OutcomeModel
     support: Interval
+
+    def __post_init__(self):
+        _require_type("NuisanceTriple", "support", self.support, Interval)
 
 
 # --- fitting ---------------------------------------------------------------
@@ -499,7 +505,8 @@ class TrainingRows:
         return sum(hi - lo for lo, hi in self.ranges)
 
 
-def _training_rows(data: Dataset | TrainingRows) -> TrainingRows:
+def _training_rows(caller: str, data: Dataset | TrainingRows) -> TrainingRows:
+    _require_type(caller, "data", data, (Dataset, TrainingRows))
     return data if isinstance(data, TrainingRows) else TrainingRows(RowParts(data), None)
 
 
@@ -510,7 +517,8 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
     increasing, disjoint, nonempty ``(lo, hi)`` ranges within the design's
     rows, or all rows by default. Starts from the coefficients ``start``,
     zero by default. Converges when the penalized score has max-norm below
-    ``tol``; a ``start`` that already meets it is returned unchanged.
+    ``tol``; a ``start`` that already meets it is returned as its read-only
+    copy.
     Raises :class:`SolverError` on non-convergence or on a rank-deficient
     weighted system; callers may retry from zero with a larger ridge.
     Every sum runs over the ranges in order, in blocks of
@@ -537,12 +545,7 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
         raise SolverError(f"need at least as many rows ({n}) as features ({q})")
     if not all(np.all((yb == 0) | (yb == 1)) for _, yb in blocks):
         raise SolverError("labels must be 0/1")
-    if start is None:
-        beta = np.zeros(q)
-    else:
-        beta = np.array(start, dtype=float)
-        if beta.shape != (q,) or not np.all(np.isfinite(beta)):
-            raise InvalidParameterError(f"start must hold {q} finite coefficients")
+    beta = np.zeros(q) if start is None else _require_array("start", start, shape=(q,))
     diag = np.diag_indices(q)
     # softplus(eta) - y eta is softplus(sign eta), sign = 1 - 2y, kept a byte a row
     signs = [(1 - 2 * yb).astype(np.int8) for _, yb in blocks]
@@ -605,9 +608,9 @@ def fit_propensity(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
     fit's training rows, from coefficients ``start`` if given. A known
     propensity (randomized designs) is not fit: it is
     ``PropensityModel(kind="known", prob_treated=p)``."""
-    rows = _training_rows(data)
+    rows = _training_rows("fit_propensity", data)
     names = rows.parts.data.covariate_names
-    terms = _spec_terms(spec, PropensityModel.ROLES, names)
+    terms = _spec_terms(PropensityModel, spec, names)
     coef = irls_logistic(rows.parts.design(terms), rows.parts.data.a, ridge=ridge, start=start,
                          rows=rows.ranges)
     return PropensityModel(kind="logistic", spec=spec, coef=coef, covariate_names=names)
@@ -632,9 +635,9 @@ def _least_squares(rows: TrainingRows, terms: _Terms, target: str):
 def fit_cond_density(data: Dataset | TrainingRows, spec: FeatureSpec) -> CondDensityModel:
     """Gaussian fit of S on features of (a, b, x), on a Dataset or a fit's
     training rows; residual sd uses the n - q divisor."""
-    rows = _training_rows(data)
+    rows = _training_rows("fit_cond_density", data)
     names = rows.parts.data.covariate_names
-    terms = _spec_terms(spec, CondDensityModel.ROLES, names)
+    terms = _spec_terms(CondDensityModel, spec, names)
     n, q = len(rows), len(spec)
     if n <= q + 2:
         raise InvalidParameterError(f"need n > q + 2 rows (n={n}, q={q})")
@@ -650,9 +653,9 @@ def fit_outcome(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
     """Fit E[Y | a, s, b, x] on a Dataset or a fit's training rows: logistic
     for binary outcomes, from coefficients ``start`` if given, and least
     squares, which takes no start, otherwise."""
-    rows = _training_rows(data)
+    rows = _training_rows("fit_outcome", data)
     names = rows.parts.data.covariate_names
-    terms = _spec_terms(spec, OutcomeModel.ROLES, names)
+    terms = _spec_terms(OutcomeModel, spec, names)
     if rows.parts.data.outcome_kind == "binary":
         coef = irls_logistic(rows.parts.design(terms), rows.parts.data.y, ridge=ridge, start=start,
                              rows=rows.ranges)
@@ -665,6 +668,6 @@ def fit_outcome(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
 
 def support_bounds(data: Dataset | TrainingRows) -> Interval:
     """Observed marker range [min S, max S] of a Dataset or a fit's training rows."""
-    rows = _training_rows(data)
+    rows = _training_rows("support_bounds", data)
     s = [rows.parts.data.s[lo:hi] for lo, hi in rows.ranges]
     return Interval(min(float(np.min(part)) for part in s), max(float(np.max(part)) for part in s))

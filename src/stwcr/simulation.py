@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincinv, gammaln, xlogy
 
-from .core import Interval, SmoothingParams, _require_int, _require_positive, quad_rule, smooth_indicator
-from .eif import StwcrQuery, StwcrveQuery, require_query
+from .core import (Interval, SmoothingParams, _require_int, _require_positive, _require_type, quad_rule,
+                   smooth_indicator)
+from .eif import StwcrQuery, StwcrveQuery
 from .errors import HarnessError, InvalidParameterError, StwcrError
 from .estimators import ModelSpecs, estimate_stwcr, estimate_stwcrve, make_folds
 from .nuisance import (
@@ -64,24 +65,18 @@ __all__ = [
 COVARIATE_NAMES = ("x1", "x2", "x3")
 
 
-def _shared_coef(values):
-    coef = np.array(values, dtype=float)
-    coef.setflags(write=False)  # every true_nuisances() triple holds the same models
-    return coef
-
-
 # marker structural model: S = B + A - 0.5*x1 + x2^2 + 4 + N(0, 1)
 MARKER_COEF = (4.0, 1.0, 1.0, -0.5, 1.0)  # over {1, b, a, x1, x2^2}
 MARKER_SD = 1.0
 MARKER_MODEL = CondDensityModel(
     spec=FeatureSpec([intercept(), raw("b"), raw("a"), raw("x1"), square("x2")]),
-    coef=_shared_coef(MARKER_COEF), residual_sd=MARKER_SD, covariate_names=COVARIATE_NAMES)
+    coef=MARKER_COEF, residual_sd=MARKER_SD, covariate_names=COVARIATE_NAMES)
 # outcome structural model: logit P(Y=1) = 1.5 + 0.5*x2 + 2*x3 - 0.2*s - a - 0.3*b
 OUTCOME_COEF = (1.5, 0.5, 2.0, -0.2, -1.0, -0.3)  # over {1, x2, x3, s, a, b}
 OUTCOME_MODEL = OutcomeModel(
     kind="logistic",
     spec=FeatureSpec([intercept(), raw("x2"), raw("x3"), raw("s"), raw("a"), raw("b")]),
-    coef=_shared_coef(OUTCOME_COEF), covariate_names=COVARIATE_NAMES)
+    coef=OUTCOME_COEF, covariate_names=COVARIATE_NAMES)
 TREATED_PROB = 0.5
 
 # baseline law: x1 ~ Bernoulli(EXPOSED_PROB); B | x1 per scenario, indexed by x1
@@ -253,7 +248,7 @@ def _oracle_integrands(kind: str, scenario: str, query, params: SmoothingParams)
     """
     if kind not in _ORACLE_QUERIES:
         raise InvalidParameterError(f"unknown oracle kind {kind!r}")
-    require_query(query, _ORACLE_QUERIES[kind], f"oracle kind {kind!r}")
+    _require_type(f"oracle kind {kind!r}", "query", query, _ORACLE_QUERIES[kind])
     nuis = true_nuisances(scenario)
     rules = []
     for arm, center, h in query.windows(params):
@@ -363,14 +358,10 @@ class SimConfig:
         object.__setattr__(self, "queries", tuple(self.queries))
         if not self.queries:
             raise InvalidParameterError("need at least one query")
-        if not all(isinstance(q, (StwcrQuery, StwcrveQuery)) for q in self.queries):
-            raise InvalidParameterError("each query must be a StwcrQuery or a StwcrveQuery")
-        if not isinstance(self.params, SmoothingParams):
-            raise InvalidParameterError(
-                f"params must be a SmoothingParams, got {type(self.params).__name__}")
-        if not isinstance(self.model_specs, ModelSpecs):
-            raise InvalidParameterError(
-                f"model_specs must be a ModelSpecs, got {type(self.model_specs).__name__}")
+        for q in self.queries:
+            _require_type("SimConfig", "each query", q, (StwcrQuery, StwcrveQuery))
+        _require_type("SimConfig", "params", self.params, SmoothingParams)
+        _require_type("SimConfig", "model_specs", self.model_specs, ModelSpecs)
 
 
 @dataclass(frozen=True)
@@ -429,28 +420,24 @@ def compute_truths(scenario: str, queries, params: SmoothingParams) -> list[dict
     return out
 
 
-def _default_estimate_fn(data, q, params, folds, model_specs):
-    # resolved by name per call, so a wrapper set on this module's name sees it
-    estimate = estimate_stwcr if isinstance(q, StwcrQuery) else estimate_stwcrve
-    return estimate(data, q, params, folds, model_specs=model_specs).wald
-
-
 def _rep_seeds(master_seed: int, r: int):
     ss = np.random.SeedSequence(master_seed, spawn_key=(r,))
     data_ss, fold_ss = ss.spawn(2)
     return data_ss, int(fold_ss.generate_state(1)[0])
 
 
-def _run_one_rep(config: SimConfig, estimate_fn, r: int):
-    """Replication ``r``: per query ``estimate_fn``'s (estimate, lo, hi, se),
-    or ``("error", message)`` when it raised a StwcrError."""
+def _run_one_rep(config: SimConfig, r: int):
+    """Replication ``r``: per query its estimator's ``wald`` tuple
+    (estimate, lo, hi, se), or ``("error", message)`` when it raised a StwcrError."""
     data_ss, fold_seed = _rep_seeds(config.master_seed, r)
     data = gen_dataset(ScenarioSpec(config.scenario, config.n, data_ss))
     folds = make_folds(config.n, config.k_folds, fold_seed)
     out = []
     for q in config.queries:
+        # resolved by name per call, so a wrapper set on this module's name sees it
+        estimate = estimate_stwcr if isinstance(q, StwcrQuery) else estimate_stwcrve
         try:
-            out.append(estimate_fn(data, q, config.params, folds, config.model_specs))
+            out.append(estimate(data, q, config.params, folds, model_specs=config.model_specs).wald)
         except StwcrError as exc:
             out.append(("error", f"{type(exc).__name__}: {exc}"))
     return out
@@ -465,24 +452,21 @@ def _replication_pool(n_jobs: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=n_jobs, initializer=single_threaded)
 
 
-def run_monte_carlo(config: SimConfig, estimate_fn=None) -> list[MetricsRow]:
+def run_monte_carlo(config: SimConfig) -> list[MetricsRow]:
     """Repeated-sampling bias and coverage for each configured query.
 
     Truths come from :func:`compute_truths`. One ``_run_one_rep`` is mapped
     over the replications, by ``map`` on one job and by a pool of
     ``n_jobs`` processes otherwise. Replication r draws its seeds from the
     master seed by counter-based splitting, so results are independent of
-    worker count and each replication is reproducible in isolation. A
-    custom ``estimate_fn`` runs serially and needs ``n_jobs == 1``. Each
+    worker count and each replication is reproducible in isolation. Each
     query is summarized from its own replications: :class:`HarnessError`,
     naming that query's first errors, when more than 5% of them failed.
     ``pct_bias`` is NaN when the truth is 0.
     """
-    if estimate_fn is not None and config.n_jobs > 1:
-        raise InvalidParameterError("a custom estimate_fn runs serially; set n_jobs=1")
     truths = compute_truths(config.scenario, config.queries, config.params)
 
-    one_rep = functools.partial(_run_one_rep, config, estimate_fn or _default_estimate_fn)
+    one_rep = functools.partial(_run_one_rep, config)
     if config.n_jobs > 1:
         with _replication_pool(config.n_jobs) as pool:
             results = list(pool.map(one_rep, range(config.reps),

@@ -403,6 +403,17 @@ class TestFitOutcome:
         assert warm.kind == "linear"
         assert np.array_equal(warm.coef, cold.coef)
 
+    def test_coef_is_a_read_only_copy(self):
+        ds = gen_dataset(ScenarioSpec("I", 300, 9))
+        coef = np.array([1.5, 0.5, 2.0, -0.2, -1.0, -0.3])
+        model = OutcomeModel(kind="logistic", spec=self.SPEC, coef=coef,
+                             covariate_names=ds.covariate_names)
+        before = model.predict_at(1, ds.s, ds.b, ds.x)
+        coef[:] = 0.0
+        assert np.array_equal(model.predict_at(1, ds.s, ds.b, ds.x), before)
+        assert not model.coef.flags.writeable
+        assert not fit_outcome(ds, self.SPEC).coef.flags.writeable
+
     def test_binary_predictions_bounded(self):
         ds = gen_dataset(ScenarioSpec("I", 1000, 8))
         model = fit_outcome(ds, self.SPEC)

@@ -4,7 +4,9 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +41,6 @@ from stwcr.simulation import (
     MetricsRow,
     ScenarioSpec,
     SimConfig,
-    _default_estimate_fn,
     compute_truths,
     direct_plain_smoothed_risk,
     gamma_truncation_points,
@@ -352,6 +353,20 @@ def _trial(**columns):
     lambda: direct_plain_smoothed_risk("I", 1, 8.0, None, mc_size=1000),
     lambda: SmoothingParams(quad_nodes=64.0),
     lambda: StwcrQuery(1, 10 ** 400),
+    lambda: _trial(y=[10 ** 400] + [0.0] * 99),
+    lambda: FoldAssignment(2, [1, 2, 10 ** 400]),
+    lambda: OutcomeModel(kind="logistic", spec=FeatureSpec([("intercept",)]), coef=["a"]),
+    lambda: CondDensityModel(spec=FeatureSpec([("intercept",)]), coef=None, residual_sd=1.0),
+    lambda: PropensityModel(kind="logistic", spec=FeatureSpec([("intercept",), ("raw", "b")]),
+                            coef=np.zeros(1)),
+    lambda: OutcomeModel(kind="logistic", spec=FeatureSpec([("intercept",), ("raw", "s")]),
+                         coef=np.zeros(1)),
+    lambda: OutcomeModel(kind="logistic", spec=FeatureSpec([("intercept",)]), coef=np.zeros(2)),
+    lambda: CondDensityModel(spec=FeatureSpec([("intercept",)]), coef=np.zeros((1, 1)),
+                             residual_sd=1.0),
+    lambda: PropensityModel(kind="known", prob_treated="0.5"),
+    lambda: replace(true_nuisances("I"), support=(0, 10)),
+    lambda: fit_outcome(_trial().x, FeatureSpec([("intercept",)])),
 ], ids=["query_marker_str", "query_marker_none", "ve_query_marker_str", "query_arm_bool",
         "query_arm_float", "ve_query_arm_bool", "ve_query_arm_float", "kernel_h_bool", "interval_none",
         "interval_str", "known_propensity_str", "spec_list", "config_params_dict",
@@ -366,7 +381,10 @@ def _trial(**columns):
         "ve_query_marker_bool", "interval_lo_bool", "interval_hi_bool", "observation_y_bool",
         "observation_a_bool", "observation_s_bool", "observation_b_bool", "observation_x_bool",
         "residual_sd_bool", "residual_sd_str", "residual_sd_none", "direct_s_bool", "direct_h_bool",
-        "direct_h_str", "direct_h_none", "params_quad_nodes_float", "query_marker_huge_int"])
+        "direct_h_str", "direct_h_none", "params_quad_nodes_float", "query_marker_huge_int",
+        "dataset_y_huge_int", "fold_labels_huge_int", "outcome_coef_str", "cond_density_coef_none",
+        "propensity_coef_short", "outcome_coef_short", "outcome_coef_long", "cond_density_coef_2d",
+        "known_propensity_model_str", "triple_support_tuple", "fit_outcome_data_array"])
 def test_wrong_input_type_is_typed_error_where_it_enters(call):
     with pytest.raises(InvalidParameterError):
         call()
@@ -453,15 +471,16 @@ def test_compute_truths_traced_peak_scenario_II():
 
 
 class TestRunMonteCarlo:
-    def test_forced_truth_stub(self):
+    def test_forced_truth_stub(self, monkeypatch):
         cfg = SimConfig(scenario="I", n=100, reps=1, queries=(StwcrQuery(1, 7.0),),
                         params=PARAMS)
         truth = compute_truths("I", cfg.queries, PARAMS)[0]["truth"]
 
         def forced(data, q, params, folds, model_specs):
-            return truth, truth, truth, 0.0
+            return SimpleNamespace(wald=(truth, truth, truth, 0.0))
 
-        rows = run_monte_carlo(cfg, estimate_fn=forced)
+        monkeypatch.setattr(simulation, "estimate_stwcr", forced)
+        rows = run_monte_carlo(cfg)
         assert rows[0].pct_bias == 0.0
         assert rows[0].coverage == 1.0
 
@@ -490,32 +509,37 @@ class TestRunMonteCarlo:
             calls[0] += 1
             return real(*args, **kwargs)
 
-        def cold(data, q, params, folds, model_specs):
-            # a fresh copy per query, so no query reuses another's fold fits
-            copy = Dataset(y=data.y.copy(), a=data.a.copy(), s=data.s.copy(),
-                           b=data.b.copy(), x=data.x.copy(),
-                           covariate_names=data.covariate_names,
-                           outcome_kind=data.outcome_kind)
-            return _default_estimate_fn(copy, q, params, folds, model_specs)
+        def cold(estimate):
+            def on_a_copy(data, q, params, folds, model_specs):
+                # a fresh copy per query, so no query reuses another's fold fits
+                copy = Dataset(y=data.y.copy(), a=data.a.copy(), s=data.s.copy(),
+                               b=data.b.copy(), x=data.x.copy(),
+                               covariate_names=data.covariate_names,
+                               outcome_kind=data.outcome_kind)
+                return estimate(copy, q, params, folds, model_specs=model_specs)
+            return on_a_copy
 
         monkeypatch.setattr(estimators, "fit_outcome", counting)
         shared = run_monte_carlo(cfg)
         assert calls[0] == cfg.reps * cfg.k_folds
         calls[0] = 0
-        assert run_monte_carlo(cfg, estimate_fn=cold) == shared
+        monkeypatch.setattr(simulation, "estimate_stwcr", cold(estimate_stwcr))
+        monkeypatch.setattr(simulation, "estimate_stwcrve", cold(estimate_stwcrve))
+        assert run_monte_carlo(cfg) == shared
         assert calls[0] == cfg.reps * cfg.k_folds * len(cfg.queries)
 
-    def test_failures_counted_and_capped(self):
+    def test_failures_counted_and_capped(self, monkeypatch):
         cfg = SimConfig(scenario="I", n=100, reps=5, queries=(StwcrQuery(1, 7.0),),
                         params=PARAMS)
 
         def failing(data, q, params, folds, model_specs):
             raise EstimationError("boom")
 
+        monkeypatch.setattr(simulation, "estimate_stwcr", failing)
         with pytest.raises(HarnessError):
-            run_monte_carlo(cfg, estimate_fn=failing)
+            run_monte_carlo(cfg)
 
-    def test_failure_names_only_its_own_query(self):
+    def test_failure_names_only_its_own_query(self, monkeypatch):
         cfg = SimConfig(scenario="I", n=100, reps=20, params=PARAMS,
                         queries=(StwcrQuery(1, 7.0), StwcrQuery(1, 8.0)))
         calls = []
@@ -525,23 +549,14 @@ class TestRunMonteCarlo:
             # s=7 fails once, within the 5% allowed, and s=8 every time
             if q.s == 8.0 or calls.count(q) == 1:
                 raise EstimationError(f"boom at s={q.s:g}")
-            return 0.5, 0.4, 0.6, 0.05
+            return SimpleNamespace(wald=(0.5, 0.4, 0.6, 0.05))
 
+        monkeypatch.setattr(simulation, "estimate_stwcr", failing)
         with pytest.raises(HarnessError) as info:
-            run_monte_carlo(cfg, estimate_fn=failing)
+            run_monte_carlo(cfg)
         message = str(info.value)
         assert message.startswith("20/20 replications failed for STWCR(a=1,s=8); first errors: ")
         assert "s=7" not in message and message.count("boom at s=8") == 3
-
-    def test_custom_estimate_fn_rejects_workers(self):
-        cfg = SimConfig(scenario="I", n=100, reps=2, queries=(StwcrQuery(1, 7.0),),
-                        params=PARAMS, n_jobs=2)
-
-        def forced(data, q, params, folds, model_specs):
-            return 0.5, 0.4, 0.6, 0.05
-
-        with pytest.raises(InvalidParameterError, match="n_jobs"):
-            run_monte_carlo(cfg, estimate_fn=forced)
 
     def test_mixed_queries(self):
         cfg = SimConfig(scenario="I", n=300, reps=2,
