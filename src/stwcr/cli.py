@@ -14,6 +14,12 @@ default, ``--format json``) against exact quadrature truths, over
 columns ``y,a,s,b,x1,x2,x3``, as a CSV that the estimation commands read.
 Failures exit nonzero with a machine-readable error JSON on stderr.
 
+Each query kind comes from its class in ``eif.QUERY_TYPES``: the command
+``estimate-<kind>``, its required query flags (the class's fields, arms
+as integers and markers as numbers), the bandwidth flags it requires
+(``bandwidths``), the ``simulate --query kind:field:...`` text
+(``parse_query``) and the estimator ``estimate_<kind>``.
+
 Flags may also be supplied through ``--config file.json`` holding the
 same keys (dashes as underscores), each value of its flag's type;
 explicit flags win.
@@ -37,9 +43,10 @@ import numpy as np
 
 from . import __version__
 from .core import MAX_QUAD_NODES, SmoothingParams, _is_number
-from .eif import StwcrQuery, StwcrveQuery
+from .eif import QUERY_TYPES, parse_query
 from .errors import DatasetParseError, InvalidParameterError, StwcrError
-from .estimators import ModelSpecs, estimate_stwcr, estimate_stwcrve, make_folds
+# estimate_<kind> is looked up by name in _cmd_estimate
+from .estimators import ModelSpecs, estimate_stwcr, estimate_stwcrve, make_folds  # noqa: F401
 from .nuisance import Dataset
 from .simulation import (
     ScenarioSpec,
@@ -174,29 +181,6 @@ def _scan_rows(path, header, idx):
                         f"{path}: row {i}, column {header[j]!r}: treatment must be 0 or 1, got {cell!r}")
 
 
-def parse_query(text: str):
-    """Parse ``stwcr:a:s`` or ``stwcrve:a1:a0:s1:s0``."""
-    parts = text.split(":")
-    try:
-        if parts[0] == "stwcr" and len(parts) == 3:
-            return StwcrQuery(a=int(parts[1]), s=float(parts[2]))
-        if parts[0] == "stwcrve" and len(parts) == 5:
-            return StwcrveQuery(a1=int(parts[1]), a0=int(parts[2]),
-                                s1=float(parts[3]), s0=float(parts[4]))
-    except ValueError:
-        pass
-    raise InvalidParameterError(
-        f"cannot parse query {text!r}; expected stwcr:a:s or stwcrve:a1:a0:s1:s0")
-
-
-# command -> (help, query flags in query-field order (arms a* are ints, markers
-# s* floats), query type)
-_ESTIMATE_COMMANDS = {
-    "estimate-stwcr": ("risk estimate at one (arm, marker) query", ("a", "s"), StwcrQuery),
-    "estimate-stwcrve": ("relative-efficacy estimate", ("a1", "a0", "s1", "s0"), StwcrveQuery),
-}
-
-
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The parser, and each command's subparser by name."""
     # no prefix matching: `emit-draws --h` would otherwise read as --help
@@ -217,9 +201,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                         help=f"trim threshold (default {SmoothingParams.t})")
         sp.add_argument("--epsilon", type=float, default=None,
                         help=f"indicator smoothing scale (default {SmoothingParams.epsilon})")
-        sp.add_argument("--h", type=float, default=None)
-        sp.add_argument("--h0", type=float, default=None)
-        sp.add_argument("--h1", type=float, default=None)
+        for name, kind in ((h, cls.kind) for cls in QUERY_TYPES.values() for h in cls.bandwidths):
+            sp.add_argument(f"--{name}", type=float, default=None, help=f"bandwidth of a {kind} query")
         sp.add_argument("--alpha", type=float, default=None,
                         help=f"CI miscoverage (default {SmoothingParams.alpha})")
         sp.add_argument("--quad-nodes", type=int, default=None,
@@ -243,11 +226,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         sp.add_argument("--x-cols", default=None, help="comma-separated covariate columns")
         sp.add_argument("--outcome-kind", choices=("binary", "continuous"), default=None)
 
-    for command, (help_text, query_args, _) in _ESTIMATE_COMMANDS.items():
-        sp = sub.add_parser(command, help=help_text, allow_abbrev=False)
+    for kind, query_type in QUERY_TYPES.items():
+        fields = query_type.field_types()
+        sp = sub.add_parser(f"estimate-{kind}", allow_abbrev=False,
+                            help=f"{kind.upper()} estimate at ({', '.join(fields)})")
         add_columns(sp)
-        for name in query_args:
-            sp.add_argument(f"--{name}", type=int if name.startswith("a") else float, required=True)
+        for name, typ in fields.items():
+            sp.add_argument(f"--{name}", type=typ, required=True)
         add_estimation(sp)
 
     sp = sub.add_parser("simulate", help="bias/coverage Monte Carlo", allow_abbrev=False)
@@ -324,14 +309,11 @@ def _given(args, **fields) -> dict:
 
 def _params_from(args, queries) -> SmoothingParams:
     """The smoothing flags as SmoothingParams; each bandwidth that one of
-    ``queries`` needs (h for a risk query, h0 and h1 for relative efficacy)
-    is a required flag."""
+    ``queries`` needs, its ``bandwidths``, is a required flag."""
     given = _given(args, t="t", epsilon="epsilon", h="h", h0="h0", h1="h1", alpha="alpha",
                    quad_nodes="quad_nodes", window="window_halfwidth_in_h")
     params = SmoothingParams(**given)
-    need = {name for q in queries
-            for name in (("h",) if isinstance(q, StwcrQuery) else ("h0", "h1"))}
-    for name in sorted(need):
+    for name in sorted({name for q in queries for name in q.bandwidths}):
         if getattr(params, name) is None:
             raise InvalidParameterError(f"--{name} is required for this command")
     return params
@@ -353,58 +335,38 @@ def _dataset_from_args(args) -> Dataset:
     return load_dataset(args.input, column_map, outcome_kind=getattr(args, "outcome_kind", None))
 
 
-def _report_json(command, params, query_dict, extra) -> str:
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "timestamp": datetime.datetime.now().isoformat(),
-        "params": dataclasses.asdict(params),
-        "query": query_dict,
-    }
-    report.update(extra)
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
 def _cmd_estimate(args) -> int:
-    _, query_args, query_type = _ESTIMATE_COMMANDS[args.command]
-    # resolved by name per call, so a wrapper set on this module's name sees it
-    estimate = estimate_stwcr if query_type is StwcrQuery else estimate_stwcrve
-    query = query_type(**{name: getattr(args, name) for name in query_args})
+    query_type = QUERY_TYPES[args.command.removeprefix("estimate-")]
+    query = query_type(**{name: getattr(args, name) for name in query_type.field_types()})
     data = _dataset_from_args(args)
     params = _params_from(args, (query,))
     seed = args.seed if args.seed is not None else 0
     k = args.folds if args.folds is not None else SimConfig.k_folds
     folds = make_folds(len(data), k, seed)
     specs = ModelSpecs(**_given(args, known_propensity="propensity"))
-    rep = estimate(data, query, params, folds, model_specs=specs)
-    extra = {"input": args.input, "k_folds": k, "fold_seed": seed, **dataclasses.asdict(rep)}
-    _emit(_report_json(args.command, params, dataclasses.asdict(query), extra), args.out)
+    # estimate_<kind> resolved by name per call, so a wrapper set on this module's name sees it
+    rep = globals()[f"estimate_{query.kind}"](data, query, params, folds, model_specs=specs)
+    report = {"schema_version": SCHEMA_VERSION, "command": args.command,
+              "timestamp": datetime.datetime.now().isoformat(), "params": dataclasses.asdict(params),
+              "query": dataclasses.asdict(query), "input": args.input, "k_folds": k,
+              "fold_seed": seed, **dataclasses.asdict(rep)}
+    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
-def _queries_from(args):
+def _cmd_simulate(args) -> int:
     if not args.query:
         raise InvalidParameterError("at least one --query is required")
-    return tuple(parse_query(q) for q in args.query)
-
-
-def _sim_config_from(args) -> SimConfig:
-    queries = _queries_from(args)
-    params = _params_from(args, queries)
-    return SimConfig(
+    queries = tuple(parse_query(q) for q in args.query)
+    config = SimConfig(
         scenario=args.scenario,
         n=args.n if args.n is not None else 1000,
         reps=args.reps if args.reps is not None else 1,
-        queries=queries, params=params,
+        queries=queries, params=_params_from(args, queries),
         model_specs=ModelSpecs(**_given(args, known_propensity="propensity")),
         **_given(args, folds="k_folds", seed="master_seed", threads="n_jobs"))
-
-
-def _cmd_simulate(args) -> int:
-    config = _sim_config_from(args)
     rows = run_monte_carlo(config)
-    fmt = args.format or "csv"
-    if fmt == "json":
+    if args.format == "json":
         payload = [{"scenario": config.scenario, "n": config.n, **dataclasses.asdict(r)}
                    for r in rows]
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
@@ -435,8 +397,7 @@ def _cmd_emit_draws(args) -> int:
 
 
 _COMMANDS = {
-    "estimate-stwcr": _cmd_estimate,
-    "estimate-stwcrve": _cmd_estimate,
+    **{f"estimate-{kind}": _cmd_estimate for kind in QUERY_TYPES},
     "simulate": _cmd_simulate,
     "emit-draws": _cmd_emit_draws,
 }

@@ -59,7 +59,8 @@ class SmoothingParams:
     ``h`` is the bandwidth for single-marker risk queries; ``h0``/``h1``
     are the comparator-side and investigational-side bandwidths for
     relative-efficacy queries. Bandwidths not needed by a given query may
-    be left unset. ``quad_nodes`` is an integer in 8..``MAX_QUAD_NODES``.
+    be left unset; a query's ``bandwidths`` names those it needs.
+    ``quad_nodes`` is an integer in 8..``MAX_QUAD_NODES``.
     """
 
     t: float = 0.1
@@ -83,16 +84,6 @@ class SmoothingParams:
         window = self.window_halfwidth_in_h  # may be inf: a bounded support clips the window
         if not (_is_number(window, finite=False) and window >= 4.0):
             raise InvalidParameterError(f"window_halfwidth_in_h must be >= 4, got {window!r}")
-
-    def require_h(self) -> float:
-        if self.h is None:
-            raise InvalidParameterError("this query needs the single bandwidth h")
-        return self.h
-
-    def require_h0_h1(self) -> tuple[float, float]:
-        if self.h0 is None or self.h1 is None:
-            raise InvalidParameterError("this query needs both bandwidths h0 and h1")
-        return self.h0, self.h1
 
     def with_(self, **kwargs) -> "SmoothingParams":
         return replace(self, **kwargs)

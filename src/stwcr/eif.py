@@ -19,6 +19,14 @@ double integrals factor over the two marker arguments but are evaluated
 here by tensor-product quadrature in the reference path so each displayed
 term maps to one code block.
 
+Each query kind's facts live on its class: ``kind`` (the functional's
+name, the CLI's query prefix and command suffix), ``bandwidths``,
+``label``, ``windows`` and ``functional``. ``parse_query`` reads a
+query's ``kind:field:...`` text and ``QUERY_TYPES`` gives each class by
+its kind. The CLI, the harness and the oracle read these and branch on no
+query type; only the influence values here, the estimators and the
+oracle's combination of its integrals keep per-kind code.
+
 ``eif_stwcr`` / ``eif_stwcrve`` are single-observation reference
 implementations. The ``*_batch`` variants vectorize over observations and
 are what the cross-fitting estimators call; tests pin them to the
@@ -36,7 +44,7 @@ twice in a row on its arm, until that arm is asked another window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +54,7 @@ from .core import (
     SmoothingParams,
     _is_arm,
     _is_number,
+    _require_type,
     integrate_kernel_weighted,
     integrate_kernel_weighted_2d,
     kernel_weight,
@@ -60,8 +69,10 @@ from .parallel import map_row_blocks
 
 __all__ = [
     "EifPair",
+    "QUERY_TYPES",
     "StwcrQuery",
     "StwcrveQuery",
+    "parse_query",
     "eif_stwcr",
     "eif_stwcrve",
     "eif_stwcr_batch",
@@ -81,50 +92,125 @@ class EifPair:
             raise EvaluationError("influence values must be finite")
 
 
+class _Query:
+    """What a query kind knows of itself (see the module docstring).
+
+    Each subclass sets ``kind`` and ``bandwidths`` as class constants, not
+    dataclass fields, so a query's repr and ``dataclasses.asdict`` hold its
+    fields alone. Each field is checked as its ``field_types`` type reads
+    it: an arm is the integer 0 or 1, a marker a finite number.
+    """
+
+    @classmethod
+    def field_types(cls) -> dict:
+        """Each field's name and the type its text parses as: an int for an arm
+        ``a*``, a float for a marker ``s*``."""
+        return {f.name: int if f.name.startswith("a") else float for f in fields(cls)}
+
+    def __post_init__(self):
+        for name, typ in self.field_types().items():
+            value = getattr(self, name)
+            if typ is int and not _is_arm(value):
+                raise InvalidParameterError(f"query arm {name} must be an integer 0 or 1, got {value!r}")
+            if typ is float and not _is_number(value):
+                raise InvalidParameterError(
+                    f"query marker level {name} must be a finite number, got {value!r}")
+
+    @property
+    def label(self) -> str:
+        """``STWCR(a=1,s=7)``: each marker as ``:g`` writes it when that reads
+        back as the same float, else as its shortest round-trip repr, so
+        distinct markers never share a label."""
+        values = (f"{name}={getattr(self, name) if typ is int else _marker_label(getattr(self, name))}"
+                  for name, typ in self.field_types().items())
+        return f"{self.kind.upper()}({','.join(values)})"
+
+    def _bandwidths(self, params: SmoothingParams) -> tuple:
+        """The values in ``params`` of ``bandwidths``; InvalidParameterError when one is unset."""
+        if any(getattr(params, name) is None for name in self.bandwidths):
+            raise InvalidParameterError(
+                f"a {self.kind} query needs the bandwidths {' and '.join(self.bandwidths)}")
+        return tuple(getattr(params, name) for name in self.bandwidths)
+
+
+def _marker_label(s) -> str:
+    s = float(s)  # a numpy float's repr names its type; a Fraction has no :g
+    short = f"{s:g}"
+    return short if float(short) == s else repr(s)
+
+
 @dataclass(frozen=True)
-class StwcrQuery:
+class StwcrQuery(_Query):
     """Risk query: arm and marker level."""
+
+    kind = "stwcr"
+    bandwidths = ("h",)
 
     a: int
     s: float
 
-    def __post_init__(self):
-        if not _is_arm(self.a):
-            raise InvalidParameterError(f"query arm a must be an integer 0 or 1, got {self.a!r}")
-        if not _is_number(self.s):
-            raise InvalidParameterError(f"query marker level s must be a finite number, got {self.s!r}")
-
     def windows(self, params: SmoothingParams):
         """The query's one ``(arm, center, h)`` kernel window."""
-        return ((self.a, self.s, params.require_h()),)
+        (h,) = self._bandwidths(params)
+        return ((self.a, self.s, h),)
+
+    @staticmethod
+    def functional(num: float, den: float) -> float:
+        """The trimmed risk, num / den."""
+        return num / den
 
 
 @dataclass(frozen=True)
-class StwcrveQuery:
+class StwcrveQuery(_Query):
     """Relative-efficacy query: (investigational arm, comparator arm, markers)."""
+
+    kind = "stwcrve"
+    bandwidths = ("h0", "h1")
 
     a1: int
     a0: int
     s1: float
     s0: float
 
-    def __post_init__(self):
-        if not (_is_arm(self.a1) and _is_arm(self.a0)):
-            raise InvalidParameterError(
-                f"query arms a1 and a0 must be integers 0 or 1, got {self.a1!r} and {self.a0!r}")
-        if not (_is_number(self.s1) and _is_number(self.s0)):
-            raise InvalidParameterError(
-                f"query marker levels s1 and s0 must be finite numbers, got {self.s1!r} and {self.s0!r}")
-
     def windows(self, params: SmoothingParams):
         """The comparator's ``(arm, center, h)`` kernel window, then the
         investigational arm's; a symmetric query's two are equal."""
-        h0, h1 = params.require_h0_h1()
+        h0, h1 = self._bandwidths(params)
         return (self.a0, self.s0, h0), (self.a1, self.s1, h1)
+
+    @staticmethod
+    def functional(num: float, den: float) -> float:
+        """The relative efficacy, 1 - num / den."""
+        return 1.0 - num / den
+
+
+# each query class by its kind
+QUERY_TYPES = {cls.kind: cls for cls in (StwcrQuery, StwcrveQuery)}
+
+
+def parse_query(text: str):
+    """The query that ``kind:field:...`` text names, its fields in order:
+    ``stwcr:a:s`` or ``stwcrve:a1:a0:s1:s0``."""
+    _require_type("parse_query", "text", text, str)
+    kind, *values = text.split(":")
+    query_type = QUERY_TYPES.get(kind)
+    if query_type is not None and len(values) == len(query_type.field_types()):
+        try:  # an InvalidParameterError from the query is a ValueError too
+            return query_type(*(typ(v) for typ, v in zip(query_type.field_types().values(), values)))
+        except ValueError:
+            pass
+    forms = " or ".join(":".join((cls.kind, *cls.field_types())) for cls in QUERY_TYPES.values())
+    raise InvalidParameterError(f"cannot parse query {text!r}; expected {forms}")
 
 
 def _obs_arrays(obs: Observation):
     return (np.asarray([obs.b]), np.asarray([obs.x], dtype=float))
+
+
+def _require_obs_args(caller: str, obs, q, query_type, nuis, params) -> None:
+    for name, value, cls in (("obs", obs, Observation), ("q", q, query_type),
+                             ("nuis", nuis, NuisanceTriple), ("params", params, SmoothingParams)):
+        _require_type(caller, name, value, cls)
 
 
 def _check_finite(name: str, value):
@@ -136,7 +222,8 @@ def _check_finite(name: str, value):
 def eif_stwcr(obs: Observation, q: StwcrQuery, nuis: NuisanceTriple,
               params: SmoothingParams) -> EifPair:
     """Influence values for one observation under a single-arm risk query."""
-    h = params.require_h()
+    _require_obs_args("eif_stwcr", obs, q, StwcrQuery, nuis, params)
+    (h,) = q._bandwidths(params)
     t, eps = params.t, params.epsilon
     b1, x1 = _obs_arrays(obs)
     cond, outc, prop = nuis.cond_density, nuis.outcome, nuis.propensity
@@ -188,7 +275,8 @@ def eif_stwcrve(obs: Observation, q: StwcrveQuery, nuis: NuisanceTriple,
     integrals run over the arm whose observation term collapsed; double
     integrals use tensor-product quadrature, one call per displayed term.
     """
-    h0, h1 = params.require_h0_h1()
+    _require_obs_args("eif_stwcrve", obs, q, StwcrveQuery, nuis, params)
+    h0, h1 = q._bandwidths(params)
     t, eps = params.t, params.epsilon
     b1, x1 = _obs_arrays(obs)
     cond, outc, prop = nuis.cond_density, nuis.outcome, nuis.propensity
@@ -329,20 +417,25 @@ def local_terms(y, a, s, b, x, arm, nuis: NuisanceTriple, t, eps) -> LocalTerms:
     return LocalTerms(ind, dphi_S, dphi_S * r_S + (phi_S / floored) * (y - r_S), floor_hits)
 
 
-def _arm_terms(rows, windows, nuis: NuisanceTriple, params: SmoothingParams, terms: dict):
+def _arm_terms(rows, q, nuis: NuisanceTriple, params: SmoothingParams, terms: dict | None):
     """``(local, plain, weighted, ints)`` for each kernel window ``(arm,
-    center, h)`` of a query, on ``rows`` (y, a, s, b, x).
+    center, h)`` of query ``q``, on ``rows`` (y, a, s, b, x).
 
-    ``local`` is the arm's ``LocalTerms``, read from ``terms`` under the arm,
-    and ``ints`` the window's ``_kernel_integrals_1d`` dict, read under the
-    window; whatever is missing is made and added to ``terms``, every arm's
+    ``local`` is the arm's ``LocalTerms``, read from ``terms`` (a new dict
+    when None) under the arm, and ``ints`` the window's
+    ``_kernel_integrals_1d`` dict, read under the window; whatever is
+    missing is made and added to ``terms``, every arm's
     local terms before any window's grid, so that terms a caller keeps are
     not allocated among the grid blocks' short-lived arrays.
     ``plain = k*dphi - int g`` and ``weighted = k*local - int g*r`` pair the
     observation-local terms, weighted by the kernel k at S, with their
     correction integrals.
     """
-    _, _, s, b, x = rows
+    windows = q.windows(params)
+    terms = {} if terms is None else terms
+    y, a, s, b, x = rows
+    y, s, b, x = (np.asarray(v, dtype=float) for v in (y, s, b, x))
+    rows = y, np.asarray(a), s, b, x
     for arm, _, _ in windows:
         if arm not in terms:
             terms[arm] = local_terms(*rows, arm, nuis, params.t, params.epsilon)
@@ -358,11 +451,6 @@ def _arm_terms(rows, windows, nuis: NuisanceTriple, params: SmoothingParams, ter
     return out
 
 
-def _float_rows(y, a, s, b, x):
-    y, s, b, x = (np.asarray(v, dtype=float) for v in (y, s, b, x))
-    return y, np.asarray(a), s, b, x
-
-
 def eif_stwcr_batch(y, a, s, b, x, q: StwcrQuery, nuis: NuisanceTriple,
                     params: SmoothingParams, *, _terms=None):
     """Vectorized influence values for a risk query.
@@ -375,10 +463,7 @@ def eif_stwcr_batch(y, a, s, b, x, q: StwcrQuery, nuis: NuisanceTriple,
     quad_nodes and window half-width; what the query needs and it lacks is
     made here and added to it.
     """
-    windows = q.windows(params)
-    rows = _float_rows(y, a, s, b, x)
-    ((loc, plain, weighted, ints),) = _arm_terms(rows, windows, nuis, params,
-                                                 {} if _terms is None else _terms)
+    ((loc, plain, weighted, ints),) = _arm_terms((y, a, s, b, x), q, nuis, params, _terms)
     den = loc.ind * plain + ints["phi"]
     num = loc.ind * weighted + ints["phi_r"]
     _check_finite("risk influence values", num)
@@ -395,10 +480,8 @@ def eif_stwcrve_batch(y, a, s, b, x, q: StwcrveQuery, nuis: NuisanceTriple,
     num == den exactly: its second arm finds both its terms made by the
     first. ``_terms`` is as for ``eif_stwcr_batch``.
     """
-    windows = q.windows(params)
-    rows = _float_rows(y, a, s, b, x)
     (loc0, plain0, weighted0, i0), (loc1, plain1, weighted1, i1) = _arm_terms(
-        rows, windows, nuis, params, {} if _terms is None else _terms)
+        (y, a, s, b, x), q, nuis, params, _terms)
     ind0, ind1 = loc0.ind, loc1.ind
     # numerator: r at a1; denominator: r at a0
     num = ind0 * i1["phi_r"] * plain0 + ind1 * i0["phi"] * weighted1 + i0["phi"] * i1["phi_r"]

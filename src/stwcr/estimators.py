@@ -375,11 +375,13 @@ class _Influence(NamedTuple):
         return ratio, _sample_var((self.num - ratio * self.den) / self.tau_den)
 
 
-def _influence(caller: str, query_type, batch_fn, data: Dataset, query, params: SmoothingParams,
+def _influence(query_type, batch_fn, data: Dataset, query, params: SmoothingParams,
                folds: FoldAssignment, specs: ModelSpecs, nuisances) -> _Influence:
-    """``caller``'s arguments checked, then ``batch_fn``'s influence values for
-    all rows, part by part: each fold, or with injected ``nuisances`` one
-    uncached part of all rows. EstimationError unless tau_den > 0."""
+    """The arguments of ``query_type``'s ``estimate_<kind>`` checked, then
+    ``batch_fn``'s influence values for all rows, part by part: each fold, or
+    with injected ``nuisances`` one uncached part of all rows.
+    EstimationError unless tau_den > 0."""
+    caller = f"estimate_{query_type.kind}"
     for name, value, cls in (("q", query, query_type), ("data", data, Dataset),
                              ("params", params, SmoothingParams), ("folds", folds, FoldAssignment),
                              ("model_specs", specs, ModelSpecs)):
@@ -431,8 +433,7 @@ def estimate_stwcr(data: Dataset, q: StwcrQuery, params: SmoothingParams,
     Pass ``nuisances`` to skip fitting and evaluate a known (oracle)
     nuisance triple on every observation instead.
     """
-    inf = _influence("estimate_stwcr", StwcrQuery, eif_stwcr_batch,
-                     data, q, params, folds, model_specs, nuisances)
+    inf = _influence(StwcrQuery, eif_stwcr_batch, data, q, params, folds, model_specs, nuisances)
     n, z = len(data), float(ndtri(1.0 - params.alpha / 2.0))
     tau, sigma1_sq = inf.ratio_var()
     se = float(np.sqrt(sigma1_sq / n))
@@ -454,8 +455,7 @@ def estimate_stwcrve(data: Dataset, q: StwcrveQuery, params: SmoothingParams,
     Log-scale intervals are primary; when rho_hat <= 0 the log transform
     is unavailable and a direct-scale interval is reported with a warning.
     """
-    inf = _influence("estimate_stwcrve", StwcrveQuery, eif_stwcrve_batch,
-                     data, q, params, folds, model_specs, nuisances)
+    inf = _influence(StwcrveQuery, eif_stwcrve_batch, data, q, params, folds, model_specs, nuisances)
     n, z = len(data), float(ndtri(1.0 - params.alpha / 2.0))
     rho, sigma2_sq = inf.ratio_var()
     delta = 1.0 - rho

@@ -525,7 +525,10 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
     ``_FIT_BLOCK_ROWS`` rows cut from each range by ``row_blocks``, so no
     step holds more than one block's weighted design.
     """
-    X = np.asarray(design, dtype=float)
+    X = np.asarray(design)
+    if X.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"design must hold numbers, got dtype {X.dtype}")
+    X = np.asarray(X, dtype=float)  # no copy of a float64 design
     if X.ndim != 2 or X.shape[1] == 0:
         raise InvalidParameterError(
             f"design must be 2-D with at least one column, got shape {X.shape}")

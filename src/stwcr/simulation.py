@@ -18,6 +18,12 @@ It needs no sample size or seed and never touches the influence code.
 ``oracle_estimand`` averages the same integrands over Monte Carlo draws,
 in row blocks on threads; ``direct_plain_smoothed_risk`` samples marker
 values straight from the kernel, with no quadrature: two cross-checks.
+
+A query's facts come from its class in ``eif``: a metrics row's ``label``,
+the truth from a numerator and denominator (``functional``), and the
+estimator ``estimate_<kind>`` each replication calls. Only
+``_oracle_integrands`` branches on the query's kind, to combine its
+windows' integrals, which share no code with the influence values.
 """
 
 from __future__ import annotations
@@ -32,9 +38,10 @@ from scipy.special import gammaincinv, gammaln, xlogy
 
 from .core import (Interval, SmoothingParams, _require_int, _require_positive, _require_type, quad_rule,
                    smooth_indicator)
-from .eif import StwcrQuery, StwcrveQuery
+from .eif import QUERY_TYPES, StwcrQuery, StwcrveQuery
 from .errors import HarnessError, InvalidParameterError, StwcrError
-from .estimators import ModelSpecs, estimate_stwcr, estimate_stwcrve, make_folds
+# estimate_<kind> is looked up by name in _run_one_rep
+from .estimators import ModelSpecs, estimate_stwcr, estimate_stwcrve, make_folds  # noqa: F401
 from .nuisance import (
     CondDensityModel,
     Dataset,
@@ -59,7 +66,6 @@ __all__ = [
     "direct_plain_smoothed_risk",
     "compute_truths",
     "run_monte_carlo",
-    "query_label",
 ]
 
 COVARIATE_NAMES = ("x1", "x2", "x3")
@@ -104,7 +110,7 @@ def gamma_truncation_points() -> tuple[float, float]:
 
 
 def _require_scenario(scenario) -> None:
-    if scenario not in ("I", "II", "III"):
+    if not (isinstance(scenario, str) and scenario in ("I", "II", "III")):
         raise InvalidParameterError(f"scenario must be I, II, or III, got {scenario!r}")
 
 
@@ -236,7 +242,20 @@ def _baseline_blocks(rng: np.random.Generator, mc_size: int, scenario: str):
         yield _draw_baseline(rng, min(_ORACLE_BLOCK, mc_size - done), scenario)
 
 
-def _oracle_integrands(kind: str, scenario: str, query, params: SmoothingParams):
+def _require_truth_args(caller: str, scenario, queries, params) -> tuple:
+    """The checks that ``compute_truths`` and ``SimConfig`` share: a known
+    ``scenario``, ``queries`` a tuple or list of queries and ``params`` a
+    SmoothingParams, else an InvalidParameterError naming the argument.
+    Returns ``queries`` as a tuple."""
+    _require_scenario(scenario)
+    _require_type(caller, "queries", queries, (tuple, list))
+    for q in queries:
+        _require_type(caller, "each query", q, tuple(QUERY_TYPES.values()))
+    _require_type(caller, "params", params, SmoothingParams)
+    return tuple(queries)
+
+
+def _oracle_integrands(scenario: str, query, params: SmoothingParams):
     """The query's defining integrands under the true nuisances.
 
     Returns ``terms(b, x) -> (u, v)``: per baseline point, the numerator and
@@ -244,11 +263,9 @@ def _oracle_integrands(kind: str, scenario: str, query, params: SmoothingParams)
     functional's numerator and denominator. Each is a kernel-quadrature
     integral, over one of the query's ``windows``, of the smoothed trimming
     weight, times the outcome risk in the numerator. Independent of the
-    influence-value code path.
+    influence-value code path. The one branch on the query's kind outside
+    ``eif`` and ``estimators`` is here: how its windows' integrals combine.
     """
-    if kind not in _ORACLE_QUERIES:
-        raise InvalidParameterError(f"unknown oracle kind {kind!r}")
-    _require_type(f"oracle kind {kind!r}", "query", query, _ORACLE_QUERIES[kind])
     nuis = true_nuisances(scenario)
     rules = []
     for arm, center, h in query.windows(params):
@@ -265,7 +282,7 @@ def _oracle_integrands(kind: str, scenario: str, query, params: SmoothingParams)
             phi = smooth_indicator(pi, params.t, params.epsilon)
             r = nuis.outcome.predict_at(arm, nodes, b, x)
             per_arm.append((phi @ wk, (phi * r) @ wk))
-        if kind == "stwcr":
+        if query.kind == "stwcr":
             plain, weighted = per_arm[0]
             return weighted, plain
         (plain0, weighted0), (plain1, weighted1) = per_arm
@@ -282,9 +299,15 @@ def oracle_estimand(kind: str, scenario: str, query, params: SmoothingParams,
     Averages the defining kernel-quadrature integrals under the true
     nuisances over ``mc_size`` baseline draws. Independent of the
     influence-value code path, and of the baseline quadrature behind
-    :func:`compute_truths`, which it cross-checks.
+    :func:`compute_truths`, which it cross-checks. ``kind`` must be the
+    query's: "stwcr" for a risk query, "stwcrve_num_den" for a
+    relative-efficacy one, whose ratio is its rho.
     """
-    terms = _oracle_integrands(kind, scenario, query, params)
+    if not (isinstance(kind, str) and kind in _ORACLE_QUERIES):
+        raise InvalidParameterError(f"unknown oracle kind {kind!r}")
+    _require_type(f"oracle kind {kind!r}", "query", query, _ORACLE_QUERIES[kind])
+    _require_type("oracle_estimand", "params", params, SmoothingParams)
+    terms = _oracle_integrands(scenario, query, params)
     _require_int("mc_size", mc_size, 100_000)
     _require_int("seed", seed, 0)
     sums = np.zeros(5)  # sum u, sum v, sum u^2, sum v^2, sum u*v
@@ -346,7 +369,10 @@ class SimConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
-        _require_scenario(self.scenario)
+        queries = _require_truth_args("SimConfig", self.scenario, self.queries, self.params)
+        object.__setattr__(self, "queries", queries)
+        if not queries:
+            raise InvalidParameterError("need at least one query")
         _require_int("n", self.n, 50)
         _require_int("k_folds", self.k_folds, 2)
         if self.k_folds > self.n:
@@ -355,12 +381,6 @@ class SimConfig:
         _require_int("reps", self.reps, 1)
         _require_int("n_jobs", self.n_jobs, 1)
         _require_int("master_seed", self.master_seed, 0)
-        object.__setattr__(self, "queries", tuple(self.queries))
-        if not self.queries:
-            raise InvalidParameterError("need at least one query")
-        for q in self.queries:
-            _require_type("SimConfig", "each query", q, (StwcrQuery, StwcrveQuery))
-        _require_type("SimConfig", "params", self.params, SmoothingParams)
         _require_type("SimConfig", "model_specs", self.model_specs, ModelSpecs)
 
 
@@ -378,34 +398,19 @@ class MetricsRow:
     failed: int = 0
 
 
-def _marker_label(s) -> str:
-    """``s`` as ``:g`` writes it when that reads back as the same float, else
-    as its shortest round-trip repr, so distinct markers never share a label."""
-    s = float(s)  # a numpy float's repr names its type; a Fraction has no :g
-    short = f"{s:g}"
-    return short if float(short) == s else repr(s)
-
-
-def query_label(q) -> str:
-    if isinstance(q, StwcrQuery):
-        return f"STWCR(a={q.a},s={_marker_label(q.s)})"
-    return f"STWCRVE(a1={q.a1},a0={q.a0},s1={_marker_label(q.s1)},s0={_marker_label(q.s0)})"
-
-
 def compute_truths(scenario: str, queries, params: SmoothingParams) -> list[dict]:
     """Exact truth per query, in query order: ``{"truth", "num", "den"}``.
 
     ``num`` and ``den`` are the means of the defining integrands under the
     baseline law, by deterministic quadrature over that law (see
     ``_baseline_grid``); ``truth`` is their ratio for a risk query and
-    1 - ratio for a relative-efficacy query.
+    1 - ratio for a relative-efficacy query (the query's ``functional``).
     """
-    _require_scenario(scenario)
+    queries = _require_truth_args("compute_truths", scenario, queries, params)
     w, b, x = _baseline_grid(scenario)
     out = []
     for q in queries:
-        kind = "stwcr" if isinstance(q, StwcrQuery) else "stwcrve_num_den"
-        terms = _oracle_integrands(kind, scenario, q, params)
+        terms = _oracle_integrands(scenario, q, params)
         num = den = 0.0
         for lo in range(0, w.size, _ORACLE_BLOCK):
             blk = slice(lo, lo + _ORACLE_BLOCK)
@@ -415,8 +420,7 @@ def compute_truths(scenario: str, queries, params: SmoothingParams) -> list[dict
             # not w @ u: OpenBLAS's ddot rounds differently per thread count
             num += float(np.sum(w[blk] * u))
             den += float(np.sum(w[blk] * v))
-        ratio = num / den
-        out.append({"truth": ratio if kind == "stwcr" else 1.0 - ratio, "num": num, "den": den})
+        out.append({"truth": q.functional(num, den), "num": num, "den": den})
     return out
 
 
@@ -434,8 +438,8 @@ def _run_one_rep(config: SimConfig, r: int):
     folds = make_folds(config.n, config.k_folds, fold_seed)
     out = []
     for q in config.queries:
-        # resolved by name per call, so a wrapper set on this module's name sees it
-        estimate = estimate_stwcr if isinstance(q, StwcrQuery) else estimate_stwcrve
+        # estimate_<kind> resolved by name per call, so a wrapper set on this module's name sees it
+        estimate = globals()[f"estimate_{q.kind}"]
         try:
             out.append(estimate(data, q, config.params, folds, model_specs=config.model_specs).wald)
         except StwcrError as exc:
@@ -476,7 +480,7 @@ def run_monte_carlo(config: SimConfig) -> list[MetricsRow]:
 
     rows = []
     for q, truth, outcomes in zip(config.queries, (t["truth"] for t in truths), zip(*results)):
-        label = query_label(q)
+        label = q.label
         errors = [f"rep {r}, {label}: {out[1]}" for r, out in enumerate(outcomes)
                   if out[0] == "error"]
         if len(errors) > 0.05 * config.reps:

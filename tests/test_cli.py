@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -5,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stwcr import estimators
-from stwcr.cli import _build_parser, load_dataset, main, parse_query
+from stwcr.cli import _build_parser, _params_from, load_dataset, main, parse_query
 from stwcr.core import SmoothingParams
-from stwcr.eif import StwcrQuery, StwcrveQuery
+from stwcr.eif import QUERY_TYPES, StwcrQuery, StwcrveQuery
 from stwcr.errors import DatasetParseError, InvalidParameterError
 from stwcr.estimators import (
     StwcrReport,
@@ -205,6 +207,60 @@ class TestParseQuery:
         for bad in ("stwcr:1", "stwcrve:1:0:8", "risky:1:7", "stwcr:x:7"):
             with pytest.raises(InvalidParameterError):
                 parse_query(bad)
+
+
+def _query_of(query_type):
+    return st.builds(query_type, **{
+        name: st.sampled_from((0, 1)) if typ is int else st.floats(allow_nan=False, allow_infinity=False)
+        for name, typ in query_type.field_types().items()})
+
+
+_QUERIES = st.sampled_from(tuple(QUERY_TYPES.values())).flatmap(_query_of)
+_PARSER, _COMMANDS = _build_parser()
+
+
+class TestQuerySurface:
+    """What each query kind tells the CLI and the harness, for drawn arms and finite markers."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=_QUERIES, other=_QUERIES)
+    def test_text_label_bandwidths_and_flags(self, q, other):
+        types = q.field_types()
+        # values as text: an arm as its integer, a marker as its round-trip repr
+        text = {name: str(getattr(q, name)) if typ is int else repr(float(getattr(q, name)))
+                for name, typ in types.items()}
+        assert parse_query(":".join((q.kind, *text.values()))) == q
+
+        # STWCR(a=1,s=7): each field in order, each marker a float that reads back as itself
+        match = re.fullmatch(rf"{q.kind.upper()}\(" + ",".join(f"{name}=([^,]+)" for name in types)
+                             + r"\)", q.label)
+        assert match is not None, q.label
+        for (name, typ), written in zip(types.items(), match.groups()):
+            assert typ(written) == getattr(q, name)
+        assert q == other or q.label != other.label
+        marker = next(name for name, typ in types.items() if typ is float)
+        value = getattr(q, marker)
+        nudged = dataclasses.replace(q, **{marker: math.nextafter(value, 0.0 if value else 1.0)})
+        assert nudged.label != q.label
+
+        # --h, or --h0 and --h1: exactly the query's bandwidths are required
+        unset = {"t": None, "epsilon": None, "alpha": None, "quad_nodes": None, "window": None}
+        for name in ("h", "h0", "h1"):
+            others = {h: 0.1 for h in ("h", "h0", "h1") if h != name}
+            args = argparse.Namespace(**unset, **others, **{name: None})
+            if name in q.bandwidths:
+                with pytest.raises(InvalidParameterError, match=f"--{name} is required"):
+                    _params_from(args, (q,))
+            else:
+                _params_from(args, (q,))
+
+        # estimate-<kind> requires --input and the query's fields, and reads them back
+        command = f"estimate-{q.kind}"
+        required = {action.dest for action in _COMMANDS[command]._actions if action.required}
+        assert required == {"input", *types}
+        args = _PARSER.parse_args([command, "--input", "trial.csv",
+                                   *(f"--{name}={value}" for name, value in text.items())])
+        assert type(q)(**{name: getattr(args, name) for name in types}) == q
 
 
 @pytest.fixture()

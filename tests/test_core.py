@@ -16,6 +16,7 @@ from stwcr.core import (
     smooth_indicator_deriv,
     softened_indicator,
 )
+from stwcr.eif import StwcrQuery, StwcrveQuery
 from stwcr.errors import EvaluationError, InvalidParameterError
 
 WIDE = Interval.wide()
@@ -50,10 +51,11 @@ class TestSmoothingParams:
             SmoothingParams(epsilon=epsilon)
 
     def test_missing_bandwidth_flagged(self):
-        with pytest.raises(InvalidParameterError):
-            SmoothingParams(h=None).require_h()
-        with pytest.raises(InvalidParameterError):
-            SmoothingParams(h0=0.1).require_h0_h1()
+        # a query's windows read the bandwidths it names
+        with pytest.raises(InvalidParameterError, match="needs the bandwidths h$"):
+            StwcrQuery(1, 7.0).windows(SmoothingParams(h=None))
+        with pytest.raises(InvalidParameterError, match="needs the bandwidths h0 and h1"):
+            StwcrveQuery(1, 0, 8.0, 7.0).windows(SmoothingParams(h0=0.1))
 
 
 class TestInterval:

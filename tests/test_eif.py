@@ -444,3 +444,10 @@ class TestLocalTerms:
             monkeypatch.setattr(eif, name, lambda *args, name=name: made.append(name))
         assert_batches_equal([computed], [batch(*cols, q, nuis, PARAMS, _terms=filled)])
         assert made == []
+
+
+def test_each_window_reads_its_own_bandwidth():
+    # the comparator's window reads h0 and the investigational arm's h1
+    params = SmoothingParams(h=0.1, h0=0.2, h1=0.3)
+    assert StwcrQuery(1, 7.0).windows(params) == ((1, 7.0, 0.1),)
+    assert StwcrveQuery(1, 0, 8.0, 7.0).windows(params) == ((0, 7.0, 0.2), (1, 8.0, 0.3))

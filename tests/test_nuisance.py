@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,27 @@ class TestIrlsLogistic:
     def test_bad_labels_rejected(self):
         with pytest.raises(SolverError):
             irls_logistic(np.ones((3, 1)), np.array([0.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("design", [np.full((3, 1), "1.0"), [[1.0], [None], [2.0]],
+                                        np.ones((3, 1), dtype=complex)],
+                             ids=["str", "object", "complex"])
+    def test_non_numeric_design_rejected(self, design):
+        with pytest.raises(InvalidParameterError, match="design must hold numbers"):
+            irls_logistic(design, np.array([0.0, 1.0, 1.0]))
+
+    def test_float_design_read_in_place(self):
+        # a copy of this 12.8 MB design would show in the traced peak, which
+        # is about 4.3 MB without one (one step's per-block arrays)
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.ones(100_000), 0.1 * rng.normal(size=(100_000, 15))])
+        y = (rng.random(100_000) < 0.5).astype(float)
+        tracemalloc.start()
+        try:
+            irls_logistic(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 2, f"traced peak {peak / 1e6:.1f} MB"
 
     @staticmethod
     def _problem(seed):

@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from stwcr import estimators, simulation
 from stwcr.core import Interval, SmoothingParams, kernel_weight
-from stwcr.eif import StwcrQuery, StwcrveQuery
+from stwcr.eif import StwcrQuery, StwcrveQuery, eif_stwcr, eif_stwcrve
 from stwcr.errors import EstimationError, HarnessError, InvalidParameterError
 from stwcr.estimators import (
     FoldAssignment,
@@ -46,7 +46,6 @@ from stwcr.simulation import (
     gamma_truncation_points,
     gen_dataset,
     oracle_estimand,
-    query_label,
     run_monte_carlo,
     true_nuisances,
 )
@@ -286,6 +285,9 @@ def test_bad_counts_and_seeds_are_typed_errors(call):
         call()
 
 
+_OBS = Observation(y=1.0, a=1, s=7.0, b=2.0, x=(0.0, 0.5, 0.5))
+
+
 def _trial(**columns):
     """Scenario I's 100-row trial as a Dataset, with ``columns`` (or its
     ``covariate_names``) replaced."""
@@ -367,6 +369,22 @@ def _trial(**columns):
     lambda: PropensityModel(kind="known", prob_treated="0.5"),
     lambda: replace(true_nuisances("I"), support=(0, 10)),
     lambda: fit_outcome(_trial().x, FeatureSpec([("intercept",)])),
+    lambda: eif_stwcr(_OBS, "stwcr:1:7", true_nuisances("I"), PARAMS),
+    lambda: eif_stwcr(_OBS, StwcrQuery(1, 7.0), true_nuisances("I"), {"h": 0.1}),
+    lambda: eif_stwcr((1.0, 1, 7.0, 0.0, (0.0,)), StwcrQuery(1, 7.0), true_nuisances("I"), PARAMS),
+    lambda: eif_stwcr(_OBS, StwcrQuery(1, 7.0), None, PARAMS),
+    lambda: eif_stwcrve(_OBS, StwcrQuery(1, 7.0), true_nuisances("I"), PARAMS),
+    lambda: eif_stwcrve(_OBS, StwcrveQuery(1, 0, 8.0, 7.0), true_nuisances("I"), None),
+    lambda: eif_stwcrve(None, StwcrveQuery(1, 0, 8.0, 7.0), true_nuisances("I"), PARAMS),
+    lambda: eif_stwcrve(_OBS, StwcrveQuery(1, 0, 8.0, 7.0), {}, PARAMS),
+    lambda: compute_truths("I", (StwcrQuery(1, 7.0),), None),
+    lambda: compute_truths("I", 5, PARAMS),
+    lambda: compute_truths(np.array(["I", "II"]), (StwcrQuery(1, 7.0),), PARAMS),
+    lambda: oracle_estimand("stwcr", "I", StwcrQuery(1, 7.0), None, mc_size=100_000),
+    lambda: oracle_estimand({"kind": "stwcr"}, "I", StwcrQuery(1, 7.0), PARAMS, mc_size=100_000),
+    lambda: oracle_estimand("stwcr", np.array(["I", "II"]), StwcrQuery(1, 7.0), PARAMS,
+                            mc_size=100_000),
+    lambda: SimConfig("I", 100, 2, 5, PARAMS),
 ], ids=["query_marker_str", "query_marker_none", "ve_query_marker_str", "query_arm_bool",
         "query_arm_float", "ve_query_arm_bool", "ve_query_arm_float", "kernel_h_bool", "interval_none",
         "interval_str", "known_propensity_str", "spec_list", "config_params_dict",
@@ -384,7 +402,12 @@ def _trial(**columns):
         "direct_h_str", "direct_h_none", "params_quad_nodes_float", "query_marker_huge_int",
         "dataset_y_huge_int", "fold_labels_huge_int", "outcome_coef_str", "cond_density_coef_none",
         "propensity_coef_short", "outcome_coef_short", "outcome_coef_long", "cond_density_coef_2d",
-        "known_propensity_model_str", "triple_support_tuple", "fit_outcome_data_array"])
+        "known_propensity_model_str", "triple_support_tuple", "fit_outcome_data_array",
+        "eif_stwcr_query_str", "eif_stwcr_params_dict", "eif_stwcr_obs_tuple", "eif_stwcr_nuis_none",
+        "eif_stwcrve_query_risk", "eif_stwcrve_params_none", "eif_stwcrve_obs_none",
+        "eif_stwcrve_nuis_dict", "truths_params_none", "truths_queries_int",
+        "truths_scenario_array", "oracle_params_none", "oracle_kind_dict", "oracle_scenario_array",
+        "config_queries_int"])
 def test_wrong_input_type_is_typed_error_where_it_enters(call):
     with pytest.raises(InvalidParameterError):
         call()
@@ -399,8 +422,8 @@ def test_numpy_integer_counts_and_seeds_accepted():
     assert oracle_estimand("stwcr", "I", StwcrQuery(1, 7.0), PARAMS, np.int64(100_000),
                            np.int64(5)).mc_size == 100_000
     assert SimConfig("I", 100, np.int64(2), (StwcrQuery(1, 7.0),), PARAMS).reps == 2
-    assert query_label(StwcrQuery(np.int64(1), 7.0)) == "STWCR(a=1,s=7)"
-    assert query_label(StwcrveQuery(np.uint8(1), np.int32(0), 8.0, 7.0)) == "STWCRVE(a1=1,a0=0,s1=8,s0=7)"
+    assert StwcrQuery(np.int64(1), 7.0).label == "STWCR(a=1,s=7)"
+    assert StwcrveQuery(np.uint8(1), np.int32(0), 8.0, 7.0).label == "STWCRVE(a1=1,a0=0,s1=8,s0=7)"
 
 
 def test_truths_same_under_any_blas_threads_and_cpu_mask():
@@ -434,6 +457,11 @@ def test_truths_same_under_any_blas_threads_and_cpu_mask():
 def test_wrong_query_type_is_typed_error(call):
     with pytest.raises(InvalidParameterError, match="Query"):
         call(gen_dataset(ScenarioSpec("I", 200, 1)))
+
+
+def test_compute_truths_names_a_query_that_is_not_one():
+    with pytest.raises(InvalidParameterError, match="compute_truths needs each query as a StwcrQuery"):
+        compute_truths("I", (StwcrQuery(1, 7.0), "stwcr:1:7"), PARAMS)
 
 
 class TestQuadratureTruth:
@@ -568,12 +596,12 @@ class TestRunMonteCarlo:
         assert all(r.reps == 2 for r in rows)
 
     def test_query_labels(self):
-        assert query_label(StwcrQuery(1, 7.0)) == "STWCR(a=1,s=7)"
-        assert query_label(StwcrveQuery(1, 0, 8.0, 7.0)) == "STWCRVE(a1=1,a0=0,s1=8,s0=7)"
+        assert StwcrQuery(1, 7.0).label == "STWCR(a=1,s=7)"
+        assert StwcrveQuery(1, 0, 8.0, 7.0).label == "STWCRVE(a1=1,a0=0,s1=8,s0=7)"
         # a marker that :g would round is written in full, so labels stay unique
-        assert query_label(StwcrQuery(1, 7.0000001)) == "STWCR(a=1,s=7.0000001)"
-        assert query_label(StwcrQuery(1, 7.123456789)) == "STWCR(a=1,s=7.123456789)"
-        assert query_label(StwcrQuery(1, np.float64(7.123456789))) == "STWCR(a=1,s=7.123456789)"
-        assert query_label(StwcrQuery(1, Fraction(15, 2))) == "STWCR(a=1,s=7.5)"
-        assert (query_label(StwcrveQuery(1, 0, 8.0, 7.0000001))
+        assert StwcrQuery(1, 7.0000001).label == "STWCR(a=1,s=7.0000001)"
+        assert StwcrQuery(1, 7.123456789).label == "STWCR(a=1,s=7.123456789)"
+        assert StwcrQuery(1, np.float64(7.123456789)).label == "STWCR(a=1,s=7.123456789)"
+        assert StwcrQuery(1, Fraction(15, 2)).label == "STWCR(a=1,s=7.5)"
+        assert (StwcrveQuery(1, 0, 8.0, 7.0000001).label
                 == "STWCRVE(a1=1,a0=0,s1=8,s0=7.0000001)")

@@ -36,10 +36,10 @@ import os
 import sys
 import tempfile
 
-from stwcr import cli
+from stwcr import cli, estimators
 from stwcr.core import SmoothingParams
 from stwcr.eif import StwcrQuery, StwcrveQuery
-from stwcr.estimators import ModelSpecs, estimate_stwcr, estimate_stwcrve, make_folds
+from stwcr.estimators import ModelSpecs, make_folds
 from stwcr.nuisance import FeatureSpec, intercept, raw
 from stwcr.simulation import (
     ScenarioSpec,
@@ -57,8 +57,7 @@ SWEEP = ([StwcrQuery(1, 5.0 + 0.35 * k) for k in range(20)]
 
 
 def estimate(data, q, folds, **kwargs):
-    fn = estimate_stwcr if isinstance(q, StwcrQuery) else estimate_stwcrve
-    return fn(data, q, PARAMS, folds, **kwargs)
+    return getattr(estimators, f"estimate_{q.kind}")(data, q, PARAMS, folds, **kwargs)
 
 
 def sweeps():
