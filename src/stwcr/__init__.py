@@ -39,6 +39,7 @@ from .nuisance import (
     CondDensityModel,
     Dataset,
     FeatureSpec,
+    KnownPropensity,
     NuisanceTriple,
     Observation,
     OutcomeModel,

@@ -33,7 +33,6 @@ import dataclasses
 import datetime
 import io
 import json
-import logging
 import math
 import re
 import sys
@@ -56,8 +55,6 @@ from .simulation import (
 )
 
 SCHEMA_VERSION = 1
-
-logger = logging.getLogger("stwcr.cli")
 
 _X_COL = re.compile(r"^x(\d+)$")
 
@@ -404,7 +401,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -20,7 +20,7 @@ All functions here are pure and accept scalars or numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral, Real
 
@@ -84,9 +84,6 @@ class SmoothingParams:
         window = self.window_halfwidth_in_h  # may be inf: a bounded support clips the window
         if not (_is_number(window, finite=False) and window >= 4.0):
             raise InvalidParameterError(f"window_halfwidth_in_h must be >= 4, got {window!r}")
-
-    def with_(self, **kwargs) -> "SmoothingParams":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,9 @@ class _Query:
     Each subclass sets ``kind`` and ``bandwidths`` as class constants, not
     dataclass fields, so a query's repr and ``dataclasses.asdict`` hold its
     fields alone. Each field is checked as its ``field_types`` type reads
-    it: an arm is the integer 0 or 1, a marker a finite number.
+    it: an arm is the integer 0 or 1, a marker a finite number, which is
+    kept as a float, so that queries the estimators read alike are equal
+    and equal labels mean equal queries.
     """
 
     @classmethod
@@ -112,9 +114,11 @@ class _Query:
             value = getattr(self, name)
             if typ is int and not _is_arm(value):
                 raise InvalidParameterError(f"query arm {name} must be an integer 0 or 1, got {value!r}")
-            if typ is float and not _is_number(value):
-                raise InvalidParameterError(
-                    f"query marker level {name} must be a finite number, got {value!r}")
+            if typ is float:
+                if not _is_number(value):
+                    raise InvalidParameterError(
+                        f"query marker level {name} must be a finite number, got {value!r}")
+                object.__setattr__(self, name, float(value))
 
     @property
     def label(self) -> str:
@@ -133,8 +137,7 @@ class _Query:
         return tuple(getattr(params, name) for name in self.bandwidths)
 
 
-def _marker_label(s) -> str:
-    s = float(s)  # a numpy float's repr names its type; a Fraction has no :g
+def _marker_label(s: float) -> str:
     short = f"{s:g}"
     return short if float(short) == s else repr(s)
 
@@ -361,7 +364,7 @@ def eif_stwcrve(obs: Observation, q: StwcrveQuery, nuis: NuisanceTriple,
 _INTEGRALS = ("phi", "phi_r", "g", "g_r")
 
 
-def _kernel_integrals_1d(center, h, arm, nuis, params, b, x, t, eps):
+def _kernel_integrals_1d(center, h, arm, nuis, params, b, x):
     """Per-observation integrals of phi, phi*r, dphi*pi, dphi*pi*r on one arm.
 
     Returns dict of (m,) arrays. The models are evaluated on the (rows,
@@ -378,7 +381,7 @@ def _kernel_integrals_1d(center, h, arm, nuis, params, b, x, t, eps):
         b, x = b[:, None], x[:, None, :]  # rows down, nodes across
         pi = nuis.cond_density.density_at(arm, nodes, b, x)
         r = nuis.outcome.predict_at(arm, nodes, b, x)
-        phi, g = softened_indicator(pi, t, eps)
+        phi, g = softened_indicator(pi, params.t, params.epsilon)
         g *= pi
         int_phi = phi @ wk
         phi *= r
@@ -443,8 +446,7 @@ def _arm_terms(rows, q, nuis: NuisanceTriple, params: SmoothingParams, terms: di
     for window in windows:
         arm, center, h = window
         if window not in terms:
-            terms[window] = _kernel_integrals_1d(center, h, arm, nuis, params, b, x,
-                                                 params.t, params.epsilon)
+            terms[window] = _kernel_integrals_1d(center, h, arm, nuis, params, b, x)
         local, ints = terms[arm], terms[window]
         k_S = kernel_weight(s - center, h)
         out.append((local, k_S * local.dphi - ints["g"], k_S * local.local - ints["g_r"], ints))

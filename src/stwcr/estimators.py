@@ -74,6 +74,7 @@ from .nuisance import (
     CondDensityModel,
     Dataset,
     FeatureSpec,
+    KnownPropensity,
     NuisanceTriple,
     OutcomeModel,
     PropensityModel,
@@ -262,7 +263,7 @@ def _fit_fold(train: TrainingRows, specs: ModelSpecs,
     if isinstance(specs.propensity, FeatureSpec):
         prop = retried(fit_propensity, specs.propensity, warm and warm.propensity.coef)
     else:
-        prop = PropensityModel(kind="known", prob_treated=float(specs.propensity))
+        prop = KnownPropensity(float(specs.propensity))
     cond = fit_cond_density(train, specs.cond_density_spec)
     outc = retried(fit_outcome, specs.outcome_spec, warm and warm.outcome.coef)
     return NuisanceTriple(propensity=prop, cond_density=cond, outcome=outc,

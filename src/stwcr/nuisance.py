@@ -1,15 +1,21 @@
 """Nuisance models: treatment probability, marker conditional density, outcome regression.
 
-The influence-value computations need three fitted objects per training
+The influence-value computations need three nuisances per training
 fold, bundled with the marker support:
 
-* ``PropensityModel``   -- P(A = a | B, X), either a known randomization
-  probability or a logistic fit on features of (b, x);
+* the treatment probability P(A = a | B, X): a ``KnownPropensity``, a
+  randomized trial's known constant, which is built and never fit, or a
+  ``PropensityModel``, a logistic fit on features of (b, x);
 * ``CondDensityModel``  -- the conditional density of the post-vaccination
   marker S given (A, B, X), modeled as a Gaussian whose mean is linear in
   user-chosen features of (a, b, x) with homoscedastic residual;
 * ``OutcomeModel``      -- E[Y | A, S, B, X], logistic for binary outcomes
   and linear for continuous ones.
+
+The three fitted models share one base: a ``spec``, one coefficient per
+term in ``coef`` and the ``covariate_names`` the spec may read. Only a
+caller that reads ``ModelSpecs`` (the estimators) chooses between a known
+and a fitted propensity; nothing here branches on it.
 
 Feature sets are declared with :class:`FeatureSpec`, a small ordered
 language of raw/squared/interaction terms, so that generating models
@@ -19,7 +25,9 @@ density; a, s, b for the outcome) and the covariates. It is resolved
 against those columns once, when its model is fit or built, for both
 the design matrix and the predictions; any other name, y included, is
 an InvalidParameterError, which the estimators raise before any fold
-is fit.
+is fit. A resolved term is the positions of the columns it multiplies:
+none for the intercept, one for a raw column, the same one twice for a
+square and two for an interaction.
 
 A fit reads :class:`TrainingRows`: one or two contiguous row ranges of a
 Dataset whose rows are grouped into parts (:class:`RowParts`). A fold plan
@@ -53,6 +61,7 @@ __all__ = [
     "raw",
     "square",
     "interaction",
+    "KnownPropensity",
     "PropensityModel",
     "CondDensityModel",
     "OutcomeModel",
@@ -237,9 +246,10 @@ def _resolve(spec: FeatureSpec, roles: tuple, covariate_names: tuple) -> _Terms:
     if len(position) < len(roles) + len(covariate_names):
         raise InvalidParameterError(f"covariate names {covariate_names} repeat or "
                                     f"reuse a role of {roles}")
+    # each term as the names of the columns it multiplies: a square's one name twice
+    terms = (t[1:] * 2 if t[0] == "square" else t[1:] for t in spec.terms)
     try:
-        return _Terms(roles, tuple((t[0], *[position[name] for name in t[1:]])
-                                   for t in spec.terms))
+        return _Terms(roles, tuple(tuple(position[name] for name in names) for names in terms))
     except KeyError as exc:
         raise InvalidParameterError(f"feature references unknown column {exc.args[0]!r}; "
                                     f"this model reads {', '.join(position)}") from None
@@ -253,33 +263,22 @@ def _spec_terms(model, spec, covariate_names) -> _Terms:
     return spec.resolve(model.ROLES, covariate_names)
 
 
-def _set_terms_and_coef(model) -> None:
-    """``model``'s coef replaced by a read-only copy of one finite number per
-    term of its spec, with the spec resolved first."""
-    object.__setattr__(model, "_terms", _spec_terms(type(model), model.spec, model.covariate_names))
-    object.__setattr__(model, "coef", _require_array(f"{type(model).__name__} coef", model.coef,
-                                                     shape=(len(model.spec),)))
-
-
 class _Terms(NamedTuple):
     """A FeatureSpec resolved for one model."""
 
     roles: tuple  # the model's role columns, ahead of its covariates
-    terms: tuple  # per term its kind, then its columns' positions in (*roles, *covariates)
+    terms: tuple  # per term the positions in (*roles, *covariates) of the columns it multiplies
 
     def _values(self, role_values, x):
-        """Each term's value, left to right, from the role values and x's last axis."""
+        """Each term's value, left to right, from the role values and x's last
+        axis: the product of its columns, 1.0 for none and a column itself for one."""
         x = np.asarray(x, dtype=float)
         cols = (*role_values, *(x[..., j] for j in range(x.shape[-1])))
-        for kind, *pos in self.terms:
-            if kind == "intercept":
-                yield 1.0
-            elif kind == "raw":
-                yield cols[pos[0]]
-            elif kind == "square":
-                yield cols[pos[0]] ** 2
-            else:
-                yield cols[pos[0]] * cols[pos[1]]
+        for pos in self.terms:
+            value = cols[pos[0]] if pos else 1.0
+            for p in pos[1:]:
+                value = value * cols[p]
+            yield value
 
     def design(self, data: Dataset) -> np.ndarray:
         X = np.empty((len(data), len(self.terms)))
@@ -317,62 +316,72 @@ def _normal_density(s, mu, sd):
 
 # --- models ----------------------------------------------------------------
 
+def _arm_prob(a: int, p1):
+    """P(A = a) from P(A = 1), floored into [1e-12, 1 - 1e-12]."""
+    p = p1 if a == 1 else 1.0 - p1
+    return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+
+
 @dataclass(frozen=True)
-class PropensityModel:
-    """P(A = a | B, X): a known constant or a logistic fit on (b, x) features.
+class KnownPropensity:
+    """P(A = 1 | B, X) = ``prob_treated``, a randomized trial's known
+    probability in (0, 1): built, never fit."""
 
-    A logistic model's ``coef`` is a read-only copy of the coefficients
-    given, one per term of ``spec``."""
-
-    ROLES: ClassVar[tuple[str, ...]] = ("b",)
-
-    kind: str  # "known" or "logistic"
-    prob_treated: float | None = None
-    spec: FeatureSpec | None = None
-    coef: np.ndarray | None = None
-    covariate_names: tuple = ()
-    _terms: _Terms | None = field(init=False, repr=False, compare=False)
+    prob_treated: float
 
     def __post_init__(self):
-        if self.kind == "known":
-            p = self.prob_treated
-            if not (_is_number(p) and 0.0 < p < 1.0):
-                raise InvalidParameterError(
-                    f"prob_treated must lie in (0,1) for a known propensity, got {p!r}")
-            object.__setattr__(self, "_terms", None)
-        elif self.kind == "logistic":
-            _set_terms_and_coef(self)
-        else:
-            raise InvalidParameterError(f"unknown propensity kind {self.kind!r}")
+        p = self.prob_treated
+        if not (_is_number(p) and 0.0 < p < 1.0):
+            raise InvalidParameterError(
+                f"prob_treated must lie in (0,1) for a known propensity, got {p!r}")
 
     def prob(self, a: int, b, x):
-        """P(A = a | b, x), floored into [1e-12, 1 - 1e-12]. Returns an array matching b."""
-        b = np.asarray(b, dtype=float)
-        if self.kind == "known":
-            p1 = np.full_like(b, self.prob_treated)
-        else:
-            p1 = expit(self._terms.predictor(self.coef, (b,), x))
-        p = p1 if a == 1 else 1.0 - p1
-        return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+        """P(A = a), floored as :class:`PropensityModel` floors it, in an array matching b."""
+        return _arm_prob(a, np.full_like(np.asarray(b, dtype=float), self.prob_treated))
 
 
 @dataclass(frozen=True)
-class CondDensityModel:
-    """Gaussian conditional density of S: mean linear in features of (a, b, x).
+class _FittedModel:
+    """A model linear in the features ``spec`` of its ``ROLES`` and the
+    covariates ``covariate_names``; ``coef`` is a read-only copy of the
+    coefficients given, one finite number per term of ``spec``."""
 
-    ``coef`` is a read-only copy of the coefficients given, one per term of ``spec``."""
-
-    ROLES: ClassVar[tuple[str, ...]] = ("a", "b")
+    ROLES: ClassVar[tuple[str, ...]] = ()
 
     spec: FeatureSpec
     coef: np.ndarray
-    residual_sd: float
     covariate_names: tuple = ()
     _terms: _Terms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        model = type(self)
+        object.__setattr__(self, "_terms", _spec_terms(model, self.spec, self.covariate_names))
+        object.__setattr__(self, "coef", _require_array(f"{model.__name__} coef", self.coef,
+                                                        shape=(len(self.spec),)))
+
+
+@dataclass(frozen=True)
+class PropensityModel(_FittedModel):
+    """P(A = a | B, X): a logistic fit on features of (b, x)."""
+
+    ROLES: ClassVar[tuple[str, ...]] = ("b",)
+
+    def prob(self, a: int, b, x):
+        """P(A = a | b, x), floored into [1e-12, 1 - 1e-12]. Returns an array matching b."""
+        return _arm_prob(a, expit(self._terms.predictor(self.coef, (b,), x)))
+
+
+@dataclass(frozen=True)
+class CondDensityModel(_FittedModel):
+    """Gaussian conditional density of S: mean linear in features of (a, b, x)."""
+
+    ROLES: ClassVar[tuple[str, ...]] = ("a", "b")
+
+    residual_sd: float = field(kw_only=True)
+
+    def __post_init__(self):
         _require_positive("residual_sd", self.residual_sd)
-        _set_terms_and_coef(self)
+        super().__post_init__()
 
     def mean(self, a, b, x):
         """The marker mean at broadcastable arm a and baseline b, with x's
@@ -385,23 +394,17 @@ class CondDensityModel:
 
 
 @dataclass(frozen=True)
-class OutcomeModel:
-    """E[Y | A, S, B, X]: logistic (binary Y) or linear (continuous Y) in features.
-
-    ``coef`` is a read-only copy of the coefficients given, one per term of ``spec``."""
+class OutcomeModel(_FittedModel):
+    """E[Y | A, S, B, X]: logistic (binary Y) or linear (continuous Y) in features."""
 
     ROLES: ClassVar[tuple[str, ...]] = ("a", "s", "b")
 
-    kind: str  # "logistic" or "linear"
-    spec: FeatureSpec
-    coef: np.ndarray
-    covariate_names: tuple = ()
-    _terms: _Terms = field(init=False, repr=False, compare=False)
+    kind: str = field(kw_only=True)  # "logistic" or "linear"
 
     def __post_init__(self):
         if self.kind not in ("logistic", "linear"):
             raise InvalidParameterError(f"unknown outcome kind {self.kind!r}")
-        _set_terms_and_coef(self)
+        super().__post_init__()
 
     def predict_at(self, a, s, b, x):
         """The mean at broadcastable a, s and b, with x's covariates on its last
@@ -420,7 +423,7 @@ class NuisanceTriple:
     ``support`` must be an Interval; the three models are duck-typed, so any
     object with the methods the influence values call will do."""
 
-    propensity: PropensityModel
+    propensity: KnownPropensity | PropensityModel
     cond_density: CondDensityModel
     outcome: OutcomeModel
     support: Interval
@@ -508,6 +511,13 @@ class TrainingRows:
 def _training_rows(caller: str, data: Dataset | TrainingRows) -> TrainingRows:
     _require_type(caller, "data", data, (Dataset, TrainingRows))
     return data if isinstance(data, TrainingRows) else TrainingRows(RowParts(data), None)
+
+
+def _fit_input(caller: str, model, data: Dataset | TrainingRows, spec) -> tuple[TrainingRows, _Terms]:
+    """What every fit reads first: its training rows, and ``spec`` resolved
+    for a ``model`` class on their covariates."""
+    rows = _training_rows(caller, data)
+    return rows, _spec_terms(model, spec, rows.parts.data.covariate_names)
 
 
 def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None, rows=None):
@@ -609,14 +619,11 @@ def fit_propensity(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
                    start=None) -> PropensityModel:
     """Fit a logistic P(A = 1 | b, x) on features ``spec`` of a Dataset or a
     fit's training rows, from coefficients ``start`` if given. A known
-    propensity (randomized designs) is not fit: it is
-    ``PropensityModel(kind="known", prob_treated=p)``."""
-    rows = _training_rows("fit_propensity", data)
-    names = rows.parts.data.covariate_names
-    terms = _spec_terms(PropensityModel, spec, names)
+    propensity (randomized designs) is not fit: it is a ``KnownPropensity``."""
+    rows, terms = _fit_input("fit_propensity", PropensityModel, data, spec)
     coef = irls_logistic(rows.parts.design(terms), rows.parts.data.a, ridge=ridge, start=start,
                          rows=rows.ranges)
-    return PropensityModel(kind="logistic", spec=spec, coef=coef, covariate_names=names)
+    return PropensityModel(spec=spec, coef=coef, covariate_names=rows.parts.data.covariate_names)
 
 
 def _least_squares(rows: TrainingRows, terms: _Terms, target: str):
@@ -638,9 +645,7 @@ def _least_squares(rows: TrainingRows, terms: _Terms, target: str):
 def fit_cond_density(data: Dataset | TrainingRows, spec: FeatureSpec) -> CondDensityModel:
     """Gaussian fit of S on features of (a, b, x), on a Dataset or a fit's
     training rows; residual sd uses the n - q divisor."""
-    rows = _training_rows("fit_cond_density", data)
-    names = rows.parts.data.covariate_names
-    terms = _spec_terms(CondDensityModel, spec, names)
+    rows, terms = _fit_input("fit_cond_density", CondDensityModel, data, spec)
     n, q = len(rows), len(spec)
     if n <= q + 2:
         raise InvalidParameterError(f"need n > q + 2 rows (n={n}, q={q})")
@@ -648,7 +653,8 @@ def fit_cond_density(data: Dataset | TrainingRows, spec: FeatureSpec) -> CondDen
     sd = math.sqrt(rss / (n - q))
     if not sd > 0:
         raise SolverError("zero residual variance in conditional-density fit")
-    return CondDensityModel(spec=spec, coef=coef, residual_sd=sd, covariate_names=names)
+    return CondDensityModel(spec=spec, coef=coef, residual_sd=sd,
+                            covariate_names=rows.parts.data.covariate_names)
 
 
 def fit_outcome(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
@@ -656,9 +662,7 @@ def fit_outcome(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
     """Fit E[Y | a, s, b, x] on a Dataset or a fit's training rows: logistic
     for binary outcomes, from coefficients ``start`` if given, and least
     squares, which takes no start, otherwise."""
-    rows = _training_rows("fit_outcome", data)
-    names = rows.parts.data.covariate_names
-    terms = _spec_terms(OutcomeModel, spec, names)
+    rows, terms = _fit_input("fit_outcome", OutcomeModel, data, spec)
     if rows.parts.data.outcome_kind == "binary":
         coef = irls_logistic(rows.parts.design(terms), rows.parts.data.y, ridge=ridge, start=start,
                              rows=rows.ranges)
@@ -666,7 +670,8 @@ def fit_outcome(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
     else:
         coef, _ = _least_squares(rows, terms, "y")
         kind = "linear"
-    return OutcomeModel(kind=kind, spec=spec, coef=coef, covariate_names=names)
+    return OutcomeModel(kind=kind, spec=spec, coef=coef,
+                        covariate_names=rows.parts.data.covariate_names)
 
 
 def support_bounds(data: Dataset | TrainingRows) -> Interval:

@@ -46,9 +46,9 @@ from .nuisance import (
     CondDensityModel,
     Dataset,
     FeatureSpec,
+    KnownPropensity,
     NuisanceTriple,
     OutcomeModel,
-    PropensityModel,
     intercept,
     raw,
     square,
@@ -207,7 +207,7 @@ def true_nuisances(scenario: str) -> NuisanceTriple:
     """The generating models, with a marker support 6 sds past the extreme marker means."""
     b_lo, b_hi = baseline_marker_range(scenario)
     mu_lo, mu_hi = MARKER_MODEL.mean([0.0, 1.0], [b_lo, b_hi], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    return NuisanceTriple(propensity=PropensityModel(kind="known", prob_treated=TREATED_PROB),
+    return NuisanceTriple(propensity=KnownPropensity(TREATED_PROB),
                           cond_density=MARKER_MODEL, outcome=OUTCOME_MODEL,
                           support=Interval(float(mu_lo) - 6.0, float(mu_hi) + 6.0))
 

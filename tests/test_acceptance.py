@@ -8,6 +8,7 @@ frozen draws are representative rather than boundary cases.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,9 +176,9 @@ def test_criterion_09_quadrature_stability():
         return (rn, rd, vn, vd)
 
     base = components(BOTH_PARAMS)
-    doubled = components(BOTH_PARAMS.with_(quad_nodes=128))
-    win6 = components(BOTH_PARAMS.with_(window_halfwidth_in_h=6.0))
-    win10 = components(BOTH_PARAMS.with_(window_halfwidth_in_h=10.0))
+    doubled = components(replace(BOTH_PARAMS, quad_nodes=128))
+    win6 = components(replace(BOTH_PARAMS, window_halfwidth_in_h=6.0))
+    win10 = components(replace(BOTH_PARAMS, window_halfwidth_in_h=10.0))
     worst = 0.0
     for pair in (zip(base, doubled), zip(win6, win10)):
         for a, b in pair:

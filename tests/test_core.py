@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,7 +188,7 @@ class TestSoftenedIndicator:
 
 class TestQuadRule:
     # W = 4: an unclipped window keeps the kernel mass within 4 bandwidths
-    FOUR = PARAMS.with_(window_halfwidth_in_h=4.0)
+    FOUR = replace(PARAMS, window_halfwidth_in_h=4.0)
 
     def test_weights_carry_the_kernel_mass(self):
         _, wk = quad_rule(0.3, 0.1, WIDE, self.FOUR)
@@ -228,15 +229,15 @@ class TestIntegrate1D:
     def test_window_widening_stable(self):
         f = lambda s: 1.0 / (1.0 + s ** 2)
         narrow = integrate_kernel_weighted(
-            f, 0.5, 0.1, WIDE, PARAMS.with_(window_halfwidth_in_h=6.0))
+            f, 0.5, 0.1, WIDE, replace(PARAMS, window_halfwidth_in_h=6.0))
         wide = integrate_kernel_weighted(
-            f, 0.5, 0.1, WIDE, PARAMS.with_(window_halfwidth_in_h=10.0))
+            f, 0.5, 0.1, WIDE, replace(PARAMS, window_halfwidth_in_h=10.0))
         assert abs(narrow - wide) / abs(wide) < 1e-8
 
     def test_node_doubling_stable(self):
         f = lambda s: np.sin(s) + 2.0
         base = integrate_kernel_weighted(f, 1.0, 0.1, WIDE, PARAMS)
-        fine = integrate_kernel_weighted(f, 1.0, 0.1, WIDE, PARAMS.with_(quad_nodes=128))
+        fine = integrate_kernel_weighted(f, 1.0, 0.1, WIDE, replace(PARAMS, quad_nodes=128))
         assert abs(base - fine) / abs(fine) < 1e-7
 
     def test_support_clipping_halves_mass(self):
@@ -252,7 +253,7 @@ class TestIntegrate1D:
 def test_unbounded_window_rejected(dims, constant, support):
     # an infinite half-width clipped to an unbounded support leaves no finite
     # window to put nodes on: the window is named, not the integrand
-    params = PARAMS.with_(window_halfwidth_in_h=math.inf)
+    params = replace(PARAMS, window_halfwidth_in_h=math.inf)
     with pytest.raises(InvalidParameterError, match=r"kernel window \[-inf, inf\].*unbounded"):
         if dims == 1:
             integrate_kernel_weighted(
@@ -286,7 +287,7 @@ class TestIntegrate2D:
         f = lambda a, b: np.cos(a) * (1 + b ** 2)
         base = integrate_kernel_weighted_2d(f, 0.5, 0.1, 0.7, 0.1, WIDE, PARAMS)
         fine = integrate_kernel_weighted_2d(f, 0.5, 0.1, 0.7, 0.1, WIDE,
-                                            PARAMS.with_(quad_nodes=128))
+                                            replace(PARAMS, quad_nodes=128))
         assert abs(base - fine) / abs(fine) < 1e-7
 
     def test_empty_window_returns_zero(self):

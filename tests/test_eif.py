@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from stwcr.eif import (
     eif_stwcrve_batch,
 )
 from stwcr.errors import EvaluationError, InvalidParameterError
-from stwcr.nuisance import NuisanceTriple, Observation, PropensityModel
+from stwcr.nuisance import KnownPropensity, NuisanceTriple, Observation
 from stwcr.simulation import (
     OracleResult,
     ScenarioSpec,
@@ -49,7 +50,7 @@ class ConstantOutcome:
 
 def constant_triple(density=0.3, risk=0.4, prob=0.5, support=None):
     return NuisanceTriple(
-        propensity=PropensityModel(kind="known", prob_treated=prob),
+        propensity=KnownPropensity(prob_treated=prob),
         cond_density=ConstantDensity(density),
         outcome=ConstantOutcome(risk),
         support=support or Interval.wide())
@@ -63,6 +64,15 @@ class TestQueriesAndPair:
             StwcrQuery(a=1, s=math.inf)
         with pytest.raises(InvalidParameterError):
             StwcrveQuery(a1=1, a0=0, s1=math.nan, s0=7.0)
+
+    def test_markers_kept_as_floats(self):
+        # 2**53 + 1 reads as the float 2**53, so the two queries are one query and one label
+        q, nearby = StwcrQuery(1, 2**53), StwcrQuery(1, 2**53 + 1)
+        assert q == nearby and hash(q) == hash(nearby)
+        assert q.label == nearby.label == "STWCR(a=1,s=9007199254740992.0)"
+        ve = StwcrveQuery(1, 0, np.float32(8.5), 7)
+        assert type(ve.s1) is float and type(ve.s0) is float
+        assert ve == StwcrveQuery(1, 0, 8.5, 7.0)
 
     def test_pair_must_be_finite(self):
         with pytest.raises(EvaluationError):
@@ -177,7 +187,7 @@ class TestRiskEifProperties:
         q = StwcrQuery(1, 7.0)
         base = eif_stwcr_batch(ds.y, ds.a, ds.s, ds.b, ds.x, q, nuis, PARAMS)
         fine = eif_stwcr_batch(ds.y, ds.a, ds.s, ds.b, ds.x, q, nuis,
-                               PARAMS.with_(quad_nodes=128))
+                               replace(PARAMS, quad_nodes=128))
         for comp in (0, 1):
             scale = max(np.max(np.abs(base[comp])), np.max(np.abs(fine[comp])))
             assert np.max(np.abs(base[comp] - fine[comp])) / scale < 1e-6
@@ -257,7 +267,7 @@ class TestRelativeEfficacyEif:
         q = StwcrveQuery(1, 0, 8.0, 7.0)
         base = eif_stwcrve_batch(ds.y, ds.a, ds.s, ds.b, ds.x, q, nuis, PARAMS)
         fine = eif_stwcrve_batch(ds.y, ds.a, ds.s, ds.b, ds.x, q, nuis,
-                                 PARAMS.with_(quad_nodes=128))
+                                 replace(PARAMS, quad_nodes=128))
         for comp in (0, 1):
             scale = max(np.max(np.abs(base[comp])), np.max(np.abs(fine[comp])))
             assert np.max(np.abs(base[comp] - fine[comp])) / scale < 1e-6

@@ -5,6 +5,7 @@ import pickle
 import threading
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from stwcr.nuisance import (
     CondDensityModel,
     Dataset,
     FeatureSpec,
+    KnownPropensity,
     NuisanceTriple,
-    PropensityModel,
     fit_cond_density,
     fit_outcome,
     fit_propensity,
@@ -268,7 +269,7 @@ class TestEstimateStwcr:
                      b=np.zeros(n), x=np.zeros((n, 1)), covariate_names=("x1",),
                      outcome_kind="binary")
         nuis = NuisanceTriple(
-            propensity=PropensityModel(kind="known", prob_treated=0.5),
+            propensity=KnownPropensity(prob_treated=0.5),
             cond_density=ConstantDensity(0.3), outcome=ConstantOutcome(-0.2),
             support=Interval.wide())
         rep = estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, make_folds(n, 2, 0),
@@ -311,7 +312,7 @@ class TestOutcomeScaleEquivariance:
         c = -c if negative else c
         ds = self.continuous(seed, n)
         moved = self.continuous(seed, n, y=c * ds.y + d)
-        params, folds, q = PARAMS.with_(h=h), make_folds(n, 5, seed), StwcrQuery(1, 7.0)
+        params, folds, q = replace(PARAMS, h=h), make_folds(n, 5, seed), StwcrQuery(1, 7.0)
         rep = self.report(estimate_stwcr, q, ds, params, folds)
         rep2 = self.report(estimate_stwcr, q, moved, params, folds)
         # the denominator does not read y, so both fail or neither does
@@ -329,7 +330,7 @@ class TestOutcomeScaleEquivariance:
     def test_ratio_unchanged_by_scale(self, seed, n, h, c):
         ds = self.continuous(seed, n)
         scaled = self.continuous(seed, n, y=c * ds.y)
-        params, folds = PARAMS.with_(h0=h, h1=h), make_folds(n, 5, seed)
+        params, folds = replace(PARAMS, h0=h, h1=h), make_folds(n, 5, seed)
         q = StwcrveQuery(1, 0, 8.0, 7.0)
         rep = self.report(estimate_stwcrve, q, ds, params, folds)
         rep2 = self.report(estimate_stwcrve, q, scaled, params, folds)
@@ -400,7 +401,7 @@ class TestEstimateStwcrve:
                      b=np.zeros(n), x=np.zeros((n, 1)), covariate_names=("x1",),
                      outcome_kind="continuous")
         nuis = NuisanceTriple(
-            propensity=PropensityModel(kind="known", prob_treated=0.5),
+            propensity=KnownPropensity(prob_treated=0.5),
             cond_density=ConstantDensity(0.3), outcome=ArmSignedOutcome(),
             support=Interval.wide())
         rep = estimate_stwcrve(ds, StwcrveQuery(1, 0, 8.0, 7.0), PARAMS,
@@ -564,7 +565,7 @@ class TestFoldFitReuse:
     def test_symmetric_zero_and_repeat_bitwise(self, seed, n, h):
         ds = gen_dataset(ScenarioSpec("I", n, seed))
         folds = make_folds(n, 5, seed)
-        params = PARAMS.with_(h=h, h0=h, h1=h)
+        params = replace(PARAMS, h=h, h0=h, h1=h)
 
         def answer(fn, q):
             # at small n and h the one-step denominator can fall below 0
@@ -681,7 +682,7 @@ class TestFoldPlan:
         ds = gen_dataset(ScenarioSpec("I", 400, 28))
         folds = make_folds(400, 5, 8)
         q = StwcrQuery(1, 7.5)
-        for params in (PARAMS, PARAMS.with_(t=0.2), PARAMS.with_(epsilon=0.05), PARAMS):
+        for params in (PARAMS, replace(PARAMS, t=0.2), replace(PARAMS, epsilon=0.05), PARAMS):
             warm = estimate_stwcr(ds, q, params, folds)
             assert repr(warm) == repr(estimate_stwcr(fresh_copy(ds), q, params, folds))
             # one (t, epsilon) is kept: each fold's terms of arm 1 at these params
@@ -697,9 +698,9 @@ class TestFoldPlan:
             for q in (StwcrQuery(0, 6.5), StwcrveQuery(0, 1, 7.0, 8.0)):
                 assert repr(estimate(ds, q, folds)) == repr(estimate(fresh_copy(ds), q, folds))
 
-    WINDOW_PARAMS = (PARAMS, PARAMS, PARAMS.with_(t=0.2), PARAMS.with_(epsilon=0.05),
-                     PARAMS.with_(h=0.2, h0=0.2, h1=0.2), PARAMS.with_(quad_nodes=16),
-                     PARAMS.with_(window_halfwidth_in_h=5.0))
+    WINDOW_PARAMS = (PARAMS, PARAMS, replace(PARAMS, t=0.2), replace(PARAMS, epsilon=0.05),
+                     replace(PARAMS, h=0.2, h0=0.2, h1=0.2), replace(PARAMS, quad_nodes=16),
+                     replace(PARAMS, window_halfwidth_in_h=5.0))
     # arms and centers from small sets, so that windows repeat
     QUERIES = st.one_of(
         st.builds(StwcrQuery, st.sampled_from((0, 1)), st.sampled_from((6.5, 7.0))),
@@ -751,8 +752,8 @@ class TestFoldPlan:
         assert made == [1] * 5
         # terms are kept for one (t, epsilon, quad_nodes, window_halfwidth_in_h):
         # other params remake the comparator's window, and so do the old ones after them
-        for params in (PARAMS.with_(quad_nodes=16), PARAMS,
-                       PARAMS.with_(window_halfwidth_in_h=5.0), PARAMS):
+        for params in (replace(PARAMS, quad_nodes=16), PARAMS,
+                       replace(PARAMS, window_halfwidth_in_h=5.0), PARAMS):
             made.clear()
             estimate_stwcrve(ds, StwcrveQuery(1, 0, 10.0, 7.0), params, folds)
             assert made == [0, 1] * 5
@@ -1053,7 +1054,7 @@ class TestIntervalDuality:
            h0=st.floats(0.05, 0.3), h1=st.floats(0.05, 0.3))
     def test_log_scale_branch(self, seed, n, h0, h1):
         ds = gen_dataset(ScenarioSpec("I", n, seed))
-        params = PARAMS.with_(h0=h0, h1=h1)
+        params = replace(PARAMS, h0=h0, h1=h1)
         try:
             rep = estimate_stwcrve(ds, StwcrveQuery(1, 0, 8.0, 7.0), params,
                                    make_folds(n, 5, seed), nuisances=true_nuisances("I"))
@@ -1074,10 +1075,10 @@ class TestIntervalDuality:
                      b=np.zeros(n), x=np.zeros((n, 1)), covariate_names=("x1",),
                      outcome_kind="continuous")
         nuis = NuisanceTriple(
-            propensity=PropensityModel(kind="known", prob_treated=0.5),
+            propensity=KnownPropensity(prob_treated=0.5),
             cond_density=ConstantDensity(0.3), outcome=ArmSignedOutcome(),
             support=Interval.wide())
-        rep = estimate_stwcrve(ds, StwcrveQuery(1, 0, 8.0, 7.0), PARAMS.with_(h0=h0, h1=h1),
+        rep = estimate_stwcrve(ds, StwcrveQuery(1, 0, 8.0, 7.0), replace(PARAMS, h0=h0, h1=h1),
                                make_folds(n, 2, seed), nuisances=nuis)
         assert rep.rho_hat < 0
         self.assert_dual(rep)
@@ -1108,7 +1109,7 @@ class TestOracleInvariance:
     def test_row_order_and_fold_seed(self, seed, n, h, fold_seeds):
         ds = gen_dataset(ScenarioSpec("I", n, seed))
         shuffled = ds.subset(np.random.default_rng(seed).permutation(n))
-        params = PARAMS.with_(h=h, h0=h, h1=h)
+        params = replace(PARAMS, h=h, h0=h, h1=h)
         f1, f2 = (make_folds(n, 5, fs) for fs in fold_seeds)
         for fn, q in ((estimate_stwcr, StwcrQuery(1, 7.0)),
                       (estimate_stwcrve, StwcrveQuery(1, 0, 8.0, 7.0))):

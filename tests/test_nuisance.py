@@ -3,12 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from stwcr.errors import InvalidParameterError, SolverError
 from stwcr.nuisance import (
+    PROB_FLOOR,
     CondDensityModel,
     Dataset,
     FeatureSpec,
+    KnownPropensity,
     Observation,
     OutcomeModel,
     PropensityModel,
@@ -153,7 +156,7 @@ class TestModelColumns:
         with pytest.raises(InvalidParameterError, match=f"unknown column '{name}'.*reads b, x1"):
             fit_propensity(self.DS, spec=FeatureSpec([intercept(), raw(name)]))
         with pytest.raises(InvalidParameterError, match=f"unknown column '{name}'"):
-            PropensityModel(kind="logistic", spec=FeatureSpec([raw(name)]), coef=np.zeros(1),
+            PropensityModel(spec=FeatureSpec([raw(name)]), coef=np.zeros(1),
                             covariate_names=self.DS.covariate_names)
 
     @pytest.mark.parametrize("name", ["s", "y", "z"])
@@ -218,6 +221,44 @@ class TestModelColumns:
             rows = ds.a == arm
             fitted = model.predict_at(arm, ds.s[rows], ds.b[rows], ds.x[rows])
             assert np.allclose(fitted, y[rows], rtol=1e-10)
+
+    def test_grid_predictions_equal_explicit_formulas(self):
+        # every term kind on a broadcast (rows, nodes) grid: squares of a role and of a
+        # covariate, a role times a covariate, and the arm times the node marker s
+        rng = np.random.default_rng(4)
+        b, x = rng.normal(size=(6, 1)), rng.normal(size=(6, 1, 3))  # rows down
+        nodes = np.linspace(5.0, 9.0, 5)  # nodes across
+        x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+        names = ("x1", "x2", "x3")
+        c = rng.normal(size=6)
+        cond = CondDensityModel(
+            spec=FeatureSpec([intercept(), raw("a"), square("b"), interaction("a", "x1"),
+                              square("x2"), interaction("b", "x3")]),
+            coef=c, residual_sd=0.7, covariate_names=names)
+        outc = OutcomeModel(
+            spec=FeatureSpec([intercept(), interaction("a", "s"), square("s"), interaction("s", "x2"),
+                              square("x3"), raw("b")]),
+            coef=c, covariate_names=names, kind="logistic")
+        prop = PropensityModel(
+            spec=FeatureSpec([intercept(), square("b"), interaction("b", "x1"), square("x2"),
+                              raw("x3"), interaction("x1", "x2")]),
+            coef=c, covariate_names=names)
+        for a in (0, 1, rng.integers(0, 2, size=(6, 1))):
+            mu = c[0] + c[1] * a + c[2] * (b * b) + c[3] * (a * x1) + c[4] * (x2 * x2) + c[5] * (b * x3)
+            z = (nodes - mu) / 0.7
+            assert np.array_equal(cond.density_at(a, nodes, b, x),
+                                  np.exp(z * -0.5 * z) / (0.7 * math.sqrt(2.0 * math.pi)))
+            eta = (c[0] + c[1] * (a * nodes) + c[2] * (nodes * nodes) + c[3] * (nodes * x2)
+                   + c[4] * (x3 * x3) + c[5] * b)
+            assert np.array_equal(outc.predict_at(a, nodes, b, x),
+                                  np.clip(expit(eta), PROB_FLOOR, 1.0 - PROB_FLOOR))
+        # the propensity reads no marker: its grid is rows by covariate settings
+        xs = rng.normal(size=(1, 4, 3))
+        eta = (c[0] + c[1] * (b * b) + c[2] * (b * xs[..., 0]) + c[3] * (xs[..., 1] * xs[..., 1])
+               + c[4] * xs[..., 2] + c[5] * (xs[..., 0] * xs[..., 1]))
+        p1 = expit(eta)
+        assert np.array_equal(prop.prob(1, b, xs), np.clip(p1, PROB_FLOOR, 1.0 - PROB_FLOOR))
+        assert np.array_equal(prop.prob(0, b, xs), np.clip(1.0 - p1, PROB_FLOOR, 1.0 - PROB_FLOOR))
 
 
 class TestIrlsLogistic:
@@ -321,7 +362,7 @@ class TestIrlsLogistic:
 class TestFitPropensity:
     def test_known_constant(self):
         ds = gen_dataset(ScenarioSpec("I", 60, 1))
-        model = PropensityModel(kind="known", prob_treated=0.5)
+        model = KnownPropensity(prob_treated=0.5)
         assert np.all(model.prob(1, ds.b, ds.x) == 0.5)
         assert np.all(model.prob(0, ds.b, ds.x) == 0.5)
 

@@ -29,6 +29,7 @@ from stwcr.nuisance import (
     CondDensityModel,
     Dataset,
     FeatureSpec,
+    KnownPropensity,
     Observation,
     OutcomeModel,
     PropensityModel,
@@ -322,7 +323,7 @@ def _trial(**columns):
     lambda: fit_propensity(_trial(), None),
     lambda: fit_cond_density(_trial(), None),
     lambda: fit_outcome(_trial(), [("intercept",), ("raw", "s")]),
-    lambda: PropensityModel(kind="logistic", spec=[("intercept",)], coef=np.zeros(1)),
+    lambda: PropensityModel(spec=[("intercept",)], coef=np.zeros(1)),
     lambda: CondDensityModel(spec=[("intercept",)], coef=np.zeros(1), residual_sd=1.0),
     lambda: OutcomeModel(kind="logistic", spec="intercept", coef=np.zeros(1)),
     lambda: FeatureSpec([]),
@@ -359,14 +360,13 @@ def _trial(**columns):
     lambda: FoldAssignment(2, [1, 2, 10 ** 400]),
     lambda: OutcomeModel(kind="logistic", spec=FeatureSpec([("intercept",)]), coef=["a"]),
     lambda: CondDensityModel(spec=FeatureSpec([("intercept",)]), coef=None, residual_sd=1.0),
-    lambda: PropensityModel(kind="logistic", spec=FeatureSpec([("intercept",), ("raw", "b")]),
-                            coef=np.zeros(1)),
+    lambda: PropensityModel(spec=FeatureSpec([("intercept",), ("raw", "b")]), coef=np.zeros(1)),
     lambda: OutcomeModel(kind="logistic", spec=FeatureSpec([("intercept",), ("raw", "s")]),
                          coef=np.zeros(1)),
     lambda: OutcomeModel(kind="logistic", spec=FeatureSpec([("intercept",)]), coef=np.zeros(2)),
     lambda: CondDensityModel(spec=FeatureSpec([("intercept",)]), coef=np.zeros((1, 1)),
                              residual_sd=1.0),
-    lambda: PropensityModel(kind="known", prob_treated="0.5"),
+    lambda: KnownPropensity(prob_treated="0.5"),
     lambda: replace(true_nuisances("I"), support=(0, 10)),
     lambda: fit_outcome(_trial().x, FeatureSpec([("intercept",)])),
     lambda: eif_stwcr(_OBS, "stwcr:1:7", true_nuisances("I"), PARAMS),

@@ -15,6 +15,9 @@ It pins no number itself. It prints:
   fitted nuisances and with the true nuisances injected;
 * both estimators at n = 2000 with a fitted ``[1, b, x1]`` propensity and
   with a known propensity of 0.4;
+* both estimators at n = 1000 with every model's spec holding squares and
+  interactions of its role columns, so every term kind is fit and read on
+  the grid;
 * one ``estimate_stwcr`` on 40,000 Scenario II rows, whose folds are fit on
   threads;
 * ``compute_truths`` on Scenarios I-III;
@@ -40,7 +43,7 @@ from stwcr import cli, estimators
 from stwcr.core import SmoothingParams
 from stwcr.eif import StwcrQuery, StwcrveQuery
 from stwcr.estimators import ModelSpecs, make_folds
-from stwcr.nuisance import FeatureSpec, intercept, raw
+from stwcr.nuisance import FeatureSpec, interaction, intercept, raw, square
 from stwcr.simulation import (
     ScenarioSpec,
     SimConfig,
@@ -79,6 +82,19 @@ def propensities():
         specs = ModelSpecs(propensity=propensity)
         for q in (StwcrQuery(1, 7.0), StwcrveQuery(1, 0, 8.0, 7.0)):
             print("propensity", propensity, q, estimate(data, q, folds, model_specs=specs))
+
+
+def feature_terms():
+    data = gen_dataset(ScenarioSpec("I", 1000, 51))
+    folds = make_folds(len(data), 5, 52)
+    specs = ModelSpecs(
+        propensity=FeatureSpec([intercept(), square("b"), interaction("b", "x1")]),
+        cond_density_spec=FeatureSpec([intercept(), raw("b"), raw("a"), square("b"),
+                                       interaction("a", "x2"), square("x2")]),
+        outcome_spec=FeatureSpec([intercept(), raw("s"), raw("a"), interaction("a", "s"),
+                                  square("s"), interaction("b", "x3"), raw("x2")]))
+    for q in (StwcrQuery(1, 7.0), StwcrveQuery(1, 0, 8.0, 7.0)):
+        print("feature terms", q, estimate(data, q, folds, model_specs=specs))
 
 
 def large():
@@ -133,5 +149,5 @@ def cli_reports():
 
 
 if __name__ == "__main__":
-    for part in (sweeps, propensities, large, truths, harness, cli_reports):
+    for part in (sweeps, propensities, feature_terms, large, truths, harness, cli_reports):
         part()
