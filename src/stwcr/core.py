@@ -108,7 +108,7 @@ class Interval:
 def kernel_weight(u, h):
     """Gaussian kernel ``K_h(u) = (1/h) * pdf_std(u/h)``; symmetric, integrates to 1."""
     _require_positive("bandwidth h", h)
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(_require_numbers("kernel displacement u", u), dtype=float)
     if not np.all(np.isfinite(u)):
         raise InvalidParameterError("kernel displacement u must be finite")
     with np.errstate(over="ignore"):  # see _scaled_pdf
@@ -204,6 +204,31 @@ def _require_array(name: str, val, ndim: int | tuple = 1, shape: tuple | None = 
         f"{name} must hold {wanted} finite {'integers' if integers else 'numbers'}, got {given}")
 
 
+def _require_numbers(name: str, val, ndim: int | None = None, rows: int | None = None) -> np.ndarray:
+    """``val`` as an array, read in place, so an array is not copied: the
+    rule for the array arguments that are not copied (``irls_logistic``'s
+    design, the batch functions' rows, ``kernel_weight``'s displacements).
+
+    InvalidParameterError naming ``name`` unless ``val`` holds numbers
+    (bools, ints and floats: not strings, nor an int beyond the float
+    range), in ``ndim`` dimensions and with ``rows`` rows when these are
+    given. The values themselves are not checked.
+    """
+    try:
+        arr = np.asarray(val)
+    except (TypeError, ValueError):  # a ragged sequence
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        given = "a value that is not a number within the float range"
+    elif ndim is not None and arr.ndim != ndim or rows is not None and arr.shape[:1] != (rows,):
+        given = f"shape {arr.shape}"
+    else:
+        return arr
+    wanted = "numbers" if ndim is None else f"a {ndim}-D array of numbers"
+    wanted += "" if rows is None else f" with {rows} rows"
+    raise InvalidParameterError(f"{name} must hold {wanted}, got {given}")
+
+
 def _require_type(caller: str, name: str, val, cls, optional: bool = False) -> None:
     """InvalidParameterError unless ``val`` is a ``cls``, a class or a tuple
     of classes, or None when ``optional``: the rule for every typed argument.
@@ -258,23 +283,29 @@ def softened_indicator(p, t, epsilon):
 _leggauss = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
 
 
-def quad_rule(center: float, h: float, support: Interval, params: SmoothingParams):
-    """Gauss-Legendre nodes and kernel-weighted weights on the window around ``center``.
-
-    The window is ``[center - W*h, center + W*h]`` intersected with the
-    support. Returns ``(nodes, wk)``, where ``wk`` is the kernel
-    ``K_h(nodes - center)`` times the interval-scaled quadrature weights, so
-    ``f(nodes) @ wk`` is the kernel-weighted integral of ``f``. A window that
-    misses the support is an empty rule, two empty arrays, whose integrals
-    are 0. Raises InvalidParameterError when the window is unbounded (an
-    infinite ``window_halfwidth_in_h`` on an unbounded support).
-    """
+def kernel_window(center: float, h: float, support: Interval, params: SmoothingParams):
+    """``(lo, hi)``: the window ``[center - W*h, center + W*h]`` intersected
+    with the support, which ``quad_rule`` integrates over; empty unless lo < hi.
+    Two supports that clip a window alike give the same rule."""
     half = params.window_halfwidth_in_h * h
-    lo = max(center - half, support.lo)
-    hi = min(center + half, support.hi)
+    return max(center - half, support.lo), min(center + half, support.hi)
+
+
+def quad_rule(center: float, h: float, support: Interval, params: SmoothingParams):
+    """Gauss-Legendre nodes and kernel-weighted weights on ``kernel_window``.
+
+    Returns ``(nodes, wk)``, where ``wk`` is the kernel ``K_h(nodes -
+    center)`` times the interval-scaled quadrature weights, so ``f(nodes) @
+    wk`` is the kernel-weighted integral of ``f``. A window that misses the
+    support is an empty rule, two empty arrays, whose integrals are 0.
+    Raises InvalidParameterError when the window is unbounded (an infinite
+    ``window_halfwidth_in_h`` on an unbounded support).
+    """
+    lo, hi = kernel_window(center, h, support, params)
     if not lo < hi:
         return np.empty(0), np.empty(0)
     if not math.isfinite(hi - lo):
+        half = params.window_halfwidth_in_h * h
         raise InvalidParameterError(
             f"kernel window [{center - half}, {center + half}] clipped to the support "
             f"[{support.lo}, {support.hi}] is unbounded; use a finite window_halfwidth_in_h "

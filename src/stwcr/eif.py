@@ -29,16 +29,25 @@ oracle's combination of its integrals keep per-kind code.
 
 ``eif_stwcr`` / ``eif_stwcrve`` are single-observation reference
 implementations. The ``*_batch`` variants vectorize over observations and
-are what the cross-fitting estimators call; tests pin them to the
-reference path. Each query names its ``(arm, center, h)`` kernel windows
-(``windows``): a risk query one, a relative-efficacy query two, the
-comparator's first. ``_arm_terms`` builds each window's terms from two
-parts it keeps in one dict: under the arm, the query-independent
-observation-local terms (``local_terms``), and under the window, its grid
-integrals. A caller answering many queries passes that dict back in; the
-estimators keep one per fold for each (t, epsilon, quad_nodes,
-window_halfwidth_in_h), with every arm's local terms and each window asked
-twice in a row on its arm, until that arm is asked another window.
+are what the cross-fitting estimators call, once per query on a fold
+plan's rows sorted by fold (``NuisanceParts``: each fold's nuisances on
+its own contiguous part); tests pin them to the reference path. Each
+query names its ``(arm, center, h)`` kernel windows (``windows``): a risk
+query one, a relative-efficacy query two, the comparator's first.
+``_batch`` builds each window's terms from two parts it keeps in one dict
+of whole-row arrays: under the arm, the query-independent
+observation-local terms (``local_terms``), which keep the rows' density
+mean, and under the window, its grid integrals, which read that mean.
+Both depend on the nuisances, so each is made part by part, and a
+window's grid keeps its row blocks within each part. Once per query come
+one quadrature rule per distinct clipped window and, over all rows up to
+``_GROUP_ROWS`` and group by group above, the kernel weights at S and the
+influence values; the finite checks run once on all rows. A caller
+answering many queries passes that dict back in, and names the keys it
+keeps; the estimators keep one per fold plan for each (t, epsilon,
+quad_nodes, window_halfwidth_in_h), with every arm's local terms and each
+window asked twice in a row on its arm, until that arm is asked another
+window.
 """
 
 from __future__ import annotations
@@ -54,10 +63,13 @@ from .core import (
     SmoothingParams,
     _is_arm,
     _is_number,
+    _require_int,
+    _require_numbers,
     _require_type,
     integrate_kernel_weighted,
     integrate_kernel_weighted_2d,
     kernel_weight,
+    kernel_window,
     quad_rule,
     smooth_indicator,
     smooth_indicator_deriv,
@@ -65,10 +77,11 @@ from .core import (
 )
 from .errors import EvaluationError, InvalidParameterError
 from .nuisance import NuisanceTriple, Observation
-from .parallel import map_row_blocks
+from .parallel import map_row_blocks, row_blocks
 
 __all__ = [
     "EifPair",
+    "NuisanceParts",
     "QUERY_TYPES",
     "StwcrQuery",
     "StwcrveQuery",
@@ -364,22 +377,54 @@ def eif_stwcrve(obs: Observation, q: StwcrveQuery, nuis: NuisanceTriple,
 _INTEGRALS = ("phi", "phi_r", "g", "g_r")
 
 
-def _kernel_integrals_1d(center, h, arm, nuis, params, b, x):
+@dataclass(frozen=True, eq=False)
+class NuisanceParts:
+    """A batch's nuisances part by part: its rows ``edges[j]:edges[j + 1]``
+    are evaluated with ``triples[j]``, a NuisanceTriple. ``edges`` rise from
+    0, one more than the triples; the batch's rows must end at the last. A
+    fold plan's rows, sorted by fold, hold one part per fold; a single
+    ``NuisanceTriple`` is one part of all rows."""
+
+    edges: tuple
+    triples: tuple
+
+    def __post_init__(self):
+        for name in ("edges", "triples"):
+            _require_type("NuisanceParts", name, getattr(self, name), tuple)
+        for triple in self.triples:
+            _require_type("NuisanceParts", "each triple", triple, NuisanceTriple)
+        for edge in self.edges:
+            _require_int("each edge of NuisanceParts", edge, 0)
+        edges = self.edges
+        if not (len(edges) == len(self.triples) + 1 and edges[0] == 0
+                and all(lo < hi for lo, hi in zip(edges, edges[1:]))):
+            raise InvalidParameterError(
+                f"NuisanceParts needs edges rising from 0, one more than its {len(self.triples)} "
+                f"triples, got {edges!r}")
+
+
+def _kernel_integrals_1d(center, h, arm, nuis, params, b, x, mean, rules):
     """Per-observation integrals of phi, phi*r, dphi*pi, dphi*pi*r on one arm.
 
-    Returns dict of (m,) arrays. The models are evaluated on the (rows,
-    nodes) grid by broadcasting, in row blocks by ``map_row_blocks``, which
-    bounds memory and leaves every value as in one unblocked serial pass.
-    A window that misses the support is an empty rule, whose grid has no
-    nodes, so every integral is zero.
+    Returns a tuple of (m,) arrays in ``_INTEGRALS`` order, on the rows b,
+    x whose density mean on the arm is ``mean``. The rule is
+    ``rules[kernel_window(...)]`` on the support of ``nuis``, made and added
+    when missing, so parts whose supports clip the window alike share one.
+    The models are evaluated on the (rows, nodes) grid by broadcasting, in
+    row blocks by ``map_row_blocks``, which bounds memory and leaves every
+    value as in one unblocked serial pass. A window that misses the support
+    is an empty rule, whose grid has no nodes, so every integral is zero.
     """
-    nodes, wk = quad_rule(center, h, nuis.support, params)
+    window = kernel_window(center, h, nuis.support, params)
+    if window not in rules:
+        rules[window] = quad_rule(center, h, nuis.support, params)
+    nodes, wk = rules[window]
 
-    def block(b, x):
+    def block(b, x, mean):
         # pi and r belong to the models and are only read; phi and g are
         # this block's own arrays, so the products are formed in them
         b, x = b[:, None], x[:, None, :]  # rows down, nodes across
-        pi = nuis.cond_density.density_at(arm, nodes, b, x)
+        pi = nuis.cond_density.density_from_mean(nodes, mean[:, None])
         r = nuis.outcome.predict_at(arm, nodes, b, x)
         phi, g = softened_indicator(pi, params.t, params.epsilon)
         g *= pi
@@ -389,14 +434,15 @@ def _kernel_integrals_1d(center, h, arm, nuis, params, b, x):
         g *= r
         return int_phi, phi @ wk, int_g, g @ wk
 
-    return dict(zip(_INTEGRALS, map_row_blocks(block, b, x)))
+    return map_row_blocks(block, b, x, mean)
 
 
 class LocalTerms(NamedTuple):
     """One arm's query-independent observation-local terms on a set of rows.
 
-    ``ind`` is 1{A = arm}/P(A = arm | b, x), ``dphi`` is dphi(pi(S)), and
-    ``local = dphi*r + phi/floor(pi)*(y - r)`` at (arm, S); ``floor_hits``
+    ``ind`` is 1{A = arm}/P(A = arm | b, x), ``dphi`` is dphi(pi(S)),
+    ``local = dphi*r + phi/floor(pi)*(y - r)`` at (arm, S) and ``mean`` the
+    marker density's mean on the arm, which the grid reads; ``floor_hits``
     counts the arm's rows whose density was floored. They depend on the
     nuisances, t and epsilon, and not on the query's marker or bandwidth.
     """
@@ -404,6 +450,7 @@ class LocalTerms(NamedTuple):
     ind: np.ndarray
     dphi: np.ndarray
     local: np.ndarray
+    mean: np.ndarray
     floor_hits: int
 
 
@@ -412,82 +459,197 @@ def local_terms(y, a, s, b, x, arm, nuis: NuisanceTriple, t, eps) -> LocalTerms:
     on_arm = np.asarray(a) == arm
     ind = _check_finite(f"propensity weight (arm {arm})",
                         on_arm / nuis.propensity.prob(arm, b, x))
-    pi_S = _check_finite(f"marker density (arm {arm})", nuis.cond_density.density_at(arm, s, b, x))
+    mean = nuis.cond_density.mean(arm, b, x)
+    pi_S = _check_finite(f"marker density (arm {arm})", nuis.cond_density.density_from_mean(s, mean))
     r_S = _check_finite(f"outcome regression (arm {arm})", nuis.outcome.predict_at(arm, s, b, x))
     phi_S, dphi_S = softened_indicator(pi_S, t, eps)
     floored = np.maximum(pi_S, DENSITY_FLOOR)
     floor_hits = int(np.sum((pi_S < DENSITY_FLOOR) & on_arm))
-    return LocalTerms(ind, dphi_S, dphi_S * r_S + (phi_S / floored) * (y - r_S), floor_hits)
+    return LocalTerms(ind, dphi_S, dphi_S * r_S + (phi_S / floored) * (y - r_S), mean, floor_hits)
 
 
-def _arm_terms(rows, q, nuis: NuisanceTriple, params: SmoothingParams, terms: dict | None):
-    """``(local, plain, weighted, ints)`` for each kernel window ``(arm,
-    center, h)`` of query ``q``, on ``rows`` (y, a, s, b, x).
+def _batch_args(caller, rows, q, query_type, nuis, params):
+    """The rows (y, a, s, b, x) read in place, y, s, b and x as floats, and
+    ``nuis`` as ``(lo, hi, triple)`` parts, each argument checked where it
+    enters: the rows by dtype kind and shape, never copied."""
+    _require_type(caller, "q", q, query_type)
+    _require_type(caller, "nuis", nuis, (NuisanceTriple, NuisanceParts))
+    _require_type(caller, "params", params, SmoothingParams)
+    m = _require_numbers(f"{caller} row array y", rows[0], ndim=1).shape[0]
+    y, a, s, b, x = (_require_numbers(f"{caller} row array {name}", v,
+                                      ndim=2 if name == "x" else 1, rows=m)
+                     for name, v in zip("yasbx", rows))
+    y, s, b, x = (np.asarray(v, dtype=float) for v in (y, s, b, x))
+    if isinstance(nuis, NuisanceTriple):
+        return (y, a, s, b, x), [(0, m, nuis)]
+    if nuis.edges[-1] != m:
+        raise InvalidParameterError(f"{caller} has {m} rows, but its nuis parts end at row "
+                                    f"{nuis.edges[-1]}")
+    return (y, a, s, b, x), list(zip(nuis.edges[:-1], nuis.edges[1:], nuis.triples))
 
-    ``local`` is the arm's ``LocalTerms``, read from ``terms`` (a new dict
-    when None) under the arm, and ``ints`` the window's
-    ``_kernel_integrals_1d`` dict, read under the window; whatever is
-    missing is made and added to ``terms``, every arm's
-    local terms before any window's grid, so that terms a caller keeps are
-    not allocated among the grid blocks' short-lived arrays.
+
+# Rows in a group. A batch makes its influence values, and the grid integrals
+# of the windows it does not keep, one group of rows at a time, so that a
+# group's arrays bound its memory. Up to this many rows one group holds every
+# part, and each query makes one pass over all rows. A multiple of
+# parallel._BLOCK_ROWS, so that a part cut into groups keeps its grid blocks.
+_GROUP_ROWS = 65_536
+
+
+def _groups(parts) -> list:
+    """The ``(lo, hi, triple)`` parts in groups of consecutive pieces: each
+    part cut into ``row_blocks`` of ``_GROUP_ROWS`` rows, and the pieces
+    joined into groups of at least ``_GROUP_ROWS`` rows but the last."""
+    runs, run = [], []
+    for part_lo, part_hi, triple in parts:
+        for lo, hi in row_blocks(part_lo, part_hi, _GROUP_ROWS):
+            run.append((lo, hi, triple))
+            if hi - run[0][0] >= _GROUP_ROWS:
+                runs.append(run)
+                run = []
+    return runs + [run] if run else runs
+
+
+def _by_part(make, parts):
+    """What ``make(lo, hi, triple)`` returns for each of ``parts``, which run
+    from row ``parts[0][0]``, joined in part order: each per-row array into
+    one array over their rows, filled one part at a time so that one part's
+    arrays live at a time, and each count summed. One part's result is
+    returned as made."""
+    start, whole = parts[0][0], None
+    for lo, hi, triple in parts:
+        piece = make(lo, hi, triple)
+        if len(parts) == 1:
+            return tuple(piece)
+        if whole is None:
+            whole = [np.empty(parts[-1][1] - start, dtype=v.dtype) if isinstance(v, np.ndarray)
+                     else 0 for v in piece]
+        for j, v in enumerate(piece):
+            if isinstance(v, np.ndarray):
+                whole[j][lo - start:hi - start] = v
+            else:
+                whole[j] += v
+    return tuple(whole)
+
+
+def _batch(caller, rows, q, query_type, nuis, params, terms, keep, combine):
+    """``(num, den, floor_hits)`` of query ``q`` on ``rows`` (y, a, s, b, x),
+    after ``_batch_args`` checks the arguments.
+
+    Each kernel window ``(arm, center, h)`` of ``q`` reads its arm's
+    ``LocalTerms`` under the arm in ``terms`` (a new dict when None) and its
+    integrals by ``_INTEGRALS`` name under the window: whole-row arrays,
+    made part by part with each part's nuisances. What is missing is made,
+    every arm's local terms before any window's grid, so that terms a
+    caller keeps are not allocated among the grid blocks' short-lived
+    arrays, and added to ``terms`` if its key is in ``keep`` (every key
+    when None). A window's parts share one quadrature rule per clipped
+    window. The parts run in ``_groups``: on each group, ``combine`` takes
+    each window's ``(ind, plain, weighted, ints)`` on the group's rows, ind
+    being its arm's ``LocalTerms.ind``, and returns their num and den.
     ``plain = k*dphi - int g`` and ``weighted = k*local - int g*r`` pair the
     observation-local terms, weighted by the kernel k at S, with their
     correction integrals.
     """
-    windows = q.windows(params)
+    (y, a, s, b, x), parts = _batch_args(caller, rows, q, query_type, nuis, params)
+    m = y.shape[0]
     terms = {} if terms is None else terms
-    y, a, s, b, x = rows
-    y, s, b, x = (np.asarray(v, dtype=float) for v in (y, s, b, x))
-    rows = y, np.asarray(a), s, b, x
-    for arm, _, _ in windows:
-        if arm not in terms:
-            terms[arm] = local_terms(*rows, arm, nuis, params.t, params.epsilon)
-    out = []
-    for window in windows:
-        arm, center, h = window
-        if window not in terms:
-            terms[window] = _kernel_integrals_1d(center, h, arm, nuis, params, b, x)
-        local, ints = terms[arm], terms[window]
-        k_S = kernel_weight(s - center, h)
-        out.append((local, k_S * local.dphi - ints["g"], k_S * local.local - ints["g_r"], ints))
-    return out
+    windows = q.windows(params)
+    arms = [arm for arm, _, _ in windows]
+    new_arms = [arm for arm in dict.fromkeys(arms) if arm not in terms]
+    new_windows = [window for window in dict.fromkeys(windows) if window not in terms]
+    kept = [key for key in (*new_arms, *new_windows) if keep is None or key in keep]
+    local = {arm: terms[arm] for arm in arms if arm in terms}
+    for arm in new_arms:
+        local[arm] = LocalTerms(*_by_part(
+            lambda lo, hi, triple: local_terms(y[lo:hi], a[lo:hi], s[lo:hi], b[lo:hi], x[lo:hi],
+                                               arm, triple, params.t, params.epsilon),
+            parts))
+    groups = _groups(parts)
+    rules = {window: {} for window in new_windows}
+    # the kept new windows' whole-row integrals: one group's own, or over several
+    # groups arrays made ahead of any grid and filled group by group
+    whole = {window: {name: np.empty(m) for name in _INTEGRALS} if len(groups) > 1 else None
+             for window in new_windows if window in kept}
+
+    def values(group):
+        """The group's num and den: its arrays die with the call, not the next group's."""
+        lo, hi = group[0][0], group[-1][1]
+        ints = {}
+        for window in new_windows:
+            arm, center, h = window
+            mean = local[arm].mean
+            ints[window] = dict(zip(_INTEGRALS, _by_part(
+                lambda plo, phi, triple: _kernel_integrals_1d(
+                    center, h, arm, triple, params, b[plo:phi], x[plo:phi], mean[plo:phi],
+                    rules[window]),
+                group)))
+            if window in whole and len(groups) == 1:
+                whole[window] = ints[window]
+            elif window in whole:
+                for name, v in ints[window].items():
+                    whole[window][name][lo:hi] = v
+        window_terms = []
+        for window in windows:
+            arm, center, h = window
+            loc = local[arm]
+            window_ints = ints.get(window) or {name: v[lo:hi] for name, v in terms[window].items()}
+            k_S = kernel_weight(s[lo:hi] - center, h)
+            window_terms.append((loc.ind[lo:hi], k_S * loc.dphi[lo:hi] - window_ints["g"],
+                                 k_S * loc.local[lo:hi] - window_ints["g_r"], window_ints))
+        return combine(*window_terms)
+
+    num, den = np.empty(m), np.empty(m)
+    for group in groups:
+        num[group[0][0]:group[-1][1]], den[group[0][0]:group[-1][1]] = values(group)
+    for key in kept:
+        terms[key] = local[key] if key in local else whole[key]
+    return num, den, sum(local[arm].floor_hits for arm in arms)
 
 
-def eif_stwcr_batch(y, a, s, b, x, q: StwcrQuery, nuis: NuisanceTriple,
-                    params: SmoothingParams, *, _terms=None):
+def eif_stwcr_batch(y, a, s, b, x, q: StwcrQuery, nuis: NuisanceTriple | NuisanceParts,
+                    params: SmoothingParams, *, _terms=None, _keep=None):
     """Vectorized influence values for a risk query.
 
     Returns ``(num, den, floor_hits)`` where num/den are (m,) arrays and
-    floor_hits counts residual-term density-floor activations. ``_terms``,
-    for a caller that keeps terms across queries, maps an arm to its
-    ``local_terms`` and a kernel window ``(arm, center, h)`` to its
-    ``_kernel_integrals_1d``, all on these rows at params' t, epsilon,
-    quad_nodes and window half-width; what the query needs and it lacks is
-    made here and added to it.
+    floor_hits counts residual-term density-floor activations. ``nuis`` is
+    one ``NuisanceTriple`` for every row, or ``NuisanceParts`` giving each
+    contiguous part of the rows its own. ``_terms``, for a caller that keeps
+    terms across queries, maps an arm to its ``LocalTerms`` and a kernel
+    window ``(arm, center, h)`` to its integrals, all on these rows and
+    parts at params' t, epsilon, quad_nodes and window half-width; what the
+    query needs and it lacks is made here and added to it, under the keys
+    in ``_keep`` when that is given.
     """
-    ((loc, plain, weighted, ints),) = _arm_terms((y, a, s, b, x), q, nuis, params, _terms)
-    den = loc.ind * plain + ints["phi"]
-    num = loc.ind * weighted + ints["phi_r"]
+    def combine(window):
+        ind, plain, weighted, ints = window
+        return ind * weighted + ints["phi_r"], ind * plain + ints["phi"]
+
+    num, den, hits = _batch("eif_stwcr_batch", (y, a, s, b, x), q, StwcrQuery, nuis, params,
+                            _terms, _keep, combine)
     _check_finite("risk influence values", num)
     _check_finite("risk influence values", den)
-    return num, den, loc.floor_hits
+    return num, den, hits
 
 
-def eif_stwcrve_batch(y, a, s, b, x, q: StwcrveQuery, nuis: NuisanceTriple,
-                      params: SmoothingParams, *, _terms=None):
+def eif_stwcrve_batch(y, a, s, b, x, q: StwcrveQuery, nuis: NuisanceTriple | NuisanceParts,
+                      params: SmoothingParams, *, _terms=None, _keep=None):
     """Vectorized influence values for a relative-efficacy query.
 
     Term grouping pairs each observation-local term with its correction
     integral, so a symmetric query (a1 == a0, s1 == s0, h1 == h0) yields
     num == den exactly: its second arm finds both its terms made by the
-    first. ``_terms`` is as for ``eif_stwcr_batch``.
+    first. ``nuis``, ``_terms`` and ``_keep`` are as for ``eif_stwcr_batch``.
     """
-    (loc0, plain0, weighted0, i0), (loc1, plain1, weighted1, i1) = _arm_terms(
-        (y, a, s, b, x), q, nuis, params, _terms)
-    ind0, ind1 = loc0.ind, loc1.ind
-    # numerator: r at a1; denominator: r at a0
-    num = ind0 * i1["phi_r"] * plain0 + ind1 * i0["phi"] * weighted1 + i0["phi"] * i1["phi_r"]
-    den = ind1 * i0["phi_r"] * plain1 + ind0 * i1["phi"] * weighted0 + i1["phi"] * i0["phi_r"]
+    def combine(comparator, investigational):
+        (ind0, plain0, weighted0, i0), (ind1, plain1, weighted1, i1) = comparator, investigational
+        # numerator: r at a1; denominator: r at a0
+        num = ind0 * i1["phi_r"] * plain0 + ind1 * i0["phi"] * weighted1 + i0["phi"] * i1["phi_r"]
+        den = ind1 * i0["phi_r"] * plain1 + ind0 * i1["phi"] * weighted0 + i1["phi"] * i0["phi_r"]
+        return num, den
+
+    num, den, hits = _batch("eif_stwcrve_batch", (y, a, s, b, x), q, StwcrveQuery, nuis, params,
+                            _terms, _keep, combine)
     _check_finite("relative-efficacy influence values", num)
     _check_finite("relative-efficacy influence values", den)
-    return num, den, loc0.floor_hits + loc1.floor_hits
+    return num, den, hits

@@ -27,23 +27,25 @@ Injected nuisances fit nothing and are unaffected.
 
 No nuisance depends on the query, so repeated ``estimate_stwcr`` and
 ``estimate_stwcrve`` calls on the same ``Dataset`` with the same folds and
-model specs reuse a fold plan built by the first: the fold fits, each
-held-out fold's rows, and per fold one dict of influence terms for the
-last (t, epsilon, quad_nodes, window_halfwidth_in_h) asked, which each
-query's batch reads and fills. After each fold's batch one rule picks what
-the dict keeps: every arm's observation-local terms, and a kernel window's
-grid integrals once the window has been asked twice in a row on its arm,
-until that arm is asked another window. A marker sweep costs one fit per
-fold, and each query its kernel weights and the grid integrals of its
-kernel windows; queries that hold the comparator's marker fixed compute
-its grid twice and then read it, and a single query keeps no window. A
-``Dataset`` and a ``FoldAssignment``'s labels are read-only, so the plan is
-kept per Dataset object and its contents are never checked: it is reused
-when the specs are equal and the folds are the same object or hold equal
-labels, and other folds or specs rebuild it.
+model specs reuse a fold plan built by the first: the fold fits, the
+held-out rows sorted by fold, and one dict of whole-row influence terms
+for the last (t, epsilon, quad_nodes, window_halfwidth_in_h) asked, which
+each query's one batch call reads and fills, each fold's part with its own
+nuisances. One rule picks what the dict keeps: every arm's
+observation-local terms, and a kernel window's grid integrals once the
+window has been asked twice in a row on its arm, until that arm is asked
+another window. A marker sweep costs one fit per fold, and each
+query its kernel weights, the grid integrals of its kernel windows on
+each fold, and one scatter of its influence values into row order;
+queries that hold the comparator's marker fixed compute its grid twice
+and then read it, and a single query keeps no window. A ``Dataset`` and a
+``FoldAssignment``'s labels are read-only, so the plan is kept per Dataset
+object and its contents are never checked: it is reused when the specs
+are equal and the folds are the same object or hold equal labels, and
+other folds or specs rebuild it.
 
 Each estimator makes one ``_influence`` call, which checks the query and
-arguments, runs the fold loop and returns an ``_Influence`` record: the
+arguments, makes the one batch call and returns an ``_Influence`` record: the
 influence values num_i and den_i in original row order, their pooled
 means tau_num and tau_den (an EstimationError unless tau_den > 0), the
 density-floor hits and the degenerate folds. The report is built from
@@ -68,7 +70,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .core import SmoothingParams, _is_number, _require_array, _require_int, _require_type
-from .eif import StwcrQuery, StwcrveQuery, eif_stwcr_batch, eif_stwcrve_batch
+from .eif import NuisanceParts, StwcrQuery, StwcrveQuery, eif_stwcr_batch, eif_stwcrve_batch
 from .errors import EstimationError, InvalidParameterError, SolverError
 from .nuisance import (
     CondDensityModel,
@@ -273,41 +275,49 @@ def _fit_fold(train: TrainingRows, specs: ModelSpecs,
 class _FoldPlan:
     """What every query on one (dataset, folds, specs) shares.
 
-    Part j of ``rows`` holds the rows evaluated with ``fits[j]``, a
-    ``(NuisanceTriple, degenerate)`` pair, which sit at ``index[j]`` in the
-    dataset: ``order`` sorted the rows by part, or with ``order`` None the
-    one part is every row, in order. Holds each part's rows and, in
-    ``terms``, one dict per part that the part's batch reads and fills
-    (``eif_stwcr_batch``'s ``_terms``), valid for one (t, epsilon,
-    quad_nodes, window_halfwidth_in_h): a query with another starts every
-    dict empty. After each part's batch its dict keeps only what ``ask``
-    allows: every arm's ``LocalTerms``, and each window ``(arm, center, h)``
-    asked twice in a row on its arm, until that arm is asked another window
-    (32 bytes a row); a run of one query keeps no window. Every entry is
-    keyed by all it depends on, so a query that fails part way leaves
-    nothing stale. The held rows are slices of ``rows.data``, never a copy
-    of its own; it holds neither the caller's dataset nor ``rows``, whose
-    designs go with it. ``folds`` and ``specs`` are what the fits were made
-    from, None for injected nuisances.
+    ``rows`` holds the rows of ``parts``, sorted by part, and ``nuis`` their
+    nuisances: with ``order``, part j is fold j + 1, evaluated with
+    ``fits[j]``'s triple (a ``NuisanceParts``), and the rows sit at
+    ``index`` in the dataset; with ``order`` None the one part is every row,
+    in order, and ``nuis`` its one triple. ``fits`` are ``(NuisanceTriple,
+    degenerate)`` pairs. Each query is one batch call on ``rows``, which
+    reads and fills ``terms`` (``eif_stwcr_batch``'s ``_terms``): one dict
+    of whole-row arrays, valid for one (t, epsilon, quad_nodes,
+    window_halfwidth_in_h), so a query with another starts it empty. It
+    holds only what ``ask`` allows, which the batch is given as ``_keep``
+    and after which the plan drops the rest: every arm's ``LocalTerms``,
+    and each window ``(arm, center, h)`` asked twice in a row on its arm,
+    until that arm is asked another window (32 bytes a row); a run of one
+    query keeps no window. Every entry is keyed by all it depends on and
+    added only once every part is made, so a query that fails part way
+    leaves nothing stale. The held rows are slices of
+    ``parts.data``, never a copy of its own; the plan holds neither the
+    caller's dataset nor ``parts``, whose designs go with it. ``folds`` and
+    ``specs`` are what the fits were made from, None for injected
+    nuisances.
     """
 
-    def __init__(self, folds, specs, rows: RowParts, order: np.ndarray | None, fits):
+    def __init__(self, folds, specs, parts: RowParts, order: np.ndarray | None, fits):
         self.folds, self.specs = folds, specs
         self.fits = fits
-        parts = list(zip(rows.edges[:-1], rows.edges[1:]))
-        self.index = [slice(None)] if order is None else [order[lo:hi] for lo, hi in parts]
-        cols = (rows.data.y, rows.data.a, rows.data.s, rows.data.b, rows.data.x)
-        self.held = [tuple(col[lo:hi] for col in cols) for lo, hi in parts]
+        # the rows of the parts, which corrupt labels could leave short of every row
+        lo, hi = parts.edges[0], parts.edges[-1]
+        self.index = slice(None) if order is None else order[lo:hi]
+        data = parts.data
+        self.rows = tuple(col[lo:hi] for col in (data.y, data.a, data.s, data.b, data.x))
+        self.nuis = fits[0][0] if order is None else NuisanceParts(
+            tuple(edge - lo for edge in parts.edges), tuple(nuis for nuis, _ in fits))
+        self.degenerate_folds = sum(int(degen) for _, degen in fits)
         self._params = None  # (t, epsilon, quad_nodes, window_halfwidth_in_h) of ``terms``
-        self.terms = []
+        self.terms = {}
         self._asked = {}  # arm -> (its last window, whether asked twice in a row)
 
     def ask(self, windows, params: SmoothingParams) -> set:
         """Record a query's ``windows`` under ``params``; returns the keys
-        the parts' dicts keep: both arms and each window asked twice in a row."""
+        ``terms`` keeps: both arms and each window asked twice in a row."""
         key = (params.t, params.epsilon, params.quad_nodes, params.window_halfwidth_in_h)
         if key != self._params:
-            self._params, self._asked, self.terms = key, {}, [{} for _ in self.fits]
+            self._params, self._asked, self.terms = key, {}, {}
         for window in dict.fromkeys(windows):
             last = self._asked.get(window[0])
             self._asked[window[0]] = (window, last is not None and last[0] == window)
@@ -361,7 +371,7 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
 
 class _Influence(NamedTuple):
     """One query's cross-fitted influence values in original row order, their
-    pooled means (tau_den > 0) and the fold loop's counts."""
+    pooled means (tau_den > 0), the density-floor hits and the degenerate folds."""
 
     num: np.ndarray
     den: np.ndarray
@@ -379,9 +389,10 @@ class _Influence(NamedTuple):
 def _influence(query_type, batch_fn, data: Dataset, query, params: SmoothingParams,
                folds: FoldAssignment, specs: ModelSpecs, nuisances) -> _Influence:
     """The arguments of ``query_type``'s ``estimate_<kind>`` checked, then
-    ``batch_fn``'s influence values for all rows, part by part: each fold, or
-    with injected ``nuisances`` one uncached part of all rows.
-    EstimationError unless tau_den > 0."""
+    ``batch_fn``'s influence values for all rows, from one call on the fold
+    plan's rows, each fold's part with its own nuisances, or with injected
+    ``nuisances`` on one uncached part of all rows. EstimationError unless
+    tau_den > 0."""
     caller = f"estimate_{query_type.kind}"
     for name, value, cls in (("q", query, query_type), ("data", data, Dataset),
                              ("params", params, SmoothingParams), ("folds", folds, FoldAssignment),
@@ -403,15 +414,19 @@ def _influence(query_type, batch_fn, data: Dataset, query, params: SmoothingPara
                 raise EstimationError("arm not present in training folds")
         plan = _fold_plan(data, folds, specs)
     kept = plan.ask(windows, params)
-    # NaN until a part writes it, so an unfilled slot cannot pass silently
-    num, den = np.full(n, np.nan), np.full(n, np.nan)
-    hits = degenerate = 0
-    for index, held, terms, (nuis, degen) in zip(plan.index, plan.held, plan.terms, plan.fits):
-        num[index], den[index], part_hits = batch_fn(*held, query, nuis, params, _terms=terms)
-        for key in terms.keys() - kept:
-            del terms[key]
-        hits += part_hits
-        degenerate += int(degen)
+    num, den, hits = batch_fn(*plan.rows, query, plan.nuis, params, _terms=plan.terms, _keep=kept)
+    for key in plan.terms.keys() - kept:
+        del plan.terms[key]
+
+    def scattered(values):
+        # NaN until written, so a row in no part cannot pass silently
+        out = np.full(n, np.nan)
+        out[plan.index] = values
+        return out
+
+    # one at a time, so that each held-out order array is dropped once scattered
+    num = scattered(num)
+    den = scattered(den)
     if np.isnan(num).any() or np.isnan(den).any():
         raise EstimationError("influence values left unset: a row was in no held-out fold")
     tau_num = float(np.mean(num))
@@ -419,7 +434,7 @@ def _influence(query_type, batch_fn, data: Dataset, query, params: SmoothingPara
     if tau_den <= 0:
         raise EstimationError(
             f"denominator nonpositive: tau_den_hat={tau_den:.6g} (tau_num_hat={tau_num:.6g})")
-    return _Influence(num, den, tau_num, tau_den, hits, degenerate)
+    return _Influence(num, den, tau_num, tau_den, hits, plan.degenerate_folds)
 
 
 def _sample_var(values: np.ndarray) -> float:

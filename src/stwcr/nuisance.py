@@ -49,7 +49,8 @@ from typing import ClassVar, NamedTuple, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .core import Interval, _is_arm, _is_number, _require_array, _require_positive, _require_type
+from .core import (Interval, _is_arm, _is_number, _require_array, _require_numbers,
+                   _require_positive, _require_type)
 from .errors import InvalidParameterError, SolverError
 from .parallel import row_blocks
 
@@ -390,7 +391,12 @@ class CondDensityModel(_FittedModel):
 
     def density_at(self, a, s, b, x):
         """Density at broadcastable a, s and b, with x's covariates on its last axis."""
-        return _normal_density(np.asarray(s, dtype=float), self.mean(a, b, x), self.residual_sd)
+        return self.density_from_mean(s, self.mean(a, b, x))
+
+    def density_from_mean(self, s, mean):
+        """Density at s of a marker whose mean is ``mean``, broadcast: a
+        caller that keeps ``mean`` rows' mean reads their density at any s."""
+        return _normal_density(np.asarray(s, dtype=float), mean, self.residual_sd)
 
 
 @dataclass(frozen=True)
@@ -421,7 +427,9 @@ class NuisanceTriple:
     """Fitted nuisances plus the marker support they were trained against.
 
     ``support`` must be an Interval; the three models are duck-typed, so any
-    object with the methods the influence values call will do."""
+    object with the methods the influence values call will do: ``prob``,
+    ``mean`` and ``density_from_mean`` (and ``density_at`` for the scalar
+    reference path), and ``predict_at``."""
 
     propensity: KnownPropensity | PropensityModel
     cond_density: CondDensityModel
@@ -535,10 +543,7 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
     ``_FIT_BLOCK_ROWS`` rows cut from each range by ``row_blocks``, so no
     step holds more than one block's weighted design.
     """
-    X = np.asarray(design)
-    if X.dtype.kind not in "biuf":
-        raise InvalidParameterError(f"design must hold numbers, got dtype {X.dtype}")
-    X = np.asarray(X, dtype=float)  # no copy of a float64 design
+    X = np.asarray(_require_numbers("design", design), dtype=float)  # no copy of a float64 design
     if X.ndim != 2 or X.shape[1] == 0:
         raise InvalidParameterError(
             f"design must be 2-D with at least one column, got shape {X.shape}")

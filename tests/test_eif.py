@@ -39,6 +39,12 @@ class ConstantDensity:
     def density_at(self, a, s, b, x):
         return np.full(np.broadcast_shapes(np.shape(s), np.shape(b)), self.value, dtype=float)
 
+    def mean(self, a, b, x):
+        return np.zeros(np.shape(b))
+
+    def density_from_mean(self, s, mean):
+        return np.full(np.broadcast_shapes(np.shape(s), np.shape(mean)), self.value, dtype=float)
+
 
 class ConstantOutcome:
     def __init__(self, value):
@@ -415,7 +421,8 @@ class TestModelArraysAreOnlyRead:
                              outcome=Recording(nuis.outcome), support=nuis.support)
         assert_batches_equal([eif_stwcrve_batch(ds.y, ds.a, ds.s, ds.b, ds.x, q, nuis, PARAMS)],
                              [eif_stwcrve_batch(ds.y, ds.a, ds.s, ds.b, ds.x, q, spy, PARAMS)])
-        assert len(returned) == 10  # per arm: prob, then density_at and predict_at at S and on the grid
+        # per arm: prob, the density's mean, then density_from_mean and predict_at at S and on the grid
+        assert len(returned) == 12
         for value, copy in returned:
             assert np.array_equal(value, copy)
 

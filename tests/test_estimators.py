@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from stwcr import eif, estimators, nuisance
-from stwcr.core import Interval, SmoothingParams
+from stwcr import eif, estimators, nuisance, parallel
+from stwcr.core import Interval, SmoothingParams, kernel_window
 from stwcr.eif import StwcrQuery, StwcrveQuery
 from stwcr.errors import EstimationError, InvalidParameterError, SolverError
 from stwcr.estimators import (
@@ -685,10 +685,10 @@ class TestFoldPlan:
         for params in (PARAMS, replace(PARAMS, t=0.2), replace(PARAMS, epsilon=0.05), PARAMS):
             warm = estimate_stwcr(ds, q, params, folds)
             assert repr(warm) == repr(estimate_stwcr(fresh_copy(ds), q, params, folds))
-            # one (t, epsilon) is kept: each fold's terms of arm 1 at these params
+            # one (t, epsilon) is kept: the terms of arm 1 at these params
             plan = estimators._FOLD_FITS[ds]
             assert plan._params[:2] == (params.t, params.epsilon)
-            assert [set(terms) for terms in plan.terms] == [{1}] * 5
+            assert set(plan.terms) == {1}
         assert count_local_terms[1] == 4 * 5 + 4 * 5  # the copies are cold too
 
     def test_swapped_folds(self):
@@ -756,24 +756,70 @@ class TestFoldPlan:
                        replace(PARAMS, window_halfwidth_in_h=5.0), PARAMS):
             made.clear()
             estimate_stwcrve(ds, StwcrveQuery(1, 0, 10.0, 7.0), params, folds)
-            assert made == [0, 1] * 5
+            assert made == [0] * 5 + [1] * 5  # each window on every fold, the comparator's first
 
     def test_one_query_keeps_no_window(self):
         for q, arms in ((StwcrQuery(1, 7.0), {1}), (StwcrveQuery(1, 0, 8.0, 7.0), {0, 1}),
                         (StwcrveQuery(0, 0, 8.0, 7.0), {0})):
             ds = gen_dataset(ScenarioSpec("I", 400, 36))
             estimate(ds, q, make_folds(400, 5, 14))
-            # each fold keeps its arms' local terms and no window
-            assert [set(terms) for terms in estimators._FOLD_FITS[ds].terms] == [arms] * 5
+            # the plan keeps its arms' local terms and no window
+            assert set(estimators._FOLD_FITS[ds].terms) == arms
+
+    @pytest.mark.parametrize("group_rows", [64, 256])
+    def test_groups_equal_one_group(self, monkeypatch, group_rows):
+        # 64 cuts each 200-row part into pieces, 256 joins parts; both multiples of the block
+        ds = gen_dataset(ScenarioSpec("I", 1000, 27))
+        folds = make_folds(1000, 5, 7)
+        queries = SWEEP_1K[:3] + SWEEP_1K[20:]
+        one = [repr(estimate(ds, q, folds)) for q in queries]
+        one_terms = estimators._FOLD_FITS[ds].terms
+        monkeypatch.setattr(parallel, "_BLOCK_ROWS", 16)
+        monkeypatch.setattr(eif, "_GROUP_ROWS", group_rows)
+        copy = fresh_copy(ds)
+        assert [repr(estimate(copy, q, folds)) for q in queries] == one
+        # the comparator's window, kept, was filled group by group
+        terms = estimators._FOLD_FITS[copy].terms
+        assert terms.keys() == one_terms.keys() == {0, 1, (0, 7.0, 0.1)}
+        for key, value in terms.items():
+            grouped, whole = (list(v.values()) if isinstance(v, dict) else list(v)
+                              for v in (value, one_terms[key]))
+            assert all(np.array_equal(u, v) for u, v in zip(grouped, whole, strict=True))
+
+    @pytest.mark.parametrize("q", [StwcrQuery(1, 12.0), StwcrveQuery(1, 0, 12.0, 7.0)])
+    def test_clipped_window_equals_one_triple_batches(self, q):
+        # the trial's largest markers are 12.47 and 12.40, both in fold 2, so fold 2's
+        # support ends at 12.12 and the others' at 12.47: a window at 12 takes two rules
+        ds = gen_dataset(ScenarioSpec("I", 1000, 11))
+        folds = make_folds(1000, 5, 12)
+        rep = estimate(ds, q, folds)
+        fits = estimators._FOLD_FITS[ds].fits
+        arm, center, h = q.windows(PARAMS)[-1]
+        assert len({kernel_window(center, h, nuis.support, PARAMS) for nuis, _ in fits}) == 2
+        # each fold's held-out rows in one call with that fold's triple alone
+        batch = getattr(eif, f"eif_{q.kind}_batch")
+        num, den = np.empty(1000), np.empty(1000)
+        for k, (nuis, _) in enumerate(fits, start=1):
+            held = folds.labels == k
+            num[held], den[held], _ = batch(*(getattr(ds, name)[held] for name in "yasbx"),
+                                            q, nuis, PARAMS)
+        inf = estimators._Influence(num, den, float(np.mean(num)), float(np.mean(den)), 0, 0)
+        ratio, var = inf.ratio_var()
+        assert (rep.tau_num_hat, rep.tau_den_hat) == (inf.tau_num, inf.tau_den)
+        if isinstance(q, StwcrQuery):
+            assert (rep.tau_hat, rep.sigma1_sq_hat) == (ratio, var)
+        else:
+            assert (rep.rho_hat, rep.sigma2_sq_hat) == (ratio, var)
 
     def test_held_out_rows_keep_their_order(self):
         ds = gen_dataset(ScenarioSpec("I", 300, 31))
         folds = make_folds(300, 5, 12)
         plan = estimators._fold_plan(ds, folds, ModelSpecs())
-        for k, (index, held) in enumerate(zip(plan.index, plan.held), start=1):
-            assert np.array_equal(index, np.flatnonzero(folds.labels == k))
-            for col, name in zip(held, ("y", "a", "s", "b", "x")):
-                assert np.array_equal(col, getattr(ds, name)[folds.labels == k])
+        edges = plan.nuis.edges
+        for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]), start=1):
+            assert np.array_equal(plan.index[lo:hi], np.flatnonzero(folds.labels == k))
+            for col, name in zip(plan.rows, ("y", "a", "s", "b", "x")):
+                assert np.array_equal(col[lo:hi], getattr(ds, name)[folds.labels == k])
 
 
 def fitted_values(fits):
@@ -1018,8 +1064,7 @@ class TestWarmStartedFolds:
         folds = make_folds(len(ds), 5, 0)
         rep = estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, folds, nuisances=nuis)
         (plan,) = plans
-        (held,) = plan.held
-        for col, name in zip(held, ("y", "a", "s", "b", "x"), strict=True):
+        for col, name in zip(plan.rows, ("y", "a", "s", "b", "x"), strict=True):
             assert np.shares_memory(col, getattr(ds, name))
         monkeypatch.undo()
         assert repr(rep) == repr(estimate_stwcr(fresh_copy(ds), StwcrQuery(1, 7.0), PARAMS, folds,

@@ -16,7 +16,15 @@ from scipy.special import expit
 
 from stwcr import estimators, simulation
 from stwcr.core import Interval, SmoothingParams, kernel_weight
-from stwcr.eif import StwcrQuery, StwcrveQuery, eif_stwcr, eif_stwcrve
+from stwcr.eif import (
+    NuisanceParts,
+    StwcrQuery,
+    StwcrveQuery,
+    eif_stwcr,
+    eif_stwcr_batch,
+    eif_stwcrve,
+    eif_stwcrve_batch,
+)
 from stwcr.errors import EstimationError, HarnessError, InvalidParameterError
 from stwcr.estimators import (
     FoldAssignment,
@@ -287,6 +295,14 @@ def test_bad_counts_and_seeds_are_typed_errors(call):
 
 
 _OBS = Observation(y=1.0, a=1, s=7.0, b=2.0, x=(0.0, 0.5, 0.5))
+# two rows y, a, s, b, x for the batch functions
+_ROWS = (np.array([1.0, 0.0]), np.array([1, 0]), np.array([7.0, 6.5]), np.array([2.0, 1.0]),
+         np.zeros((2, 3)))
+
+
+def _rows(**columns):
+    """``_ROWS`` with ``columns`` replaced."""
+    return [columns.get(name, col) for name, col in zip("yasbx", _ROWS)]
 
 
 def _trial(**columns):
@@ -385,6 +401,21 @@ def _trial(**columns):
     lambda: oracle_estimand("stwcr", np.array(["I", "II"]), StwcrQuery(1, 7.0), PARAMS,
                             mc_size=100_000),
     lambda: SimConfig("I", 100, 2, 5, PARAMS),
+    lambda: eif_stwcr_batch(*_ROWS, None, true_nuisances("I"), PARAMS),
+    lambda: eif_stwcr_batch(*_ROWS, StwcrQuery(1, 7.0), None, PARAMS),
+    lambda: eif_stwcr_batch(*_ROWS, StwcrQuery(1, 7.0), true_nuisances("I"), None),
+    lambda: eif_stwcr_batch(*_rows(s=["7.0", "6.5"]), StwcrQuery(1, 7.0), true_nuisances("I"), PARAMS),
+    lambda: eif_stwcr_batch(*_rows(x=np.zeros((3, 3))), StwcrQuery(1, 7.0), true_nuisances("I"),
+                            PARAMS),
+    lambda: eif_stwcrve_batch(*_ROWS, StwcrQuery(1, 7.0), true_nuisances("I"), PARAMS),
+    lambda: eif_stwcrve_batch(*_rows(y=[10 ** 400, 0.0]), StwcrveQuery(1, 0, 8.0, 7.0),
+                              true_nuisances("I"), PARAMS),
+    lambda: eif_stwcrve_batch(*_ROWS, StwcrveQuery(1, 0, 8.0, 7.0),
+                              NuisanceParts((0, 1), (true_nuisances("I"),)), PARAMS),
+    lambda: eif_stwcrve_batch(*_ROWS, StwcrveQuery(1, 0, 8.0, 7.0),
+                              NuisanceParts((0, 1, 2), (true_nuisances("I"), None)), PARAMS),
+    lambda: kernel_weight("x", 0.1),
+    lambda: kernel_weight(10 ** 400, 0.1),
 ], ids=["query_marker_str", "query_marker_none", "ve_query_marker_str", "query_arm_bool",
         "query_arm_float", "ve_query_arm_bool", "ve_query_arm_float", "kernel_h_bool", "interval_none",
         "interval_str", "known_propensity_str", "spec_list", "config_params_dict",
@@ -407,7 +438,9 @@ def _trial(**columns):
         "eif_stwcrve_query_risk", "eif_stwcrve_params_none", "eif_stwcrve_obs_none",
         "eif_stwcrve_nuis_dict", "truths_params_none", "truths_queries_int",
         "truths_scenario_array", "oracle_params_none", "oracle_kind_dict", "oracle_scenario_array",
-        "config_queries_int"])
+        "config_queries_int", "batch_query_none", "batch_nuis_none", "batch_params_none",
+        "batch_s_str", "batch_x_rows", "ve_batch_query_risk", "ve_batch_y_huge_int",
+        "ve_batch_parts_short", "ve_batch_parts_triple_none", "kernel_u_str", "kernel_u_huge_int"])
 def test_wrong_input_type_is_typed_error_where_it_enters(call):
     with pytest.raises(InvalidParameterError):
         call()

@@ -13,6 +13,10 @@ It pins no number itself. It prints:
   markers and one symmetric query) on a 1,000-row Scenario I trial (seed
   11, folds seed 12) and a Scenario II one (seed 5, folds seed 3), with
   fitted nuisances and with the true nuisances injected;
+* a fitted risk and a relative-efficacy query at marker 12 on that
+  Scenario I trial, whose largest marker is 12.47: the folds' supports
+  clip the kernel window at two different ends, so its parts take two
+  quadrature rules;
 * both estimators at n = 2000 with a fitted ``[1, b, x1]`` propensity and
   with a known propensity of 0.4;
 * both estimators at n = 1000 with every model's spec holding squares and
@@ -20,6 +24,8 @@ It pins no number itself. It prints:
   the grid;
 * one ``estimate_stwcr`` on 40,000 Scenario II rows, whose folds are fit on
   threads;
+* both estimators on 100,000 Scenario II rows, whose five folds a query's
+  batch call takes in two groups of rows;
 * ``compute_truths`` on Scenarios I-III;
 * ``run_monte_carlo`` rows for a risk and a relative-efficacy query, on one
   process and on two;
@@ -75,6 +81,13 @@ def sweeps():
             print(f"sweep {scenario} injected", q, estimate(data, q, folds, nuisances=nuisances))
 
 
+def clipped():
+    data = gen_dataset(ScenarioSpec("I", 1000, 11))
+    folds = make_folds(len(data), 5, 12)
+    for q in (StwcrQuery(1, 12.0), StwcrveQuery(1, 0, 12.0, 7.0)):
+        print("clipped window", q, estimate(data, q, folds))
+
+
 def propensities():
     data = gen_dataset(ScenarioSpec("I", 2000, 21))
     folds = make_folds(len(data), 5, 22)
@@ -101,6 +114,13 @@ def large():
     data = gen_dataset(ScenarioSpec("II", 40_000, 31))
     q = StwcrQuery(1, 9.0)
     print("large II", q, estimate(data, q, make_folds(len(data), 5, 32)))
+
+
+def grouped():
+    data = gen_dataset(ScenarioSpec("II", 100_000, 61))
+    folds = make_folds(len(data), 5, 62)
+    for q in (StwcrQuery(1, 9.0), StwcrveQuery(1, 0, 10.0, 9.0)):
+        print("grouped II", q, estimate(data, q, folds))
 
 
 def truths():
@@ -149,5 +169,6 @@ def cli_reports():
 
 
 if __name__ == "__main__":
-    for part in (sweeps, propensities, feature_terms, large, truths, harness, cli_reports):
+    for part in (sweeps, clipped, propensities, feature_terms, large, grouped, truths, harness,
+                 cli_reports):
         part()
