@@ -1,4 +1,5 @@
-"""Thread pools for the two large-n phases: fold fits and grid row blocks.
+"""Thread pools for the two large-n phases, fold fits and grid row blocks,
+and forked processes for the CSV parse.
 
 Both are numpy ufunc, LAPACK and BLAS work that releases the interpreter
 lock, and each task writes only its own result, so threads change no
@@ -10,11 +11,19 @@ own pool and joins it before returning: no thread outlives the call, and a
 process forked later (``run_monte_carlo``'s workers) inherits no pool
 without threads. ``row_blocks`` cuts both those grids and the fold fits'
 training ranges.
+
+``fork_count`` and ``map_forked_rows`` run work that holds the interpreter
+lock, ``cli``'s CSV parse, in forked processes instead: each child writes
+its rows into one shared table and exits, and the caller reaps every child
+before returning.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -85,3 +94,58 @@ def map_row_blocks(fn, *arrays, threaded: bool = True) -> tuple:
                           *zip(*row_blocks(0, m, _BLOCK_ROWS)),
                           tasks=round(m / _BLOCK_ROWS) if threaded else 1)
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def fork_count() -> int:
+    """Processes ``map_forked_rows`` may use: ``thread_count()`` on Linux
+    while no other Python thread runs, since a child could inherit a lock
+    that another thread holds; otherwise 1."""
+    if sys.platform.startswith("linux") and threading.active_count() == 1:
+        return thread_count()
+    return 1
+
+
+def map_forked_rows(fn, blocks, shape) -> np.ndarray | None:
+    """``np.concatenate([fn(lo, hi) for lo, hi in blocks])`` as a float
+    array of ``shape``, or None if a forked call fails.
+
+    ``blocks`` are ``(lo, hi)`` row ranges that tile ``range(shape[0])`` in
+    order, and ``fn(lo, hi)`` gives rows ``lo:hi``. The first block runs in
+    this process and each other one in a forked child, all at once; a child
+    writes its rows into a shared anonymous mapping and exits, and every
+    child is reaped before this returns or raises. A child that raises, or
+    a call whose rows are not of the table's shape, or a fork refused by
+    the system gives None; an exception of the first call is raised.
+    """
+    # an anonymous mapping is shared with the children by default
+    table = np.ndarray(shape, dtype=float,
+                       buffer=mmap.mmap(-1, max(1, 8 * int(np.prod(shape)))))
+
+    def fill(lo, hi) -> bool:
+        rows = fn(lo, hi)
+        if rows.shape != table[lo:hi].shape:
+            return False
+        table[lo:hi] = rows
+        return True
+
+    children, ok = [], True
+    try:
+        for lo, hi in blocks[1:]:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare
+                ok = False
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    code = 0 if fill(lo, hi) else 1
+                finally:
+                    os._exit(code)  # a child never returns to the caller
+            children.append(pid)
+        ok = ok and fill(*blocks[0])
+    finally:
+        for pid in children:
+            _, status = os.waitpid(pid, 0)
+            ok = ok and os.waitstatus_to_exitcode(status) == 0
+    return table if ok else None

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stwcr import estimators
+from stwcr import cli, estimators, parallel
 from stwcr.cli import _build_parser, _params_from, load_dataset, main, parse_query
 from stwcr.core import SmoothingParams
 from stwcr.eif import QUERY_TYPES, StwcrQuery, StwcrveQuery
@@ -29,11 +29,17 @@ from stwcr.estimators import (
     make_folds,
 )
 from stwcr.simulation import ScenarioSpec, SimConfig, gen_dataset
+from test_parallel import assert_no_child_left
+
+
+# csv's line end; TestLoadDatasetForked writes plain "\n" lines, whose
+# files may be parsed in parts
+LINE_END = "\r\n"
 
 
 def write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator=LINE_END)
         w.writerow(header)
         w.writerows(rows)
 
@@ -196,6 +202,116 @@ class TestLoadDataset:
                         "params": dataclasses.asdict(params), "query": dataclasses.asdict(query),
                         "k_folds": 5, "fold_seed": 3, **dataclasses.asdict(rep)}
             assert report == json.loads(json.dumps(expected))  # tuples as JSON lists
+
+
+def load_outcome(path):
+    """``load_dataset(path)``'s columns, or the message it raised."""
+    try:
+        ds = load_dataset(path)
+    except DatasetParseError as exc:
+        return str(exc)
+    return [(name, getattr(ds, name).dtype, getattr(ds, name).tobytes())
+            for name in ("y", "a", "s", "b", "x")] + [ds.covariate_names, ds.outcome_kind]
+
+
+@pytest.fixture()
+def fork_results(monkeypatch):
+    """What each ``map_forked_rows`` call gave: a table, None for a child
+    that failed, or the exception of the first part."""
+    results, real = [], parallel.map_forked_rows
+
+    def recording(*args):
+        try:
+            results.append(real(*args))
+        except ValueError as exc:
+            results.append(exc)
+            raise
+        return results[-1]
+
+    monkeypatch.setattr(parallel, "map_forked_rows", recording)
+    yield results
+    assert_no_child_left()
+
+
+class TestLoadDatasetForked(TestLoadDataset):
+    """Every ingest test again, with files of two or more rows written with
+    plain line ends and parsed in up to three forked parts."""
+
+    @pytest.fixture(autouse=True)
+    def _forked(self, fork_results, monkeypatch, thread_pools):
+        thread_pools.use(3)
+        monkeypatch.setattr(cli, "_PART_ROWS", 1)
+        monkeypatch.setattr(sys.modules[__name__], "LINE_END", "\n")
+        self.parses = fork_results
+
+    def test_clean_file_parsed_in_parts(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_csv(p, ["y", "a", "s", "b", "x1"],
+                  [[1, i % 2, 5.0 + i, 2.0, 0.1 * i] for i in range(7)])
+        ds = load_dataset(p)
+        assert [t.shape for t in self.parses] == [(7, 5)]
+        assert ds.s.tolist() == [5.0 + i for i in range(7)]
+        assert ds.x[:, 0].tolist() == [0.1 * i for i in range(7)]
+
+    # Nine rows in three parts of three: each fault sits in row 2 (the
+    # first part, parsed in this process) or row 8 (the last, in a child).
+    FAULTS = {
+        "blank line": lambda line: "\n" + line,
+        "quoted cell spanning lines": lambda line: '"P\n' + line[1:].replace(",", '",', 1),
+        "CRLF line end": lambda line: line.replace("\n", "\r\n"),
+        "non-numeric cell": lambda line: line.replace(",5.", ",oops", 1),
+        "ragged row": lambda line: line.replace(",0.5\n", "\n"),
+    }
+
+    @pytest.mark.parametrize("row", [2, 8], ids=["first_part", "last_part"])
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_fault_gives_one_process_outcome(self, tmp_path, monkeypatch, fault, row):
+        header = "id,y,a,s,b,x1\n"
+        lines = [f"P{i},{i % 2},{(i // 2) % 2},5.{i},2.0,0.5\n" for i in range(1, 10)]
+        lines[row - 1] = self.FAULTS[fault](lines[row - 1])
+        p = tmp_path / "d.csv"
+        p.write_bytes((header + "".join(lines)).encode())
+        forked = load_outcome(p)
+        assert_no_child_left()
+        monkeypatch.setattr(cli, "_PART_ROWS", 10**9)
+        assert forked == load_outcome(p)
+        # the faults whose bytes make a file not plain take the one parse
+        assert len(self.parses) == (fault in ("non-numeric cell", "ragged row"))
+        if fault == "blank line":
+            # a split on line counts alone would have read a row twice
+            assert forked.endswith(f"row {row}: expected 6 cells, got 0")
+        elif fault == "non-numeric cell":
+            assert forked.endswith(f"row {row}, column 's': non-numeric value 'oops{row}'")
+            assert [isinstance(t, np.ndarray) for t in self.parses] == [False]
+        elif fault == "ragged row":
+            assert forked.endswith(f"row {row}: expected 6 cells, got 5")
+            assert [isinstance(t, np.ndarray) for t in self.parses] == [False]
+        else:
+            assert not isinstance(forked, str)
+
+    def test_no_child_left_after_success_or_failure(self, tmp_path):
+        p = tmp_path / "d.csv"
+        rows = [[1, 0, 5.0, 2.0, 0.3]] * 6
+        write_csv(p, ["y", "a", "s", "b", "x1"], rows)
+        load_dataset(p)
+        assert_no_child_left()
+        write_csv(p, ["y", "a", "s", "b", "x1"], rows + [[1, 0, "oops", 2.0, 0.3]])
+        with pytest.raises(DatasetParseError, match="row 7, column 's'"):
+            load_dataset(p)
+        assert_no_child_left()
+        assert [isinstance(t, np.ndarray) for t in self.parses] == [True, False]
+
+
+def test_large_file_parsed_in_parts_as_in_one(tmp_path, thread_pools, fork_results):
+    # from 2 * _PART_ROWS rows a plain file is parsed in two parts
+    thread_pools.use(2)
+    trial = emit_trial(tmp_path / "trial.csv", "II", 2 * cli._PART_ROWS, 7)
+    forked = load_outcome(trial)
+    assert [t.shape for t in fork_results] == [(2 * cli._PART_ROWS, 7)]
+    assert_no_child_left()
+    thread_pools.use(1)
+    assert forked == load_outcome(trial)
+    assert len(fork_results) == 1
 
 
 class TestParseQuery:

@@ -2,6 +2,7 @@ import os
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -101,3 +102,65 @@ def test_compute_truths_starts_no_pool(thread_pools):
     thread_pools.use(2)
     compute_truths("I", (StwcrQuery(1, 7.0), StwcrveQuery(1, 0, 8.0, 7.0)), PARAMS)
     assert thread_pools.made == []
+
+
+forking = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks on Linux only")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def pid_rows(lo, hi):
+    """Rows lo..hi-1, each (row, id of the process that made it)."""
+    return np.column_stack([np.arange(lo, hi), np.full(hi - lo, os.getpid())]).astype(float)
+
+
+@forking
+def test_map_forked_rows_tiles_blocks_across_processes():
+    table = parallel.map_forked_rows(pid_rows, [(0, 3), (3, 4), (4, 9)], (9, 2))
+    assert table[:, 0].tolist() == list(range(9))
+    pids = [set(table[lo:hi, 1]) for lo, hi in [(0, 3), (3, 4), (4, 9)]]
+    assert pids[0] == {os.getpid()} and len(set.union(*pids)) == 3
+    assert_no_child_left()
+
+
+@forking
+@pytest.mark.parametrize("fault", ["raises", "wrong_shape"])
+def test_map_forked_rows_none_when_a_child_fails(fault):
+    def rows(lo, hi):
+        if lo == 4 and fault == "raises":
+            raise ValueError("bad cell")
+        return pid_rows(lo, hi)[:, :1] if lo == 4 else pid_rows(lo, hi)
+
+    assert parallel.map_forked_rows(rows, [(0, 3), (3, 4), (4, 9)], (9, 2)) is None
+    assert_no_child_left()
+
+
+@forking
+def test_map_forked_rows_raises_first_block_error_after_reaping():
+    def rows(lo, hi):
+        if lo == 0:
+            raise ValueError("first block")
+        return pid_rows(lo, hi)
+
+    with pytest.raises(ValueError, match="first block"):
+        parallel.map_forked_rows(rows, [(0, 3), (3, 9)], (9, 2))
+    assert_no_child_left()
+
+
+@forking
+def test_no_fork_while_another_thread_runs(thread_pools):
+    thread_pools.use(3)
+    assert parallel.fork_count() == 3
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        assert parallel.fork_count() == 1
+    finally:
+        release.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
+    assert parallel.fork_count() == 3

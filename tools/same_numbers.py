@@ -31,11 +31,14 @@ It pins no number itself. It prints:
   process and on two;
 * the CLI reports of ``estimate-stwcr`` (default and
   ``--known-propensity 0.4``), ``estimate-stwcrve`` and
-  ``simulate --threads 2`` on an emitted 40,000-row trial, without their
-  ``timestamp``.
+  ``simulate --threads 2`` on an emitted 40,000-row Scenario I trial, and
+  of ``estimate-stwcr`` and ``estimate-stwcrve`` on an emitted 60,000-row
+  Scenario II one, without their ``timestamp``. On more than one CPU the
+  CLI parses both files in parts on forked processes.
 
-The trial CSV is written as ``trial.csv`` in a temporary working directory,
-so the reports' ``input`` key is the same on every run.
+The trial CSVs are written as ``trial.csv`` and ``trial-ii.csv`` in a
+temporary working directory, so the reports' ``input`` key is the same on
+every run.
 """
 
 from __future__ import annotations
@@ -147,14 +150,19 @@ def cli_reports():
         "simulate": ["--scenario", "I", "--n", "300", "--reps", "6", "--query", "stwcr:1:7",
                      "--query", "stwcrve:1:0:8:7", "--h", "0.1", "--h0", "0.1", "--h1", "0.1",
                      "--format", "json", "--threads", "2"],
+        "estimate-stwcr II": ["--input", "trial-ii.csv", "--a", "1", "--s", "9", "--h", "0.1"],
+        "estimate-stwcrve II": ["--input", "trial-ii.csv", "--a1", "1", "--a0", "0", "--s1", "9",
+                                "--s0", "8", "--h0", "0.1", "--h1", "0.1"],
     }
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            if cli.main(["emit-draws", "--scenario", "I", "--n", "40000", "--seed", "5",
-                         "--out", "trial.csv"]) != 0:
-                sys.exit("emit-draws failed")
+            for scenario, n, seed, out in (("I", 40_000, 5, "trial.csv"),
+                                           ("II", 60_000, 8, "trial-ii.csv")):
+                if cli.main(["emit-draws", "--scenario", scenario, "--n", str(n),
+                             "--seed", str(seed), "--out", out]) != 0:
+                    sys.exit("emit-draws failed")
             for label, args in runs.items():
                 status = cli.main([label.split()[0], *args, "--out", "out.json"])
                 if status != 0:
