@@ -20,6 +20,7 @@ All functions here are pure and accept scalars or numpy arrays.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral, Real
@@ -317,6 +318,20 @@ def quad_rule(center: float, h: float, support: Interval, params: SmoothingParam
     return nodes, kernel_weight(nodes - center, h) * (scale * base_w)
 
 
+def _require_integral_args(caller, f, centers: dict, bandwidths: dict, support, params) -> None:
+    """InvalidParameterError naming the argument unless ``f`` is callable,
+    each of ``centers`` a finite number, each of ``bandwidths`` positive,
+    ``support`` an Interval and ``params`` SmoothingParams."""
+    _require_type(caller, "f", f, Callable)
+    for name, center in centers.items():
+        if not _is_number(center):
+            raise InvalidParameterError(f"{caller} needs {name} as a finite number, got {center!r}")
+    for name, h in bandwidths.items():
+        _require_positive(f"{caller} bandwidth {name}", h)
+    _require_type(caller, "support", support, Interval)
+    _require_type(caller, "params", params, SmoothingParams)
+
+
 def integrate_kernel_weighted(f, center, h, support, params):
     """``int K_h(s' - center) f(s') ds'`` over the truncated window.
 
@@ -324,6 +339,8 @@ def integrate_kernel_weighted(f, center, h, support, params):
     the same shape (scalars broadcast). Returns 0.0 when the window does
     not intersect the support.
     """
+    _require_integral_args("integrate_kernel_weighted", f, {"center": center}, {"h": h},
+                           support, params)
     nodes, wk = quad_rule(center, h, support, params)
     vals = np.asarray(f(nodes), dtype=float)
     vals = np.broadcast_to(vals, nodes.shape)
@@ -339,6 +356,8 @@ def integrate_kernel_weighted_2d(f, c0, h0, c1, h1, support, params):
     and must return the ``(q0, q1)`` integrand values. Returns 0.0 when
     either window does not intersect the support.
     """
+    _require_integral_args("integrate_kernel_weighted_2d", f, {"c0": c0, "c1": c1},
+                           {"h0": h0, "h1": h1}, support, params)
     x0, k0 = quad_rule(c0, h0, support, params)
     x1, k1 = quad_rule(c1, h1, support, params)
     vals = np.asarray(f(x0[:, None], x1[None, :]), dtype=float)

@@ -39,10 +39,13 @@ of whole-row arrays: under the arm, the query-independent
 observation-local terms (``local_terms``), which keep the rows' density
 mean, and under the window, its grid integrals, which read that mean.
 Both depend on the nuisances, so each is made part by part, and a
-window's grid keeps its row blocks within each part. Once per query come
-one quadrature rule per distinct clipped window and, over all rows up to
-``_GROUP_ROWS`` and group by group above, the kernel weights at S and the
-influence values; the finite checks run once on all rows. A caller
+window's grid keeps its row blocks within each part. What the dict keeps
+is made whole ahead of the row groups: every arm's local terms, then each
+kept window's integrals. The groups, all rows up to ``_GROUP_ROWS`` and
+groups of that many above, bound only what is not kept: the integrals of
+a window the dict does not keep, the kernel weights at S and the
+influence values. Once per query comes one quadrature rule per distinct
+clipped window; the finite checks run once on all rows. A caller
 answering many queries passes that dict back in, and names the keys it
 keeps; the estimators keep one per fold plan for each (t, epsilon,
 quad_nodes, window_halfwidth_in_h), with every arm's local terms and each
@@ -539,72 +542,69 @@ def _batch(caller, rows, q, query_type, nuis, params, terms, keep, combine):
     Each kernel window ``(arm, center, h)`` of ``q`` reads its arm's
     ``LocalTerms`` under the arm in ``terms`` (a new dict when None) and its
     integrals by ``_INTEGRALS`` name under the window: whole-row arrays,
-    made part by part with each part's nuisances. What is missing is made,
-    every arm's local terms before any window's grid, so that terms a
-    caller keeps are not allocated among the grid blocks' short-lived
-    arrays, and added to ``terms`` if its key is in ``keep`` (every key
-    when None). A window's parts share one quadrature rule per clipped
-    window. The parts run in ``_groups``: on each group, ``combine`` takes
-    each window's ``(ind, plain, weighted, ints)`` on the group's rows, ind
-    being its arm's ``LocalTerms.ind``, and returns their num and den.
-    ``plain = k*dphi - int g`` and ``weighted = k*local - int g*r`` pair the
+    made part by part with each part's nuisances. What is missing is made
+    here, and kept when its key is in ``keep`` (every key when None).
+    Ahead of the groups come every arm's local terms, kept or not, and then
+    each kept window's integrals, on every piece of every group, so that
+    terms a caller keeps are not allocated among the grid blocks'
+    short-lived arrays; they are added to ``terms`` once every part is
+    made. A window's parts share one quadrature rule per clipped window.
+    The parts then run in ``_groups``, which bound only what is not kept:
+    the integrals of a new window that ``keep`` leaves out, and the
+    influence values. On each group, ``combine`` takes each window's
+    ``(ind, plain, weighted, ints)`` on the group's rows, ind being its
+    arm's ``LocalTerms.ind``, and returns their num and den. ``plain =
+    k*dphi - int g`` and ``weighted = k*local - int g*r`` pair the
     observation-local terms, weighted by the kernel k at S, with their
     correction integrals.
     """
     (y, a, s, b, x), parts = _batch_args(caller, rows, q, query_type, nuis, params)
-    m = y.shape[0]
     terms = {} if terms is None else terms
     windows = q.windows(params)
     arms = [arm for arm, _, _ in windows]
-    new_arms = [arm for arm in dict.fromkeys(arms) if arm not in terms]
-    new_windows = [window for window in dict.fromkeys(windows) if window not in terms]
-    kept = [key for key in (*new_arms, *new_windows) if keep is None or key in keep]
-    local = {arm: terms[arm] for arm in arms if arm in terms}
-    for arm in new_arms:
-        local[arm] = LocalTerms(*_by_part(
-            lambda lo, hi, triple: local_terms(y[lo:hi], a[lo:hi], s[lo:hi], b[lo:hi], x[lo:hi],
-                                               arm, triple, params.t, params.epsilon),
-            parts))
     groups = _groups(parts)
-    rules = {window: {} for window in new_windows}
-    # the kept new windows' whole-row integrals: one group's own, or over several
-    # groups arrays made ahead of any grid and filled group by group
-    whole = {window: {name: np.empty(m) for name in _INTEGRALS} if len(groups) > 1 else None
-             for window in new_windows if window in kept}
+    new = [key for key in dict.fromkeys((*arms, *windows)) if key not in terms]
+    kept = [key for key in new if keep is None or key in keep]
+    have = {key: terms[key] for key in (*arms, *windows) if key in terms}
+    rules = {}
+
+    def integrals(window, pieces):
+        """The window's integrals on ``pieces``, by ``_INTEGRALS`` name."""
+        arm, center, h = window
+        mean, rule = have[arm].mean, rules.setdefault(window, {})
+        return dict(zip(_INTEGRALS, _by_part(
+            lambda lo, hi, triple: _kernel_integrals_1d(center, h, arm, triple, params, b[lo:hi],
+                                                        x[lo:hi], mean[lo:hi], rule),
+            pieces)))
+
+    for key in new:  # the arms first: a window's grid reads its arm's density mean
+        if key in arms:
+            have[key] = LocalTerms(*_by_part(
+                lambda lo, hi, triple: local_terms(y[lo:hi], a[lo:hi], s[lo:hi], b[lo:hi], x[lo:hi],
+                                                   key, triple, params.t, params.epsilon),
+                parts))
+        elif key in kept:
+            have[key] = integrals(key, [piece for group in groups for piece in group])
 
     def values(group):
         """The group's num and den: its arrays die with the call, not the next group's."""
         lo, hi = group[0][0], group[-1][1]
-        ints = {}
-        for window in new_windows:
-            arm, center, h = window
-            mean = local[arm].mean
-            ints[window] = dict(zip(_INTEGRALS, _by_part(
-                lambda plo, phi, triple: _kernel_integrals_1d(
-                    center, h, arm, triple, params, b[plo:phi], x[plo:phi], mean[plo:phi],
-                    rules[window]),
-                group)))
-            if window in whole and len(groups) == 1:
-                whole[window] = ints[window]
-            elif window in whole:
-                for name, v in ints[window].items():
-                    whole[window][name][lo:hi] = v
+        ints = {window: integrals(window, group) for window in new if window not in have}
         window_terms = []
         for window in windows:
             arm, center, h = window
-            loc = local[arm]
-            window_ints = ints.get(window) or {name: v[lo:hi] for name, v in terms[window].items()}
+            loc = have[arm]
+            window_ints = ints.get(window) or {name: v[lo:hi] for name, v in have[window].items()}
             k_S = kernel_weight(s[lo:hi] - center, h)
             window_terms.append((loc.ind[lo:hi], k_S * loc.dphi[lo:hi] - window_ints["g"],
                                  k_S * loc.local[lo:hi] - window_ints["g_r"], window_ints))
         return combine(*window_terms)
 
-    num, den = np.empty(m), np.empty(m)
+    num, den = np.empty(y.shape[0]), np.empty(y.shape[0])
     for group in groups:
         num[group[0][0]:group[-1][1]], den[group[0][0]:group[-1][1]] = values(group)
-    for key in kept:
-        terms[key] = local[key] if key in local else whole[key]
-    return num, den, sum(local[arm].floor_hits for arm in arms)
+    terms.update({key: have[key] for key in kept})
+    return num, den, sum(have[arm].floor_hits for arm in arms)
 
 
 def eif_stwcr_batch(y, a, s, b, x, q: StwcrQuery, nuis: NuisanceTriple | NuisanceParts,

@@ -232,7 +232,12 @@ class FeatureSpec:
         a model may read: any other name is an InvalidParameterError.
 
         A resolution is kept and handed back on the next call with the same
-        arguments; a failed one is not kept, so it raises every time."""
+        arguments; a failed one is not kept, so it raises every time. Both
+        arguments are tuples or lists of strings."""
+        for name, names in (("roles", roles), ("covariate_names", covariate_names)):
+            _require_type("FeatureSpec.resolve", name, names, (tuple, list))
+            for item in names:
+                _require_type("FeatureSpec.resolve", f"each of {name}", item, str)
         return _resolve(self, tuple(roles), tuple(covariate_names))
 
     def names(self) -> list[str]:

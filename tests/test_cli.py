@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stwcr import cli, estimators, parallel
@@ -302,6 +302,30 @@ class TestLoadDatasetForked(TestLoadDataset):
         assert [isinstance(t, np.ndarray) for t in self.parses] == [True, False]
 
 
+@example(data=b"", chunk=1)
+@example(data=b"\ny\n1\n", chunk=4)  # an empty first line
+@example(data=b"y\n1\n\n2\n", chunk=4)  # an empty line whose two newlines fall in two chunks
+@example(data=b"y\n1\n2", chunk=3)  # a last line with no newline
+@example(data=b'y\n1\n2\n3"\n', chunk=2)  # a quote in a late chunk
+@example(data=b"y\n1\n2\n3\r\n", chunk=2)  # a carriage return in a late chunk
+@given(data=st.lists(st.sampled_from([b"1", b",", b"\n", b'"', b"\r"]), max_size=40).map(b"".join),
+       chunk=st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_count_lines_matches_bytes(tmp_path_factory, data, chunk):
+    # chunks of a few bytes, so that lines and empty lines span them
+    path = tmp_path_factory.getbasetemp() / "count_lines.csv"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CHUNK", chunk)
+        lines = cli._count_lines(path)
+    assert lines.count == data.count(b"\n") + (data[-1:] not in (b"", b"\n"))
+    assert lines.plain == (b'"' not in data and b"\r" not in data and not data.startswith(b"\n")
+                           and b"\n\n" not in data)
+    # a part from data row b on starts at line 1 + b, the byte after newline b
+    starts = np.cumsum([len(line) + 1 for line in data.split(b"\n")[:-1]])
+    assert (lines.newlines + 1).tolist() == starts.tolist()
+
+
 def test_large_file_parsed_in_parts_as_in_one(tmp_path, thread_pools, fork_results):
     # from 2 * _PART_ROWS rows a plain file is parsed in two parts
     thread_pools.use(2)
@@ -472,7 +496,8 @@ class TestMain:
                    "--query", "stwcr:1:7", "--h", "0.1",
                    "--seed", "1", "--out", str(out)])
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["query"] == "STWCR(a=1,s=7)"
         assert rows[0]["reps"] == "2"
@@ -772,7 +797,11 @@ class TestNoTraceback:
                 assert code == 0
                 flags = [v for f, v in zip(argv, argv[1:]) if f == "--out"]
                 target = flags[-1] if flags else (conf or {}).get("out")
-                report = open(target, encoding="utf-8").read() if target else out.getvalue()
+                if target:
+                    with open(target, encoding="utf-8") as fh:
+                        report = fh.read()
+                else:
+                    report = out.getvalue()
                 assert report.strip()
         finally:
             os.chdir(cwd)

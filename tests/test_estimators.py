@@ -786,6 +786,27 @@ class TestFoldPlan:
                               for v in (value, one_terms[key]))
             assert all(np.array_equal(u, v) for u, v in zip(grouped, whole, strict=True))
 
+    def test_window_kept_by_its_query_is_made_once(self, monkeypatch):
+        # in groups of 64 rows, the second query in a row on the comparator's window keeps
+        # it: made ahead of the groups, each piece once, as the other window is group by group
+        ds = gen_dataset(ScenarioSpec("I", 1000, 27))
+        folds = make_folds(1000, 5, 7)
+        monkeypatch.setattr(parallel, "_BLOCK_ROWS", 16)
+        monkeypatch.setattr(eif, "_GROUP_ROWS", 64)
+        made = []
+        real = eif._kernel_integrals_1d
+
+        def counting(center, h, arm, *args):
+            made.append(arm)
+            return real(center, h, arm, *args)
+
+        monkeypatch.setattr(eif, "_kernel_integrals_1d", counting)
+        estimate(ds, StwcrveQuery(1, 0, 6.0, 7.0), folds)
+        made.clear()
+        estimate(ds, StwcrveQuery(1, 0, 8.0, 7.0), folds)
+        assert (0, 7.0, 0.1) in estimators._FOLD_FITS[ds].terms
+        assert made.count(0) == made.count(1) > 5
+
     @pytest.mark.parametrize("q", [StwcrQuery(1, 12.0), StwcrveQuery(1, 0, 12.0, 7.0)])
     def test_clipped_window_equals_one_triple_batches(self, q):
         # the trial's largest markers are 12.47 and 12.40, both in fold 2, so fold 2's

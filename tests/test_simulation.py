@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from stwcr import estimators, simulation
-from stwcr.core import Interval, SmoothingParams, kernel_weight
+from stwcr.core import (
+    Interval,
+    SmoothingParams,
+    integrate_kernel_weighted,
+    integrate_kernel_weighted_2d,
+    kernel_weight,
+)
 from stwcr.eif import (
     NuisanceParts,
     StwcrQuery,
@@ -294,6 +300,8 @@ def test_bad_counts_and_seeds_are_typed_errors(call):
         call()
 
 
+_ONE, _PRODUCT = np.ones_like, np.multiply  # integrands of one and of two markers
+_SUPPORT = Interval(0.0, 10.0)
 _OBS = Observation(y=1.0, a=1, s=7.0, b=2.0, x=(0.0, 0.5, 0.5))
 # two rows y, a, s, b, x for the batch functions
 _ROWS = (np.array([1.0, 0.0]), np.array([1, 0]), np.array([7.0, 6.5]), np.array([2.0, 1.0]),
@@ -416,6 +424,24 @@ def _trial(**columns):
                               NuisanceParts((0, 1, 2), (true_nuisances("I"), None)), PARAMS),
     lambda: kernel_weight("x", 0.1),
     lambda: kernel_weight(10 ** 400, 0.1),
+    lambda: integrate_kernel_weighted(_ONE, math.nan, 0.1, _SUPPORT, PARAMS),
+    lambda: integrate_kernel_weighted(_ONE, "7", 0.1, _SUPPORT, PARAMS),
+    lambda: integrate_kernel_weighted(_ONE, 7.0, None, _SUPPORT, PARAMS),
+    lambda: integrate_kernel_weighted(_ONE, 7.0, 0.1, (0, 10), PARAMS),
+    lambda: integrate_kernel_weighted(_ONE, 7.0, 0.1, _SUPPORT, None),
+    lambda: integrate_kernel_weighted("f", 7.0, 0.1, _SUPPORT, PARAMS),
+    lambda: integrate_kernel_weighted_2d(_PRODUCT, 7.0, 0.1, math.nan, 0.1, _SUPPORT, PARAMS),
+    lambda: integrate_kernel_weighted_2d(_PRODUCT, "7", 0.1, 8.0, 0.1, _SUPPORT, PARAMS),
+    lambda: integrate_kernel_weighted_2d(_PRODUCT, 7.0, 0.1, 8.0, None, _SUPPORT, PARAMS),
+    lambda: integrate_kernel_weighted_2d(_PRODUCT, 7.0, 0.1, 8.0, 0.1, (0, 10), PARAMS),
+    lambda: integrate_kernel_weighted_2d(_PRODUCT, 7.0, 0.1, 8.0, 0.1, _SUPPORT, None),
+    lambda: integrate_kernel_weighted_2d(None, 7.0, 0.1, 8.0, 0.1, _SUPPORT, PARAMS),
+    lambda: FeatureSpec([("intercept",)]).resolve(None, ("x1",)),
+    lambda: FeatureSpec([("intercept",)]).resolve(("b",), 5),
+    lambda: FeatureSpec([("intercept",)]).resolve(("b",), [["x1"]]),
+    lambda: FeatureSpec([("intercept",)]).resolve(5, ("x1",)),
+    lambda: FeatureSpec([("intercept",)]).resolve([["b"]], ("x1",)),
+    lambda: FeatureSpec([("intercept",)]).resolve(("b",), None),
 ], ids=["query_marker_str", "query_marker_none", "ve_query_marker_str", "query_arm_bool",
         "query_arm_float", "ve_query_arm_bool", "ve_query_arm_float", "kernel_h_bool", "interval_none",
         "interval_str", "known_propensity_str", "spec_list", "config_params_dict",
@@ -440,7 +466,12 @@ def _trial(**columns):
         "truths_scenario_array", "oracle_params_none", "oracle_kind_dict", "oracle_scenario_array",
         "config_queries_int", "batch_query_none", "batch_nuis_none", "batch_params_none",
         "batch_s_str", "batch_x_rows", "ve_batch_query_risk", "ve_batch_y_huge_int",
-        "ve_batch_parts_short", "ve_batch_parts_triple_none", "kernel_u_str", "kernel_u_huge_int"])
+        "ve_batch_parts_short", "ve_batch_parts_triple_none", "kernel_u_str", "kernel_u_huge_int",
+        "integral_center_nan", "integral_center_str", "integral_h_none", "integral_support_tuple",
+        "integral_params_none", "integral_f_str", "integral_2d_c1_nan", "integral_2d_c0_str",
+        "integral_2d_h1_none", "integral_2d_support_tuple", "integral_2d_params_none",
+        "integral_2d_f_none", "resolve_roles_none", "resolve_names_int", "resolve_names_nested",
+        "resolve_roles_int", "resolve_roles_nested", "resolve_names_none"])
 def test_wrong_input_type_is_typed_error_where_it_enters(call):
     with pytest.raises(InvalidParameterError):
         call()
