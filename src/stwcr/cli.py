@@ -35,15 +35,17 @@ import datetime
 import io
 import json
 import math
+import os
 import re
 import sys
 import warnings
+from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, parallel
-from .core import MAX_QUAD_NODES, SmoothingParams, _is_number
+from .core import MAX_QUAD_NODES, SmoothingParams, _is_number, _require_type
 from .eif import QUERY_TYPES, parse_query
 from .errors import DatasetParseError, InvalidParameterError, StwcrError
 # estimate_<kind> is looked up by name in _cmd_estimate
@@ -59,6 +61,7 @@ from .simulation import (
 SCHEMA_VERSION = 1
 
 _X_COL = re.compile(r"^x(\d+)$")
+_ROLES = ("y", "a", "s", "b", "x")  # the keys of load_dataset's column_map
 
 
 def load_dataset(path, column_map=None, outcome_kind=None) -> Dataset:
@@ -70,9 +73,25 @@ def load_dataset(path, column_map=None, outcome_kind=None) -> Dataset:
     numeric order. Each role and covariate reads its own column. Cells may
     be quoted, and columns that are not selected may hold text. Parse
     failures name the offending row and column.
+
+    ``path`` is a str or ``os.PathLike``, never a file descriptor, which
+    ``open`` would close. ``column_map``'s keys are among y, a, s, b and
+    x, each role's value a column name and "x"'s a list or tuple of them.
+    Any other argument is an InvalidParameterError naming it.
     """
+    _require_type("load_dataset", "path", path, (str, os.PathLike))
+    _require_type("load_dataset", "column_map", column_map, Mapping, optional=True)
+    column_map = dict(column_map or {})
+    for role, col in column_map.items():
+        if role not in _ROLES:
+            raise InvalidParameterError(f"load_dataset column_map has a key {role!r}; "
+                                        f"the keys are {', '.join(_ROLES)}")
+        if role == "x":
+            _require_type("load_dataset", "column_map['x']", col, (list, tuple))
+        for name in col if role == "x" else (col,):
+            _require_type("load_dataset", f"each column name of column_map[{role!r}]", name, str)
     try:
-        return _load_dataset(path, dict(column_map or {}), outcome_kind)
+        return _load_dataset(path, column_map, outcome_kind)
     except UnicodeDecodeError as exc:
         raise DatasetParseError(f"{path}: not UTF-8 text: {exc}") from None
 

@@ -251,16 +251,28 @@ def smooth_indicator(p, t, epsilon):
     """Softened trimming weight ``Phi((p - t)/epsilon)``, increasing in p.
 
     Clipped into the open unit interval so saturated normal-CDF values
-    never round to exactly 0 or 1.
+    never round to exactly 0 or 1. ``p`` is a number or an array of
+    numbers, read in place and its values not checked; ``t`` is a finite
+    number.
     """
+    _require_indicator_args("smooth_indicator", p, t)
     out, _ = softened_indicator(p, t, epsilon)
     return out if out.ndim else float(out)
 
 
 def smooth_indicator_deriv(p, t, epsilon):
     """Derivative of :func:`smooth_indicator` in p: ``pdf_std((p - t)/epsilon)/epsilon``."""
+    _require_indicator_args("smooth_indicator_deriv", p, t)
     _, out = softened_indicator(p, t, epsilon)
     return out if out.ndim else float(out)
+
+
+def _require_indicator_args(caller: str, p, t) -> None:
+    """InvalidParameterError naming ``caller`` unless p holds numbers and t
+    is a finite number."""
+    _require_numbers(f"{caller} p", p)
+    if not _is_number(t):
+        raise InvalidParameterError(f"{caller} needs t as a finite number, got {t!r}")
 
 
 def softened_indicator(p, t, epsilon):

@@ -34,23 +34,23 @@ plan's rows sorted by fold (``NuisanceParts``: each fold's nuisances on
 its own contiguous part); tests pin them to the reference path. Each
 query names its ``(arm, center, h)`` kernel windows (``windows``): a risk
 query one, a relative-efficacy query two, the comparator's first.
-``_batch`` builds each window's terms from two parts it keeps in one dict
-of whole-row arrays: under the arm, the query-independent
+``_batch`` builds each window's terms from two parts, each under its own
+key in one dict of whole-row arrays: under the arm, the query-independent
 observation-local terms (``local_terms``), which keep the rows' density
 mean, and under the window, its grid integrals, which read that mean.
-Both depend on the nuisances, so each is made part by part, and a
-window's grid keeps its row blocks within each part. What the dict keeps
-is made whole ahead of the row groups: every arm's local terms, then each
-kept window's integrals. The groups, all rows up to ``_GROUP_ROWS`` and
-groups of that many above, bound only what is not kept: the integrals of
-a window the dict does not keep, the kernel weights at S and the
-influence values. Once per query comes one quadrature rule per distinct
-clipped window; the finite checks run once on all rows. A caller
-answering many queries passes that dict back in, and names the keys it
-keeps; the estimators keep one per fold plan for each (t, epsilon,
-quad_nodes, window_halfwidth_in_h), with every arm's local terms and each
-window asked twice in a row on its arm, until that arm is asked another
-window.
+Both depend on the nuisances, so each is made piece by piece, the parts
+cut at every ``_GROUP_ROWS`` rows, and a window's grid keeps its row
+blocks within each piece. Every arm's local terms and each kept window's
+integrals are made whole ahead of the row groups. The groups, all rows up
+to ``_GROUP_ROWS`` and groups of that many above, bound only what is not
+kept: the integrals of a window the dict does not keep, the kernel
+weights at S and the influence values. Once per query comes one
+quadrature rule per distinct clipped window; the finite checks run once
+on all rows. The dict is the batch functions' ``_terms``, which a caller
+answering many queries on the same rows, nuisances and (t, epsilon,
+quad_nodes, window_halfwidth_in_h) passes back in; ``_keep`` names the
+keys it holds after the call, every key when None. The batch alone adds
+and deletes entries, and the caller alone picks the keys.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from .core import (
 )
 from .errors import EvaluationError, InvalidParameterError
 from .nuisance import NuisanceTriple, Observation
-from .parallel import map_row_blocks, row_blocks
+from .parallel import _BLOCK_ROWS, map_row_blocks, row_blocks
 
 __all__ = [
     "EifPair",
@@ -495,8 +495,8 @@ def _batch_args(caller, rows, q, query_type, nuis, params):
 # of the windows it does not keep, one group of rows at a time, so that a
 # group's arrays bound its memory. Up to this many rows one group holds every
 # part, and each query makes one pass over all rows. A multiple of
-# parallel._BLOCK_ROWS, so that a part cut into groups keeps its grid blocks.
-_GROUP_ROWS = 65_536
+# _BLOCK_ROWS, so that a part cut into groups keeps its grid blocks.
+_GROUP_ROWS = 64 * _BLOCK_ROWS
 
 
 def _groups(parts) -> list:
@@ -517,13 +517,10 @@ def _by_part(make, parts):
     """What ``make(lo, hi, triple)`` returns for each of ``parts``, which run
     from row ``parts[0][0]``, joined in part order: each per-row array into
     one array over their rows, filled one part at a time so that one part's
-    arrays live at a time, and each count summed. One part's result is
-    returned as made."""
+    arrays live at a time, and each count summed."""
     start, whole = parts[0][0], None
     for lo, hi, triple in parts:
         piece = make(lo, hi, triple)
-        if len(parts) == 1:
-            return tuple(piece)
         if whole is None:
             whole = [np.empty(parts[-1][1] - start, dtype=v.dtype) if isinstance(v, np.ndarray)
                      else 0 for v in piece]
@@ -535,66 +532,67 @@ def _by_part(make, parts):
     return tuple(whole)
 
 
-def _batch(caller, rows, q, query_type, nuis, params, terms, keep, combine):
+def _batch(caller, label, rows, q, query_type, nuis, params, terms, keep, combine):
     """``(num, den, floor_hits)`` of query ``q`` on ``rows`` (y, a, s, b, x),
-    after ``_batch_args`` checks the arguments.
+    after ``_batch_args`` checks the arguments; EvaluationError naming
+    ``label`` unless num and den are finite.
 
     Each kernel window ``(arm, center, h)`` of ``q`` reads its arm's
     ``LocalTerms`` under the arm in ``terms`` (a new dict when None) and its
     integrals by ``_INTEGRALS`` name under the window: whole-row arrays,
-    made part by part with each part's nuisances. What is missing is made
-    here, and kept when its key is in ``keep`` (every key when None).
-    Ahead of the groups come every arm's local terms, kept or not, and then
-    each kept window's integrals, on every piece of every group, so that
-    terms a caller keeps are not allocated among the grid blocks'
-    short-lived arrays; they are added to ``terms`` once every part is
-    made. A window's parts share one quadrature rule per clipped window.
-    The parts then run in ``_groups``, which bound only what is not kept:
-    the integrals of a new window that ``keep`` leaves out, and the
+    made on every piece of every group with each piece's nuisances and
+    written to ``terms`` once every piece is made. A window's pieces share
+    one quadrature rule per clipped window. Ahead of the groups come every
+    missing arm's local terms, and then the integrals of each missing window
+    whose key is in ``keep`` (every key when None), so that what ``terms``
+    keeps is not allocated among the grid blocks' short-lived arrays. The
+    pieces then run in ``_groups``, which bound only what is not kept: the
+    integrals of a missing window that ``keep`` leaves out, and the
     influence values. On each group, ``combine`` takes each window's
     ``(ind, plain, weighted, ints)`` on the group's rows, ind being its
     arm's ``LocalTerms.ind``, and returns their num and den. ``plain =
     k*dphi - int g`` and ``weighted = k*local - int g*r`` pair the
     observation-local terms, weighted by the kernel k at S, with their
-    correction integrals.
+    correction integrals. After the groups, every key of ``terms`` not in
+    ``keep`` is deleted.
     """
     (y, a, s, b, x), parts = _batch_args(caller, rows, q, query_type, nuis, params)
     terms = {} if terms is None else terms
     windows = q.windows(params)
     arms = [arm for arm, _, _ in windows]
     groups = _groups(parts)
-    new = [key for key in dict.fromkeys((*arms, *windows)) if key not in terms]
-    kept = [key for key in new if keep is None or key in keep]
-    have = {key: terms[key] for key in (*arms, *windows) if key in terms}
+    pieces = [piece for group in groups for piece in group]
     rules = {}
 
     def integrals(window, pieces):
         """The window's integrals on ``pieces``, by ``_INTEGRALS`` name."""
         arm, center, h = window
-        mean, rule = have[arm].mean, rules.setdefault(window, {})
+        mean, rule = terms[arm].mean, rules.setdefault(window, {})
         return dict(zip(_INTEGRALS, _by_part(
             lambda lo, hi, triple: _kernel_integrals_1d(center, h, arm, triple, params, b[lo:hi],
                                                         x[lo:hi], mean[lo:hi], rule),
             pieces)))
 
-    for key in new:  # the arms first: a window's grid reads its arm's density mean
-        if key in arms:
-            have[key] = LocalTerms(*_by_part(
+    # the arms first: a window's grid reads its arm's density mean
+    for key in dict.fromkeys((*arms, *windows)):
+        if key in arms and key not in terms:
+            terms[key] = LocalTerms(*_by_part(
                 lambda lo, hi, triple: local_terms(y[lo:hi], a[lo:hi], s[lo:hi], b[lo:hi], x[lo:hi],
                                                    key, triple, params.t, params.epsilon),
-                parts))
-        elif key in kept:
-            have[key] = integrals(key, [piece for group in groups for piece in group])
+                pieces))
+        elif key not in terms and (keep is None or key in keep):
+            terms[key] = integrals(key, pieces)
 
     def values(group):
         """The group's num and den: its arrays die with the call, not the next group's."""
         lo, hi = group[0][0], group[-1][1]
-        ints = {window: integrals(window, group) for window in new if window not in have}
+        ints = {window: integrals(window, group) for window in dict.fromkeys(windows)
+                if window not in terms}
         window_terms = []
         for window in windows:
             arm, center, h = window
-            loc = have[arm]
-            window_ints = ints.get(window) or {name: v[lo:hi] for name, v in have[window].items()}
+            loc = terms[arm]
+            window_ints = ints.get(window) or {name: v[lo:hi] for name, v in terms[window].items()}
             k_S = kernel_weight(s[lo:hi] - center, h)
             window_terms.append((loc.ind[lo:hi], k_S * loc.dphi[lo:hi] - window_ints["g"],
                                  k_S * loc.local[lo:hi] - window_ints["g_r"], window_ints))
@@ -603,8 +601,13 @@ def _batch(caller, rows, q, query_type, nuis, params, terms, keep, combine):
     num, den = np.empty(y.shape[0]), np.empty(y.shape[0])
     for group in groups:
         num[group[0][0]:group[-1][1]], den[group[0][0]:group[-1][1]] = values(group)
-    terms.update({key: have[key] for key in kept})
-    return num, den, sum(have[arm].floor_hits for arm in arms)
+    hits = sum(terms[arm].floor_hits for arm in arms)
+    if keep is not None:
+        for key in terms.keys() - keep:
+            del terms[key]
+    _check_finite(label, num)
+    _check_finite(label, den)
+    return num, den, hits
 
 
 def eif_stwcr_batch(y, a, s, b, x, q: StwcrQuery, nuis: NuisanceTriple | NuisanceParts,
@@ -618,18 +621,16 @@ def eif_stwcr_batch(y, a, s, b, x, q: StwcrQuery, nuis: NuisanceTriple | Nuisanc
     terms across queries, maps an arm to its ``LocalTerms`` and a kernel
     window ``(arm, center, h)`` to its integrals, all on these rows and
     parts at params' t, epsilon, quad_nodes and window half-width; what the
-    query needs and it lacks is made here and added to it, under the keys
-    in ``_keep`` when that is given.
+    query needs and it lacks is made here and added to it. After the call
+    it holds the keys it held or the call made, only those in ``_keep``
+    when that is given.
     """
     def combine(window):
         ind, plain, weighted, ints = window
         return ind * weighted + ints["phi_r"], ind * plain + ints["phi"]
 
-    num, den, hits = _batch("eif_stwcr_batch", (y, a, s, b, x), q, StwcrQuery, nuis, params,
-                            _terms, _keep, combine)
-    _check_finite("risk influence values", num)
-    _check_finite("risk influence values", den)
-    return num, den, hits
+    return _batch("eif_stwcr_batch", "risk influence values", (y, a, s, b, x), q, StwcrQuery,
+                  nuis, params, _terms, _keep, combine)
 
 
 def eif_stwcrve_batch(y, a, s, b, x, q: StwcrveQuery, nuis: NuisanceTriple | NuisanceParts,
@@ -648,8 +649,5 @@ def eif_stwcrve_batch(y, a, s, b, x, q: StwcrveQuery, nuis: NuisanceTriple | Nui
         den = ind1 * i0["phi_r"] * plain1 + ind0 * i1["phi"] * weighted0 + i1["phi"] * i0["phi_r"]
         return num, den
 
-    num, den, hits = _batch("eif_stwcrve_batch", (y, a, s, b, x), q, StwcrveQuery, nuis, params,
-                            _terms, _keep, combine)
-    _check_finite("relative-efficacy influence values", num)
-    _check_finite("relative-efficacy influence values", den)
-    return num, den, hits
+    return _batch("eif_stwcrve_batch", "relative-efficacy influence values", (y, a, s, b, x), q,
+                  StwcrveQuery, nuis, params, _terms, _keep, combine)

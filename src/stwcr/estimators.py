@@ -283,14 +283,14 @@ class _FoldPlan:
     degenerate)`` pairs. Each query is one batch call on ``rows``, which
     reads and fills ``terms`` (``eif_stwcr_batch``'s ``_terms``): one dict
     of whole-row arrays, valid for one (t, epsilon, quad_nodes,
-    window_halfwidth_in_h), so a query with another starts it empty. It
-    holds only what ``ask`` allows, which the batch is given as ``_keep``
-    and after which the plan drops the rest: every arm's ``LocalTerms``,
-    and each window ``(arm, center, h)`` asked twice in a row on its arm,
-    until that arm is asked another window (32 bytes a row); a run of one
-    query keeps no window. Every entry is keyed by all it depends on and
-    added only once every part is made, so a query that fails part way
-    leaves nothing stale. The held rows are slices of
+    window_halfwidth_in_h), which ``ask`` empties in place for a query
+    with another, so ``terms`` stays the same dict. ``ask`` names the keys
+    it keeps, which the batch is given as ``_keep`` and keeps alone: every
+    arm's ``LocalTerms``, and each window ``(arm, center, h)`` asked twice
+    in a row on its arm, until that arm is asked another window (32 bytes
+    a row); a run of one query keeps no window. Every entry is keyed by all
+    it depends on and added only once every part is made, so a query that
+    fails part way leaves nothing stale. The held rows are slices of
     ``parts.data``, never a copy of its own; the plan holds neither the
     caller's dataset nor ``parts``, whose designs go with it. ``folds`` and
     ``specs`` are what the fits were made from, None for injected
@@ -313,11 +313,13 @@ class _FoldPlan:
         self._asked = {}  # arm -> (its last window, whether asked twice in a row)
 
     def ask(self, windows, params: SmoothingParams) -> set:
-        """Record a query's ``windows`` under ``params``; returns the keys
-        ``terms`` keeps: both arms and each window asked twice in a row."""
+        """Record a query's ``windows`` under ``params``, emptying ``terms``
+        when they are new params; returns the keys ``terms`` keeps: both arms
+        and each window asked twice in a row."""
         key = (params.t, params.epsilon, params.quad_nodes, params.window_halfwidth_in_h)
         if key != self._params:
-            self._params, self._asked, self.terms = key, {}, {}
+            self._params, self._asked = key, {}
+            self.terms.clear()
         for window in dict.fromkeys(windows):
             last = self._asked.get(window[0])
             self._asked[window[0]] = (window, last is not None and last[0] == window)
@@ -417,8 +419,6 @@ def _influence(query_type, batch_fn, data: Dataset, query, params: SmoothingPara
         plan = _fold_plan(data, folds, specs)
     kept = plan.ask(windows, params)
     num, den, hits = batch_fn(*plan.rows, query, plan.nuis, params, _terms=plan.terms, _keep=kept)
-    for key in plan.terms.keys() - kept:
-        del plan.terms[key]
 
     def scattered(values):
         # NaN until written, so a row in no part cannot pass silently

@@ -174,9 +174,15 @@ class Dataset:
     def subset(self, idx) -> "Dataset":
         """The rows ``idx`` selects, as a new Dataset that the constructor
         builds and checks like any other, with this one's covariate names
-        and outcome kind."""
-        return Dataset(*(col[idx] for col in (self.y, self.a, self.s, self.b, self.x)),
-                       self.covariate_names, self.outcome_kind)
+        and outcome kind. InvalidParameterError when numpy cannot index the
+        rows with ``idx``: a position out of range, a mask of another
+        length, or floats."""
+        try:
+            cols = [col[idx] for col in (self.y, self.a, self.s, self.b, self.x)]
+        except IndexError as exc:
+            raise InvalidParameterError(
+                f"Dataset.subset cannot select rows of {len(self)}: {exc}") from None
+        return Dataset(*cols, self.covariate_names, self.outcome_kind)
 
 
 # --- feature language ------------------------------------------------------

@@ -195,6 +195,7 @@ def _baseline_grid(scenario: str):
 
 def gen_dataset(spec: ScenarioSpec) -> Dataset:
     """One synthetic trial drawn through the generating models; deterministic given the seed."""
+    _require_type("gen_dataset", "spec", spec, ScenarioSpec)
     rng = np.random.default_rng(spec.seed)
     b, x = _draw_baseline(rng, spec.n, spec.scenario)
     a = (rng.random(spec.n) < TREATED_PROB).astype(int)

@@ -204,6 +204,17 @@ class TestLoadDataset:
             assert report == json.loads(json.dumps(expected))  # tuples as JSON lists
 
 
+def test_descriptor_path_rejected_and_left_open():
+    # an int path would be opened as a file descriptor and closed with the file
+    fd = os.dup(1)
+    try:
+        with pytest.raises(InvalidParameterError, match="load_dataset needs path"):
+            load_dataset(fd)
+        os.fstat(fd)  # OSError if the descriptor was closed
+    finally:
+        os.close(fd)
+
+
 def load_outcome(path):
     """``load_dataset(path)``'s columns, or the message it raised."""
     try:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stwcr import eif, parallel
 from stwcr.core import Interval, SmoothingParams, kernel_weight
@@ -461,6 +463,34 @@ class TestLocalTerms:
             monkeypatch.setattr(eif, name, lambda *args, name=name: made.append(name))
         assert_batches_equal([computed], [batch(*cols, q, nuis, PARAMS, _terms=filled)])
         assert made == []
+
+
+class TestTermsContract:
+    # arms and centers from small sets, so that one call's keys are often another's
+    QUERIES = st.one_of(
+        st.builds(StwcrQuery, st.sampled_from((0, 1)), st.sampled_from((6.5, 7.0))),
+        st.builds(StwcrveQuery, st.sampled_from((0, 1)), st.sampled_from((0, 1)),
+                  st.sampled_from((6.5, 7.0)), st.sampled_from((6.5, 7.0))))
+    KEYS = (0, 1, *((arm, s, 0.1) for arm in (0, 1) for s in (6.5, 7.0)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(earlier=st.lists(QUERIES, max_size=2), q=QUERIES,
+           keep=st.none() | st.sets(st.sampled_from(KEYS)))
+    def test_terms_hold_the_kept_keys(self, scen1_ve, earlier, q, keep):
+        # after a call, _terms holds the keys it held or the call made that
+        # are in _keep, or every one of them when _keep is None
+        ds, nuis = scen1_ve
+        cols = (ds.y, ds.a, ds.s, ds.b, ds.x)
+        terms = {}
+        for before in earlier:
+            getattr(eif, f"eif_{before.kind}_batch")(*cols, before, nuis, PARAMS, _terms=terms)
+        held = set(terms)
+        batch = getattr(eif, f"eif_{q.kind}_batch")
+        kept = batch(*cols, q, nuis, PARAMS, _terms=terms, _keep=keep)
+        windows = q.windows(PARAMS)
+        made = {*(arm for arm, _, _ in windows), *windows}
+        assert set(terms) == (held | made if keep is None else (held | made) & keep)
+        assert_batches_equal([batch(*cols, q, nuis, PARAMS)], [kept])
 
 
 def test_each_window_reads_its_own_bandwidth():

@@ -691,6 +691,18 @@ class TestFoldPlan:
             assert set(plan.terms) == {1}
         assert count_local_terms[1] == 4 * 5 + 4 * 5  # the copies are cold too
 
+    def test_new_params_fill_the_same_dict(self):
+        ds = gen_dataset(ScenarioSpec("I", 400, 37))
+        folds = make_folds(400, 5, 15)
+        estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, folds)
+        plan = estimators._FOLD_FITS[ds]
+        terms = plan.terms
+        for params in (replace(PARAMS, t=0.2), PARAMS):
+            estimate_stwcr(ds, StwcrQuery(0, 7.0), params, folds)
+            # emptied in place by the new params, so a reference taken before stays the plan's
+            assert estimators._FOLD_FITS[ds] is plan and plan.terms is terms
+            assert set(terms) == {0}
+
     def test_swapped_folds(self):
         ds = gen_dataset(ScenarioSpec("I", 400, 30))
         one, other = make_folds(400, 5, 10), make_folds(400, 4, 11)

@@ -15,12 +15,15 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from stwcr import estimators, simulation
+from stwcr.cli import load_dataset
 from stwcr.core import (
     Interval,
     SmoothingParams,
     integrate_kernel_weighted,
     integrate_kernel_weighted_2d,
     kernel_weight,
+    smooth_indicator,
+    smooth_indicator_deriv,
 )
 from stwcr.eif import (
     NuisanceParts,
@@ -442,6 +445,30 @@ def _trial(**columns):
     lambda: FeatureSpec([("intercept",)]).resolve(5, ("x1",)),
     lambda: FeatureSpec([("intercept",)]).resolve([["b"]], ("x1",)),
     lambda: FeatureSpec([("intercept",)]).resolve(("b",), None),
+    # the column_map checks come before the file is opened, so the file need not exist
+    lambda: load_dataset(None),
+    lambda: load_dataset(1.5),
+    lambda: load_dataset("trial.csv", 5),
+    lambda: load_dataset("trial.csv", "x1"),
+    lambda: load_dataset("trial.csv", {"x": "x1"}),
+    lambda: load_dataset("trial.csv", {"Y": "y2"}),
+    lambda: load_dataset("trial.csv", {"y": 5}),
+    lambda: load_dataset("trial.csv", {"x": ["x1", 2]}),
+    lambda: gen_dataset("I"),
+    lambda: gen_dataset(None),
+    lambda: smooth_indicator(0.3, math.nan, 0.1),
+    lambda: smooth_indicator(0.3, None, 0.1),
+    lambda: smooth_indicator(0.3, [0.1], 0.1),
+    lambda: smooth_indicator("0.3", 0.1, 0.1),
+    lambda: smooth_indicator(None, 0.1, 0.1),
+    lambda: smooth_indicator([0.3, "a"], 0.1, 0.1),
+    lambda: smooth_indicator_deriv(0.3, math.nan, 0.1),
+    lambda: smooth_indicator_deriv(0.3, "0.1", 0.1),
+    lambda: smooth_indicator_deriv(None, 0.1, 0.1),
+    lambda: _trial().subset(np.array([0, 100])),
+    lambda: _trial().subset(np.ones(99, dtype=bool)),
+    lambda: _trial().subset(np.array([0.0, 1.0])),
+    lambda: _trial().subset(1.5),
 ], ids=["query_marker_str", "query_marker_none", "ve_query_marker_str", "query_arm_bool",
         "query_arm_float", "ve_query_arm_bool", "ve_query_arm_float", "kernel_h_bool", "interval_none",
         "interval_str", "known_propensity_str", "spec_list", "config_params_dict",
@@ -471,7 +498,13 @@ def _trial(**columns):
         "integral_params_none", "integral_f_str", "integral_2d_c1_nan", "integral_2d_c0_str",
         "integral_2d_h1_none", "integral_2d_support_tuple", "integral_2d_params_none",
         "integral_2d_f_none", "resolve_roles_none", "resolve_names_int", "resolve_names_nested",
-        "resolve_roles_int", "resolve_roles_nested", "resolve_names_none"])
+        "resolve_roles_int", "resolve_roles_nested", "resolve_names_none", "load_path_none",
+        "load_path_float", "load_column_map_int", "load_column_map_str", "load_x_str",
+        "load_unknown_role", "load_role_int", "load_x_name_int", "gen_dataset_str",
+        "gen_dataset_none", "indicator_t_nan", "indicator_t_none", "indicator_t_list",
+        "indicator_p_str", "indicator_p_none", "indicator_p_list_str", "indicator_deriv_t_nan",
+        "indicator_deriv_t_str", "indicator_deriv_p_none", "subset_out_of_range",
+        "subset_short_mask", "subset_floats", "subset_float"])
 def test_wrong_input_type_is_typed_error_where_it_enters(call):
     with pytest.raises(InvalidParameterError):
         call()
