@@ -1,69 +1,25 @@
 """Trimmed, smoothed controlled-risk estimation for vaccine correlates analyses.
 
-Public surface: smoothing/quadrature primitives (:mod:`stwcr.core`),
-nuisance models (:mod:`stwcr.nuisance`), influence values
+The public surface is each module's ``__all__``, re-exported here and
+listed in ``__all__``: smoothing/quadrature primitives (:mod:`stwcr.core`),
+nuisance models (:mod:`stwcr.nuisance`), queries and influence values
 (:mod:`stwcr.eif`), cross-fitted estimators (:mod:`stwcr.estimators`),
-and the synthetic-trial simulation harness (:mod:`stwcr.simulation`).
+the synthetic-trial oracle and Monte Carlo harness
+(:mod:`stwcr.simulation`) and the error classes (:mod:`stwcr.errors`).
+The command line's ``main`` and ``load_dataset`` are in :mod:`stwcr.cli`,
+which is not imported here. Names outside those lists, such as the fold
+plan's row parts and batch influence functions, are internal.
 """
 
-from .core import (
-    DENSITY_FLOOR,
-    Interval,
-    SmoothingParams,
-    integrate_kernel_weighted,
-    integrate_kernel_weighted_2d,
-    kernel_weight,
-    smooth_indicator,
-    smooth_indicator_deriv,
-)
-from .eif import EifPair, StwcrQuery, StwcrveQuery, eif_stwcr, eif_stwcrve
-from .errors import (
-    DatasetParseError,
-    EstimationError,
-    EvaluationError,
-    HarnessError,
-    InvalidParameterError,
-    SolverError,
-    StwcrError,
-)
-from .estimators import (
-    FoldAssignment,
-    ModelSpecs,
-    StwcrReport,
-    StwcrveReport,
-    estimate_stwcr,
-    estimate_stwcrve,
-    make_folds,
-)
-from .nuisance import (
-    CondDensityModel,
-    Dataset,
-    FeatureSpec,
-    KnownPropensity,
-    NuisanceTriple,
-    Observation,
-    OutcomeModel,
-    PropensityModel,
-    fit_cond_density,
-    fit_outcome,
-    fit_propensity,
-    interaction,
-    intercept,
-    irls_logistic,
-    raw,
-    square,
-    support_bounds,
-)
-from .simulation import (
-    MetricsRow,
-    OracleResult,
-    ScenarioSpec,
-    SimConfig,
-    direct_plain_smoothed_risk,
-    gen_dataset,
-    oracle_estimand,
-    run_monte_carlo,
-    true_nuisances,
-)
+from . import core, eif, errors, estimators, nuisance, simulation
+from .core import *  # noqa: F401,F403
+from .eif import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .estimators import *  # noqa: F401,F403
+from .nuisance import *  # noqa: F401,F403
+from .simulation import *  # noqa: F401,F403
+
+__all__ = [name for module in (core, eif, errors, estimators, nuisance, simulation)
+           for name in module.__all__]
 
 __version__ = "0.1.0"

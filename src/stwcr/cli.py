@@ -45,18 +45,20 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, parallel
-from .core import MAX_QUAD_NODES, SmoothingParams, _is_number, _require_type
+from .core import MAX_QUAD_NODES, SmoothingParams, _is_number, _require_items, _require_type
 from .eif import QUERY_TYPES, parse_query
 from .errors import DatasetParseError, InvalidParameterError, StwcrError
 # estimate_<kind> is looked up by name in _cmd_estimate
 from .estimators import ModelSpecs, estimate_stwcr, estimate_stwcrve, make_folds  # noqa: F401
-from .nuisance import Dataset
+from .nuisance import Dataset, _require_outcome_kind
 from .simulation import (
     ScenarioSpec,
     SimConfig,
     gen_dataset,
     run_monte_carlo,
 )
+
+__all__ = ["main", "load_dataset"]
 
 SCHEMA_VERSION = 1
 
@@ -77,7 +79,9 @@ def load_dataset(path, column_map=None, outcome_kind=None) -> Dataset:
     ``path`` is a str or ``os.PathLike``, never a file descriptor, which
     ``open`` would close. ``column_map``'s keys are among y, a, s, b and
     x, each role's value a column name and "x"'s a list or tuple of them.
-    Any other argument is an InvalidParameterError naming it.
+    ``outcome_kind`` is None, "binary" or "continuous", as for ``Dataset``.
+    Any other argument is an InvalidParameterError naming it, raised
+    before the file is opened.
     """
     _require_type("load_dataset", "path", path, (str, os.PathLike))
     _require_type("load_dataset", "column_map", column_map, Mapping, optional=True)
@@ -87,9 +91,11 @@ def load_dataset(path, column_map=None, outcome_kind=None) -> Dataset:
             raise InvalidParameterError(f"load_dataset column_map has a key {role!r}; "
                                         f"the keys are {', '.join(_ROLES)}")
         if role == "x":
-            _require_type("load_dataset", "column_map['x']", col, (list, tuple))
-        for name in col if role == "x" else (col,):
-            _require_type("load_dataset", f"each column name of column_map[{role!r}]", name, str)
+            _require_items("load_dataset", "column_map['x']", col, "each column name of column_map['x']",
+                           str, (list, tuple))
+        else:
+            _require_type("load_dataset", f"each column name of column_map[{role!r}]", col, str)
+    _require_outcome_kind(outcome_kind)
     try:
         return _load_dataset(path, column_map, outcome_kind)
     except UnicodeDecodeError as exc:

@@ -152,16 +152,29 @@ def _require_positive(name: str, val) -> None:
         raise InvalidParameterError(f"{name} must be positive and finite, got {val!r}")
 
 
-def _require_int(name: str, val, minimum: int, maximum=math.inf) -> None:
+# The most a count may be: numpy can size and index no array longer.
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
+
+def _require_int(name: str, val, minimum: int, maximum=_MAX_COUNT) -> None:
     """InvalidParameterError naming ``name`` unless ``val`` is an integer in
-    ``minimum..maximum``: an ``Integral`` (numpy's too) that is not a bool."""
+    ``minimum..maximum``: an ``Integral`` (numpy's too) that is not a bool.
+    A seed, which sizes nothing, passes ``math.inf`` as its maximum."""
     if isinstance(val, bool) or not isinstance(val, Integral):
         raise InvalidParameterError(f"{name} must be an integer, got {val!r}")
     if not minimum <= val <= maximum:
         raise InvalidParameterError(
-            f"{name} must be an integer in {minimum}..{maximum}, got {val}" if maximum < math.inf
+            f"{name} must be an integer in {minimum}..{maximum}, got {val}"
+            if maximum < _MAX_COUNT or val > maximum
             else f"{name} must be nonnegative, got {val}" if minimum == 0
             else f"need {name} >= {minimum}, got {val}")
+
+
+def _require_nonnegative(name: str, val) -> None:
+    """InvalidParameterError naming ``name`` unless ``val`` is a finite
+    number >= 0: the rule for every ridge."""
+    if not (_is_number(val) and val >= 0.0):
+        raise InvalidParameterError(f"{name} must be a finite number >= 0, got {val!r}")
 
 
 def _is_arm(a) -> bool:
@@ -241,6 +254,17 @@ def _require_type(caller: str, name: str, val, cls, optional: bool = False) -> N
     article = "an" if wanted[0] in "AEIOU" else "a"
     raise InvalidParameterError(
         f"{caller} needs {name} as {article} {wanted}, got {type(val).__name__}")
+
+
+def _require_items(caller: str, name: str, val, item_name: str, cls, kinds=(tuple, list)) -> tuple:
+    """``val`` as a tuple: InvalidParameterError unless it is one of
+    ``kinds`` and each of its items a ``cls``, the rule for every typed
+    sequence. Each message is ``_require_type``'s, naming ``name`` for the
+    sequence and ``item_name`` for an item."""
+    _require_type(caller, name, val, kinds)
+    for item in val:
+        _require_type(caller, item_name, item, cls)
+    return tuple(val)
 
 
 _OPEN_UNIT_LO = np.finfo(float).tiny

@@ -55,7 +55,6 @@ and deletes entries, and the caller alone picks the keys.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -67,6 +66,7 @@ from .core import (
     _is_arm,
     _is_number,
     _require_int,
+    _require_items,
     _require_numbers,
     _require_type,
     integrate_kernel_weighted,
@@ -84,15 +84,12 @@ from .parallel import _BLOCK_ROWS, map_row_blocks, row_blocks
 
 __all__ = [
     "EifPair",
-    "NuisanceParts",
     "QUERY_TYPES",
     "StwcrQuery",
     "StwcrveQuery",
     "parse_query",
     "eif_stwcr",
     "eif_stwcrve",
-    "eif_stwcr_batch",
-    "eif_stwcrve_batch",
 ]
 
 
@@ -104,8 +101,9 @@ class EifPair:
     den: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.num) and math.isfinite(self.den)):
-            raise EvaluationError("influence values must be finite")
+        if not (_is_number(self.num) and _is_number(self.den)):
+            raise EvaluationError(
+                f"influence values must be finite numbers, got {self.num!r} and {self.den!r}")
 
 
 class _Query:
@@ -392,10 +390,8 @@ class NuisanceParts:
     triples: tuple
 
     def __post_init__(self):
-        for name in ("edges", "triples"):
-            _require_type("NuisanceParts", name, getattr(self, name), tuple)
-        for triple in self.triples:
-            _require_type("NuisanceParts", "each triple", triple, NuisanceTriple)
+        _require_type("NuisanceParts", "edges", self.edges, tuple)
+        _require_items("NuisanceParts", "triples", self.triples, "each triple", NuisanceTriple, tuple)
         for edge in self.edges:
             _require_int("each edge of NuisanceParts", edge, 0)
         edges = self.edges

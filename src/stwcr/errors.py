@@ -1,5 +1,15 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "StwcrError",
+    "InvalidParameterError",
+    "EvaluationError",
+    "SolverError",
+    "EstimationError",
+    "DatasetParseError",
+    "HarnessError",
+]
+
 
 class StwcrError(Exception):
     """Base class for all package-specific errors."""

@@ -145,7 +145,7 @@ def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
     """Uniformly random balanced K-fold partition, deterministic given seed."""
     _require_int("n", n, 2)
     _require_int("k", k, 2, n)
-    _require_int("fold seed", seed, 0)
+    _require_int("fold seed", seed, 0, math.inf)
     sizes = np.full(k, n // k)
     sizes[: n % k] += 1
     labels = np.repeat(np.arange(1, k + 1), sizes)

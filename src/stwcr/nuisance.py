@@ -44,13 +44,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from operator import index
 from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .core import (Interval, _is_arm, _is_number, _require_array, _require_numbers,
-                   _require_positive, _require_type)
+from .core import (Interval, _is_arm, _is_number, _require_array, _require_items,
+                   _require_nonnegative, _require_numbers, _require_positive, _require_type)
 from .errors import InvalidParameterError, SolverError
 from .parallel import row_blocks
 
@@ -67,8 +68,6 @@ __all__ = [
     "CondDensityModel",
     "OutcomeModel",
     "NuisanceTriple",
-    "RowParts",
-    "TrainingRows",
     "irls_logistic",
     "fit_propensity",
     "fit_cond_density",
@@ -121,10 +120,8 @@ class Dataset:
         for name, col in zip("yasbx", (y, a, s, b, x)):
             col = _require_array(f"column {name}", col, ndim=(1, 2) if name == "x" else 1)
             object.__setattr__(self, name, col[:, None] if col.ndim == 1 and name == "x" else col)
-        _require_type("Dataset", "covariate_names", covariate_names, (tuple, list))
-        for c in covariate_names:
-            _require_type("Dataset", "each covariate name", c, str)
-        object.__setattr__(self, "covariate_names", tuple(covariate_names))
+        object.__setattr__(self, "covariate_names", _require_items(
+            "Dataset", "covariate_names", covariate_names, "each covariate name", str))
         n = self.y.shape[0]
         if n == 0:
             raise InvalidParameterError("dataset must be nonempty")
@@ -142,10 +139,9 @@ class Dataset:
         a = self.a.astype(int)
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
+        _require_outcome_kind(outcome_kind)
         if outcome_kind is None:
             outcome_kind = "binary" if np.all((self.y == 0) | (self.y == 1)) else "continuous"
-        if outcome_kind not in ("binary", "continuous"):
-            raise InvalidParameterError(f"unknown outcome_kind {outcome_kind!r}")
         if outcome_kind == "binary" and not np.all((self.y == 0) | (self.y == 1)):
             raise InvalidParameterError("binary-outcome dataset has y outside {0,1}")
         object.__setattr__(self, "outcome_kind", outcome_kind)
@@ -183,6 +179,14 @@ class Dataset:
             raise InvalidParameterError(
                 f"Dataset.subset cannot select rows of {len(self)}: {exc}") from None
         return Dataset(*cols, self.covariate_names, self.outcome_kind)
+
+
+def _require_outcome_kind(outcome_kind) -> None:
+    """InvalidParameterError unless ``outcome_kind`` is None, "binary" or
+    "continuous", tested as a str first: an array's ``in`` is ambiguous."""
+    if not (outcome_kind is None
+            or isinstance(outcome_kind, str) and outcome_kind in ("binary", "continuous")):
+        raise InvalidParameterError(f"unknown outcome_kind {outcome_kind!r}")
 
 
 # --- feature language ------------------------------------------------------
@@ -240,11 +244,9 @@ class FeatureSpec:
         A resolution is kept and handed back on the next call with the same
         arguments; a failed one is not kept, so it raises every time. Both
         arguments are tuples or lists of strings."""
-        for name, names in (("roles", roles), ("covariate_names", covariate_names)):
-            _require_type("FeatureSpec.resolve", name, names, (tuple, list))
-            for item in names:
-                _require_type("FeatureSpec.resolve", f"each of {name}", item, str)
-        return _resolve(self, tuple(roles), tuple(covariate_names))
+        return _resolve(self, *(
+            _require_items("FeatureSpec.resolve", name, names, f"each of {name}", str)
+            for name, names in (("roles", roles), ("covariate_names", covariate_names))))
 
     def names(self) -> list[str]:
         return [_TERM_NAMES[t[0]].format(*t[1:]) for t in self.terms]
@@ -419,7 +421,7 @@ class OutcomeModel(_FittedModel):
     kind: str = field(kw_only=True)  # "logistic" or "linear"
 
     def __post_init__(self):
-        if self.kind not in ("logistic", "linear"):
+        if not (isinstance(self.kind, str) and self.kind in ("logistic", "linear")):
             raise InvalidParameterError(f"unknown outcome kind {self.kind!r}")
         super().__post_init__()
 
@@ -458,6 +460,11 @@ class NuisanceTriple:
 # same size at any n; block edges that depend only on the training rows
 # keep every result the same under any BLAS thread count.
 _FIT_BLOCK_ROWS = 16_384
+
+# IRLS stops once the penalized score's max-norm is below IRLS_TOL, and
+# raises a SolverError after IRLS_MAX_ITER Newton steps.
+IRLS_TOL = 1e-9
+IRLS_MAX_ITER = 100
 
 
 class RowParts:
@@ -539,21 +546,22 @@ def _fit_input(caller: str, model, data: Dataset | TrainingRows, spec) -> tuple[
     return rows, _spec_terms(model, spec, rows.parts.data.covariate_names)
 
 
-def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None, rows=None):
+def irls_logistic(design, labels, ridge=1e-8, start=None, rows=None):
     """Ridge-penalized logistic MLE via iteratively reweighted least squares.
 
     Fits the rows of ``design`` and ``labels`` in ``rows``, a list of
-    increasing, disjoint, nonempty ``(lo, hi)`` ranges within the design's
-    rows, or all rows by default. Starts from the coefficients ``start``,
-    zero by default. Converges when the penalized score has max-norm below
-    ``tol``; a ``start`` that already meets it is returned as its read-only
-    copy.
+    increasing, disjoint, nonempty ``(lo, hi)`` integer ranges within the
+    design's rows, or all rows by default. ``ridge`` is a finite number >= 0.
+    Starts from the coefficients ``start``, zero by default. Converges when
+    the penalized score has max-norm below ``IRLS_TOL``; a ``start`` that
+    already meets it is returned as its read-only copy.
     Raises :class:`SolverError` on non-convergence or on a rank-deficient
     weighted system; callers may retry from zero with a larger ridge.
     Every sum runs over the ranges in order, in blocks of
     ``_FIT_BLOCK_ROWS`` rows cut from each range by ``row_blocks``, so no
     step holds more than one block's weighted design.
     """
+    _require_nonnegative("irls_logistic ridge", ridge)
     X = np.asarray(_require_numbers("design", design), dtype=float)  # no copy of a float64 design
     if X.ndim != 2 or X.shape[1] == 0:
         raise InvalidParameterError(
@@ -562,9 +570,13 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
     q = X.shape[1]
     if y.shape != X.shape[:1]:
         raise InvalidParameterError(f"labels of shape {y.shape} for {X.shape[0]} design rows")
-    ranges = [(0, X.shape[0])] if rows is None else list(rows)
-    ends = [0, *(end for lo_hi in ranges for end in lo_hi), X.shape[0]]
-    if not (all(lo < hi for lo, hi in ranges) and all(u <= v for u, v in zip(ends, ends[1:]))):
+    try:  # pairs of integers, else a TypeError or ValueError
+        ranges = [(0, X.shape[0])] if rows is None else [(index(lo), index(hi)) for lo, hi in rows]
+        ends = [0, *(end for lo_hi in ranges for end in lo_hi), X.shape[0]]
+        valid = all(lo < hi for lo, hi in ranges) and all(u <= v for u, v in zip(ends, ends[1:]))
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
         raise InvalidParameterError(f"rows must be increasing, disjoint, nonempty ranges "
                                     f"within 0..{X.shape[0]}, got {rows!r}")
     blocks = [(X[lo:hi], y[lo:hi]) for lo_hi in ranges
@@ -598,14 +610,14 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
         return -float(loss), etas
 
     ll, etas = evaluate(beta)
-    for _ in range(max_iter):
+    for _ in range(IRLS_MAX_ITER):
         ps = [expit(eta, out=eta) for eta in etas]  # the predictors are not read again
         del etas
         grad = 0.0
         for (Xb, yb), p in zip(blocks, ps):
             grad = grad + Xb.T @ (yb - p)
         grad = grad - ridge * beta
-        if np.abs(grad).max() < tol:
+        if np.abs(grad).max() < IRLS_TOL:
             return beta
         hess = 0.0
         for (Xb, _), p in zip(blocks, ps):
@@ -628,7 +640,7 @@ def irls_logistic(design, labels, ridge=1e-8, tol=1e-9, max_iter=100, start=None
         else:
             raise SolverError("IRLS line search failed")
         beta, etas, ll = cand, cand_etas, cand_ll
-    raise SolverError(f"IRLS did not converge in {max_iter} iterations")
+    raise SolverError(f"IRLS did not converge in {IRLS_MAX_ITER} iterations")
 
 
 def fit_propensity(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
@@ -636,6 +648,7 @@ def fit_propensity(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
     """Fit a logistic P(A = 1 | b, x) on features ``spec`` of a Dataset or a
     fit's training rows, from coefficients ``start`` if given. A known
     propensity (randomized designs) is not fit: it is a ``KnownPropensity``."""
+    _require_nonnegative("fit_propensity ridge", ridge)
     rows, terms = _fit_input("fit_propensity", PropensityModel, data, spec)
     coef = irls_logistic(rows.parts.design(terms), rows.parts.data.a, ridge=ridge, start=start,
                          rows=rows.ranges)
@@ -678,6 +691,7 @@ def fit_outcome(data: Dataset | TrainingRows, spec: FeatureSpec, ridge=1e-8,
     """Fit E[Y | a, s, b, x] on a Dataset or a fit's training rows: logistic
     for binary outcomes, from coefficients ``start`` if given, and least
     squares, which takes no start, otherwise."""
+    _require_nonnegative("fit_outcome ridge", ridge)
     rows, terms = _fit_input("fit_outcome", OutcomeModel, data, spec)
     if rows.parts.data.outcome_kind == "binary":
         coef = irls_logistic(rows.parts.design(terms), rows.parts.data.y, ridge=ridge, start=start,

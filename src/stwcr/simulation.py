@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincinv, gammaln, xlogy
 
-from .core import (Interval, SmoothingParams, _require_int, _require_positive, _require_type, quad_rule,
-                   smooth_indicator)
+from .core import (Interval, SmoothingParams, _require_int, _require_items, _require_positive,
+                   _require_type, quad_rule, smooth_indicator)
 from .eif import QUERY_TYPES, StwcrQuery, StwcrveQuery
 from .errors import HarnessError, InvalidParameterError, StwcrError
 # estimate_<kind> is looked up by name in _run_one_rep
@@ -134,7 +134,7 @@ class ScenarioSpec:
         _require_scenario(self.scenario)
         _require_int("n", self.n, 50)
         if not isinstance(self.seed, np.random.SeedSequence):
-            _require_int("seed", self.seed, 0)
+            _require_int("seed", self.seed, 0, math.inf)
 
 
 def _draw_baseline(rng: np.random.Generator, n: int, scenario: str):
@@ -249,11 +249,9 @@ def _require_truth_args(caller: str, scenario, queries, params) -> tuple:
     SmoothingParams, else an InvalidParameterError naming the argument.
     Returns ``queries`` as a tuple."""
     _require_scenario(scenario)
-    _require_type(caller, "queries", queries, (tuple, list))
-    for q in queries:
-        _require_type(caller, "each query", q, tuple(QUERY_TYPES.values()))
+    queries = _require_items(caller, "queries", queries, "each query", tuple(QUERY_TYPES.values()))
     _require_type(caller, "params", params, SmoothingParams)
-    return tuple(queries)
+    return queries
 
 
 def _oracle_integrands(scenario: str, query, params: SmoothingParams):
@@ -310,7 +308,7 @@ def oracle_estimand(kind: str, scenario: str, query, params: SmoothingParams,
     _require_type("oracle_estimand", "params", params, SmoothingParams)
     terms = _oracle_integrands(scenario, query, params)
     _require_int("mc_size", mc_size, 100_000)
-    _require_int("seed", seed, 0)
+    _require_int("seed", seed, 0, math.inf)
     sums = np.zeros(5)  # sum u, sum v, sum u^2, sum v^2, sum u*v
     for b, x in _baseline_blocks(np.random.default_rng(seed), mc_size, scenario):
         u, v = map_row_blocks(terms, b, x)
@@ -340,7 +338,7 @@ def direct_plain_smoothed_risk(scenario: str, a: int, s: float, h: float,
     StwcrQuery(a, s)  # arm 0 or 1, finite s
     _require_positive("bandwidth h", h)
     _require_int("mc_size", mc_size, 2)
-    _require_int("seed", seed, 0)
+    _require_int("seed", seed, 0, math.inf)
     rng = np.random.default_rng(seed)
     total, total_sq = 0.0, 0.0
     for b, x in _baseline_blocks(rng, mc_size, scenario):
@@ -381,7 +379,7 @@ class SimConfig:
                 f"need k_folds <= n, got k_folds={self.k_folds}, n={self.n}")
         _require_int("reps", self.reps, 1)
         _require_int("n_jobs", self.n_jobs, 1)
-        _require_int("master_seed", self.master_seed, 0)
+        _require_int("master_seed", self.master_seed, 0, math.inf)
         _require_type("SimConfig", "model_specs", self.model_specs, ModelSpecs)
 
 
@@ -469,6 +467,7 @@ def run_monte_carlo(config: SimConfig) -> list[MetricsRow]:
     naming that query's first errors, when more than 5% of them failed.
     ``pct_bias`` is NaN when the truth is 0.
     """
+    _require_type("run_monte_carlo", "config", config, SimConfig)
     truths = compute_truths(config.scenario, config.queries, config.params)
 
     one_rep = functools.partial(_run_one_rep, config)

@@ -7,6 +7,7 @@ from scipy.special import expit
 
 from stwcr.errors import InvalidParameterError, SolverError
 from stwcr.nuisance import (
+    IRLS_TOL,
     PROB_FLOOR,
     CondDensityModel,
     Dataset,
@@ -273,11 +274,11 @@ class TestIrlsLogistic:
         X = np.column_stack([np.ones(500), rng.normal(size=500)])
         eta = 0.5 - 0.8 * X[:, 1]
         y = (rng.random(500) < 1 / (1 + np.exp(-eta))).astype(float)
-        ridge, tol = 1e-8, 1e-9
-        beta = irls_logistic(X, y, ridge=ridge, tol=tol)
+        ridge = 1e-8
+        beta = irls_logistic(X, y, ridge=ridge)
         p = 1 / (1 + np.exp(-(X @ beta)))
         grad = X.T @ (y - p) - ridge * beta
-        assert np.max(np.abs(grad)) < tol
+        assert np.max(np.abs(grad)) < IRLS_TOL
 
     def test_perfect_separation_bounded_by_ridge(self):
         X = np.array([[1.0], [1.0], [-1.0], [-1.0]])

@@ -469,6 +469,27 @@ def _trial(**columns):
     lambda: _trial().subset(np.ones(99, dtype=bool)),
     lambda: _trial().subset(np.array([0.0, 1.0])),
     lambda: _trial().subset(1.5),
+    lambda: _trial(outcome_kind=np.array(["binary", "continuous"])),
+    # outcome_kind is checked before the file is opened, so the file need not exist
+    lambda: load_dataset("trial.csv", None, np.array(["binary", "continuous"])),
+    lambda: load_dataset("trial.csv", None, "ordinal"),
+    lambda: FoldAssignment(10 ** 400, [1, 2]),
+    lambda: make_folds(10 ** 400, 2, 0),
+    lambda: irls_logistic(np.ones((10, 1)), np.zeros(10), ridge=None),
+    lambda: irls_logistic(np.ones((10, 1)), np.zeros(10), ridge=10 ** 400),
+    lambda: irls_logistic(np.ones((10, 1)), np.zeros(10), ridge=np.array(["a", "b"])),
+    lambda: irls_logistic(np.ones((10, 1)), np.zeros(10), ridge=-0.001),
+    lambda: fit_propensity(_trial(), FeatureSpec([("intercept",)]), ridge=None),
+    lambda: fit_propensity(_trial(), FeatureSpec([("intercept",)]), ridge=10 ** 400),
+    lambda: fit_propensity(_trial(), FeatureSpec([("intercept",)]), ridge=np.array(["a", "b"])),
+    lambda: fit_propensity(_trial(), FeatureSpec([("intercept",)]), ridge=-0.001),
+    lambda: fit_outcome(_trial(), FeatureSpec([("intercept",)]), ridge=None),
+    lambda: fit_outcome(_trial(), FeatureSpec([("intercept",)]), ridge=10 ** 400),
+    lambda: fit_outcome(_trial(), FeatureSpec([("intercept",)]), ridge=np.array(["a", "b"])),
+    lambda: fit_outcome(_trial(), FeatureSpec([("intercept",)]), ridge=-0.001),
+    lambda: fit_outcome(_trial(y=np.linspace(0.0, 1.0, 100)), FeatureSpec([("intercept",)]),
+                        ridge=-0.001),
+    lambda: irls_logistic(np.ones((10, 1)), np.zeros(10), rows="x"),
 ], ids=["query_marker_str", "query_marker_none", "ve_query_marker_str", "query_arm_bool",
         "query_arm_float", "ve_query_arm_bool", "ve_query_arm_float", "kernel_h_bool", "interval_none",
         "interval_str", "known_propensity_str", "spec_list", "config_params_dict",
@@ -504,7 +525,13 @@ def _trial(**columns):
         "gen_dataset_none", "indicator_t_nan", "indicator_t_none", "indicator_t_list",
         "indicator_p_str", "indicator_p_none", "indicator_p_list_str", "indicator_deriv_t_nan",
         "indicator_deriv_t_str", "indicator_deriv_p_none", "subset_out_of_range",
-        "subset_short_mask", "subset_floats", "subset_float"])
+        "subset_short_mask", "subset_floats", "subset_float", "dataset_outcome_kind_array",
+        "load_outcome_kind_array", "load_outcome_kind_str", "fold_assignment_k_huge_int",
+        "make_folds_n_huge_int", "irls_ridge_none", "irls_ridge_huge_int", "irls_ridge_str_array",
+        "irls_ridge_negative", "fit_propensity_ridge_none", "fit_propensity_ridge_huge_int",
+        "fit_propensity_ridge_str_array", "fit_propensity_ridge_negative", "fit_outcome_ridge_none",
+        "fit_outcome_ridge_huge_int", "fit_outcome_ridge_str_array", "fit_outcome_ridge_negative",
+        "fit_outcome_continuous_ridge_negative", "irls_rows_str"])
 def test_wrong_input_type_is_typed_error_where_it_enters(call):
     with pytest.raises(InvalidParameterError):
         call()
