@@ -243,6 +243,18 @@ def _require_numbers(name: str, val, ndim: int | None = None, rows: int | None =
     raise InvalidParameterError(f"{name} must hold {wanted}, got {given}")
 
 
+def _require_broadcast(caller: str, shapes: dict) -> tuple:
+    """The broadcast shape of ``shapes``, argument name to shape:
+    InvalidParameterError naming ``caller`` and each shape unless they
+    broadcast together, the rule for the arrays a model reads side by side."""
+    try:
+        return np.broadcast_shapes(*shapes.values())
+    except ValueError:
+        given = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+        raise InvalidParameterError(f"{caller} needs arrays that broadcast together, "
+                                    f"got shapes {given}") from None
+
+
 def _require_type(caller: str, name: str, val, cls, optional: bool = False) -> None:
     """InvalidParameterError unless ``val`` is a ``cls``, a class or a tuple
     of classes, or None when ``optional``: the rule for every typed argument.
@@ -279,24 +291,25 @@ def smooth_indicator(p, t, epsilon):
     numbers, read in place and its values not checked; ``t`` is a finite
     number.
     """
-    _require_indicator_args("smooth_indicator", p, t)
+    _require_indicator_args("smooth_indicator", p, t, epsilon)
     out, _ = softened_indicator(p, t, epsilon)
     return out if out.ndim else float(out)
 
 
 def smooth_indicator_deriv(p, t, epsilon):
     """Derivative of :func:`smooth_indicator` in p: ``pdf_std((p - t)/epsilon)/epsilon``."""
-    _require_indicator_args("smooth_indicator_deriv", p, t)
+    _require_indicator_args("smooth_indicator_deriv", p, t, epsilon)
     _, out = softened_indicator(p, t, epsilon)
     return out if out.ndim else float(out)
 
 
-def _require_indicator_args(caller: str, p, t) -> None:
+def _require_indicator_args(caller: str, p, t, epsilon) -> None:
     """InvalidParameterError naming ``caller`` unless p holds numbers and t
-    is a finite number."""
+    is a finite number, or naming epsilon unless it is positive and finite."""
     _require_numbers(f"{caller} p", p)
     if not _is_number(t):
         raise InvalidParameterError(f"{caller} needs t as a finite number, got {t!r}")
+    _require_positive("epsilon", epsilon)
 
 
 def softened_indicator(p, t, epsilon):
@@ -304,9 +317,10 @@ def softened_indicator(p, t, epsilon):
     ``z = (p - t)/epsilon``.
 
     Each result is a new array, so a caller may update it in place. ``p``
-    itself is never written.
+    itself is never written. ``epsilon`` is not checked here, on every grid
+    block: ``SmoothingParams`` checks the estimators' and
+    ``_require_indicator_args`` the public functions'.
     """
-    _require_positive("epsilon", epsilon)
     p = np.asarray(p, dtype=float)
     with np.errstate(over="ignore"):  # see _scaled_pdf; ndtr(+-inf) is 1 or 0
         z = np.subtract(p, t, out=np.empty(p.shape))

@@ -5,10 +5,10 @@ complement and influence values are evaluated on the held-out fold. Point
 estimates are pooled means over all n held-out evaluations (the pooled
 mean and the mean of fold means coincide for balanced folds; the pooled
 form is used throughout). Injected (oracle) nuisances take the same path
-with one part holding every row, which is never cached. Influence values
-are scattered back into original observation order before averaging, so
-results do not depend on fold order and injected nuisances give
-fold-seed-invariant estimates bit for bit.
+on the dataset's own columns, one part of every row, which is never
+cached. Influence values are scattered back into original observation
+order before averaging, so results do not depend on fold order and
+injected nuisances give fold-seed-invariant estimates bit for bit.
 
 The rows are sorted by fold once per plan, into one Dataset copy, so fold
 k's training rows are the two contiguous ranges on either side of part k
@@ -134,8 +134,11 @@ class FoldAssignment:
         labels = raw.astype(int)
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
+        # tested ahead of the bincount, whose k_folds + 1 counts might not fit in memory
+        if self.k_folds > labels.size:
+            raise InvalidParameterError("every fold must be nonempty")
         counts = np.bincount(labels, minlength=self.k_folds + 1)[1:]
-        if counts.size != self.k_folds or np.any(counts == 0):
+        if np.any(counts == 0):
             raise InvalidParameterError("every fold must be nonempty")
         if counts.max() - counts.min() > 1:
             raise InvalidParameterError("fold sizes may differ by at most 1")
@@ -275,38 +278,31 @@ def _fit_fold(train: TrainingRows, specs: ModelSpecs,
 class _FoldPlan:
     """What every query on one (dataset, folds, specs) shares.
 
-    ``rows`` holds the rows of ``parts``, sorted by part, and ``nuis`` their
-    nuisances: with ``order``, part j is fold j + 1, evaluated with
-    ``fits[j]``'s triple (a ``NuisanceParts``), and the rows sit at
-    ``index`` in the dataset; with ``order`` None the one part is every row,
-    in order, and ``nuis`` its one triple. ``fits`` are ``(NuisanceTriple,
-    degenerate)`` pairs. Each query is one batch call on ``rows``, which
-    reads and fills ``terms`` (``eif_stwcr_batch``'s ``_terms``): one dict
-    of whole-row arrays, valid for one (t, epsilon, quad_nodes,
-    window_halfwidth_in_h), which ``ask`` empties in place for a query
-    with another, so ``terms`` stays the same dict. ``ask`` names the keys
-    it keeps, which the batch is given as ``_keep`` and keeps alone: every
-    arm's ``LocalTerms``, and each window ``(arm, center, h)`` asked twice
-    in a row on its arm, until that arm is asked another window (32 bytes
-    a row); a run of one query keeps no window. Every entry is keyed by all
-    it depends on and added only once every part is made, so a query that
-    fails part way leaves nothing stale. The held rows are slices of
-    ``parts.data``, never a copy of its own; the plan holds neither the
-    caller's dataset nor ``parts``, whose designs go with it. ``folds`` and
-    ``specs`` are what the fits were made from, None for injected
-    nuisances.
+    ``rows`` are the columns (y, a, s, b, x) that each query's one batch
+    call reads, ``index`` where they sit in the dataset, and ``nuis`` their
+    nuisances, a ``NuisanceTriple`` or ``NuisanceParts``. ``fits`` are
+    ``(NuisanceTriple, degenerate)`` pairs. A fold plan's rows are its
+    dataset's copy sorted by fold, ``index`` the sort order and part j,
+    fold j + 1, evaluated with ``fits[j]``'s triple; injected nuisances
+    read the dataset's own columns at ``slice(None)`` with their one
+    triple. Each query's batch call reads and fills ``terms``
+    (``eif_stwcr_batch``'s ``_terms``): one dict of whole-row arrays, valid
+    for one (t, epsilon, quad_nodes, window_halfwidth_in_h), which ``ask``
+    empties in place for a query with another, so ``terms`` stays the same
+    dict. ``ask`` names the keys it keeps, which the batch is given as
+    ``_keep`` and keeps alone: every arm's ``LocalTerms``, and each window
+    ``(arm, center, h)`` asked twice in a row on its arm, until that arm is
+    asked another window (32 bytes a row); a run of one query keeps no
+    window. Every entry is keyed by all it depends on and added only once
+    every part is made, so a query that fails part way leaves nothing
+    stale. The plan holds neither the caller's dataset nor the fits'
+    ``RowParts``, whose designs go with them. ``folds`` and ``specs`` are
+    what the fits were made from, None for injected nuisances.
     """
 
-    def __init__(self, folds, specs, parts: RowParts, order: np.ndarray | None, fits):
+    def __init__(self, folds, specs, rows: tuple, index, nuis, fits):
         self.folds, self.specs = folds, specs
-        self.fits = fits
-        # the rows of the parts, which corrupt labels could leave short of every row
-        lo, hi = parts.edges[0], parts.edges[-1]
-        self.index = slice(None) if order is None else order[lo:hi]
-        data = parts.data
-        self.rows = tuple(col[lo:hi] for col in (data.y, data.a, data.s, data.b, data.x))
-        self.nuis = fits[0][0] if order is None else NuisanceParts(
-            tuple(edge - lo for edge in parts.edges), tuple(nuis for nuis, _ in fits))
+        self.rows, self.index, self.nuis, self.fits = rows, index, nuis, fits
         self.degenerate_folds = sum(int(degen) for _, degen in fits)
         self._params = None  # (t, epsilon, quad_nodes, window_halfwidth_in_h) of ``terms``
         self.terms = {}
@@ -338,11 +334,14 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
     and the folds are the same or hold equal labels; ``data`` is immutable,
     so its contents need no check. Otherwise the specs are filled in once
     for all folds, so a bad spec fails before any fold is fit. The rows
-    are sorted by fold once, into one copy, and each fold is fit from the
-    ranges on either side of its own: what a second fold reads is made
-    once, by fold 1, and freed with the fits' ``RowParts``. Fold 1
-    is fit first, in the calling thread; unless it was degenerate, folds
-    2..K start their logistic fits from its coefficients. From
+    are sorted by fold once, into one copy, whose fold edges must run
+    from 0 to every row, or an EstimationError is raised before any fit:
+    labels changed after ``FoldAssignment`` checked them can leave a row
+    in no fold. Each fold is fit from the ranges on either side of its
+    own: what a second fold reads is made once, by fold 1, and freed with
+    the fits' ``RowParts``. Fold 1 is fit first, in the calling thread;
+    unless it was degenerate, folds 2..K start their logistic fits from
+    its coefficients. From
     ``_THREADED_FIT_ROWS`` rows folds 2..K are fit on threads; either way a
     failure names the lowest failing fold, and nothing is stored.
     """
@@ -356,11 +355,14 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
     # permutation in 0.6 ms instead of 6.6 ms at 200k rows and 5 folds
     order = np.argsort(folds.labels.astype(np.min_scalar_type(folds.k_folds)), kind="stable")
     edges = np.searchsorted(folds.labels[order], np.arange(1, folds.k_folds + 2))
-    rows = RowParts(data.subset(order), edges)
+    # labels changed after FoldAssignment checked them can leave rows out of every fold
+    if edges[0] != 0 or edges[-1] != len(data):
+        raise EstimationError("influence values left unset: a row was in no held-out fold")
+    parts = RowParts(data.subset(order), edges)
 
     def fit(k, warm=None):
         try:
-            return _fit_fold(TrainingRows(rows, k - 1), filled, warm)
+            return _fit_fold(TrainingRows(parts, k - 1), filled, warm)
         except SolverError as exc:
             raise EstimationError(f"nuisance fit failed in fold {k}: {exc}") from exc
 
@@ -369,7 +371,10 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
     threaded = len(data) >= _THREADED_FIT_ROWS
     rest = map_threaded(lambda k: fit(k, warm), range(2, folds.k_folds + 1),
                         tasks=folds.k_folds - 1 if threaded else 1)
-    _FOLD_FITS[data] = _FoldPlan(folds, specs, rows, order, ((first, degenerate), *rest))
+    fits = ((first, degenerate), *rest)
+    nuis = NuisanceParts(tuple(parts.edges), tuple(triple for triple, _ in fits))
+    d = parts.data
+    _FOLD_FITS[data] = _FoldPlan(folds, specs, (d.y, d.a, d.s, d.b, d.x), order, nuis, fits)
     return _FOLD_FITS[data]
 
 
@@ -408,7 +413,8 @@ def _influence(query_type, batch_fn, data: Dataset, query, params: SmoothingPara
     if folds.labels.shape[0] != n:
         raise InvalidParameterError("fold assignment does not match dataset size")
     if nuisances is not None:
-        plan = _FoldPlan(None, None, RowParts(data), None, ((nuisances, False),))
+        plan = _FoldPlan(None, None, (data.y, data.a, data.s, data.b, data.x), slice(None),
+                         nuisances, ((nuisances, False),))
     else:
         # ahead of any fit: a fold without the arm would fail as a singular design.
         # A fold's training rows lack an arm exactly when it holds every row on the arm.
@@ -421,16 +427,14 @@ def _influence(query_type, batch_fn, data: Dataset, query, params: SmoothingPara
     num, den, hits = batch_fn(*plan.rows, query, plan.nuis, params, _terms=plan.terms, _keep=kept)
 
     def scattered(values):
-        # NaN until written, so a row in no part cannot pass silently
-        out = np.full(n, np.nan)
+        # the plan's index covers every row, which _fold_plan checks
+        out = np.empty(n)
         out[plan.index] = values
         return out
 
     # one at a time, so that each held-out order array is dropped once scattered
     num = scattered(num)
     den = scattered(den)
-    if np.isnan(num).any() or np.isnan(den).any():
-        raise EstimationError("influence values left unset: a row was in no held-out fold")
     tau_num = float(np.mean(num))
     tau_den = float(np.mean(den))
     if tau_den <= 0:

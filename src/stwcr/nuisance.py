@@ -50,8 +50,9 @@ from typing import ClassVar, NamedTuple, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .core import (Interval, _is_arm, _is_number, _require_array, _require_items,
-                   _require_nonnegative, _require_numbers, _require_positive, _require_type)
+from .core import (Interval, _is_arm, _is_number, _require_array, _require_broadcast,
+                   _require_items, _require_nonnegative, _require_numbers, _require_positive,
+                   _require_type)
 from .errors import InvalidParameterError, SolverError
 from .parallel import row_blocks
 
@@ -263,7 +264,8 @@ def _resolve(spec: FeatureSpec, roles: tuple, covariate_names: tuple) -> _Terms:
     # each term as the names of the columns it multiplies: a square's one name twice
     terms = (t[1:] * 2 if t[0] == "square" else t[1:] for t in spec.terms)
     try:
-        return _Terms(roles, tuple(tuple(position[name] for name in names) for names in terms))
+        return _Terms(roles, tuple(tuple(position[name] for name in names) for names in terms),
+                      len(covariate_names))
     except KeyError as exc:
         raise InvalidParameterError(f"feature references unknown column {exc.args[0]!r}; "
                                     f"this model reads {', '.join(position)}") from None
@@ -282,11 +284,12 @@ class _Terms(NamedTuple):
 
     roles: tuple  # the model's role columns, ahead of its covariates
     terms: tuple  # per term the positions in (*roles, *covariates) of the columns it multiplies
+    covariates: int  # how many covariates x holds on its last axis
 
     def _values(self, role_values, x):
-        """Each term's value, left to right, from the role values and x's last
-        axis: the product of its columns, 1.0 for none and a column itself for one."""
-        x = np.asarray(x, dtype=float)
+        """Each term's value, left to right, from the role values and float
+        array x's last axis: the product of its columns, 1.0 for none and a
+        column itself for one."""
         cols = (*role_values, *(x[..., j] for j in range(x.shape[-1])))
         for pos in self.terms:
             value = cols[pos[0]] if pos else 1.0
@@ -300,38 +303,39 @@ class _Terms(NamedTuple):
             X[:, j] = value
         return X
 
-    def predictor(self, coef, role_values, x) -> np.ndarray:
+    def predictor(self, caller: str, coef, role_values, x) -> np.ndarray:
         """Sum of coef * term, left to right, in a new float array that the caller
         may overwrite, never a column: it grows to the terms' broadcast shape and
-        is updated in place, then takes the role values' shape if that is larger."""
-        role_values = [np.asarray(v, dtype=float) for v in role_values]
+        is updated in place, then takes the shape of the role values and x's rows
+        broadcast if that is larger. InvalidParameterError naming ``caller``
+        unless the role values and x hold numbers, x holds the covariates on its
+        last axis, and they broadcast together."""
+        values = {name: np.asarray(_require_numbers(f"{caller} {name}", v), dtype=float)
+                  for name, v in zip((*self.roles, "x"), (*role_values, x))}
+        x = values.pop("x")
+        if x.shape[-1:] != (self.covariates,):
+            raise InvalidParameterError(f"{caller} needs x with its {self.covariates} covariates "
+                                        f"on the last axis, got shape {x.shape}")
+        shape = _require_broadcast(caller, {**{name: v.shape for name, v in values.items()},
+                                            "x rows": x.shape[:-1]})
         eta = 0.0
-        for c, value in zip(coef, self._values(role_values, x)):
+        for c, value in zip(coef, self._values(values.values(), x)):
             term = c * value
             try:
                 eta += term
             except ValueError:  # an array that must grow to the broadcast shape
                 eta = eta + term
         eta = np.asarray(eta, dtype=float)
-        shape = np.broadcast(eta, *role_values).shape
         return eta if eta.shape == shape else np.broadcast_to(eta, shape).copy()
-
-
-def _normal_density(s, mu, sd):
-    """N(mu, sd^2) density at s, broadcast, in new arrays updated in place."""
-    z = np.subtract(s, mu, out=np.empty(np.broadcast_shapes(np.shape(s), np.shape(mu))))
-    z /= sd
-    dens = np.multiply(z, -0.5, out=np.empty(z.shape))
-    dens *= z
-    np.exp(dens, out=dens)
-    dens /= sd * _SQRT_2PI
-    return dens
 
 
 # --- models ----------------------------------------------------------------
 
-def _arm_prob(a: int, p1):
-    """P(A = a) from P(A = 1), floored into [1e-12, 1 - 1e-12]."""
+def _arm_prob(caller: str, a: int, p1):
+    """P(A = a) from P(A = 1), floored into [1e-12, 1 - 1e-12]:
+    InvalidParameterError naming ``caller`` unless ``a`` is an arm."""
+    if not _is_arm(a):
+        raise InvalidParameterError(f"{caller} needs a as an integer 0 or 1, got {a!r}")
     p = p1 if a == 1 else 1.0 - p1
     return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
@@ -351,7 +355,8 @@ class KnownPropensity:
 
     def prob(self, a: int, b, x):
         """P(A = a), floored as :class:`PropensityModel` floors it, in an array matching b."""
-        return _arm_prob(a, np.full_like(np.asarray(b, dtype=float), self.prob_treated))
+        b = _require_numbers("KnownPropensity.prob b", b)
+        return _arm_prob("KnownPropensity.prob", a, np.full(b.shape, float(self.prob_treated)))
 
 
 @dataclass(frozen=True)
@@ -382,7 +387,8 @@ class PropensityModel(_FittedModel):
 
     def prob(self, a: int, b, x):
         """P(A = a | b, x), floored into [1e-12, 1 - 1e-12]. Returns an array matching b."""
-        return _arm_prob(a, expit(self._terms.predictor(self.coef, (b,), x)))
+        return _arm_prob("PropensityModel.prob", a,
+                         expit(self._terms.predictor("PropensityModel.prob", self.coef, (b,), x)))
 
 
 @dataclass(frozen=True)
@@ -400,7 +406,7 @@ class CondDensityModel(_FittedModel):
     def mean(self, a, b, x):
         """The marker mean at broadcastable arm a and baseline b, with x's
         covariates on its last axis: a may be one arm or one per row."""
-        return self._terms.predictor(self.coef, (a, b), x)
+        return self._terms.predictor("CondDensityModel.mean", self.coef, (a, b), x)
 
     def density_at(self, a, s, b, x):
         """Density at broadcastable a, s and b, with x's covariates on its last axis."""
@@ -408,8 +414,21 @@ class CondDensityModel(_FittedModel):
 
     def density_from_mean(self, s, mean):
         """Density at s of a marker whose mean is ``mean``, broadcast: a
-        caller that keeps ``mean`` rows' mean reads their density at any s."""
-        return _normal_density(np.asarray(s, dtype=float), mean, self.residual_sd)
+        caller that keeps ``mean`` rows' mean reads their density at any s.
+        The N(mean, residual_sd^2) density is made in new arrays, updated in
+        place. InvalidParameterError unless s and mean hold numbers that
+        broadcast together."""
+        caller = "CondDensityModel.density_from_mean"
+        s = np.asarray(_require_numbers(f"{caller} s", s), dtype=float)
+        mean = _require_numbers(f"{caller} mean", mean)
+        shape = _require_broadcast(caller, {"s": s.shape, "mean": mean.shape})
+        z = np.subtract(s, mean, out=np.empty(shape))
+        z /= self.residual_sd
+        dens = np.multiply(z, -0.5, out=np.empty(z.shape))
+        dens *= z
+        np.exp(dens, out=dens)
+        dens /= self.residual_sd * _SQRT_2PI
+        return dens
 
 
 @dataclass(frozen=True)
@@ -428,7 +447,7 @@ class OutcomeModel(_FittedModel):
     def predict_at(self, a, s, b, x):
         """The mean at broadcastable a, s and b, with x's covariates on its last
         axis: a may be one arm or one per row."""
-        eta = self._terms.predictor(self.coef, (a, s, b), x)
+        eta = self._terms.predictor("OutcomeModel.predict_at", self.coef, (a, s, b), x)
         if self.kind == "logistic":
             expit(eta, out=eta)
             np.clip(eta, PROB_FLOOR, 1.0 - PROB_FLOOR, out=eta)
@@ -515,7 +534,9 @@ class TrainingRows:
 
     The fit functions take these or a Dataset, which they read as one part
     of all its rows. Fits read the parts' columns, designs and factors in
-    place; nothing here copies a row.
+    place; nothing here copies a row. The ranges are never all empty: a
+    Dataset has rows, and a fold plan's folds are each nonempty, so a
+    held-out fold leaves the others' rows.
     """
 
     def __init__(self, parts: RowParts, held_out: int | None):
@@ -527,8 +548,6 @@ class TrainingRows:
         else:
             ranges = [(first, parts.edges[held_out]), (parts.edges[held_out + 1], last)]
         self.ranges = [(lo, hi) for lo, hi in ranges if lo < hi]
-        if not self.ranges:
-            raise InvalidParameterError("a fit needs at least one training row")
 
     def __len__(self):
         return sum(hi - lo for lo, hi in self.ranges)

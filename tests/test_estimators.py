@@ -231,6 +231,24 @@ class TestEstimateStwcr:
         with pytest.raises(EstimationError, match="left unset"):
             estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, folds)
 
+    def test_rows_in_no_fold_raise_before_any_fit(self, monkeypatch):
+        ds = gen_dataset(ScenarioSpec("I", 300, 41))
+        folds = make_folds(300, 5, 1)
+        labels = folds.labels.copy()
+        labels[3] = 0
+        object.__setattr__(folds, "labels", labels)  # as in the test above
+        fits, real = [], estimators.fit_outcome
+
+        def counting(train, spec, **kwargs):
+            fits.append(train.held_out)
+            return real(train, spec, **kwargs)
+
+        monkeypatch.setattr(estimators, "fit_outcome", counting)
+        with pytest.raises(EstimationError, match="left unset: a row was in no held-out fold"):
+            estimate_stwcr(ds, StwcrQuery(1, 7.0), PARAMS, folds)
+        assert fits == []
+        assert ds not in estimators._FOLD_FITS
+
     def test_nonpositive_denominator_reported(self):
         # constant density just below the threshold with a sharp indicator
         # makes the subtracted correction dominate the plug-in integral

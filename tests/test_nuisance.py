@@ -28,7 +28,7 @@ from stwcr.nuisance import (
     square,
     support_bounds,
 )
-from stwcr.simulation import ScenarioSpec, gen_dataset
+from stwcr.simulation import ScenarioSpec, gen_dataset, true_nuisances
 
 
 def tiny_dataset(s_values, outcome_kind=None):
@@ -260,6 +260,38 @@ class TestModelColumns:
         p1 = expit(eta)
         assert np.array_equal(prop.prob(1, b, xs), np.clip(p1, PROB_FLOOR, 1.0 - PROB_FLOOR))
         assert np.array_equal(prop.prob(0, b, xs), np.clip(1.0 - p1, PROB_FLOOR, 1.0 - PROB_FLOOR))
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_x_of_another_covariate_count_rejected(self, width):
+        # x's covariates are read by position: a fourth column was ignored, and a
+        # two-column x was an IndexError
+        ds, nuis = self.DS, true_nuisances("I")
+        x = np.column_stack([ds.x, ds.x])[:, :width]
+        prop = PropensityModel(spec=FeatureSpec([intercept(), raw("b")]), coef=np.ones(2),
+                               covariate_names=ds.covariate_names)
+        for call in (lambda: nuis.outcome.predict_at(1, 7.0, ds.b, x),
+                     lambda: nuis.cond_density.mean(1, ds.b, x),
+                     lambda: nuis.cond_density.density_at(1, 7.0, ds.b, x),
+                     lambda: prop.prob(1, ds.b, x)):
+            with pytest.raises(InvalidParameterError, match="3 covariates on the last axis"):
+                call()
+
+    @pytest.mark.parametrize("arm", [2, -1, True, 1.0])
+    def test_prob_of_another_arm_rejected(self, arm):
+        # any arm but 1 read as 0: prob(2, ...) was P(A = 0)
+        ds = self.DS
+        prop = PropensityModel(spec=FeatureSpec([intercept(), raw("b")]), coef=np.ones(2),
+                               covariate_names=ds.covariate_names)
+        for model in (prop, KnownPropensity(0.3)):
+            with pytest.raises(InvalidParameterError, match="needs a as an integer 0 or 1"):
+                model.prob(arm, ds.b, ds.x)
+
+    def test_rows_that_do_not_broadcast_rejected(self):
+        ds, nuis = self.DS, true_nuisances("I")
+        with pytest.raises(InvalidParameterError, match=r"broadcast together, got shapes .*x rows \(200,\)"):
+            nuis.outcome.predict_at(1, 7.0, ds.b[:10], ds.x)
+        with pytest.raises(InvalidParameterError, match="broadcast together"):
+            nuis.cond_density.density_from_mean(ds.s[:10], ds.s)
 
 
 class TestIrlsLogistic:

@@ -490,6 +490,7 @@ def _trial(**columns):
     lambda: fit_outcome(_trial(y=np.linspace(0.0, 1.0, 100)), FeatureSpec([("intercept",)]),
                         ridge=-0.001),
     lambda: irls_logistic(np.ones((10, 1)), np.zeros(10), rows="x"),
+    lambda: FoldAssignment(2 ** 40, [1, 2]),
 ], ids=["query_marker_str", "query_marker_none", "ve_query_marker_str", "query_arm_bool",
         "query_arm_float", "ve_query_arm_bool", "ve_query_arm_float", "kernel_h_bool", "interval_none",
         "interval_str", "known_propensity_str", "spec_list", "config_params_dict",
@@ -531,7 +532,7 @@ def _trial(**columns):
         "irls_ridge_negative", "fit_propensity_ridge_none", "fit_propensity_ridge_huge_int",
         "fit_propensity_ridge_str_array", "fit_propensity_ridge_negative", "fit_outcome_ridge_none",
         "fit_outcome_ridge_huge_int", "fit_outcome_ridge_str_array", "fit_outcome_ridge_negative",
-        "fit_outcome_continuous_ridge_negative", "irls_rows_str"])
+        "fit_outcome_continuous_ridge_negative", "irls_rows_str", "fold_assignment_k_above_rows"])
 def test_wrong_input_type_is_typed_error_where_it_enters(call):
     with pytest.raises(InvalidParameterError):
         call()

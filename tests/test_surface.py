@@ -1,12 +1,14 @@
 """Never a raw error, as one property over the declared public surface.
 
-The surface is ``stwcr.__all__`` and ``stwcr.cli.load_dataset``. The
-``calls`` fixture holds one cheap valid call of each callable on it,
-naming every parameter. Each test replaces one argument at a time with
-each hostile value, over every (argument, value) pair rather than a random
-draw, so the run is the same every time: the call must return or raise a
-``StwcrError``. An ``OSError`` is allowed only from ``load_dataset`` given
-a path that does not exist.
+The surface is ``stwcr.__all__``, ``stwcr.cli.load_dataset`` and the
+methods in ``METHODS``: those of a Dataset, a FeatureSpec and the nuisance
+models that the influence values call. The ``calls`` fixture holds one
+cheap valid call of each callable on the surface, naming every parameter,
+and ``method_calls`` one of each method. Each test replaces one argument
+at a time with each hostile value, over every (argument, value) pair
+rather than a random draw, so the run is the same every time: the call
+must return or raise a ``StwcrError``. An ``OSError`` is allowed only from
+``load_dataset`` given a path that does not exist.
 """
 
 import inspect
@@ -22,7 +24,17 @@ from stwcr.core import Interval, SmoothingParams
 from stwcr.eif import StwcrQuery, StwcrveQuery
 from stwcr.errors import StwcrError
 from stwcr.estimators import ModelSpecs, make_folds
-from stwcr.nuisance import FeatureSpec, Observation, intercept, raw
+from stwcr.nuisance import (
+    CondDensityModel,
+    Dataset,
+    FeatureSpec,
+    KnownPropensity,
+    Observation,
+    OutcomeModel,
+    PropensityModel,
+    intercept,
+    raw,
+)
 from stwcr.simulation import ScenarioSpec, SimConfig, gen_dataset, true_nuisances
 
 
@@ -45,6 +57,9 @@ OBS = Observation(y=1.0, a=1, s=7.0, b=2.0, x=(0.0, 0.5, 0.5))
 NUIS = true_nuisances("I")
 CONFIG = SimConfig("I", 200, 1, (RISK,), PARAMS, k_folds=2)
 SURFACE = sorted({name for name in stwcr.__all__ if callable(getattr(stwcr, name))} | {"load_dataset"})
+METHODS = ("Dataset.subset", "KnownPropensity.prob", "PropensityModel.prob", "CondDensityModel.mean",
+           "CondDensityModel.density_at", "CondDensityModel.density_from_mean",
+           "OutcomeModel.predict_at", "FeatureSpec.resolve")
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +141,35 @@ def calls(tmp_path_factory) -> dict:
             for name, kwargs in table.items()}
 
 
+@pytest.fixture(scope="module")
+def method_calls() -> dict:
+    """Each method's name: the bound method and the keyword arguments of one valid call."""
+    rows = dict(b=DATA.b, x=DATA.x)
+    models = {KnownPropensity: KnownPropensity(0.5),
+              # nonzero coefficients: 0 * inf is NaN, with numpy's RuntimeWarning
+              PropensityModel: PropensityModel(spec=SPEC, coef=np.array([0.2, -0.1]),
+                                               covariate_names=NAMES),
+              CondDensityModel: NUIS.cond_density, OutcomeModel: NUIS.outcome,
+              Dataset: DATA, FeatureSpec: SPEC}
+    table = {
+        "Dataset.subset": dict(idx=[0, 2, 5]),
+        "KnownPropensity.prob": dict(a=1, **rows),
+        "PropensityModel.prob": dict(a=0, **rows),
+        "CondDensityModel.mean": dict(a=1, **rows),
+        "CondDensityModel.density_at": dict(a=1, s=DATA.s, **rows),
+        "CondDensityModel.density_from_mean": dict(s=DATA.s, mean=DATA.s + 0.5),
+        "OutcomeModel.predict_at": dict(a=DATA.a, s=DATA.s, **rows),
+        "FeatureSpec.resolve": dict(roles=("b",), covariate_names=NAMES),
+    }
+    by_name = {cls.__name__: model for cls, model in models.items()}
+    calls = {}
+    for name, kwargs in table.items():
+        cls, method = name.split(".")
+        assert type(by_name[cls]).__name__ == cls
+        calls[name] = (getattr(by_name[cls], method), kwargs)
+    return calls
+
+
 def _named_parameters(fn) -> set:
     try:
         sig = inspect.signature(fn)
@@ -144,9 +188,27 @@ def test_calls_cover_the_surface(calls):
         fn(**kwargs)
 
 
+def test_method_calls_cover_the_methods(method_calls):
+    """One valid call, naming every parameter, of each method in ``METHODS``; each returns."""
+    assert tuple(method_calls) == METHODS
+    for name, (fn, kwargs) in method_calls.items():
+        assert set(kwargs) == _named_parameters(fn), name
+        fn(**kwargs)
+
+
 @pytest.mark.parametrize("name", SURFACE)
 def test_hostile_argument_returns_or_raises_typed_error(calls, name):
-    fn, kwargs = calls[name]
+    assert _raw_errors(name, *calls[name]) == []
+
+
+@pytest.mark.parametrize("name", METHODS)
+def test_hostile_method_argument_returns_or_raises_typed_error(method_calls, name):
+    assert _raw_errors(name, *method_calls[name]) == []
+
+
+def _raw_errors(name, fn, kwargs) -> list:
+    """Each (argument, hostile value) whose call raised an error other than
+    a ``StwcrError`` or an allowed ``OSError``, with the error."""
     raw_errors = []
     for arg in kwargs:
         for label, value in hostile_values().items():
@@ -159,4 +221,4 @@ def test_hostile_argument_returns_or_raises_typed_error(calls, name):
                     raw_errors.append(f"{arg}={label}: {type(exc).__name__}: {exc}")
             except Exception as exc:  # noqa: BLE001 - every other error is the finding
                 raw_errors.append(f"{arg}={label}: {type(exc).__name__}: {exc}")
-    assert raw_errors == []
+    return raw_errors

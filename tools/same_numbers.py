@@ -25,7 +25,8 @@ It pins no number itself. It prints:
 * one ``estimate_stwcr`` on 40,000 Scenario II rows, whose folds are fit on
   threads;
 * both estimators on 100,000 Scenario II rows, whose five folds a query's
-  batch call takes in two groups of rows;
+  batch call takes in two groups of rows, fitted and with the true
+  nuisances injected, whose one part of every row is cut into groups too;
 * ``compute_truths`` on Scenarios I-III;
 * ``run_monte_carlo`` rows for a risk and a relative-efficacy query, on one
   process and on two;
@@ -122,8 +123,10 @@ def large():
 def grouped():
     data = gen_dataset(ScenarioSpec("II", 100_000, 61))
     folds = make_folds(len(data), 5, 62)
+    nuisances = true_nuisances("II")
     for q in (StwcrQuery(1, 9.0), StwcrveQuery(1, 0, 10.0, 9.0)):
         print("grouped II", q, estimate(data, q, folds))
+        print("grouped II injected", q, estimate(data, q, folds, nuisances=nuisances))
 
 
 def truths():
