@@ -24,17 +24,8 @@ from stwcr.core import Interval, SmoothingParams
 from stwcr.eif import StwcrQuery, StwcrveQuery
 from stwcr.errors import StwcrError
 from stwcr.estimators import ModelSpecs, make_folds
-from stwcr.nuisance import (
-    CondDensityModel,
-    Dataset,
-    FeatureSpec,
-    KnownPropensity,
-    Observation,
-    OutcomeModel,
-    PropensityModel,
-    intercept,
-    raw,
-)
+from stwcr.nuisance import (FeatureSpec, KnownPropensity, Observation, PropensityModel,
+                            intercept, raw)
 from stwcr.simulation import ScenarioSpec, SimConfig, gen_dataset, true_nuisances
 
 
@@ -145,29 +136,19 @@ def calls(tmp_path_factory) -> dict:
 def method_calls() -> dict:
     """Each method's name: the bound method and the keyword arguments of one valid call."""
     rows = dict(b=DATA.b, x=DATA.x)
-    models = {KnownPropensity: KnownPropensity(0.5),
-              # nonzero coefficients: 0 * inf is NaN, with numpy's RuntimeWarning
-              PropensityModel: PropensityModel(spec=SPEC, coef=np.array([0.2, -0.1]),
-                                               covariate_names=NAMES),
-              CondDensityModel: NUIS.cond_density, OutcomeModel: NUIS.outcome,
-              Dataset: DATA, FeatureSpec: SPEC}
-    table = {
-        "Dataset.subset": dict(idx=[0, 2, 5]),
-        "KnownPropensity.prob": dict(a=1, **rows),
-        "PropensityModel.prob": dict(a=0, **rows),
-        "CondDensityModel.mean": dict(a=1, **rows),
-        "CondDensityModel.density_at": dict(a=1, s=DATA.s, **rows),
-        "CondDensityModel.density_from_mean": dict(s=DATA.s, mean=DATA.s + 0.5),
-        "OutcomeModel.predict_at": dict(a=DATA.a, s=DATA.s, **rows),
-        "FeatureSpec.resolve": dict(roles=("b",), covariate_names=NAMES),
+    # nonzero coefficients: 0 * inf is NaN, with numpy's RuntimeWarning
+    prop = PropensityModel(spec=SPEC, coef=np.array([0.2, -0.1]), covariate_names=NAMES)
+    return {
+        "Dataset.subset": (DATA.subset, dict(idx=[0, 2, 5])),
+        "KnownPropensity.prob": (KnownPropensity(0.5).prob, dict(a=1, **rows)),
+        "PropensityModel.prob": (prop.prob, dict(a=0, **rows)),
+        "CondDensityModel.mean": (NUIS.cond_density.mean, dict(a=1, **rows)),
+        "CondDensityModel.density_at": (NUIS.cond_density.density_at, dict(a=1, s=DATA.s, **rows)),
+        "CondDensityModel.density_from_mean": (NUIS.cond_density.density_from_mean,
+                                               dict(s=DATA.s, mean=DATA.s + 0.5)),
+        "OutcomeModel.predict_at": (NUIS.outcome.predict_at, dict(a=DATA.a, s=DATA.s, **rows)),
+        "FeatureSpec.resolve": (SPEC.resolve, dict(roles=("b",), covariate_names=NAMES)),
     }
-    by_name = {cls.__name__: model for cls, model in models.items()}
-    calls = {}
-    for name, kwargs in table.items():
-        cls, method = name.split(".")
-        assert type(by_name[cls]).__name__ == cls
-        calls[name] = (getattr(by_name[cls], method), kwargs)
-    return calls
 
 
 def _named_parameters(fn) -> set:
@@ -192,6 +173,7 @@ def test_method_calls_cover_the_methods(method_calls):
     """One valid call, naming every parameter, of each method in ``METHODS``; each returns."""
     assert tuple(method_calls) == METHODS
     for name, (fn, kwargs) in method_calls.items():
+        assert fn.__qualname__ == name
         assert set(kwargs) == _named_parameters(fn), name
         fn(**kwargs)
 
