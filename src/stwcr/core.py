@@ -243,14 +243,30 @@ def _require_numbers(name: str, val, ndim: int | None = None, rows: int | None =
     raise InvalidParameterError(f"{name} must hold {wanted}, got {given}")
 
 
-def _require_broadcast(caller: str, shapes: dict) -> tuple:
-    """The broadcast shape of ``shapes``, argument name to shape:
-    InvalidParameterError naming ``caller`` and each shape unless they
-    broadcast together, the rule for the arrays a model reads side by side."""
+def _require_floats(caller: str, names, values) -> list:
+    """Each of ``values`` as a float array, not copied when it is one:
+    InvalidParameterError naming ``caller`` and the name in ``names`` of the
+    first that does not hold numbers, by the rule of :func:`_require_numbers`.
+    A name is formatted only when its value fails, so the models' calls on
+    every grid block pay a dtype test a value and no more."""
     try:
-        return np.broadcast_shapes(*shapes.values())
+        arrays = [np.asarray(val) for val in values]
+    except (TypeError, ValueError):  # a ragged sequence
+        arrays = []
+    if len(arrays) < len(values) or any(arr.dtype.kind not in "biuf" for arr in arrays):
+        for name, val in zip(names, values):  # raises at the first that fails
+            _require_numbers(f"{caller} {name}", val)
+    return [np.asarray(arr, dtype=float) for arr in arrays]
+
+
+def _require_broadcast(caller: str, names, arrays) -> tuple:
+    """The shape of ``arrays`` broadcast together: InvalidParameterError
+    naming ``caller`` and each of ``names`` with its array's shape unless
+    they broadcast, the rule for the arrays a model reads side by side."""
+    try:
+        return np.broadcast(*arrays).shape
     except ValueError:
-        given = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+        given = ", ".join(f"{name} {arr.shape}" for name, arr in zip(names, arrays))
         raise InvalidParameterError(f"{caller} needs arrays that broadcast together, "
                                     f"got shapes {given}") from None
 

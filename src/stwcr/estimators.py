@@ -278,14 +278,15 @@ def _fit_fold(train: TrainingRows, specs: ModelSpecs,
 class _FoldPlan:
     """What every query on one (dataset, folds, specs) shares.
 
-    ``rows`` are the columns (y, a, s, b, x) that each query's one batch
-    call reads, ``index`` where they sit in the dataset, and ``nuis`` their
-    nuisances, a ``NuisanceTriple`` or ``NuisanceParts``. ``fits`` are
-    ``(NuisanceTriple, degenerate)`` pairs. A fold plan's rows are its
+    ``rows`` are the columns (y, a, s, b, x) of the Dataset the plan is
+    made with, which each query's one batch call reads, ``index`` where
+    they sit in the caller's dataset, and ``nuis`` their nuisances, a
+    ``NuisanceTriple`` or ``NuisanceParts``. ``fits`` are the fold fits'
+    ``(NuisanceTriple, degenerate)`` pairs. A fold plan is made with its
     dataset's copy sorted by fold, ``index`` the sort order and part j,
     fold j + 1, evaluated with ``fits[j]``'s triple; injected nuisances
-    read the dataset's own columns at ``slice(None)`` with their one
-    triple. Each query's batch call reads and fills ``terms``
+    with the caller's dataset at ``slice(None)``, their one triple and no
+    fits. Each query's batch call reads and fills ``terms``
     (``eif_stwcr_batch``'s ``_terms``): one dict of whole-row arrays, valid
     for one (t, epsilon, quad_nodes, window_halfwidth_in_h), which ``ask``
     empties in place for a query with another, so ``terms`` stays the same
@@ -300,9 +301,10 @@ class _FoldPlan:
     what the fits were made from, None for injected nuisances.
     """
 
-    def __init__(self, folds, specs, rows: tuple, index, nuis, fits):
+    def __init__(self, folds, specs, data: Dataset, index, nuis, fits):
         self.folds, self.specs = folds, specs
-        self.rows, self.index, self.nuis, self.fits = rows, index, nuis, fits
+        self.rows = (data.y, data.a, data.s, data.b, data.x)
+        self.index, self.nuis, self.fits = index, nuis, fits
         self.degenerate_folds = sum(int(degen) for _, degen in fits)
         self._params = None  # (t, epsilon, quad_nodes, window_halfwidth_in_h) of ``terms``
         self.terms = {}
@@ -373,8 +375,7 @@ def _fold_plan(data: Dataset, folds: FoldAssignment, specs: ModelSpecs) -> _Fold
                         tasks=folds.k_folds - 1 if threaded else 1)
     fits = ((first, degenerate), *rest)
     nuis = NuisanceParts(tuple(parts.edges), tuple(triple for triple, _ in fits))
-    d = parts.data
-    _FOLD_FITS[data] = _FoldPlan(folds, specs, (d.y, d.a, d.s, d.b, d.x), order, nuis, fits)
+    _FOLD_FITS[data] = _FoldPlan(folds, specs, parts.data, order, nuis, fits)
     return _FOLD_FITS[data]
 
 
@@ -413,8 +414,7 @@ def _influence(query_type, batch_fn, data: Dataset, query, params: SmoothingPara
     if folds.labels.shape[0] != n:
         raise InvalidParameterError("fold assignment does not match dataset size")
     if nuisances is not None:
-        plan = _FoldPlan(None, None, (data.y, data.a, data.s, data.b, data.x), slice(None),
-                         nuisances, ((nuisances, False),))
+        plan = _FoldPlan(None, None, data, slice(None), nuisances, ())
     else:
         # ahead of any fit: a fold without the arm would fail as a singular design.
         # A fold's training rows lack an arm exactly when it holds every row on the arm.

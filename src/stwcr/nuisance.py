@@ -51,8 +51,8 @@ import numpy as np
 from scipy.special import expit
 
 from .core import (Interval, _is_arm, _is_number, _require_array, _require_broadcast,
-                   _require_items, _require_nonnegative, _require_numbers, _require_positive,
-                   _require_type)
+                   _require_floats, _require_items, _require_nonnegative, _require_numbers,
+                   _require_positive, _require_type)
 from .errors import InvalidParameterError, SolverError
 from .parallel import row_blocks
 
@@ -310,16 +310,15 @@ class _Terms(NamedTuple):
         broadcast if that is larger. InvalidParameterError naming ``caller``
         unless the role values and x hold numbers, x holds the covariates on its
         last axis, and they broadcast together."""
-        values = {name: np.asarray(_require_numbers(f"{caller} {name}", v), dtype=float)
-                  for name, v in zip((*self.roles, "x"), (*role_values, x))}
-        x = values.pop("x")
+        *role_values, x = _require_floats(caller, (*self.roles, "x"), (*role_values, x))
         if x.shape[-1:] != (self.covariates,):
             raise InvalidParameterError(f"{caller} needs x with its {self.covariates} covariates "
                                         f"on the last axis, got shape {x.shape}")
-        shape = _require_broadcast(caller, {**{name: v.shape for name, v in values.items()},
-                                            "x rows": x.shape[:-1]})
+        # x's rows stand in as an array of their shape whose dtype holds no bytes
+        shape = _require_broadcast(caller, (*self.roles, "x rows"),
+                                   (*role_values, np.empty(x.shape[:-1], dtype=[])))
         eta = 0.0
-        for c, value in zip(coef, self._values(values.values(), x)):
+        for c, value in zip(coef, self._values(role_values, x)):
             term = c * value
             try:
                 eta += term
@@ -419,9 +418,8 @@ class CondDensityModel(_FittedModel):
         place. InvalidParameterError unless s and mean hold numbers that
         broadcast together."""
         caller = "CondDensityModel.density_from_mean"
-        s = np.asarray(_require_numbers(f"{caller} s", s), dtype=float)
-        mean = _require_numbers(f"{caller} mean", mean)
-        shape = _require_broadcast(caller, {"s": s.shape, "mean": mean.shape})
+        s, mean = _require_floats(caller, ("s", "mean"), (s, mean))
+        shape = _require_broadcast(caller, ("s", "mean"), (s, mean))
         z = np.subtract(s, mean, out=np.empty(shape))
         z /= self.residual_sd
         dens = np.multiply(z, -0.5, out=np.empty(z.shape))
