@@ -218,29 +218,23 @@ def _require_array(name: str, val, ndim: int | tuple = 1, shape: tuple | None = 
         f"{name} must hold {wanted} finite {'integers' if integers else 'numbers'}, got {given}")
 
 
-def _require_numbers(name: str, val, ndim: int | None = None, rows: int | None = None) -> np.ndarray:
+def _require_numbers(name: str, val) -> np.ndarray:
     """``val`` as an array, read in place, so an array is not copied: the
     rule for the array arguments that are not copied (``irls_logistic``'s
-    design, the batch functions' rows, ``kernel_weight``'s displacements).
+    design, ``kernel_weight``'s displacements and the models' arguments).
 
     InvalidParameterError naming ``name`` unless ``val`` holds numbers
     (bools, ints and floats: not strings, nor an int beyond the float
-    range), in ``ndim`` dimensions and with ``rows`` rows when these are
-    given. The values themselves are not checked.
+    range). The values themselves are not checked.
     """
     try:
         arr = np.asarray(val)
     except (TypeError, ValueError):  # a ragged sequence
         arr = None
     if arr is None or arr.dtype.kind not in "biuf":
-        given = "a value that is not a number within the float range"
-    elif ndim is not None and arr.ndim != ndim or rows is not None and arr.shape[:1] != (rows,):
-        given = f"shape {arr.shape}"
-    else:
-        return arr
-    wanted = "numbers" if ndim is None else f"a {ndim}-D array of numbers"
-    wanted += "" if rows is None else f" with {rows} rows"
-    raise InvalidParameterError(f"{name} must hold {wanted}, got {given}")
+        raise InvalidParameterError(
+            f"{name} must hold numbers, got a value that is not a number within the float range")
+    return arr
 
 
 def _require_floats(caller: str, names, values) -> list:

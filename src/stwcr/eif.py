@@ -31,13 +31,18 @@ oracle's combination of its integrals keep per-kind code.
 implementations. The ``*_batch`` variants vectorize over observations and
 are what the cross-fitting estimators call, once per query on a fold
 plan's rows sorted by fold (``NuisanceParts``: each fold's nuisances on
-its own contiguous part); tests pin them to the reference path. Each
-query names its ``(arm, center, h)`` kernel windows (``windows``): a risk
-query one, a relative-efficacy query two, the comparator's first.
-``_batch`` builds each window's terms from two parts, each under its own
-key in one dict of whole-row arrays: under the arm, the query-independent
-observation-local terms (``local_terms``), which keep the rows' density
-mean, and under the window, its grid integrals, which read that mean.
+its own contiguous part); tests pin them to the reference path. The
+reference functions check their arguments where they enter. The batch
+functions are internal and check none: each value they read was checked
+where it entered, the rows as a ``Dataset``'s columns, the query, params
+and nuisances by ``estimate_*``, and the parts' edges by ``_fold_plan``,
+which makes them. Each query names its ``(arm, center, h)`` kernel
+windows (``windows``): a risk query one, a relative-efficacy query two,
+the comparator's first. ``_batch`` builds each window's terms from two
+parts, each under its own key in one dict of whole-row arrays: under the
+arm, the query-independent observation-local terms (``local_terms``),
+which keep the rows' density mean, and under the window, its grid
+integrals, which read that mean.
 Both depend on the nuisances, so each is made piece by piece, the parts
 cut at every ``_GROUP_ROWS`` rows, and a window's grid keeps its row
 blocks within each piece. Every arm's local terms and each kept window's
@@ -65,9 +70,6 @@ from .core import (
     SmoothingParams,
     _is_arm,
     _is_number,
-    _require_int,
-    _require_items,
-    _require_numbers,
     _require_type,
     integrate_kernel_weighted,
     integrate_kernel_weighted_2d,
@@ -378,28 +380,16 @@ def eif_stwcrve(obs: Observation, q: StwcrveQuery, nuis: NuisanceTriple,
 _INTEGRALS = ("phi", "phi_r", "g", "g_r")
 
 
-@dataclass(frozen=True, eq=False)
-class NuisanceParts:
+class NuisanceParts(NamedTuple):
     """A batch's nuisances part by part: its rows ``edges[j]:edges[j + 1]``
     are evaluated with ``triples[j]``, a NuisanceTriple. ``edges`` rise from
-    0, one more than the triples; the batch's rows must end at the last. A
-    fold plan's rows, sorted by fold, hold one part per fold; a single
-    ``NuisanceTriple`` is one part of all rows."""
+    0 to the batch's last row, one more than the triples; ``_fold_plan``,
+    which makes them, checks its edges before any fit. A fold plan's rows,
+    sorted by fold, hold one part per fold; a single ``NuisanceTriple`` is
+    one part of all rows."""
 
     edges: tuple
     triples: tuple
-
-    def __post_init__(self):
-        _require_type("NuisanceParts", "edges", self.edges, tuple)
-        _require_items("NuisanceParts", "triples", self.triples, "each triple", NuisanceTriple, tuple)
-        for edge in self.edges:
-            _require_int("each edge of NuisanceParts", edge, 0)
-        edges = self.edges
-        if not (len(edges) == len(self.triples) + 1 and edges[0] == 0
-                and all(lo < hi for lo, hi in zip(edges, edges[1:]))):
-            raise InvalidParameterError(
-                f"NuisanceParts needs edges rising from 0, one more than its {len(self.triples)} "
-                f"triples, got {edges!r}")
 
 
 def _kernel_integrals_1d(center, h, arm, nuis, params, b, x, mean, rules):
@@ -467,26 +457,6 @@ def local_terms(y, a, s, b, x, arm, nuis: NuisanceTriple, t, eps) -> LocalTerms:
     return LocalTerms(ind, dphi_S, dphi_S * r_S + (phi_S / floored) * (y - r_S), mean, floor_hits)
 
 
-def _batch_args(caller, rows, q, query_type, nuis, params):
-    """The rows (y, a, s, b, x) read in place, y, s, b and x as floats, and
-    ``nuis`` as ``(lo, hi, triple)`` parts, each argument checked where it
-    enters: the rows by dtype kind and shape, never copied."""
-    _require_type(caller, "q", q, query_type)
-    _require_type(caller, "nuis", nuis, (NuisanceTriple, NuisanceParts))
-    _require_type(caller, "params", params, SmoothingParams)
-    m = _require_numbers(f"{caller} row array y", rows[0], ndim=1).shape[0]
-    y, a, s, b, x = (_require_numbers(f"{caller} row array {name}", v,
-                                      ndim=2 if name == "x" else 1, rows=m)
-                     for name, v in zip("yasbx", rows))
-    y, s, b, x = (np.asarray(v, dtype=float) for v in (y, s, b, x))
-    if isinstance(nuis, NuisanceTriple):
-        return (y, a, s, b, x), [(0, m, nuis)]
-    if nuis.edges[-1] != m:
-        raise InvalidParameterError(f"{caller} has {m} rows, but its nuis parts end at row "
-                                    f"{nuis.edges[-1]}")
-    return (y, a, s, b, x), list(zip(nuis.edges[:-1], nuis.edges[1:], nuis.triples))
-
-
 # Rows in a group. A batch makes its influence values, and the grid integrals
 # of the windows it does not keep, one group of rows at a time, so that a
 # group's arrays bound its memory. Up to this many rows one group holds every
@@ -528,10 +498,13 @@ def _by_part(make, parts):
     return tuple(whole)
 
 
-def _batch(caller, label, rows, q, query_type, nuis, params, terms, keep, combine):
+def _batch(label, rows, q, nuis, params, terms, keep, combine):
     """``(num, den, floor_hits)`` of query ``q`` on ``rows`` (y, a, s, b, x),
-    after ``_batch_args`` checks the arguments; EvaluationError naming
-    ``label`` unless num and den are finite.
+    y, s, b and x read as floats, and ``nuis`` cut into its ``(lo, hi,
+    triple)`` parts; EvaluationError naming ``label`` unless num and den
+    are finite. The arguments are not checked here: the estimators pass a
+    Dataset's columns, and a query, params and nuisances that they checked
+    or that ``_fold_plan`` made.
 
     Each kernel window ``(arm, center, h)`` of ``q`` reads its arm's
     ``LocalTerms`` under the arm in ``terms`` (a new dict when None) and its
@@ -552,7 +525,10 @@ def _batch(caller, label, rows, q, query_type, nuis, params, terms, keep, combin
     correction integrals. After the groups, every key of ``terms`` not in
     ``keep`` is deleted.
     """
-    (y, a, s, b, x), parts = _batch_args(caller, rows, q, query_type, nuis, params)
+    y, a, s, b, x = rows
+    y, s, b, x = (np.asarray(v, dtype=float) for v in (y, s, b, x))
+    parts = ([(0, y.shape[0], nuis)] if isinstance(nuis, NuisanceTriple)
+             else list(zip(nuis.edges[:-1], nuis.edges[1:], nuis.triples)))
     terms = {} if terms is None else terms
     windows = q.windows(params)
     arms = [arm for arm, _, _ in windows]
@@ -625,8 +601,7 @@ def eif_stwcr_batch(y, a, s, b, x, q: StwcrQuery, nuis: NuisanceTriple | Nuisanc
         ind, plain, weighted, ints = window
         return ind * weighted + ints["phi_r"], ind * plain + ints["phi"]
 
-    return _batch("eif_stwcr_batch", "risk influence values", (y, a, s, b, x), q, StwcrQuery,
-                  nuis, params, _terms, _keep, combine)
+    return _batch("risk influence values", (y, a, s, b, x), q, nuis, params, _terms, _keep, combine)
 
 
 def eif_stwcrve_batch(y, a, s, b, x, q: StwcrveQuery, nuis: NuisanceTriple | NuisanceParts,
@@ -645,5 +620,5 @@ def eif_stwcrve_batch(y, a, s, b, x, q: StwcrveQuery, nuis: NuisanceTriple | Nui
         den = ind1 * i0["phi_r"] * plain1 + ind0 * i1["phi"] * weighted0 + i1["phi"] * i0["phi_r"]
         return num, den
 
-    return _batch("eif_stwcrve_batch", "relative-efficacy influence values", (y, a, s, b, x), q,
-                  StwcrveQuery, nuis, params, _terms, _keep, combine)
+    return _batch("relative-efficacy influence values", (y, a, s, b, x), q, nuis, params, _terms,
+                  _keep, combine)

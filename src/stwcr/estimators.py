@@ -149,11 +149,15 @@ def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
     _require_int("n", n, 2)
     _require_int("k", k, 2, n)
     _require_int("fold seed", seed, 0, math.inf)
-    sizes = np.full(k, n // k)
-    sizes[: n % k] += 1
-    labels = np.repeat(np.arange(1, k + 1), sizes)
     rng = np.random.default_rng(seed)
-    return FoldAssignment(k_folds=k, labels=rng.permutation(labels))
+    try:  # a count numpy can size may still be more than memory holds
+        sizes = np.full(k, n // k)
+        sizes[: n % k] += 1
+        labels = np.repeat(np.arange(1, k + 1), sizes)
+        return FoldAssignment(k_folds=k, labels=rng.permutation(labels))
+    except MemoryError:
+        raise InvalidParameterError(
+            f"make_folds cannot hold n = {n} fold labels in memory") from None
 
 
 @dataclass(frozen=True)

@@ -141,11 +141,12 @@ class Dataset:
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
         _require_outcome_kind(outcome_kind)
-        if outcome_kind is None:
-            outcome_kind = "binary" if np.all((self.y == 0) | (self.y == 1)) else "continuous"
-        if outcome_kind == "binary" and not np.all((self.y == 0) | (self.y == 1)):
-            raise InvalidParameterError("binary-outcome dataset has y outside {0,1}")
-        object.__setattr__(self, "outcome_kind", outcome_kind)
+        # y is tested once, and only when the kind is not given as continuous
+        if outcome_kind != "continuous" and not np.all((self.y == 0) | (self.y == 1)):
+            if outcome_kind == "binary":
+                raise InvalidParameterError("binary-outcome dataset has y outside {0,1}")
+            outcome_kind = "continuous"
+        object.__setattr__(self, "outcome_kind", outcome_kind or "binary")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Dataset is immutable: cannot set {name!r}")

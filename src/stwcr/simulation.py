@@ -197,11 +197,16 @@ def gen_dataset(spec: ScenarioSpec) -> Dataset:
     """One synthetic trial drawn through the generating models; deterministic given the seed."""
     _require_type("gen_dataset", "spec", spec, ScenarioSpec)
     rng = np.random.default_rng(spec.seed)
-    b, x = _draw_baseline(rng, spec.n, spec.scenario)
-    a = (rng.random(spec.n) < TREATED_PROB).astype(int)
-    s = MARKER_MODEL.mean(a, b, x) + MARKER_SD * rng.standard_normal(spec.n)
-    y = (rng.random(spec.n) < OUTCOME_MODEL.predict_at(a, s, b, x)).astype(float)
-    return Dataset(y=y, a=a, s=s, b=b, x=x, covariate_names=COVARIATE_NAMES, outcome_kind="binary")
+    try:  # a count numpy can size may still be more than memory holds
+        b, x = _draw_baseline(rng, spec.n, spec.scenario)
+        a = (rng.random(spec.n) < TREATED_PROB).astype(int)
+        s = MARKER_MODEL.mean(a, b, x) + MARKER_SD * rng.standard_normal(spec.n)
+        y = (rng.random(spec.n) < OUTCOME_MODEL.predict_at(a, s, b, x)).astype(float)
+        return Dataset(y=y, a=a, s=s, b=b, x=x, covariate_names=COVARIATE_NAMES,
+                       outcome_kind="binary")
+    except MemoryError:
+        raise InvalidParameterError(
+            f"gen_dataset cannot hold n = {spec.n} rows in memory") from None
 
 
 def true_nuisances(scenario: str) -> NuisanceTriple:

@@ -872,6 +872,26 @@ class TestFoldPlan:
             for col, name in zip(plan.rows, ("y", "a", "s", "b", "x")):
                 assert np.array_equal(col[lo:hi], getattr(ds, name)[folds.labels == k])
 
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(50, 400), k=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
+    def test_parts_are_the_folds(self, n, k, seed):
+        # the batch reads the plan's parts unchecked: part j must be fold j + 1's
+        # rows, evaluated with that fold's fit
+        ds = gen_dataset(ScenarioSpec("I", n, seed))
+        folds = make_folds(n, k, seed)
+        plan = estimators._fold_plan(ds, folds, ModelSpecs())
+        edges, triples = plan.nuis
+        assert len(edges) == k + 1 and all(type(edge) is int for edge in edges)
+        assert edges[0] == 0 and edges[-1] == n
+        assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
+        assert len(triples) == k
+        for j, (triple, (fit, _)) in enumerate(zip(triples, plan.fits)):
+            assert triple is fit
+            assert triple.support == support_bounds(ds.subset(folds.labels != j + 1))
+        assert np.array_equal(np.sort(plan.index), np.arange(n))
+        for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            assert np.all(folds.labels[plan.index[lo:hi]] == j + 1)
+
 
 def fitted_values(fits):
     """Every fitted number of a ``_FoldPlan``'s fits, fold by fold."""

@@ -25,15 +25,7 @@ from stwcr.core import (
     smooth_indicator,
     smooth_indicator_deriv,
 )
-from stwcr.eif import (
-    NuisanceParts,
-    StwcrQuery,
-    StwcrveQuery,
-    eif_stwcr,
-    eif_stwcr_batch,
-    eif_stwcrve,
-    eif_stwcrve_batch,
-)
+from stwcr.eif import StwcrQuery, StwcrveQuery, eif_stwcr, eif_stwcrve
 from stwcr.errors import EstimationError, HarnessError, InvalidParameterError
 from stwcr.estimators import (
     FoldAssignment,
@@ -306,14 +298,6 @@ def test_bad_counts_and_seeds_are_typed_errors(call):
 _ONE, _PRODUCT = np.ones_like, np.multiply  # integrands of one and of two markers
 _SUPPORT = Interval(0.0, 10.0)
 _OBS = Observation(y=1.0, a=1, s=7.0, b=2.0, x=(0.0, 0.5, 0.5))
-# two rows y, a, s, b, x for the batch functions
-_ROWS = (np.array([1.0, 0.0]), np.array([1, 0]), np.array([7.0, 6.5]), np.array([2.0, 1.0]),
-         np.zeros((2, 3)))
-
-
-def _rows(**columns):
-    """``_ROWS`` with ``columns`` replaced."""
-    return [columns.get(name, col) for name, col in zip("yasbx", _ROWS)]
 
 
 def _trial(**columns):
@@ -412,19 +396,6 @@ def _trial(**columns):
     lambda: oracle_estimand("stwcr", np.array(["I", "II"]), StwcrQuery(1, 7.0), PARAMS,
                             mc_size=100_000),
     lambda: SimConfig("I", 100, 2, 5, PARAMS),
-    lambda: eif_stwcr_batch(*_ROWS, None, true_nuisances("I"), PARAMS),
-    lambda: eif_stwcr_batch(*_ROWS, StwcrQuery(1, 7.0), None, PARAMS),
-    lambda: eif_stwcr_batch(*_ROWS, StwcrQuery(1, 7.0), true_nuisances("I"), None),
-    lambda: eif_stwcr_batch(*_rows(s=["7.0", "6.5"]), StwcrQuery(1, 7.0), true_nuisances("I"), PARAMS),
-    lambda: eif_stwcr_batch(*_rows(x=np.zeros((3, 3))), StwcrQuery(1, 7.0), true_nuisances("I"),
-                            PARAMS),
-    lambda: eif_stwcrve_batch(*_ROWS, StwcrQuery(1, 7.0), true_nuisances("I"), PARAMS),
-    lambda: eif_stwcrve_batch(*_rows(y=[10 ** 400, 0.0]), StwcrveQuery(1, 0, 8.0, 7.0),
-                              true_nuisances("I"), PARAMS),
-    lambda: eif_stwcrve_batch(*_ROWS, StwcrveQuery(1, 0, 8.0, 7.0),
-                              NuisanceParts((0, 1), (true_nuisances("I"),)), PARAMS),
-    lambda: eif_stwcrve_batch(*_ROWS, StwcrveQuery(1, 0, 8.0, 7.0),
-                              NuisanceParts((0, 1, 2), (true_nuisances("I"), None)), PARAMS),
     lambda: kernel_weight("x", 0.1),
     lambda: kernel_weight(10 ** 400, 0.1),
     lambda: integrate_kernel_weighted(_ONE, math.nan, 0.1, _SUPPORT, PARAMS),
@@ -513,9 +484,7 @@ def _trial(**columns):
         "eif_stwcrve_query_risk", "eif_stwcrve_params_none", "eif_stwcrve_obs_none",
         "eif_stwcrve_nuis_dict", "truths_params_none", "truths_queries_int",
         "truths_scenario_array", "oracle_params_none", "oracle_kind_dict", "oracle_scenario_array",
-        "config_queries_int", "batch_query_none", "batch_nuis_none", "batch_params_none",
-        "batch_s_str", "batch_x_rows", "ve_batch_query_risk", "ve_batch_y_huge_int",
-        "ve_batch_parts_short", "ve_batch_parts_triple_none", "kernel_u_str", "kernel_u_huge_int",
+        "config_queries_int", "kernel_u_str", "kernel_u_huge_int",
         "integral_center_nan", "integral_center_str", "integral_h_none", "integral_support_tuple",
         "integral_params_none", "integral_f_str", "integral_2d_c1_nan", "integral_2d_c0_str",
         "integral_2d_h1_none", "integral_2d_support_tuple", "integral_2d_params_none",
@@ -536,6 +505,34 @@ def _trial(**columns):
 def test_wrong_input_type_is_typed_error_where_it_enters(call):
     with pytest.raises(InvalidParameterError):
         call()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux's RLIMIT_AS")
+def test_count_beyond_memory_is_typed_error():
+    # 2**40 rows ask numpy for 8 TiB. A host that overcommits might grant that,
+    # so the calls run in a child whose address space is capped at 3 GiB
+    # before it imports the package, with one BLAS thread to stay under it.
+    code = ("import os, resource\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "cap = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "from stwcr.errors import InvalidParameterError\n"
+            "from stwcr.estimators import make_folds\n"
+            "from stwcr.simulation import ScenarioSpec, gen_dataset\n"
+            "for call in (lambda: make_folds(2**40, 2, 0),\n"
+            "             lambda: gen_dataset(ScenarioSpec('I', 2**40, 0))):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except InvalidParameterError as exc:\n"
+            "        print(exc)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "make_folds cannot hold n = 1099511627776 fold labels in memory",
+        "gen_dataset cannot hold n = 1099511627776 rows in memory"]
 
 
 def test_numpy_integer_counts_and_seeds_accepted():

@@ -22,6 +22,10 @@ It pins no number itself. It prints:
 * both estimators at n = 1000 with every model's spec holding squares and
   interactions of its role columns, so every term kind is fit and read on
   the grid;
+* both estimators on a 2,000-row Scenario I draw (seed 71) whose y is
+  replaced by a continuous outcome, 4.5 + 0.5 x2 + 2 x3 - 0.2 s - a - 0.3 b
+  plus N(0, 1) noise (seed 72), built with ``outcome_kind="continuous"``, so
+  the outcome is fit by least squares;
 * one ``estimate_stwcr`` on 40,000 Scenario II rows, whose folds are fit on
   threads;
 * both estimators on 100,000 Scenario II rows, whose five folds a query's
@@ -32,14 +36,16 @@ It pins no number itself. It prints:
   process and on two;
 * the CLI reports of ``estimate-stwcr`` (default and
   ``--known-propensity 0.4``), ``estimate-stwcrve`` and
-  ``simulate --threads 2`` on an emitted 40,000-row Scenario I trial, and
-  of ``estimate-stwcr`` and ``estimate-stwcrve`` on an emitted 60,000-row
-  Scenario II one, without their ``timestamp``. On more than one CPU the
-  CLI parses both files in parts on forked processes.
+  ``simulate --threads 2`` on an emitted 40,000-row Scenario I trial, of
+  ``estimate-stwcr`` and ``estimate-stwcrve`` on an emitted 60,000-row
+  Scenario II one, and of ``estimate-stwcr --outcome-kind continuous`` on
+  the continuous-outcome draw above, written as CSV, without their
+  ``timestamp``. On more than one CPU the CLI parses the two emitted files
+  in parts on forked processes.
 
-The trial CSVs are written as ``trial.csv`` and ``trial-ii.csv`` in a
-temporary working directory, so the reports' ``input`` key is the same on
-every run.
+The trial CSVs are written as ``trial.csv``, ``trial-ii.csv`` and
+``trial-continuous.csv`` in a temporary working directory, so the reports'
+``input`` key is the same on every run.
 """
 
 from __future__ import annotations
@@ -49,11 +55,13 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from stwcr import cli, estimators
 from stwcr.core import SmoothingParams
 from stwcr.eif import StwcrQuery, StwcrveQuery
 from stwcr.estimators import ModelSpecs, make_folds
-from stwcr.nuisance import FeatureSpec, interaction, intercept, raw, square
+from stwcr.nuisance import Dataset, FeatureSpec, interaction, intercept, raw, square
 from stwcr.simulation import (
     ScenarioSpec,
     SimConfig,
@@ -114,6 +122,24 @@ def feature_terms():
         print("feature terms", q, estimate(data, q, folds, model_specs=specs))
 
 
+def continuous_trial():
+    """The 2,000-row Scenario I draw with a continuous y: a linear outcome in
+    the simulation's outcome terms (1, x2, x3, s, a, b) plus N(0, 1) noise."""
+    data = gen_dataset(ScenarioSpec("I", 2000, 71))
+    x2, x3 = data.x[:, 1], data.x[:, 2]
+    y = (4.5 + 0.5 * x2 + 2.0 * x3 - 0.2 * data.s - 1.0 * data.a - 0.3 * data.b
+         + np.random.default_rng(72).standard_normal(len(data)))
+    return Dataset(y=y, a=data.a, s=data.s, b=data.b, x=data.x,
+                   covariate_names=data.covariate_names, outcome_kind="continuous")
+
+
+def continuous():
+    data = continuous_trial()
+    folds = make_folds(len(data), 5, 73)
+    for q in (StwcrQuery(1, 7.0), StwcrveQuery(1, 0, 8.0, 7.0)):
+        print("continuous outcome", q, estimate(data, q, folds))
+
+
 def large():
     data = gen_dataset(ScenarioSpec("II", 40_000, 31))
     q = StwcrQuery(1, 9.0)
@@ -156,6 +182,8 @@ def cli_reports():
         "estimate-stwcr II": ["--input", "trial-ii.csv", "--a", "1", "--s", "9", "--h", "0.1"],
         "estimate-stwcrve II": ["--input", "trial-ii.csv", "--a1", "1", "--a0", "0", "--s1", "9",
                                 "--s0", "8", "--h0", "0.1", "--h1", "0.1"],
+        "estimate-stwcr continuous": ["--input", "trial-continuous.csv", "--a", "1", "--s", "7",
+                                      "--h", "0.1", "--outcome-kind", "continuous"],
     }
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -166,6 +194,12 @@ def cli_reports():
                 if cli.main(["emit-draws", "--scenario", scenario, "--n", str(n),
                              "--seed", str(seed), "--out", out]) != 0:
                     sys.exit("emit-draws failed")
+            data = continuous_trial()
+            # %.17g reads back as the same double, as emit-draws writes it
+            np.savetxt("trial-continuous.csv",
+                       np.column_stack([data.y, data.a, data.s, data.b, data.x]), fmt="%.17g",
+                       delimiter=",", header=",".join(["y", "a", "s", "b", *data.covariate_names]),
+                       comments="")
             for label, args in runs.items():
                 status = cli.main([label.split()[0], *args, "--out", "out.json"])
                 if status != 0:
@@ -180,6 +214,6 @@ def cli_reports():
 
 
 if __name__ == "__main__":
-    for part in (sweeps, clipped, propensities, feature_terms, large, grouped, truths, harness,
-                 cli_reports):
+    for part in (sweeps, clipped, propensities, feature_terms, continuous, large, grouped, truths,
+                 harness, cli_reports):
         part()
